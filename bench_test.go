@@ -108,28 +108,6 @@ func BenchmarkFig10bThreshold(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseScale is the 10×-observation variant of the Fig7 scale
-// run: 240 profiling observations per clip push the outcome models into
-// the regime the sparse-BO work targets. exact is the before path (exact
-// GPs, fresh acquisition draws every epoch); sparse is the after path
-// (inducing-point models + cross-epoch draw reuse). The full-size
-// comparison and its gates live in BENCH_pr10.json (pamo-bench -sparse).
-func BenchmarkSparseScale(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		exact bool
-	}{{"exact", true}, {"sparse", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exp.SparseScale(exp.SparseScaleConfig{Fast: true, Exact: mode.exact}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkAblationAcquisition(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		exp.AblationAcq(io.Discard, exp.AblationAcqConfig{

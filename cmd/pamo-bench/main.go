@@ -20,7 +20,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"testing"
 	"time"
 
 	"repro/internal/check"
@@ -35,10 +34,6 @@ func main() {
 	reps := flag.Int("reps", 0, "repetitions per data point (0 = paper default)")
 	seed := flag.Uint64("seed", 2024, "base random seed")
 	fast := flag.Bool("fast", false, "shrink PaMO budgets for a quick pass")
-	fleet := flag.Bool("fleet", false, "skip the figures and run the fleet-scale replan benchmark (cold vs warm), writing a BENCH-style JSON report (-json path, default BENCH_pr5.json); -fast shrinks the cluster")
-	shard := flag.Bool("shard", false, "skip the figures and run the sharded control-plane scaling benchmark (4096 streams x 256 servers across shard counts), writing a BENCH-style JSON report (-json path, default BENCH_pr6.json); -fast shrinks the cluster")
-	churn := flag.Bool("churn", false, "skip the figures and run the 24h diurnal stream-churn benchmark (2x churn over a heterogeneous-speed cluster, cold full-resolve vs incremental admit/evict + warm-started models), writing a BENCH-style JSON report (-json path, default BENCH_pr9.json); -fast shrinks the day")
-	sparse := flag.Bool("sparse", false, "skip the figures and run the 10x-observation sparse-BO benchmark (exact GPs + fresh draws vs inducing-point sparse GPs + cross-epoch draw reuse), writing a BENCH-style JSON report (-json path, default BENCH_pr10.json); -fast shrinks the instance")
 	svg := flag.String("svg", "", "also write SVG charts into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -47,23 +42,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write a machine-readable run report (figure wall times + per-phase breakdown) to this file")
 	strict := flag.Bool("strict", false, "run every PaMO invocation under the exact invariant checker in strict mode: feasibility or GP-guard violations abort the figure")
 	flag.Parse()
-
-	if *fleet {
-		runFleet(os.Stdout, *jsonOut, *fast)
-		return
-	}
-	if *shard {
-		runShard(os.Stdout, *jsonOut, *fast)
-		return
-	}
-	if *churn {
-		runChurn(os.Stdout, *jsonOut, *fast)
-		return
-	}
-	if *sparse {
-		runSparse(os.Stdout, *jsonOut, *fast)
-		return
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -268,383 +246,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// runFleet benchmarks the fleet-scale control plane (exp.Fleet) twice —
-// Cold, the pre-optimization path that re-solves Algorithm 1 from scratch
-// and reallocates simulation buffers every epoch, and the default warm path
-// (sched.Replanner incremental replans + cluster.Arena buffer reuse) — and
-// writes the before/after comparison as a BENCH-style JSON report.
-func runFleet(w *os.File, jsonPath string, fast bool) {
-	cfg := exp.FleetConfig{}
-	if fast {
-		cfg = exp.FleetConfig{Streams: 32, Servers: 8, Epochs: 4}
-	}
-	bench := func(cold bool) testing.BenchmarkResult {
-		c := cfg
-		c.Cold = cold
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				exp.Fleet(c)
-			}
-		})
-	}
-	rep := exp.Fleet(cfg) // one reported run: replan mix + determinism fingerprint
-	coldRes := bench(true)
-	warmRes := bench(false)
-
-	fmt.Fprintf(w, "fleet: %d streams x %d servers x %d epochs (%d full + %d incremental replans, %d frames)\n",
-		rep.Streams, rep.Servers, rep.Epochs, rep.FullReplans, rep.IncrementalReplans, rep.Frames)
-	fmt.Fprintf(w, "  cold: %12d ns/op  %12d B/op  %9d allocs/op  (n=%d)\n",
-		coldRes.NsPerOp(), coldRes.AllocedBytesPerOp(), coldRes.AllocsPerOp(), coldRes.N)
-	fmt.Fprintf(w, "  warm: %12d ns/op  %12d B/op  %9d allocs/op  (n=%d)\n",
-		warmRes.NsPerOp(), warmRes.AllocedBytesPerOp(), warmRes.AllocsPerOp(), warmRes.N)
-	speedup := float64(coldRes.NsPerOp()) / float64(warmRes.NsPerOp())
-	allocRatio := float64(coldRes.AllocsPerOp()) / float64(warmRes.AllocsPerOp())
-	fmt.Fprintf(w, "  speedup: %.2fx ns/op, %.2fx allocs/op\n", speedup, allocRatio)
-
-	if jsonPath == "" {
-		jsonPath = "BENCH_pr5.json"
-	}
-	report := map[string]any{
-		"benchmark": "BenchmarkFleetScale",
-		"description": fmt.Sprintf(
-			"fleet-scale control plane: %d streams x %d servers x %d drifting epochs with a flapping server; cold = full Algorithm 1 solve + fresh simulation buffers every epoch, warm = sched.Replanner incremental replans + cluster.Arena reuse",
-			rep.Streams, rep.Servers, rep.Epochs),
-		"command":              "pamo-bench -fleet  (equivalent: go test -run '^$' -bench BenchmarkFleetScale -benchtime 10x -benchmem .)",
-		"cpu":                  fmt.Sprintf("%d-core %s/%s", runtime.NumCPU(), runtime.GOOS, runtime.GOARCH),
-		"before_ns_per_op":     coldRes.NsPerOp(),
-		"after_ns_per_op":      warmRes.NsPerOp(),
-		"speedup":              math.Round(speedup*100) / 100,
-		"before_allocs_per_op": coldRes.AllocsPerOp(),
-		"after_allocs_per_op":  warmRes.AllocsPerOp(),
-		"allocs_ratio":         math.Round(allocRatio*100) / 100,
-		"before_bytes_per_op":  coldRes.AllocedBytesPerOp(),
-		"after_bytes_per_op":   warmRes.AllocedBytesPerOp(),
-		"full_replans":         rep.FullReplans,
-		"incremental_replans":  rep.IncrementalReplans,
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleet json: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		fmt.Fprintf(os.Stderr, "fleet json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(w, "wrote %s\n", jsonPath)
-}
-
-// runShard benchmarks the sharded control plane (exp.ShardScale) across
-// shard counts on the same 4096×256 drifting workload and writes the scaling
-// table as a BENCH-style JSON report. The baseline row (Shards=1) is the
-// serial Algorithm 1 solve behind the planner interface; each higher count
-// partitions the streams into cells solved by concurrent per-cell schedulers
-// whose server claims merge through the optimistic arbiter.
-func runShard(w *os.File, jsonPath string, fast bool) {
-	cfg := exp.ShardConfig{}
-	counts := []int{1, 2, 4, 8}
-	if fast {
-		cfg = exp.ShardConfig{Streams: 512, Servers: 64, Epochs: 2}
-		counts = []int{1, 2, 4}
-	}
-
-	type row struct {
-		Shards            int     `json:"shards"`
-		NsPerOp           int64   `json:"ns_per_op"`
-		AllocsPerOp       int64   `json:"allocs_per_op"`
-		BytesPerOp        int64   `json:"bytes_per_op"`
-		ConflictsPerEpoch float64 `json:"conflicts_per_epoch"`
-		RetriesPerEpoch   float64 `json:"retries_per_epoch"`
-		RoundsPerEpoch    float64 `json:"rounds_per_epoch"`
-		RetryHist         [8]int  `json:"commit_retry_hist"`
-		Fallbacks         int     `json:"fallbacks"`
-		Speedup           float64 `json:"speedup_vs_serial"`
-	}
-	rows := make([]row, 0, len(counts))
-	var rep exp.ShardReport
-	for _, shards := range counts {
-		c := cfg
-		c.Shards = shards
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				exp.ShardScale(c)
-			}
-		})
-		rep = exp.ShardScale(c) // one reported run for the protocol stats
-		ep := float64(rep.Epochs)
-		rows = append(rows, row{
-			Shards: shards, NsPerOp: res.NsPerOp(),
-			AllocsPerOp: res.AllocsPerOp(), BytesPerOp: res.AllocedBytesPerOp(),
-			ConflictsPerEpoch: float64(rep.Conflicts) / ep,
-			RetriesPerEpoch:   float64(rep.Retries) / ep,
-			RoundsPerEpoch:    float64(rep.Rounds) / ep,
-			RetryHist:         rep.RetryHist, Fallbacks: rep.Fallbacks,
-		})
-		fmt.Fprintf(w, "shards=%d: %12d ns/op  %12d B/op  %9d allocs/op  conflicts/epoch=%.1f rounds/epoch=%.1f  (n=%d)\n",
-			shards, res.NsPerOp(), res.AllocedBytesPerOp(), res.AllocsPerOp(),
-			float64(rep.Conflicts)/ep, float64(rep.Rounds)/ep, res.N)
-	}
-	base := float64(rows[0].NsPerOp)
-	var speedup4 float64
-	for i := range rows {
-		rows[i].Speedup = math.Round(base/float64(rows[i].NsPerOp)*100) / 100
-		if rows[i].Shards == 4 {
-			speedup4 = rows[i].Speedup
-		}
-	}
-	fmt.Fprintf(w, "  speedup at 4 shards: %.2fx ns/op vs serial\n", speedup4)
-
-	if jsonPath == "" {
-		jsonPath = "BENCH_pr6.json"
-	}
-	report := map[string]any{
-		"benchmark": "BenchmarkShardScale",
-		"description": fmt.Sprintf(
-			"sharded control plane: %d streams x %d servers x %d drifting epochs; Shards=1 is the serial Algorithm 1 solve, higher counts run one PaMO-style cell scheduler per shard with optimistic cross-cell server claims resolved by the exact-rational arbiter",
-			rep.Streams, rep.Servers, rep.Epochs),
-		"command":             "pamo-bench -shard  (fast variant: pamo-bench -shard -fast)",
-		"cpu":                 fmt.Sprintf("%d-core %s/%s", runtime.NumCPU(), runtime.GOOS, runtime.GOARCH),
-		"rows":                rows,
-		"speedup_at_4_shards": speedup4,
-		"strict_violations":   rep.Violations,
-		"notes": []string{
-			"every benchmarked epoch is audited by the strict exact-constraint checker; a single Const1/Const2 violation on a shared server panics the run",
-			"on a single-core host the speedup is algorithmic work reduction — per-cell grouping is O((m/C)^2) and each cell assigns over a small rotated candidate-column window — so multicore hosts see additional parallel headroom on top of these numbers",
-			"cell-rotated candidate ordering decorrelates the cells' preferred servers; conflicts/epoch stays near zero on this workload, and the conflict/retry machinery is exercised by the unit and fuzz suites instead",
-		},
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "shard json: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		fmt.Fprintf(os.Stderr, "shard json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(w, "wrote %s\n", jsonPath)
-}
-
-// runChurn benchmarks the 24h diurnal churn day (exp.Churn) twice — Cold,
-// where every churn epoch invalidates the running decision and pays a full
-// Algorithm 2 resolve with cold profiling, and the default warm path, where
-// the incremental admit/evict fast path absorbs churn into the frozen
-// grouping and periodic full refreshes warm-start arrival models from the
-// bank — and writes the comparison plus the admit-hit-rate gate as a
-// BENCH-style JSON report. Both runs are audited end to end by the strict
-// exact-constraint checker (speed-scaled for the heterogeneous cluster);
-// a single violation aborts the benchmark.
-func runChurn(w *os.File, jsonPath string, fast bool) {
-	cfg := exp.ChurnConfig{}
-	if fast {
-		cfg = exp.ChurnConfig{Epochs: 24, FullEvery: 8}
-	}
-	bench := func(cold bool) testing.BenchmarkResult {
-		c := cfg
-		c.Cold = cold
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exp.Churn(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	rep, err := exp.Churn(cfg) // one reported warm run: churn mix + hit rate
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "churn: %v\n", err)
-		os.Exit(1)
-	}
-	coldRep, err := exp.Churn(exp.ChurnConfig{
-		Epochs: cfg.Epochs, FullEvery: cfg.FullEvery, Cold: true,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "churn cold: %v\n", err)
-		os.Exit(1)
-	}
-	coldRes := bench(true)
-	warmRes := bench(false)
-
-	fmt.Fprintf(w, "churn: %d initial streams x %d servers x %d epochs (%d churn ops over %d epochs, %d final streams)\n",
-		rep.Videos, rep.Servers, rep.Epochs, rep.ChurnOps, rep.ChurnEpochs, rep.FinalStreams)
-	fmt.Fprintf(w, "  admit hit rate: %.3f (%d fast, %d resolve)\n", rep.AdmitHitRate, rep.FastEpochs, rep.ResolveEpochs)
-	fmt.Fprintf(w, "  model seeding: %d bank hits, %d warm starts, %d cold starts; %d profiles (cold day: %d)\n",
-		rep.BankHits, rep.WarmStarts, rep.ColdStarts, rep.Profiles, coldRep.Profiles)
-	fmt.Fprintf(w, "  cold: %12d ns/op  %12d B/op  %9d allocs/op  (n=%d)\n",
-		coldRes.NsPerOp(), coldRes.AllocedBytesPerOp(), coldRes.AllocsPerOp(), coldRes.N)
-	fmt.Fprintf(w, "  warm: %12d ns/op  %12d B/op  %9d allocs/op  (n=%d)\n",
-		warmRes.NsPerOp(), warmRes.AllocedBytesPerOp(), warmRes.AllocsPerOp(), warmRes.N)
-	speedup := float64(coldRes.NsPerOp()) / float64(warmRes.NsPerOp())
-	fmt.Fprintf(w, "  speedup: %.2fx ns/op\n", speedup)
-
-	if jsonPath == "" {
-		jsonPath = "BENCH_pr9.json"
-	}
-	report := map[string]any{
-		"benchmark": "BenchmarkChurnDay",
-		"description": fmt.Sprintf(
-			"24h diurnal stream churn at 2x rate over a heterogeneous-speed cluster (%d initial streams x %d servers x %d epochs); cold = every churn epoch invalidates the decision and pays a full Algorithm 2 resolve with cold profiling, warm = exact Const2 admit/evict into the frozen grouping + periodic full refreshes that warm-start arrival models from the bank",
-			rep.Videos, rep.Servers, rep.Epochs),
-		"command":              "pamo-bench -churn  (fast variant: pamo-bench -churn -fast)",
-		"cpu":                  fmt.Sprintf("%d-core %s/%s", runtime.NumCPU(), runtime.GOOS, runtime.GOARCH),
-		"before_ns_per_op":     coldRes.NsPerOp(),
-		"after_ns_per_op":      warmRes.NsPerOp(),
-		"speedup":              math.Round(speedup*100) / 100,
-		"before_allocs_per_op": coldRes.AllocsPerOp(),
-		"after_allocs_per_op":  warmRes.AllocsPerOp(),
-		"before_bytes_per_op":  coldRes.AllocedBytesPerOp(),
-		"after_bytes_per_op":   warmRes.AllocedBytesPerOp(),
-		"admit_hit_rate":       math.Round(rep.AdmitHitRate*1000) / 1000,
-		"churn_ops":            rep.ChurnOps,
-		"churn_epochs":         rep.ChurnEpochs,
-		"fast_epochs":          rep.FastEpochs,
-		"resolve_epochs":       rep.ResolveEpochs,
-		"bank_hits":            rep.BankHits,
-		"warm_starts":          rep.WarmStarts,
-		"cold_starts":          rep.ColdStarts,
-		"profiles_warm_day":    rep.Profiles,
-		"profiles_cold_day":    coldRep.Profiles,
-		"degraded_epochs":      rep.DegradedEpochs,
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "churn json: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		fmt.Fprintf(os.Stderr, "churn json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(w, "wrote %s\n", jsonPath)
-}
-
-// runSparse benchmarks the 10×-observation scale scenario (exp.SparseScale)
-// twice — Exact, the pre-optimization path whose outcome GPs pay cubic
-// factorizations and quadratic per-observation updates at 240 profiles per
-// clip and re-sample the acquisition's joint draws every epoch, and the
-// default sparse path (inducing-point SoR/FITC models under the MaxObs
-// forgetting budget + the cross-epoch draw cache) — and writes the
-// comparison plus a paired regret measurement as a BENCH-style JSON report.
-func runSparse(w *os.File, jsonPath string, fast bool) {
-	cfg := exp.SparseScaleConfig{Fast: fast}
-	bench := func(exact bool) testing.BenchmarkResult {
-		c := cfg
-		c.Exact = exact
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exp.SparseScale(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	rep, err := exp.SparseScale(cfg) // one reported sparse run: model + reuse counters
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sparse: %v\n", err)
-		os.Exit(1)
-	}
-	exactRes := bench(true)
-	sparseRes := bench(false)
-
-	// Paired regret: the same instances solved once with exact models and
-	// once with sparse ones; regret_r = exact benefit − sparse benefit.
-	regretReps := 3
-	if fast {
-		regretReps = 2
-	}
-	var meanRegret float64
-	for r := 0; r < regretReps; r++ {
-		c := cfg
-		c.Epochs = 1
-		c.Seed = 2024 + uint64(r)*997
-		c.Exact = true
-		er, err := exp.SparseScale(c)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sparse regret: %v\n", err)
-			os.Exit(1)
-		}
-		c.Exact = false
-		sr, err := exp.SparseScale(c)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sparse regret: %v\n", err)
-			os.Exit(1)
-		}
-		meanRegret += (er.Benefit - sr.Benefit) / float64(regretReps)
-	}
-
-	fmt.Fprintf(w, "sparse: %d videos x %d servers, %d profiles/clip, %d epochs (m=%d)\n",
-		rep.Videos, rep.Servers, rep.ObsPerClip, rep.Epochs, rep.Inducing)
-	fmt.Fprintf(w, "  model lifecycle: %d observations, %d inducing adds, %d forgets; %d acquisition rounds reused cached draws\n",
-		rep.GPObs, rep.GPInducing, rep.GPForgets, rep.DrawsReused)
-	fmt.Fprintf(w, "  exact:  %12d ns/op  %12d B/op  %9d allocs/op  (n=%d)\n",
-		exactRes.NsPerOp(), exactRes.AllocedBytesPerOp(), exactRes.AllocsPerOp(), exactRes.N)
-	fmt.Fprintf(w, "  sparse: %12d ns/op  %12d B/op  %9d allocs/op  (n=%d)\n",
-		sparseRes.NsPerOp(), sparseRes.AllocedBytesPerOp(), sparseRes.AllocsPerOp(), sparseRes.N)
-	speedup := float64(exactRes.NsPerOp()) / float64(sparseRes.NsPerOp())
-	fmt.Fprintf(w, "  speedup: %.2fx ns/op; mean regret vs exact over %d paired instances: %.4f\n",
-		speedup, regretReps, meanRegret)
-
-	if jsonPath == "" {
-		jsonPath = "BENCH_pr10.json"
-	}
-	report := map[string]any{
-		"benchmark": "BenchmarkSparseScale",
-		"description": fmt.Sprintf(
-			"10x-observation BO scale run (%d videos x %d servers, %d profiles/clip, %d re-solve epochs); before = exact GPs (cubic refits, quadratic updates) + fresh joint draws every epoch, after = inducing-point sparse GPs (SoR/FITC, m=%d, MaxObs forgetting pinned at the profile count) + cross-epoch acquisition draw reuse",
-			rep.Videos, rep.Servers, rep.ObsPerClip, rep.Epochs, rep.Inducing),
-		"command":              "pamo-bench -sparse  (fast variant: pamo-bench -sparse -fast)",
-		"cpu":                  fmt.Sprintf("%d-core %s/%s", runtime.NumCPU(), runtime.GOOS, runtime.GOARCH),
-		"before_ns_per_op":     exactRes.NsPerOp(),
-		"after_ns_per_op":      sparseRes.NsPerOp(),
-		"speedup":              math.Round(speedup*100) / 100,
-		"before_allocs_per_op": exactRes.AllocsPerOp(),
-		"after_allocs_per_op":  sparseRes.AllocsPerOp(),
-		"before_bytes_per_op":  exactRes.AllocedBytesPerOp(),
-		"after_bytes_per_op":   sparseRes.AllocedBytesPerOp(),
-		"obs_per_clip":         rep.ObsPerClip,
-		"epochs":               rep.Epochs,
-		"inducing":             rep.Inducing,
-		"gp_obs_total":         rep.GPObs,
-		"gp_inducing_total":    rep.GPInducing,
-		"gp_forget_total":      rep.GPForgets,
-		"draws_reused_total":   rep.DrawsReused,
-		"mean_regret":          math.Round(meanRegret*1e6) / 1e6,
-		"regret_reps":          regretReps,
-		"notes": []string{
-			"before = exact outcome GPs: every per-clip metric model pays an O(n^3) initial factorization at n=240 and O(n^2) incremental updates per BO observation, and every re-solve epoch re-samples the acquisition's joint draws",
-			"after = gp.SparseGP (SoR mean + FITC variance, greedy pivoted-Cholesky inducing selection, m=64) with the MaxObs forgetting budget pinned at the profile count, plus acq.DrawCache reuse across identical re-solve epochs",
-			"mean_regret is the paired true-benefit gap exact - sparse on identical instances; on these seeds both model families chose identical schedules (the configuration space is a coarse encode grid), and FuzzSparseVsExactGP bounds the posterior divergence analytically",
-			"the sparse path allocates more objects (per-observation phi rows, forget-path refactorizations) but ~6x fewer bytes; the exp.AblationSparse table sweeps the inducing budget m for the regret/speedup trade-off",
-		},
-	}
-	f, err := os.Create(jsonPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sparse json: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		fmt.Fprintf(os.Stderr, "sparse json: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(w, "wrote %s\n", jsonPath)
 }
 
 // phaseEntry is one row of the report's per-phase breakdown, derived from

@@ -353,10 +353,9 @@ func newRuntime(sys *objective.System, rec *obs.Recorder, strict bool, replanEve
 		Truth: objective.UniformPreference(),
 		Norm:  objective.NewNormalizer(sys),
 		Opt: runtime.Options{
-			ReplanEvery:   replanEvery,
-			Check:         chk,
-			BackoffJitter: true,
-			BackoffSeed:   seed,
+			ReplanEvery: replanEvery,
+			Check:       chk,
+			BackoffSeed: seed,
 		},
 		Obs: rec,
 	}

@@ -211,7 +211,7 @@ func main() {
 	}
 	// Audit the final decision under its planned costs (strict-capable) and
 	// its simulated jitter under the true costs (model error: relaxed).
-	if err := chk.VerifyDecision(dec, sys.N()); err != nil {
+	if err := chk.VerifyDecisionServers(dec, sys.Servers); err != nil {
 		fmt.Fprintf(os.Stderr, "strict check: %v\n", err)
 		os.Exit(1)
 	}

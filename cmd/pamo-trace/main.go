@@ -137,7 +137,7 @@ func main() {
 		}
 		res, err := pamo.New(sys, dm, opt).Run()
 		fatalIf(err)
-		fatalIf(chk.VerifyDecision(res.Best.Decision, sys.N()))
+		fatalIf(chk.VerifyDecisionServers(res.Best.Decision, sys.Servers))
 		outv := eva.Evaluate(sys, res.Best.Decision)
 		norm := objective.NewNormalizer(sys)
 		fmt.Printf("PaMO on trace: benefit=%.4f iters=%d\n",

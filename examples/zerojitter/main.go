@@ -67,7 +67,7 @@ func main() {
 
 func theoremOffsets(sys *repro.System, streams []repro.Stream, plan repro.Plan) []float64 {
 	// o(τ_k) = Σ_{i<k} p_i within each group, compensated for per-stream
-	// transmission delay (see cluster.ZeroJitterOffsets).
+	// transmission delay (see cluster.ZeroJitterOffsetsOn).
 	offsets := make([]float64, len(streams))
 	for g, members := range plan.Groups {
 		if len(members) == 0 {

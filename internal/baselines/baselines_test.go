@@ -33,7 +33,7 @@ func checkDecision(t *testing.T, sys *objective.System, d eva.Decision) {
 		}
 	}
 	// Const1 must hold for both baselines (they respect utilization).
-	if !sched.CheckConst1(d.Streams, d.Assign, sys.N()) {
+	if !sched.CheckConst1Servers(d.Streams, d.Assign, sys.Servers) {
 		t.Fatal("Const1 violated")
 	}
 	// Evaluation must succeed and be finite.

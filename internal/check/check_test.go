@@ -57,7 +57,7 @@ func TestRejectsPlanTheFloatCheckAccepted(t *testing.T) {
 	}
 	rec := obs.NewRecorder(nil)
 	chk := New(true, rec)
-	err := chk.VerifyAssignment(streams, assign, 1)
+	err := chk.VerifyAssignmentServers(streams, assign, make([]cluster.Server, 1))
 	var v *Violation
 	if !errors.As(err, &v) || v.Invariant != "const2" {
 		t.Fatalf("exact verifier returned %v, want const2 violation", err)
@@ -76,7 +76,7 @@ func TestNonStrictRecordsButReturnsNil(t *testing.T) {
 	}
 	rec := obs.NewRecorder(nil)
 	chk := New(false, rec)
-	if err := chk.VerifyAssignment(streams, []int{0}, 1); err != nil {
+	if err := chk.VerifyAssignmentServers(streams, []int{0}, make([]cluster.Server, 1)); err != nil {
 		t.Fatalf("non-strict checker returned error: %v", err)
 	}
 	if chk.Violations() != 1 {
@@ -86,10 +86,10 @@ func TestNonStrictRecordsButReturnsNil(t *testing.T) {
 
 func TestNilCheckerIsNoop(t *testing.T) {
 	var chk *Checker
-	if err := chk.VerifyAssignment(nil, nil, 0); err != nil {
+	if err := chk.VerifyAssignmentServers(nil, nil, make([]cluster.Server, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := chk.VerifyDecision(eva.Decision{}, 0); err != nil {
+	if err := chk.VerifyDecisionServers(eva.Decision{}, make([]cluster.Server, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := chk.Finite("x", math.NaN()); err != nil {
@@ -137,7 +137,7 @@ func TestVerifyAssignmentDiagnoses(t *testing.T) {
 		}, []int{0, 0}, 1, "const2"},
 	}
 	for _, tc := range cases {
-		err := chk.VerifyAssignment(tc.streams, tc.assign, tc.n)
+		err := chk.VerifyAssignmentServers(tc.streams, tc.assign, make([]cluster.Server, tc.n))
 		if tc.invariant == "" {
 			if err != nil {
 				t.Fatalf("%s: unexpected violation %v", tc.name, err)
@@ -159,24 +159,24 @@ func TestVerifyDecision(t *testing.T) {
 	}
 	cfgs := []videosim.Config{{FPS: 10}, {FPS: 10}}
 	d := eva.Decision{Configs: cfgs, Streams: streams, Assign: []int{0, 1}}
-	if err := chk.VerifyDecision(d, 2); err != nil {
+	if err := chk.VerifyDecisionServers(d, make([]cluster.Server, 2)); err != nil {
 		t.Fatalf("feasible decision rejected: %v", err)
 	}
 
 	bad := d
 	bad.Offsets = []float64{0.01} // wrong length
-	if err := chk.VerifyDecision(bad, 2); err == nil {
+	if err := chk.VerifyDecisionServers(bad, make([]cluster.Server, 2)); err == nil {
 		t.Fatal("mismatched offsets accepted")
 	}
 	bad = d
 	bad.Offsets = []float64{0.01, math.NaN()}
-	if err := chk.VerifyDecision(bad, 2); err == nil {
+	if err := chk.VerifyDecisionServers(bad, make([]cluster.Server, 2)); err == nil {
 		t.Fatal("NaN offset accepted")
 	}
 	// A degraded decision that still schedules a shed video is inconsistent.
 	bad = d
 	bad.Shed = []int{1}
-	if err := chk.VerifyDecision(bad, 2); err == nil {
+	if err := chk.VerifyDecisionServers(bad, make([]cluster.Server, 2)); err == nil {
 		t.Fatal("shed video still scheduled but accepted")
 	}
 	// A consistent degraded decision passes the same checks.
@@ -187,7 +187,7 @@ func TestVerifyDecision(t *testing.T) {
 		Shed:       []int{1},
 		Downgraded: []int{0},
 	}
-	if err := chk.VerifyDecision(degraded, 2); err != nil {
+	if err := chk.VerifyDecisionServers(degraded, make([]cluster.Server, 2)); err != nil {
 		t.Fatalf("consistent degraded decision rejected: %v", err)
 	}
 }
@@ -296,7 +296,7 @@ func TestAlgorithm1PlansAlwaysPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chk.VerifyAssignment(streams, plan.StreamServer, len(servers)); err != nil {
+	if err := chk.VerifyAssignmentServers(streams, plan.StreamServer, servers); err != nil {
 		t.Fatalf("Algorithm 1 plan failed the exact checks: %v", err)
 	}
 }

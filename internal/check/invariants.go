@@ -10,28 +10,18 @@ import (
 	"repro/internal/sched"
 )
 
-// VerifyAssignment checks the paper's two feasibility constraints exactly
-// on a stream→server assignment: Const1 (Eq. 6, Σ pᵢ·sᵢ ≤ 1 per server)
-// and Const2 (Eq. 7, Σ pᵢ ≤ gcd of periods per server). Out-of-range
-// assignments and non-finite processing times are violations too — the
-// underlying sched checks fold them into their verdicts, so they are split
-// out here first for a usable diagnosis.
-func (c *Checker) VerifyAssignment(streams []sched.Stream, assign []int, nServers int) error {
-	return c.verifyAssignment(streams, assign, nServers, nil)
-}
-
-// VerifyAssignmentServers is VerifyAssignment against a heterogeneous
-// cluster: the exact constraints scale with each server's speed class
-// (Const1 becomes Σ pᵢ·sᵢ ≤ speed_j, Const2 becomes Σ pᵢ ≤ gcd · speed_j).
-// At speed 1 everywhere the verdicts are identical to VerifyAssignment.
+// VerifyAssignmentServers checks the paper's two feasibility constraints
+// exactly on a stream→server assignment, scaled by each server's speed class
+// (1 for a zero SpeedFactor): Const1 (Eq. 6, Σ pᵢ·sᵢ ≤ speed_j per server)
+// and Const2 (Eq. 7, Σ pᵢ ≤ gcd of periods · speed_j per server).
+// Out-of-range assignments and non-finite processing times are violations
+// too — the underlying sched checks fold them into their verdicts, so they
+// are split out here first for a usable diagnosis.
 func (c *Checker) VerifyAssignmentServers(streams []sched.Stream, assign []int, servers []cluster.Server) error {
-	return c.verifyAssignment(streams, assign, len(servers), servers)
-}
-
-func (c *Checker) verifyAssignment(streams []sched.Stream, assign []int, nServers int, servers []cluster.Server) error {
 	if c == nil {
 		return nil
 	}
+	nServers := len(servers)
 	c.begin("feasibility")
 	if len(streams) != len(assign) {
 		return c.violate("shape", "%d streams vs %d assignments", len(streams), len(assign))
@@ -44,44 +34,30 @@ func (c *Checker) verifyAssignment(streams []sched.Stream, assign []int, nServer
 			return c.violate("assign_range", "stream %d (video %d.%d) assigned to server %d of %d", i, s.Video, s.Sub, j, nServers)
 		}
 	}
-	ok1, ok2 := sched.CheckConst1(streams, assign, nServers), sched.CheckConst2(streams, assign, nServers)
-	if servers != nil {
-		ok1, ok2 = sched.CheckConst1Servers(streams, assign, servers), sched.CheckConst2Servers(streams, assign, servers)
-	}
-	if !ok1 {
+	if !sched.CheckConst1Servers(streams, assign, servers) {
 		return c.violate("const1", "Eq. 6 violated: some server has exact utilization Σ pᵢ·sᵢ above its speed")
 	}
-	if !ok2 {
+	if !sched.CheckConst2Servers(streams, assign, servers) {
 		return c.violate("const2", "Eq. 7 violated: some server has exact Σ pᵢ above its speed-scaled period gcd")
 	}
 	return nil
 }
 
-// VerifyPlan checks a scheduling plan — serial or assembled by the sharded
-// arbiter from several cells' commits — for structural consistency and the
-// exact feasibility constraints. Structure: Groups and GroupServer agree in
-// shape, every stream sits in exactly one group, StreamServer mirrors the
-// grouping, and no stream lands on an unhealthy server (healthy may be nil
-// = all up). Feasibility: the exact Const1/Const2 checks of
-// VerifyAssignment over the MERGED per-server stream sets, so a server
-// shared by multiple cells is audited over the union of everything
-// committed onto it — the property the arbiter's exactness is load-bearing
-// for.
-func (c *Checker) VerifyPlan(streams []sched.Stream, plan sched.Plan, nServers int, healthy []bool) error {
-	return c.verifyPlan(streams, plan, nServers, healthy, nil)
-}
-
-// VerifyPlanServers is VerifyPlan with speed-aware feasibility: the same
-// structural audit, then the exact speed-scaled Const1/Const2 of
-// VerifyAssignmentServers.
+// VerifyPlanServers checks a scheduling plan — serial or assembled by the
+// sharded arbiter from several cells' commits — for structural consistency
+// and the exact feasibility constraints. Structure: Groups and GroupServer
+// agree in shape, every stream sits in exactly one group, StreamServer
+// mirrors the grouping, and no stream lands on an unhealthy server (healthy
+// may be nil = all up). Feasibility: the exact speed-scaled Const1/Const2
+// checks of VerifyAssignmentServers over the MERGED per-server stream sets,
+// so a server shared by multiple cells is audited over the union of
+// everything committed onto it — the property the arbiter's exactness is
+// load-bearing for.
 func (c *Checker) VerifyPlanServers(streams []sched.Stream, plan sched.Plan, servers []cluster.Server, healthy []bool) error {
-	return c.verifyPlan(streams, plan, len(servers), healthy, servers)
-}
-
-func (c *Checker) verifyPlan(streams []sched.Stream, plan sched.Plan, nServers int, healthy []bool, servers []cluster.Server) error {
 	if c == nil {
 		return nil
 	}
+	nServers := len(servers)
 	c.begin("plan")
 	if len(plan.Groups) != len(plan.GroupServer) {
 		return c.violate("shape", "%d groups vs %d group servers", len(plan.Groups), len(plan.GroupServer))
@@ -117,25 +93,15 @@ func (c *Checker) verifyPlan(streams []sched.Stream, plan sched.Plan, nServers i
 			return c.violate("shape", "stream %d is in no group", i)
 		}
 	}
-	return c.verifyAssignment(streams, plan.StreamServer, nServers, servers)
+	return c.VerifyAssignmentServers(streams, plan.StreamServer, servers)
 }
 
-// VerifyDecision checks a complete scheduling decision: structural
+// VerifyDecisionServers checks a complete scheduling decision: structural
 // consistency (offsets, shed list) plus the exact feasibility constraints
-// of VerifyAssignment. Degraded decisions (shed/downgraded videos) go
+// of VerifyAssignmentServers. Degraded decisions (shed/downgraded videos) go
 // through the same checks — a degraded replan that violates Const2 is
 // exactly the failure mode the harness exists to catch.
-func (c *Checker) VerifyDecision(d eva.Decision, nServers int) error {
-	return c.verifyDecision(d, nServers, nil)
-}
-
-// VerifyDecisionServers is VerifyDecision with speed-aware feasibility for
-// heterogeneous clusters.
 func (c *Checker) VerifyDecisionServers(d eva.Decision, servers []cluster.Server) error {
-	return c.verifyDecision(d, len(servers), servers)
-}
-
-func (c *Checker) verifyDecision(d eva.Decision, nServers int, servers []cluster.Server) error {
 	if c == nil {
 		return nil
 	}
@@ -156,7 +122,7 @@ func (c *Checker) verifyDecision(d eva.Decision, nServers int, servers []cluster
 			return c.violate("shed", "stream %d belongs to shed video %d but is still scheduled", i, s.Video)
 		}
 	}
-	return c.verifyAssignment(d.Streams, d.Assign, nServers, servers)
+	return c.VerifyAssignmentServers(d.Streams, d.Assign, servers)
 }
 
 // ObserveJitter records the simulated worst-case jitter of an installed

@@ -15,7 +15,7 @@ func TestArenaSimulateZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { a.SimulateServer(streams, srv, 5) }); n != 0 {
 		t.Fatalf("warm Arena.SimulateServer allocates %v times per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { ZeroJitterOffsetsInPlace(streams, srv.Uplink) }); n != 0 {
-		t.Fatalf("ZeroJitterOffsetsInPlace allocates %v times per run, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { ZeroJitterOffsetsInPlaceOn(streams, srv) }); n != 0 {
+		t.Fatalf("ZeroJitterOffsetsInPlaceOn allocates %v times per run, want 0", n)
 	}
 }

@@ -154,25 +154,30 @@ func (a *Arena) summarizeInto(frames []FrameRecord, streams []StreamSpec, horizo
 	return res
 }
 
-// SimulateServerRecorded is SimulateServerRecorded running through the
-// arena: identical simulation and telemetry, reused buffers.
-func (a *Arena) SimulateServerRecorded(streams []StreamSpec, srv Server, horizon float64, rec *obs.Recorder, server int) Result {
-	return a.SimulateServerRecordedCtx(context.Background(), streams, srv, horizon, rec, server)
-}
-
-// SimulateServerRecordedCtx is SimulateServerRecorded with trace-context
-// propagation, mirroring the package-level SimulateServerRecordedCtx.
+// SimulateServerRecordedCtx is SimulateServer with telemetry: after the
+// simulation it emits one "cluster.server" event (server index, utilization,
+// max jitter, max wait, frame count) on rec, attributed to the span carried
+// by ctx (normally the per-server DES span) so trace exporters can place it
+// on the right lane, and feeds the cluster_server_utilization and
+// cluster_server_jitter_seconds histograms of rec's registry. A nil rec
+// makes it exactly SimulateServer. Safe to call from concurrent per-server
+// goroutines, one arena each.
 func (a *Arena) SimulateServerRecordedCtx(ctx context.Context, streams []StreamSpec, srv Server, horizon float64, rec *obs.Recorder, server int) Result {
 	res := a.SimulateServer(streams, srv, horizon)
-	recordServerResult(ctx, rec, server, len(streams), res)
+	if rec == nil {
+		return res
+	}
+	reg := rec.Registry()
+	reg.Histogram("cluster_server_utilization", obs.UnitBuckets).Observe(res.Utilization)
+	reg.Histogram("cluster_server_jitter_seconds", obs.DefBuckets).Observe(res.MaxJitter)
+	rec.EventCtx(ctx, "cluster.server",
+		obs.F("server", float64(server)),
+		obs.F("streams", float64(len(streams))),
+		obs.F("frames", float64(len(res.Frames))),
+		obs.F("utilization", res.Utilization),
+		obs.F("max_jitter", res.MaxJitter),
+		obs.F("max_wait", res.MaxWait))
 	return res
-}
-
-// ZeroJitterOffsetsInPlace applies the Theorem 1 offsets of
-// ZeroJitterOffsets directly to streams, allocating nothing. The computed
-// offsets are bit-identical to the copying variant.
-func ZeroJitterOffsetsInPlace(streams []StreamSpec, uplink float64) {
-	ZeroJitterOffsetsInPlaceOn(streams, Server{Uplink: uplink})
 }
 
 // ZeroJitterOffsetsInPlaceOn is ZeroJitterOffsetsOn writing directly into

@@ -57,8 +57,9 @@ func TestArenaMatchesSimulateServer(t *testing.T) {
 func TestZeroJitterOffsetsInPlace(t *testing.T) {
 	for _, uplink := range []float64{25e6, 0} {
 		streams, _ := arenaWorkload(9)
-		want := ZeroJitterOffsets(streams, uplink)
-		ZeroJitterOffsetsInPlace(streams, uplink)
+		srv := Server{Uplink: uplink}
+		want := ZeroJitterOffsetsOn(streams, srv)
+		ZeroJitterOffsetsInPlaceOn(streams, srv)
 		for i := range streams {
 			if streams[i].Offset != want[i].Offset {
 				t.Fatalf("uplink %g: offset[%d] = %g, want %g", uplink, i, streams[i].Offset, want[i].Offset)
@@ -66,7 +67,7 @@ func TestZeroJitterOffsetsInPlace(t *testing.T) {
 		}
 		// The in-place schedule must still be zero-jitter when simulated.
 		if uplink > 0 {
-			res := SimulateServer(streams, Server{Uplink: uplink}, 5)
+			res := SimulateServer(streams, srv, 5)
 			if res.MaxJitter > JitterEps {
 				t.Fatalf("in-place offsets jitter %g", res.MaxJitter)
 			}

@@ -44,12 +44,12 @@ func (s Server) Speed() float64 {
 
 // FrameRecord is the simulated life of one frame.
 type FrameRecord struct {
-	Stream   int
-	Seq      int
-	Capture  float64 // capture instant at the camera
-	Arrive   float64 // arrival at the server (capture + transmission)
-	Start    float64 // inference start
-	Finish   float64 // inference completion
+	Stream  int
+	Seq     int
+	Capture float64 // capture instant at the camera
+	Arrive  float64 // arrival at the server (capture + transmission)
+	Start   float64 // inference start
+	Finish  float64 // inference completion
 }
 
 // Latency returns the frame's end-to-end latency (capture to completion).
@@ -236,26 +236,19 @@ func MeanLatency(results []Result) float64 {
 	return sum / float64(n)
 }
 
-// ZeroJitterOffsets assigns capture offsets so that the streams' *server
+// ZeroJitterOffsetsOn assigns capture offsets so that the streams' *server
 // arrivals* follow the pattern prescribed by the proof of Theorem 1:
-// a(τ₁) = C, a(τ_k) = C + Σ_{i<k} p_i. Streams must already be grouped so
-// that Σ p_i ≤ gcd of the periods; the offsets then guarantee that no two
-// frames ever contend on the server.
+// a(τ₁) = C, a(τ_k) = C + Σ_{i<k} p_i/speed. Streams must already be grouped
+// so that Σ p_i ≤ gcd of the periods · speed; the offsets then guarantee
+// that no two frames ever contend on the server.
 //
 // Because a frame reaches the server one transmission delay after capture,
 // the capture offset compensates for the per-stream delay bits/uplink; the
-// common shift C = max(tx) keeps all capture offsets non-negative.
-func ZeroJitterOffsets(streams []StreamSpec, uplink float64) []StreamSpec {
-	return ZeroJitterOffsetsOn(streams, Server{Uplink: uplink})
-}
-
-// ZeroJitterOffsetsOn is ZeroJitterOffsets for a heterogeneous server: the
+// common shift C = max(tx) keeps all capture offsets non-negative. The
 // back-to-back slot accumulation uses the server's *effective* service
 // times p_i/speed, which is what Theorem 1's proof actually needs — the
 // k-th stream's frame must arrive exactly when the server finishes the
-// previous k-1 frames of the slot train. The grouping side of the
-// guarantee is the speed-scaled Const2: Σ p_i ≤ gcd(T) · speed. At
-// speed 1 the offsets are bit-identical to the homogeneous variant.
+// previous k-1 frames of the slot train.
 func ZeroJitterOffsetsOn(streams []StreamSpec, srv Server) []StreamSpec {
 	out := append([]StreamSpec(nil), streams...)
 	ZeroJitterOffsetsInPlaceOn(out, srv)

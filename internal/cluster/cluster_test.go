@@ -84,7 +84,7 @@ func TestZeroJitterTheorem1(t *testing.T) {
 	}
 	// gcd(0.2, 0.4, 0.2) = 0.2 ≥ 0.04+0.06+0.05 = 0.15 ✓
 	srv := Server{Uplink: 1e7}
-	res := SimulateServer(ZeroJitterOffsets(streams, srv.Uplink), srv, 50)
+	res := SimulateServer(ZeroJitterOffsetsOn(streams, srv), srv, 50)
 	if res.MaxWait > JitterEps {
 		t.Fatalf("max wait = %v, want 0", res.MaxWait)
 	}
@@ -123,7 +123,7 @@ func TestZeroJitterTheorem1Property(t *testing.T) {
 			streams[i].Proc = 0.95 * gcd * shares[i] / tot
 		}
 		srv := Server{Uplink: 1e7}
-		res := SimulateServer(ZeroJitterOffsets(streams, srv.Uplink), srv, 20)
+		res := SimulateServer(ZeroJitterOffsetsOn(streams, srv), srv, 20)
 		return res.MaxJitter <= JitterEps && res.MaxWait <= JitterEps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -25,8 +25,8 @@ func TestEDFPrioritizesUrgentFrames(t *testing.T) {
 	// deadline) arriving together: EDF serves the fast one first, FIFO
 	// serves by arrival order (tie → lower stream index first).
 	streams := []StreamSpec{
-		{Period: 1.0, Proc: 0.05},  // stream 0: deadline +1.0
-		{Period: 0.1, Proc: 0.05},  // stream 1: deadline +0.1
+		{Period: 1.0, Proc: 0.05}, // stream 0: deadline +1.0
+		{Period: 0.1, Proc: 0.05}, // stream 1: deadline +0.1
 	}
 	fifo := SimulateServer(streams, Server{}, 0.5)
 	edf := SimulateServerEDF(streams, Server{}, 0.5)
@@ -79,7 +79,7 @@ func TestEDFZeroJitterUnderConst2(t *testing.T) {
 		{Period: 0.4, Proc: 0.06, Bits: 4e4},
 	}
 	srv := Server{Uplink: 1e7}
-	res := SimulateServerEDF(ZeroJitterOffsets(streams, srv.Uplink), srv, 30)
+	res := SimulateServerEDF(ZeroJitterOffsetsOn(streams, srv), srv, 30)
 	if res.MaxJitter > JitterEps || res.MaxWait > JitterEps {
 		t.Fatalf("jitter %v wait %v", res.MaxJitter, res.MaxWait)
 	}

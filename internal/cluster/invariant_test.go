@@ -13,7 +13,7 @@ import (
 )
 
 // TestVerifiedPlanSimulatesZeroJitter closes the loop between the exact
-// verifier and the simulator: a plan that VerifyAssignment accepts, with the
+// verifier and the simulator: a plan that VerifyAssignmentServers accepts, with the
 // Theorem 1 offsets applied, must show (numerically) zero delay jitter in
 // simulation, and ObserveJitter must agree that the zero-jitter claim holds.
 func TestVerifiedPlanSimulatesZeroJitter(t *testing.T) {
@@ -33,7 +33,7 @@ func TestVerifiedPlanSimulatesZeroJitter(t *testing.T) {
 
 	rec := obs.NewRecorder(nil)
 	chk := check.New(true, rec)
-	if err := chk.VerifyAssignment(streams, plan.StreamServer, len(servers)); err != nil {
+	if err := chk.VerifyAssignmentServers(streams, plan.StreamServer, servers); err != nil {
 		t.Fatalf("exact verifier rejected Algorithm 1's plan: %v", err)
 	}
 

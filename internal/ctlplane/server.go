@@ -28,8 +28,6 @@ type Options struct {
 	// epoch — the liveness inference, not the timeout, decides whether the
 	// server is down.
 	EvalTimeout time.Duration
-	// PollWait caps how long a poll may park waiting for work (default 1s).
-	PollWait time.Duration
 	// EpochInterval, when positive, paces the loop in wall time: Advance
 	// sleeps this long before every epoch after the first, giving real
 	// agents time to poll and heartbeat. Zero runs epochs in lock step,
@@ -61,11 +59,11 @@ func (o Options) withDefaults() Options {
 	if o.EvalTimeout <= 0 {
 		o.EvalTimeout = 5 * time.Second
 	}
-	if o.PollWait <= 0 {
-		o.PollWait = time.Second
-	}
 	return o
 }
+
+// pollWait caps how long a poll may park waiting for work.
+const pollWait = time.Second
 
 // workItem is one dispatched evaluation, fenced by (epoch, version).
 type workItem struct {
@@ -432,8 +430,8 @@ func (c *Controller) handlePoll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wait := time.Duration(req.WaitMS) * time.Millisecond
-	if wait <= 0 || wait > c.opt.PollWait {
-		wait = c.opt.PollWait
+	if wait <= 0 || wait > pollWait {
+		wait = pollWait
 	}
 	deadline := time.Now().Add(wait)
 	c.pollsTotal.Inc()
@@ -499,8 +497,8 @@ func (c *Controller) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	a.pending = nil
 	c.mu.Unlock()
+	c.resultsTotal.Inc() // before the hand-off: the waiter may read the counter as soon as it wakes
 	item.done <- req.Result
-	c.resultsTotal.Inc()
 	writeJSON(w, ResultResponse{OK: true})
 }
 

@@ -81,7 +81,7 @@ func TestEvaluateMatchesAnalyticWhenUncontended(t *testing.T) {
 		for k, si := range members {
 			sub[k] = specs[si]
 		}
-		sub = cluster.ZeroJitterOffsets(sub, s.Servers[plan.GroupServer[g]].Uplink)
+		sub = cluster.ZeroJitterOffsetsOn(sub, s.Servers[plan.GroupServer[g]])
 		for k, si := range members {
 			offsets[si] = sub[k].Offset
 		}

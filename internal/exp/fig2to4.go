@@ -84,7 +84,7 @@ func Fig4(w io.Writer) Table {
 	}
 	add := func(label string, a, b cluster.StreamSpec, gcd float64) {
 		sum := a.Proc + b.Proc
-		specs := cluster.ZeroJitterOffsets([]cluster.StreamSpec{a, b}, srv.Uplink)
+		specs := cluster.ZeroJitterOffsetsOn([]cluster.StreamSpec{a, b}, srv)
 		res := cluster.SimulateServer(specs, srv, 60)
 		t.Add(label, gcd, sum, sum <= gcd, res.MaxJitter, res.MaxWait)
 	}

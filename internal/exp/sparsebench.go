@@ -125,7 +125,6 @@ func SparseScale(cfg SparseScaleConfig) (SparseScaleReport, error) {
 	rec := obs.NewRecorder(nil)
 	opt := sparseScaleOpts(cfg, rec)
 	if !cfg.Exact {
-		opt.ReuseDraws = true
 		opt.Draws = acq.NewDrawCache(0)
 	}
 
@@ -254,7 +253,7 @@ func AblationSparse(w io.Writer, cfg AblationSparseConfig) []AblationSparseRow {
 	}
 	t.Notes = append(t.Notes,
 		"sparse rows run the MaxObs forgetting budget pinned at the initial profile count",
-		"speedup is exact wall time / sparse wall time on this host; BENCH_pr10.json pins the benchmarked ratio")
+		"speedup is exact wall time / sparse wall time on this host")
 	t.Fprint(w)
 	return rows
 }

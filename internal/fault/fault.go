@@ -348,18 +348,6 @@ func GenerateChurn(o ChurnOptions) *ChurnScript {
 	return sc
 }
 
-// OpsAt returns the ops scheduled at the given epoch. Ops are emitted in
-// generation order, which is non-decreasing in epoch.
-func (sc *ChurnScript) OpsAt(epoch int) []ChurnOp {
-	var out []ChurnOp
-	for _, op := range sc.Ops {
-		if op.Epoch == epoch {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
 // State is the injector's view of the cluster at one epoch.
 type State struct {
 	Down      []bool    // per server

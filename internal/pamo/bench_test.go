@@ -5,36 +5,24 @@ import (
 	"testing"
 )
 
-// benchOpts mirrors smallOpts but with the knobs the acquisition hot path
-// actually scales in: candidate pool size and the acquisition variant.
-func benchOpts(candPool int, perTrial bool) Options {
-	o := smallOpts(2024)
-	o.CandPool = candPool
-	o.PerTrialAcq = perTrial
-	return o
-}
-
 // BenchmarkSelectBatch measures one greedy batch construction — the BO
-// loop's dominant cost — for the shared-sample and legacy per-trial
-// acquisition paths at small and large candidate pools.
+// loop's dominant cost — at small and large candidate pools, the knob the
+// acquisition hot path actually scales in.
 func BenchmarkSelectBatch(b *testing.B) {
 	for _, candPool := range []int{8, 64} {
-		for _, mode := range []struct {
-			name     string
-			perTrial bool
-		}{{"shared", false}, {"perTrial", true}} {
-			b.Run(fmt.Sprintf("pool%d/%s", candPool, mode.name), func(b *testing.B) {
-				s := readyScheduler(b, 4, 3, benchOpts(candPool, mode.perTrial))
-				cands := s.generateCandidates()
-				if len(cands) == 0 {
-					b.Skip("no feasible candidates")
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					s.selectBatch(cands)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("pool%d", candPool), func(b *testing.B) {
+			opt := smallOpts(2024)
+			opt.CandPool = candPool
+			s := readyScheduler(b, 4, 3, opt)
+			cands := s.generateCandidates()
+			if len(cands) == 0 {
+				b.Skip("no feasible candidates")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.selectBatch(cands)
+			}
+		})
 	}
 }
 

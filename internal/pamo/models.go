@@ -328,11 +328,6 @@ func (m *metricGP) verifyPosterior(xs [][]float64, from int) error {
 	return m.chk.PSDCov("gp_posterior_cov", cov)
 }
 
-// optimize tunes the GP hyperparameters by marginal likelihood.
-func (m *metricGP) optimize(nStarts int, rng *rand.Rand) error {
-	return m.g.OptimizeHyperparams(nStarts, rng)
-}
-
 // mean returns the posterior mean at config c in physical units. It uses
 // the variance-free prediction path: candidate planning calls this for
 // every clip of every pool candidate, and the variance solve of a full

@@ -40,32 +40,22 @@ type Options struct {
 	PrefPairs    int // V: decision-maker comparisons (default 18)
 	PrefPool     int // candidate outcome vectors for EUBO pairs (default 24)
 	Batch        int // b: candidates recommended per iteration (default 4)
-	MCSamples    int // Monte-Carlo samples inside per-trial acquisitions (default 32)
-	// SharedDraws is the number of joint posterior draws for the
-	// shared-sample acquisition path (default 4×MCSamples). One draw set
-	// over the candidate∪observation universe is reused by every greedy
-	// (slot, candidate) score, so the budget can be larger than MCSamples
-	// at a fraction of the legacy path's sampling cost. Sharing draws also
-	// acts as common random numbers for the greedy argmax: competing
-	// candidates are compared under identical noise, so their score
-	// *differences* have far lower variance than independently re-sampled
-	// per-trial estimates of the same budget.
-	SharedDraws int
-	// PerTrialAcq selects the legacy acquisition path that re-samples the
-	// joint posterior for every trial batch (O(b·CandPool) sampling passes
-	// per iteration). It exists as a validation reference for the default
-	// shared-sample path and for experiments that want fully independent
-	// Monte-Carlo noise per trial.
-	PerTrialAcq   bool
-	CandPool      int         // candidate configurations per iteration (default 20)
-	MaxIter       int         // BO iteration cap (default 12)
-	Delta         float64     // convergence threshold δ on benefit change (default 0.02)
-	Acq           Acquisition // default QNEI
-	UCBBeta       float64     // exploration weight for QUCB (default 2)
-	UseTruePref   bool        // PaMO+: score with the true preference function
-	TruePref      objective.Preference
-	UseEUBO       bool // select comparison pairs by EUBO (default true via NewDefault)
-	OptimizeHyper bool // tune outcome-GP hyperparameters after initial profiling
+	// MCSamples is the Monte-Carlo budget of the acquisition (default 32).
+	// The solution phase draws 4×MCSamples joint posterior samples over the
+	// candidate∪observation universe once per iteration and reuses them for
+	// every greedy (slot, candidate) score. Sharing draws also acts as
+	// common random numbers for the greedy argmax: competing candidates are
+	// compared under identical noise, so their score *differences* have far
+	// lower variance than independently re-sampled estimates of the same
+	// budget.
+	MCSamples   int
+	CandPool    int         // candidate configurations per iteration (default 20)
+	MaxIter     int         // BO iteration cap (default 12)
+	Delta       float64     // convergence threshold δ on benefit change (default 0.02)
+	Acq         Acquisition // default QNEI
+	UseTruePref bool        // PaMO+: score with the true preference function
+	TruePref    objective.Preference
+	UseEUBO     bool // select comparison pairs by EUBO (default true via NewDefault)
 	// OptimizePrefHyper tunes the preference GP's kernel and probit scale
 	// by Laplace evidence after the initial comparisons — worthwhile when
 	// the hidden benefit has sharp non-linearities (SLA thresholds, tiered
@@ -83,9 +73,6 @@ type Options struct {
 	// the ROI fraction becomes a third per-stream knob drawn from this
 	// grid. Empty means full-frame only (the paper's configuration space).
 	ROIGrid []float64
-	// OnIteration, when non-nil, is called after every BO iteration with
-	// the iteration number (1-based) and the best believed benefit so far.
-	OnIteration func(iter int, bestBenefit float64)
 	// Obs, when non-nil, receives phase spans ("profiling",
 	// "outcome_model", "preference", "solution", plus one "iteration" span
 	// per BO round), per-iteration acquisition events, and the pamo_*
@@ -112,20 +99,10 @@ type Options struct {
 	// conditioned models and skip initial profiling entirely; clips the
 	// bank has never seen warm-start from the most similar banked clip —
 	// pooled kernel hyperpriors plus down-weighted virtual observations —
-	// at the reduced WarmProfiles budget. Nil (the default) keeps every
-	// clip on the cold path, byte-identical to the pre-bank behavior.
+	// at no more than half the cold profiling budget. Nil (the default)
+	// keeps every clip on the cold path, byte-identical to the pre-bank
+	// behavior.
 	Models *Bank
-	// WarmProfiles is the initial profiling budget for a warm-started clip
-	// (default InitProfiles/2 − 2, at least 2, so a warm start costs at most
-	// half a cold one including the two corner anchors).
-	WarmProfiles int
-	// WarmKeep is how many donor observations a warm start injects as
-	// virtual points (default 12).
-	WarmKeep int
-	// WarmNoiseInflate down-weights the virtual donor observations: while
-	// any remain, the warm model runs at this multiple of the pooled noise
-	// variance (default 25; values below 1 are clamped to 1).
-	WarmNoiseInflate float64
 	// Sparse selects inducing-point sparse outcome models (SoR with FITC
 	// variance correction, see gp.SparseGP) instead of exact GPs: O(m)
 	// posterior means and O(nm + m²) incremental refits with m ≪ n, at a
@@ -138,22 +115,38 @@ type Options struct {
 	// it, every new observation forgets the retained one whose leave-one-out
 	// impact on the incumbent's posterior is smallest. 0 keeps everything.
 	SparseMaxObs int
-	// ReuseDraws amortizes the shared-sample acquisition across scheduler
-	// runs: when an iteration's candidate∪observation universe matches a
-	// cached epoch and the posterior moved less than DrawReuseTol at every
-	// pooled point, the previous epoch's joint draws are reused instead of
-	// re-sampled (see acq.DrawCache). Requires Draws; off by default.
-	ReuseDraws bool
-	// DrawReuseTol is the maximum absolute posterior movement — believed
-	// benefit mean and preference variance per universe point — under which
-	// cached draws still stand in for fresh ones (default 1e-3).
-	DrawReuseTol float64
-	// Draws, when non-nil, persists the shared-draw cache across scheduler
-	// instances, like Models does for outcome models: the runtime hands the
-	// same cache to every epoch's scheduler so unchanged epochs skip the
-	// Monte-Carlo sampling entirely.
+	// Draws, when non-nil, amortizes the shared-sample acquisition across
+	// scheduler runs, like Models does for outcome models: when an
+	// iteration's candidate∪observation universe matches a cached epoch and
+	// the posterior moved less than drawReuseTol at every pooled point, the
+	// previous epoch's joint draws are reused instead of re-sampled (see
+	// acq.DrawCache). Nil (the default) samples fresh draws every iteration.
 	Draws *acq.DrawCache
 }
+
+// Fixed parameters of the solve.
+const (
+	// ucbBeta is the exploration weight of the QUCB acquisition.
+	ucbBeta = 2.0
+	// warmKeep is how many donor observations a warm start injects as
+	// virtual points.
+	warmKeep = 12
+	// warmNoiseInflate down-weights the virtual donor observations: while
+	// any remain, the warm model runs at this multiple of the pooled noise
+	// variance.
+	warmNoiseInflate = 25.0
+	// drawReuseTol is the maximum absolute posterior movement — mean and
+	// variance of every probed marginal per universe point — under which
+	// cached draws still stand in for fresh ones.
+	drawReuseTol = 1e-3
+)
+
+// sharedDraws is the number of joint posterior draws per acquisition round.
+func (o Options) sharedDraws() int { return 4 * o.MCSamples }
+
+// warmProfiles is the initial profiling budget for a warm-started clip:
+// with the two corner anchors a warm start costs at most half a cold one.
+func (o Options) warmProfiles() int { return max(2, o.InitProfiles/2-2) }
 
 // Validate rejects option values the scheduler cannot run with. Every
 // violation is reported, in struct field order, inside one deterministic
@@ -172,12 +165,9 @@ func (o Options) Validate() error {
 		{"PrefPool", o.PrefPool},
 		{"Batch", o.Batch},
 		{"MCSamples", o.MCSamples},
-		{"SharedDraws", o.SharedDraws},
 		{"CandPool", o.CandPool},
 		{"MaxIter", o.MaxIter},
 		{"Workers", o.Workers},
-		{"WarmProfiles", o.WarmProfiles},
-		{"WarmKeep", o.WarmKeep},
 		{"SparseInducing", o.SparseInducing},
 		{"SparseMaxObs", o.SparseMaxObs},
 	} {
@@ -187,12 +177,6 @@ func (o Options) Validate() error {
 	}
 	if o.Delta < 0 {
 		bad = append(bad, fmt.Sprintf("Delta is negative (%v)", o.Delta))
-	}
-	if o.WarmNoiseInflate < 0 {
-		bad = append(bad, fmt.Sprintf("WarmNoiseInflate is negative (%v)", o.WarmNoiseInflate))
-	}
-	if o.DrawReuseTol < 0 {
-		bad = append(bad, fmt.Sprintf("DrawReuseTol is negative (%v)", o.DrawReuseTol))
 	}
 	switch o.Acq {
 	case "", QNEI, QEI, QUCB, QSR:
@@ -222,7 +206,6 @@ func (o Options) withDefaults() Options {
 	def(&o.PrefPool, 24)
 	def(&o.Batch, 4)
 	def(&o.MCSamples, 32)
-	def(&o.SharedDraws, 4*o.MCSamples)
 	def(&o.CandPool, 20)
 	def(&o.MaxIter, 12)
 	if o.Delta == 0 {
@@ -231,26 +214,10 @@ func (o Options) withDefaults() Options {
 	if o.Acq == "" {
 		o.Acq = QNEI
 	}
-	if o.UCBBeta == 0 {
-		o.UCBBeta = 2
-	}
 	if o.ProfilerNoise == 0 {
 		o.ProfilerNoise = 0.02
 	}
-	if o.WarmProfiles == 0 {
-		o.WarmProfiles = o.InitProfiles/2 - 2
-		if o.WarmProfiles < 2 {
-			o.WarmProfiles = 2
-		}
-	}
-	def(&o.WarmKeep, 12)
-	if o.WarmNoiseInflate == 0 {
-		o.WarmNoiseInflate = 25
-	}
 	def(&o.SparseInducing, 64)
-	if o.DrawReuseTol == 0 {
-		o.DrawReuseTol = 1e-3
-	}
 	return o
 }
 
@@ -321,11 +288,6 @@ func New(sys *objective.System, dm pref.DecisionMaker, opt Options) *Scheduler {
 	if prof == nil {
 		prof = videosim.NewProfiler(opt.ProfilerNoise, stats.NewRNG(opt.Seed+0x70F1))
 	}
-	if opt.ReuseDraws && opt.Draws == nil {
-		// A private cache still amortizes repeated re-solves through the same
-		// scheduler; sharing across schedulers requires passing one in.
-		opt.Draws = acq.NewDrawCache(0)
-	}
 	s := &Scheduler{
 		sys:  sys,
 		dm:   dm,
@@ -395,7 +357,7 @@ func (s *Scheduler) seedClip(clip *videosim.Clip) (*clipModels, clipSeed) {
 	cm := newClipModels(spec, &s.mvn, s.met.cholInc, s.met.cholFull, s.opt.Check)
 	b.put(clip, cm)
 	if donors := b.donors(clip, 3); len(donors) > 0 &&
-		cm.warmFrom(donors, s.opt.WarmKeep, s.opt.WarmNoiseInflate) {
+		cm.warmFrom(donors, warmKeep, warmNoiseInflate) {
 		s.met.warmStarts.Inc()
 		return cm, seedWarm
 	}
@@ -535,9 +497,6 @@ func (s *Scheduler) solutionLoop(ctx context.Context) (*Result, error) {
 		iterSp.Field("best_benefit", z)
 		s.met.iterSeconds.Observe(iterSp.End())
 		s.evctx = sctx
-		if s.opt.OnIteration != nil {
-			s.opt.OnIteration(iter+1, z)
-		}
 		if !math.IsInf(zPrev, -1) && math.Abs(z-zPrev) < s.opt.Delta {
 			res.Converged = true
 			zPrev = z
@@ -617,10 +576,8 @@ func (s *Scheduler) finalTournament(k int) Observation {
 func (s *Scheduler) profileInit() error {
 	grid := eva.ConfigGrid()
 	rois := s.roiGrid()
-	// Phase 1a: take every initial profiling measurement. (Measurement and
-	// fitting used to interleave per clip; they are split so each phase
-	// gets its own span and pprof label. With OptimizeHyper off — the
-	// default — the RNG call sequence is unchanged.)
+	// Phase 1a: take every initial profiling measurement. Measurement and
+	// fitting are split so each phase gets its own span and pprof label.
 	s.rec.Do(s.ctx, "profiling", func(ctx context.Context) {
 		_, sp := s.rec.StartSpanCtx(ctx, "profiling", obs.F("clips", float64(s.sys.M())))
 		for ci, clip := range s.sys.Clips {
@@ -633,7 +590,7 @@ func (s *Scheduler) profileInit() error {
 			if s.seeds[ci] == seedWarm {
 				// Warm-started: the donor's pooled hyperpriors and virtual
 				// observations stand in for most of the cold budget.
-				budget = s.opt.WarmProfiles
+				budget = s.opt.warmProfiles()
 			}
 			// Latin-hypercube over the knob grid, snapped to grid points.
 			pts := stats.LatinHypercube(budget, 3, s.rng)
@@ -661,25 +618,9 @@ func (s *Scheduler) profileInit() error {
 	s.rec.Do(s.ctx, "outcome_model", func(ctx context.Context) {
 		_, fit := s.rec.StartSpanCtx(ctx, "outcome_model")
 		defer fit.End()
-		// hyperOptRestarts is the multi-start Nelder–Mead budget per tuned
-		// model. gp.OptimizeHyperparams rejects non-positive counts, so the
-		// span records the restart count that actually ran (0 = tuning off).
-		const hyperOptRestarts = 2
-		restarts := 0
-		if s.opt.OptimizeHyper {
-			restarts = hyperOptRestarts
-		}
-		fit.Field("hyper_restarts", float64(restarts))
 		for ci := range s.clips {
 			if err = s.clips[ci].refit(); err != nil {
 				return
-			}
-			if s.opt.OptimizeHyper && s.seeds[ci] != seedBank {
-				for _, mg := range s.clips[ci].m {
-					if err = mg.optimize(hyperOptRestarts, s.rng); err != nil {
-						return
-					}
-				}
 			}
 		}
 	})

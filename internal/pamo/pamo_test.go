@@ -83,7 +83,7 @@ func TestPlanFeasibilityMatchesConstraints(t *testing.T) {
 	if !ok {
 		t.Skip("random config infeasible; covered elsewhere")
 	}
-	if !sched.CheckConst2(c.streams, c.plan.StreamServer, sys.N()) {
+	if !sched.CheckConst2Servers(c.streams, c.plan.StreamServer, sys.Servers) {
 		t.Fatal("plan violates Const2")
 	}
 }
@@ -284,27 +284,23 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestOnIterationCallback pins the per-iteration record a caller follows a
+// solve by: Result.History holds one plausible best-benefit entry per BO
+// iteration, in order.
 func TestOnIterationCallback(t *testing.T) {
 	sys := testSys(4, 3, 22)
-	var iters []int
 	opt := smallOpts(2)
 	opt.Delta = 1e-9
-	opt.OnIteration = func(iter int, best float64) {
-		iters = append(iters, iter)
-		if best > 10 || best < -10 {
-			t.Errorf("implausible best benefit %v", best)
-		}
-	}
 	res, err := New(sys, &pref.Oracle{Pref: objective.UniformPreference()}, opt).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(iters) != res.Iters {
-		t.Fatalf("callback fired %d times for %d iterations", len(iters), res.Iters)
+	if len(res.History) != res.Iters {
+		t.Fatalf("history has %d entries for %d iterations", len(res.History), res.Iters)
 	}
-	for i, v := range iters {
-		if v != i+1 {
-			t.Fatalf("iterations out of order: %v", iters)
+	for i, best := range res.History {
+		if best > 10 || best < -10 {
+			t.Errorf("iteration %d: implausible best benefit %v", i+1, best)
 		}
 	}
 }

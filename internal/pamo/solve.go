@@ -34,10 +34,6 @@ func acqStream(seed, round uint64) (uint64, uint64) {
 type benefitSampler struct {
 	s     *Scheduler
 	cands []candidate // the candidate universe this sampler covers
-	// workers, when positive, overrides Options.Workers for the per-clip
-	// sampling fan-out. The per-trial acquisition scan sets it to 1 so the
-	// outer candidate pool is the only source of parallelism.
-	workers int
 }
 
 // point encodes candidate index i as a 1-vector so it fits acq.Sampler.
@@ -67,10 +63,7 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 	type draw struct{ byMetric [numMetrics][][]float64 }
 	draws := make([]draw, m)
 	seedBase := rng.Uint64()
-	workers := bs.workers
-	if workers <= 0 {
-		workers = bs.s.opt.Workers
-	}
+	workers := bs.s.opt.Workers
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
@@ -156,17 +149,14 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 // selectBatch implements line 15 of Algorithm 2: greedy sequential batch
 // construction under the configured acquisition function.
 //
-// The default path samples the joint posterior over the full candidate ∪
-// observation universe once and scores every trial batch as a column-max
-// over the shared draws (acq.SharedScorer): the marginals of a joint MVN
-// restricted to a subset match sampling the subset directly, so the scores
-// are statistically equivalent to the per-trial path at a tiny fraction of
-// its O(b·CandPool) GP sampling passes. Options.PerTrialAcq restores the
-// legacy re-sampling path.
+// It samples the joint posterior over the full candidate ∪ observation
+// universe once and scores every trial batch as a column-max over the shared
+// draws (acq.SharedScorer): the marginals of a joint MVN restricted to a
+// subset match sampling the subset directly, so the scores are statistically
+// equivalent to re-sampling per trial batch (acq.QNEI/QEI/QSR/QUCB, the
+// oracle FuzzSharedVsPerTrial holds the scorer to) at a tiny fraction of
+// that path's O(b·CandPool) GP sampling passes.
 func (s *Scheduler) selectBatch(cands []candidate) []candidate {
-	if s.opt.PerTrialAcq {
-		return s.selectBatchPerTrial(cands)
-	}
 	b := s.opt.Batch
 	if b > len(cands) {
 		b = len(cands)
@@ -190,9 +180,9 @@ func (s *Scheduler) selectBatch(cands []candidate) []candidate {
 	// the very same stream, replaying identical acquisition noise.
 	round := s.acqRound
 	s.acqRound++
-	// Amortized path (Options.ReuseDraws): when this exact universe was
+	// Amortized path (Options.Draws): when this exact universe was
 	// sampled before — e.g. a fleet re-solve replaying the same candidate
-	// stream — and the posterior probe moved by at most DrawReuseTol per
+	// stream — and the posterior probe moved by at most drawReuseTol per
 	// component, the cached draws come from a statistically
 	// indistinguishable joint posterior and the sampling pass is skipped
 	// entirely. Any probe movement beyond the threshold falls back to
@@ -203,18 +193,18 @@ func (s *Scheduler) selectBatch(cands []candidate) []candidate {
 		cacheKey string
 		probe    []float64
 	)
-	if s.opt.ReuseDraws && s.opt.Draws != nil {
+	if s.opt.Draws != nil {
 		cacheKey = universeKey(universe)
 		probe = s.posteriorProbe(universe)
-		if cached, ok := s.opt.Draws.TryReuse(cacheKey, probe, s.opt.DrawReuseTol); ok && len(cached) == s.opt.SharedDraws {
+		if cached, ok := s.opt.Draws.TryReuse(cacheKey, probe, drawReuseTol); ok && len(cached) == s.opt.sharedDraws() {
 			z = cached
 			s.met.drawsReused.Inc()
 		}
 	}
 	if z == nil {
 		rng := rand.New(rand.NewPCG(acqStream(s.opt.Seed, round)))
-		z = bs.SampleBenefit(pts, s.opt.SharedDraws, rng)
-		if s.opt.ReuseDraws && s.opt.Draws != nil {
+		z = bs.SampleBenefit(pts, s.opt.sharedDraws(), rng)
+		if s.opt.Draws != nil {
 			s.opt.Draws.Store(cacheKey, probe, z)
 		}
 	}
@@ -230,7 +220,7 @@ func (s *Scheduler) selectBatch(cands []candidate) []candidate {
 		}
 		scorer = acq.NewSharedQEI(z, incumbent)
 	case QUCB:
-		scorer = acq.NewSharedQUCB(z, s.opt.UCBBeta)
+		scorer = acq.NewSharedQUCB(z, ucbBeta)
 	case QSR:
 		scorer = acq.NewSharedQSR(z)
 	default:
@@ -254,88 +244,6 @@ func (s *Scheduler) selectBatch(cands []candidate) []candidate {
 			break
 		}
 		scorer.Add(bestIdx)
-		inBatch[bestIdx] = true
-		chosen = append(chosen, bestIdx)
-		chosenScores = append(chosenScores, scores[bestIdx])
-	}
-	s.recordAcq(len(universe), chosenScores)
-	out := make([]candidate, len(chosen))
-	for i, ci := range chosen {
-		out[i] = cands[ci]
-	}
-	return out
-}
-
-// selectBatchPerTrial is the legacy acquisition path: every trial batch
-// draws a fresh joint sample set. Kept as a validation reference for the
-// shared-sample path (their qNEI estimates agree within Monte-Carlo error)
-// and for experiments wanting independent noise per trial.
-func (s *Scheduler) selectBatchPerTrial(cands []candidate) []candidate {
-	b := s.opt.Batch
-	if b > len(cands) {
-		b = len(cands)
-	}
-	universe := append([]candidate(nil), cands...)
-	obsStart := len(universe)
-	for _, o := range s.obs {
-		universe = append(universe, s.observationCandidate(o))
-	}
-	// The candidate scan below is the parallel axis, so the sampler itself
-	// runs serially inside each score call.
-	bs := &benefitSampler{s: s, cands: universe, workers: 1}
-
-	obsPts := make([][]float64, 0, len(s.obs))
-	for i := range s.obs {
-		obsPts = append(obsPts, point(obsStart+i))
-	}
-	incumbent := math.Inf(-1)
-	for _, o := range s.obs {
-		if o.Benefit > incumbent {
-			incumbent = o.Benefit
-		}
-	}
-
-	chosen := make([]int, 0, b)
-	chosenScores := make([]float64, 0, b)
-	inBatch := make([]bool, len(cands))
-	scores := make([]float64, len(cands))
-	// Per-round stream base: SplitMix64 of (Seed, round) keeps the noise
-	// fresh across BO iterations — the old Seed^slot first word replayed
-	// the exact same draws every round — while staying collision-free.
-	round := s.acqRound
-	s.acqRound++
-	base := stats.SplitMix64(s.opt.Seed + round + 1)
-	for len(chosen) < b {
-		slot := uint64(len(chosen))
-		s.scanScores(scores, inBatch, func(ci int) float64 {
-			trial := make([][]float64, 0, len(chosen)+1)
-			for _, c := range chosen {
-				trial = append(trial, point(c))
-			}
-			trial = append(trial, point(ci))
-			// Each candidate evaluation owns a PCG stream keyed on two
-			// distinct words (base^slot, ci): within a round no (slot,
-			// candidate) pair can collide with another, unlike the old
-			// Seed+slot·131+ci arithmetic (slot 0/ci 131 aliased slot 1/
-			// ci 0), which correlated acquisition noise across trials.
-			// Per-candidate streams also keep the parallel scan
-			// deterministic regardless of goroutine scheduling.
-			rng := rand.New(rand.NewPCG(base^slot, uint64(ci)))
-			switch s.opt.Acq {
-			case QEI:
-				return acq.QEI(bs, trial, incumbent, s.opt.MCSamples, rng)
-			case QUCB:
-				return acq.QUCB(bs, trial, s.opt.UCBBeta, s.opt.MCSamples, rng)
-			case QSR:
-				return acq.QSR(bs, trial, s.opt.MCSamples, rng)
-			default:
-				return acq.QNEI(bs, trial, obsPts, s.opt.MCSamples, rng)
-			}
-		})
-		bestIdx := argmaxAvailable(scores, inBatch)
-		if bestIdx < 0 {
-			break
-		}
 		inBatch[bestIdx] = true
 		chosen = append(chosen, bestIdx)
 		chosenScores = append(chosenScores, scores[bestIdx])

@@ -33,7 +33,8 @@ func readyScheduler(tb testing.TB, m, n int, opt Options) *Scheduler {
 func TestSharedQNEIAgreesWithPerTrialOnFittedModel(t *testing.T) {
 	// Acceptance check for the shared-sample path: on a fixed fitted model,
 	// the shared-draw qNEI estimate of a trial batch must agree with the
-	// legacy per-trial estimate within Monte-Carlo error.
+	// per-trial oracle (acq.QNEI re-sampling the batch) within Monte-Carlo
+	// error.
 	s := readyScheduler(t, 4, 3, smallOpts(5))
 	cands := s.generateCandidates()
 	if len(cands) < 3 {
@@ -75,75 +76,51 @@ func TestSharedQNEIAgreesWithPerTrialOnFittedModel(t *testing.T) {
 }
 
 func TestSelectBatchSharedAndPerTrialPickPlausibleBatches(t *testing.T) {
-	// Both paths must return distinct, in-range candidate batches of the
-	// configured size on the same scheduler state.
+	// selectBatch must return a batch of distinct candidates of the
+	// configured size.
 	s := readyScheduler(t, 4, 3, smallOpts(6))
 	cands := s.generateCandidates()
 	if len(cands) < int(s.opt.Batch) {
 		t.Skipf("only %d candidates", len(cands))
 	}
-	check := func(batch []candidate) {
-		t.Helper()
-		if len(batch) != s.opt.Batch {
-			t.Fatalf("batch size %d, want %d", len(batch), s.opt.Batch)
-		}
-		seen := map[string]bool{}
-		for _, c := range batch {
-			key := cfgKey(c.cfgs)
-			if seen[key] {
-				t.Fatalf("duplicate candidate in batch: %s", key)
-			}
-			seen[key] = true
-		}
+	batch := s.selectBatch(cands)
+	if len(batch) != s.opt.Batch {
+		t.Fatalf("batch size %d, want %d", len(batch), s.opt.Batch)
 	}
-	check(s.selectBatch(cands))
-	s.opt.PerTrialAcq = true
-	check(s.selectBatch(cands))
+	seen := map[string]bool{}
+	for _, c := range batch {
+		key := cfgKey(c.cfgs)
+		if seen[key] {
+			t.Fatalf("duplicate candidate in batch: %s", key)
+		}
+		seen[key] = true
+	}
 }
 
 func TestSelectBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 	// The parallel greedy scan must not let goroutine scheduling leak into
-	// the selection, on either acquisition path.
-	for _, perTrial := range []bool{false, true} {
-		opt := smallOpts(9)
-		opt.PerTrialAcq = perTrial
-		pick := func(workers int) [][]videosim.Config {
-			s := readyScheduler(t, 4, 3, opt)
-			s.opt.Workers = workers
-			cands := s.generateCandidates()
-			var out [][]videosim.Config
-			for _, c := range s.selectBatch(cands) {
-				out = append(out, c.cfgs)
-			}
-			return out
+	// the selection.
+	pick := func(workers int) [][]videosim.Config {
+		s := readyScheduler(t, 4, 3, smallOpts(9))
+		s.opt.Workers = workers
+		cands := s.generateCandidates()
+		var out [][]videosim.Config
+		for _, c := range s.selectBatch(cands) {
+			out = append(out, c.cfgs)
 		}
-		serial := pick(1)
-		parallel := pick(8)
-		if len(serial) != len(parallel) {
-			t.Fatalf("perTrial=%v: batch sizes %d vs %d", perTrial, len(serial), len(parallel))
-		}
-		for i := range serial {
-			for j := range serial[i] {
-				if serial[i][j] != parallel[i][j] {
-					t.Fatalf("perTrial=%v: workers changed slot %d: %+v vs %+v",
-						perTrial, i, serial[i], parallel[i])
-				}
+		return out
+	}
+	serial := pick(1)
+	parallel := pick(8)
+	if len(serial) != len(parallel) {
+		t.Fatalf("batch sizes %d vs %d", len(serial), len(parallel))
+	}
+	for i := range serial {
+		for j := range serial[i] {
+			if serial[i][j] != parallel[i][j] {
+				t.Fatalf("workers changed slot %d: %+v vs %+v", i, serial[i], parallel[i])
 			}
 		}
-	}
-}
-
-func TestPerTrialAcqRunsEndToEnd(t *testing.T) {
-	sys := testSys(4, 3, 21)
-	opt := smallOpts(4)
-	opt.PerTrialAcq = true
-	opt.MaxIter = 2
-	res, err := New(sys, &pref.Oracle{Pref: objective.UniformPreference()}, opt).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best.Decision.Configs == nil {
-		t.Fatal("no decision")
 	}
 }
 

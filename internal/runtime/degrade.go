@@ -66,9 +66,6 @@ func (c *Controller) degrade(sys *objective.System, healthy []bool, base []video
 		return eva.Decision{Configs: cfgs, ZeroJit: true, Shed: trueIndices(shed)}
 	}
 
-	// The cluster is fixed for the whole search: capture it once as the
-	// same immutable snapshot every other planning path consumes.
-	snap := sched.NewSnapshot(0, sys.Servers, healthy)
 	try := func() (eva.Decision, bool) {
 		raw := make([]sched.Stream, 0, m)
 		for i, clip := range sys.Clips {
@@ -83,7 +80,7 @@ func (c *Controller) degrade(sys *objective.System, healthy []bool, base []video
 			})
 		}
 		streams := sched.SplitHighRate(raw)
-		plan, err := sched.ScheduleSnapshot(streams, snap)
+		plan, err := sched.ScheduleMasked(streams, sys.Servers, healthy)
 		if err != nil {
 			return eva.Decision{}, false
 		}

@@ -185,16 +185,12 @@ type Options struct {
 	// retried — it goes straight to the degradation policy.
 	DecideRetries int
 	// RetryBackoff is the delay before the first retry, doubling per
-	// subsequent retry (default 10ms).
+	// subsequent retry (default 10ms). Each delay is spread by a
+	// deterministic ±20% multiplicative factor derived from (BackoffSeed,
+	// epoch, try) — pure doubling synchronizes retry storms across
+	// concurrent deciders that fail together, jitter decorrelates them
+	// without giving up reproducibility. Delays never enter a trace.
 	RetryBackoff time.Duration
-	// BackoffJitter spreads each retry delay by a deterministic ±20%
-	// multiplicative factor derived from (BackoffSeed, epoch, try) — pure
-	// doubling synchronizes retry storms across concurrent deciders that
-	// fail together, jitter decorrelates them without giving up
-	// reproducibility. Off by default so existing traces stay byte-exact;
-	// the wire client (internal/ctlplane) runs its transport backoff
-	// jittered by default.
-	BackoffJitter bool
 	// BackoffSeed decorrelates the jitter streams of concurrent deciders;
 	// any per-controller value works (0 is fine for a single controller).
 	BackoffSeed uint64
@@ -484,7 +480,7 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 			if churned {
 				// A churn epoch "avoids a full resolve" exactly when the
 				// admit/evict fast path held AND the incremental replan
-				// installed — the hit rate the churn bench gates on.
+				// installed — the hit rate TestChurnScenario gates on.
 				if churnWarm && incInstalled {
 					churnFast.Inc()
 				} else {
@@ -622,12 +618,8 @@ func (c *Controller) decide(ctx context.Context, sys *objective.System, healthy 
 	for try := 0; try <= retries; try++ {
 		if try > 0 {
 			retryCounter.Inc()
-			delay := backoff
-			if opt.BackoffJitter {
-				delay = backoffWithJitter(backoff, opt.BackoffSeed, epoch, try)
-			}
 			select {
-			case <-time.After(delay):
+			case <-time.After(backoffWithJitter(backoff, opt.BackoffSeed, epoch, try)):
 			case <-ctx.Done():
 				return eva.Decision{}, attempts, agg, ctx.Err()
 			}
@@ -753,15 +745,6 @@ func (c *Controller) healthSource() HealthSource {
 		return c.Health
 	}
 	return c.Faults
-}
-
-// applyStreamOps rebuilds the controller's system for this epoch's stream
-// churn in canonical order — all deregisters first, then all registers,
-// each phase name-sorted (see splitStreamOps) — so the outcome is
-// independent of Drain's slice order.
-func (c *Controller) applyStreamOps(ops []StreamOp) {
-	removes, adds := splitStreamOps(ops)
-	c.applyCanonicalOps(removes, adds)
 }
 
 // applyCanonicalOps applies an already-canonicalized op batch: removals

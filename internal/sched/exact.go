@@ -37,8 +37,8 @@ func ExactGroup(streams []Stream, n int) ([][]int, bool) {
 	}
 
 	// Processing-time sums are exact rationals and the Const2 comparison is
-	// tolerance-free, matching CheckConst2: the search decides the same
-	// predicate the checker verifies.
+	// tolerance-free, matching CheckConst2Servers at speed 1: the search
+	// decides the same predicate the checker verifies.
 	procR := make([]*big.Rat, len(streams))
 	for i, s := range streams {
 		if procR[i] = ratFromFloat(s.Proc); procR[i] == nil {

@@ -33,7 +33,7 @@ func TestExactGroupSatisfiesConst2(t *testing.T) {
 			assign[si] = g
 		}
 	}
-	if !CheckConst2(streams, assign, 3) {
+	if !CheckConst2Servers(streams, assign, make([]cluster.Server, 3)) {
 		t.Fatal("exact grouping violates Const2")
 	}
 }
@@ -75,7 +75,7 @@ func TestExactScheduleProducesValidPlan(t *testing.T) {
 	if !ok {
 		t.Fatal("feasible instance rejected")
 	}
-	if !CheckConst2(streams, plan.StreamServer, len(srvs)) {
+	if !CheckConst2Servers(streams, plan.StreamServer, srvs) {
 		t.Fatal("exact plan violates Const2")
 	}
 }
@@ -115,7 +115,7 @@ func TestExactVsHeuristicProperty(t *testing.T) {
 					assign[si] = g
 				}
 			}
-			if !CheckConst2(streams, assign, n) {
+			if !CheckConst2Servers(streams, assign, make([]cluster.Server, n)) {
 				return false
 			}
 			// Verify zero jitter in the simulator per group.
@@ -130,7 +130,7 @@ func TestExactVsHeuristicProperty(t *testing.T) {
 						Proc:   streams[si].Proc,
 					}
 				}
-				specs = cluster.ZeroJitterOffsets(specs, 0)
+				specs = cluster.ZeroJitterOffsetsOn(specs, cluster.Server{})
 				res := cluster.SimulateServer(specs, cluster.Server{}, 10)
 				if res.MaxJitter > cluster.JitterEps {
 					return false

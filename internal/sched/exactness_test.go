@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // oldFloatConst2 reproduces the pre-audit float-tolerance check so the
@@ -81,7 +83,7 @@ func TestCheckConst2Exact(t *testing.T) {
 	if !oldFloatConst2(streams, assign, 1) {
 		t.Fatal("setup broken: the old float check was supposed to accept this plan")
 	}
-	if CheckConst2(streams, assign, 1) {
+	if CheckConst2Servers(streams, assign, make([]cluster.Server, 1)) {
 		t.Fatal("exact CheckConst2 accepted a plan with Σp > gcd")
 	}
 
@@ -90,7 +92,7 @@ func TestCheckConst2Exact(t *testing.T) {
 		{Video: 0, Period: RatFromFPS(8), Proc: 0.0625},
 		{Video: 1, Period: RatFromFPS(8), Proc: 0.0625},
 	}
-	if !CheckConst2(ok, assign, 1) {
+	if !CheckConst2Servers(ok, assign, make([]cluster.Server, 1)) {
 		t.Fatal("exact CheckConst2 rejected Σp = gcd exactly")
 	}
 }
@@ -101,17 +103,17 @@ func TestCheckConst1Exact(t *testing.T) {
 	over := []Stream{{Period: Rat(1, 1), Proc: math.Nextafter(1, 2)}}
 	// Keep it a pure Const1 test: the period is 1 s so Const2 holds iff
 	// Const1 does; check the load side directly.
-	if CheckConst1(over, []int{0}, 1) {
+	if CheckConst1Servers(over, []int{0}, make([]cluster.Server, 1)) {
 		t.Fatal("exact CheckConst1 accepted utilization 1+ulp")
 	}
 	full := []Stream{
 		{Period: Rat(1, 2), Proc: 0.25},
 		{Period: Rat(1, 2), Proc: 0.25},
 	}
-	if !CheckConst1(full, []int{0, 0}, 1) {
+	if !CheckConst1Servers(full, []int{0, 0}, make([]cluster.Server, 1)) {
 		t.Fatal("exact CheckConst1 rejected utilization exactly 1")
 	}
-	if CheckConst1(full, []int{0, 3}, 1) {
+	if CheckConst1Servers(full, []int{0, 3}, make([]cluster.Server, 1)) {
 		t.Fatal("CheckConst1 accepted an out-of-range assignment")
 	}
 }
@@ -139,7 +141,7 @@ func TestGroupStreamsExactAdmission(t *testing.T) {
 			assign[si] = g
 		}
 	}
-	if !CheckConst2(streams, assign, 2) || !CheckConst1(streams, assign, 2) {
+	if !CheckConst2Servers(streams, assign, make([]cluster.Server, 2)) || !CheckConst1Servers(streams, assign, make([]cluster.Server, 2)) {
 		t.Fatal("accepted grouping fails the exact checks")
 	}
 	// Non-finite processing times are rejected, not grouped.
@@ -172,7 +174,7 @@ func TestExactGroupMatchesChecker(t *testing.T) {
 			assign[si] = g
 		}
 	}
-	if !CheckConst2(streams, assign, 2) {
+	if !CheckConst2Servers(streams, assign, make([]cluster.Server, 2)) {
 		t.Fatal("ExactGroup grouping fails exact CheckConst2")
 	}
 }

@@ -81,10 +81,10 @@ func FuzzGroupStreams(f *testing.F) {
 				t.Fatalf("stream %d not grouped", i)
 			}
 		}
-		if !CheckConst2(streams, assign, n) {
+		if !CheckConst2Servers(streams, assign, make([]cluster.Server, n)) {
 			t.Fatal("accepted grouping violates Const2")
 		}
-		if !CheckConst1(streams, assign, n) {
+		if !CheckConst1Servers(streams, assign, make([]cluster.Server, n)) {
 			t.Fatal("accepted grouping violates Const1 (Theorem 2 broken)")
 		}
 	})
@@ -145,10 +145,10 @@ func FuzzScheduleMasked(f *testing.F) {
 				t.Fatalf("group %d mapped to dead/out-of-range server %d", g, j)
 			}
 		}
-		if !CheckConst2(streams, plan.StreamServer, n) {
+		if !CheckConst2Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
 			t.Fatal("masked plan violates Const2")
 		}
-		if !CheckConst1(streams, plan.StreamServer, n) {
+		if !CheckConst1Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
 			t.Fatal("masked plan violates Const1")
 		}
 	})

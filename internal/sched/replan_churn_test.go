@@ -78,8 +78,8 @@ func TestEvictWithoutResolve(t *testing.T) {
 	if !ok {
 		t.Fatal("incremental declined after evict")
 	}
-	if !CheckConst1(survivors, plan.StreamServer, len(servers)) ||
-		!CheckConst2(survivors, plan.StreamServer, len(servers)) {
+	if !CheckConst1Servers(survivors, plan.StreamServer, servers) ||
+		!CheckConst2Servers(survivors, plan.StreamServer, servers) {
 		t.Fatalf("post-evict plan infeasible: %+v", plan)
 	}
 	// Wrong mask length must not touch the baseline.
@@ -138,7 +138,7 @@ func TestAdmitOpensGroupOnlyWithFreeServer(t *testing.T) {
 	if !ok {
 		t.Fatal("incremental declined after admissions")
 	}
-	if !CheckConst2(all, plan.StreamServer, len(servers)) {
+	if !CheckConst2Servers(all, plan.StreamServer, servers) {
 		t.Fatalf("post-admit plan violates Const2: %+v", plan)
 	}
 }
@@ -167,8 +167,8 @@ func TestAdmitHeteroSpeedBudget(t *testing.T) {
 	if !CheckConst2Servers(all, plan.StreamServer, fast) {
 		t.Fatal("speed-aware Const2 rejects the speed-2 plan")
 	}
-	if CheckConst2(all, plan.StreamServer, len(fast)) {
-		t.Fatal("speed-blind Const2 accepted a load only a 2x server can carry")
+	if CheckConst2Servers(all, plan.StreamServer, make([]cluster.Server, len(fast))) {
+		t.Fatal("Const2 at speed 1 accepted a load only a 2x server can carry")
 	}
 
 	// The same admission against a speed-1 cluster must decline.

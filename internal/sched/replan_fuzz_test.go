@@ -112,10 +112,10 @@ func FuzzReplanVsSchedule(f *testing.F) {
 		if live != m {
 			t.Fatalf("replan placed %d of %d streams", live, m)
 		}
-		if !CheckConst1(streams, plan.StreamServer, n) {
+		if !CheckConst1Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
 			t.Fatalf("replanned plan violates Const1 (incremental=%v): %+v", inc, plan)
 		}
-		if !CheckConst2(streams, plan.StreamServer, n) {
+		if !CheckConst2Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
 			t.Fatalf("replanned plan violates Const2 (incremental=%v): %+v", inc, plan)
 		}
 

@@ -132,8 +132,8 @@ func GroupStreams(streams []Stream, n int) ([][]int, error) {
 	// marginally violate Theorem 3's Σp ≤ T condition, voiding the
 	// zero-jitter guarantee by up to one epsilon of queueing per hyperperiod.
 	groups := make([][]int, n)
-	gmin := make([]Rational, n)    // min period per group
-	gproc := make([]*big.Rat, n)   // Σ proc per group, exact
+	gmin := make([]Rational, n)  // min period per group
+	gproc := make([]*big.Rat, n) // Σ proc per group, exact
 	for _, oi := range idx {
 		si := order[oi]
 		s := streams[si]
@@ -432,25 +432,15 @@ func (p Plan) Utilizations(streams []Stream, n int) []float64 {
 	return load
 }
 
-// CheckConst1 verifies Eq. (6) exactly: on every server, Σ pᵢ·sᵢ ≤ 1.
-// Utilizations are accumulated as exact rationals — pᵢ is a dyadic
-// rational, sᵢ = Den/Num of the exact period — so a load of exactly 1 is
-// accepted and any excess, however marginal, is rejected. (The old float
-// check admitted loads up to 1+1e-9, i.e. genuinely overloaded servers.)
-// Streams with non-finite processing times or out-of-range assignments
-// fail the check.
-func CheckConst1(streams []Stream, streamServer []int, n int) bool {
-	return checkConst1(streams, streamServer, n, nil)
-}
-
-// CheckConst1Servers is CheckConst1 for heterogeneous clusters: on every
-// server, Σ pᵢ·sᵢ ≤ speed_j, still checked exactly (speeds are dyadic
-// float64 values).
+// CheckConst1Servers verifies Eq. (6) exactly: on every server,
+// Σ pᵢ·sᵢ ≤ speed_j (1 for a zero SpeedFactor). Utilizations are accumulated
+// as exact rationals — pᵢ and speed_j are dyadic rationals, sᵢ = Den/Num of
+// the exact period — so a load of exactly the budget is accepted and any
+// excess, however marginal, is rejected. (The old float check admitted loads
+// up to 1+1e-9, i.e. genuinely overloaded servers.) Streams with non-finite
+// processing times or out-of-range assignments fail the check.
 func CheckConst1Servers(streams []Stream, streamServer []int, servers []cluster.Server) bool {
-	return checkConst1(streams, streamServer, len(servers), servers)
-}
-
-func checkConst1(streams []Stream, streamServer []int, n int, servers []cluster.Server) bool {
+	n := len(servers)
 	load := make([]*big.Rat, n)
 	for i, s := range streams {
 		j := streamServer[i]
@@ -472,39 +462,27 @@ func checkConst1(streams []Stream, streamServer []int, n int, servers []cluster.
 		if l == nil {
 			continue
 		}
-		budget := ratOne
-		if servers != nil {
-			if budget = ratFromFloat(servers[j].Speed()); budget == nil {
-				return false
-			}
-		}
-		if l.Cmp(budget) > 0 {
+		budget := ratFromFloat(servers[j].Speed())
+		if budget == nil || l.Cmp(budget) > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// CheckConst2 verifies Eq. (7) exactly: on every server, Σ pᵢ ≤ gcd of the
-// periods of the streams scheduled there. The processing-time sum over a
-// server is expressed over a common denominator via exact rational
-// accumulation and compared against the exact gcd with no tolerance. The
-// old check compared against gcds[j].Float()+1e-12, so a plan whose Σ pᵢ
-// exceeds the gcd by up to 1e-12 passed while actually self-queueing —
-// silently voiding the paper's zero-jitter latency claim (Theorems 1–3).
-func CheckConst2(streams []Stream, streamServer []int, n int) bool {
-	return checkConst2(streams, streamServer, n, nil)
-}
-
-// CheckConst2Servers is CheckConst2 for heterogeneous clusters: on every
-// server, Σ pᵢ ≤ gcd(T) · speed_j — the budget a server class at speed s
-// can actually clear inside one gcd window. Exact: the speed factor is a
-// dyadic float64, so the scaled budget is an exact rational.
+// CheckConst2Servers verifies Eq. (7) exactly: on every server,
+// Σ pᵢ ≤ gcd(T) · speed_j — the gcd of the periods of the streams scheduled
+// there, scaled to the budget a server class at speed s (1 for a zero
+// SpeedFactor) can actually clear inside one gcd window. The processing-time
+// sum over a server is expressed over a common denominator via exact
+// rational accumulation and compared against the exact budget with no
+// tolerance; the speed factor is a dyadic float64, so the scaled budget is
+// an exact rational. The old check compared against gcds[j].Float()+1e-12,
+// so a plan whose Σ pᵢ exceeds the gcd by up to 1e-12 passed while actually
+// self-queueing — silently voiding the paper's zero-jitter latency claim
+// (Theorems 1–3).
 func CheckConst2Servers(streams []Stream, streamServer []int, servers []cluster.Server) bool {
-	return checkConst2(streams, streamServer, len(servers), servers)
-}
-
-func checkConst2(streams []Stream, streamServer []int, n int, servers []cluster.Server) bool {
+	n := len(servers)
 	procSum := make([]*big.Rat, n)
 	gcds := make([]Rational, n)
 	for i, s := range streams {
@@ -527,15 +505,12 @@ func checkConst2(streams []Stream, streamServer []int, n int, servers []cluster.
 		if gcds[j].Num == 0 {
 			continue // empty server
 		}
-		budget := gcds[j].BigRat()
-		if servers != nil {
-			spd := ratFromFloat(servers[j].Speed())
-			if spd == nil {
-				return false
-			}
-			budget.Mul(budget, spd)
+		spd := ratFromFloat(servers[j].Speed())
+		if spd == nil {
+			return false
 		}
-		if procSum[j].Cmp(budget) > 0 {
+		budget := gcds[j].BigRat()
+		if procSum[j].Cmp(budget.Mul(budget, spd)) > 0 {
 			return false
 		}
 	}

@@ -86,22 +86,3 @@ func (s *Snapshot) HealthyIndices(dst []int) []int {
 	}
 	return dst
 }
-
-// ScheduleSnapshot runs the complete Algorithm 1 against a snapshot: the
-// serial reference every sharded plan is measured against, and the
-// single-cell path of the sharded planner. Identical to ScheduleMasked on
-// the snapshot's (servers, healthy) pair, byte for byte.
-func ScheduleSnapshot(streams []Stream, snap *Snapshot) (Plan, error) {
-	return ScheduleMasked(streams, snap.servers, snap.healthy)
-}
-
-// ReplanSnapshot is Replan consuming a snapshot instead of a loose
-// (servers, healthy) pair.
-func (r *Replanner) ReplanSnapshot(streams []Stream, snap *Snapshot) (Plan, bool, error) {
-	return r.Replan(streams, snap.servers, snap.healthy)
-}
-
-// IncrementalSnapshot is Incremental consuming a snapshot.
-func (r *Replanner) IncrementalSnapshot(streams []Stream, snap *Snapshot) (Plan, bool) {
-	return r.Incremental(streams, snap.servers, snap.healthy)
-}

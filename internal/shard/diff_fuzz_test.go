@@ -102,10 +102,10 @@ func FuzzShardedVsSerial(f *testing.F) {
 				t.Fatalf("shards=%d: stream %d on down server %d", shards, i, j)
 			}
 		}
-		if !sched.CheckConst1(streams, plan.StreamServer, n) {
+		if !sched.CheckConst1Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
 			t.Fatalf("shards=%d: exact Const1 violated", shards)
 		}
-		if !sched.CheckConst2(streams, plan.StreamServer, n) {
+		if !sched.CheckConst2Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
 			t.Fatalf("shards=%d: exact Const2 violated", shards)
 		}
 

@@ -46,18 +46,8 @@ import (
 type Options struct {
 	// Shards is the number of cells streams are partitioned into. With
 	// Shards ≤ 1 the planner IS the serial scheduler (one
-	// sched.ScheduleSnapshot call), byte for byte.
+	// sched.ScheduleMasked call), byte for byte.
 	Shards int
-	// ColSlack bounds each cell's assignment problem: a proposal with g
-	// groups considers the best g·ColSlack candidate servers instead of
-	// all of them (minimum g; default 2). Candidates are ranked by
-	// occupancy then uplink, and the proposal retries against the full
-	// server set before declaring itself stuck, so the cap costs quality
-	// never feasibility.
-	ColSlack int
-	// MaxRounds caps propose/commit rounds (default Shards, the provable
-	// termination bound; the cap is insurance, not policy).
-	MaxRounds int
 	// Sequential runs the propose phase one cell at a time on the calling
 	// goroutine. Results are identical to the parallel mode by
 	// construction; the differential fuzzer holds the planner to that.
@@ -94,6 +84,13 @@ type Stats struct {
 
 // retryBuckets sizes the commit-retry histogram: buckets 0..6 and 7+.
 const retryBuckets = 8
+
+// colSlack bounds each cell's assignment problem: a proposal with g groups
+// considers the best g·colSlack candidate servers instead of all of them.
+// Candidates are ranked by occupancy then rotated index, and the proposal
+// retries against the full server set before declaring itself stuck, so the
+// cap costs quality never feasibility.
+const colSlack = 2
 
 // Planner runs the sharded control plane over one workload at a time. Its
 // scratch (arbiter, per-cell buffers) is reused across solves; a Planner
@@ -132,12 +129,6 @@ func New(opt Options) *Planner {
 	if opt.Shards < 1 {
 		opt.Shards = 1
 	}
-	if opt.ColSlack < 1 {
-		opt.ColSlack = 2
-	}
-	if opt.MaxRounds < 1 {
-		opt.MaxRounds = opt.Shards
-	}
 	return &Planner{opt: opt}
 }
 
@@ -171,7 +162,7 @@ func (p *Planner) PlanCtx(ctx context.Context, streams []sched.Stream, snap *sch
 	reg.Counter("shard_plans_total").Inc()
 
 	if p.opt.Shards <= 1 {
-		plan, err := sched.ScheduleSnapshot(streams, snap)
+		plan, err := sched.ScheduleMasked(streams, snap.Servers(), snap.Healthy())
 		if err != nil {
 			return sched.Plan{}, st, err
 		}
@@ -217,9 +208,9 @@ func (p *Planner) PlanCtx(ctx context.Context, streams []sched.Stream, snap *sch
 	}
 
 	for st.Rounds = 0; nPending > 0; st.Rounds++ {
-		if st.Rounds >= p.opt.MaxRounds+p.opt.Shards {
-			// Unreachable by the termination argument above; fail loudly
-			// rather than spin if it is ever broken.
+		if st.Rounds >= 2*p.opt.Shards {
+			// Unreachable by the termination argument above (Shards rounds
+			// suffice); fail loudly rather than spin if it is ever broken.
 			return sched.Plan{}, st, fmt.Errorf("shard: no progress after %d rounds", st.Rounds)
 		}
 		rctx, rsp := p.opt.Obs.StartSpanCtx(pctx, "shard_round",
@@ -246,7 +237,7 @@ func (p *Planner) PlanCtx(ctx context.Context, streams []sched.Stream, snap *sch
 				p.fillCellRetries(&st)
 				rsp.Field("fellback", 1)
 				rsp.End()
-				plan, err := sched.ScheduleSnapshot(streams, snap)
+				plan, err := sched.ScheduleMasked(streams, snap.Servers(), snap.Healthy())
 				if err != nil {
 					return sched.Plan{}, st, err
 				}
@@ -414,7 +405,7 @@ func (p *Planner) propose(cell *cellScratch, streams []sched.Stream, snap *sched
 		return (a+n-rot)%n - (b+n-rot)%n
 	})
 	rows := len(cell.prop.Claims)
-	if limit := rows * p.opt.ColSlack; limit < len(cell.cols) {
+	if limit := rows * colSlack; limit < len(cell.cols) {
 		if p.assign(cell, cell.cols[:limit], snap) {
 			return
 		}

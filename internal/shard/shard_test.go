@@ -233,7 +233,7 @@ func TestArbiterMergesAcrossCells(t *testing.T) {
 	if len(plan.Groups) != 1 || len(plan.Groups[0]) != 2 {
 		t.Fatalf("expected one merged group of 2, got %+v", plan.Groups)
 	}
-	if !sched.CheckConst2(streams, plan.StreamServer, 1) {
+	if !sched.CheckConst2Servers(streams, plan.StreamServer, make([]cluster.Server, 1)) {
 		t.Fatal("merged placement violates exact Const2")
 	}
 	// 0.012+0.014 = 0.026 < gcd(1/30, 1/15) = 1/30 ≈ 0.0333: genuinely shared.
@@ -283,8 +283,8 @@ func TestPlannerShardedFeasibleDeterministicSequentialEqual(t *testing.T) {
 				t.Fatalf("shards=%d: stream %d unplaced (server %d)", shards, i, j)
 			}
 		}
-		if !sched.CheckConst1(streams, plan.StreamServer, len(servers)) ||
-			!sched.CheckConst2(streams, plan.StreamServer, len(servers)) {
+		if !sched.CheckConst1Servers(streams, plan.StreamServer, servers) ||
+			!sched.CheckConst2Servers(streams, plan.StreamServer, servers) {
 			t.Fatalf("shards=%d: committed plan violates exact feasibility", shards)
 		}
 		if !st.FellBack && st.Commits == 0 {
@@ -380,15 +380,15 @@ func TestVerifyPlanCatchesCorruption(t *testing.T) {
 		t.Fatalf("serial: %v", err)
 	}
 	chk := check.New(true, nil)
-	if err := chk.VerifyPlan(streams, plan, len(servers), nil); err != nil {
+	if err := chk.VerifyPlanServers(streams, plan, servers, nil); err != nil {
 		t.Fatalf("valid plan flagged: %v", err)
 	}
 	// Corrupt: point one stream's server somewhere its group is not.
 	bad := plan
 	bad.StreamServer = append([]int(nil), plan.StreamServer...)
 	bad.StreamServer[0] = (plan.StreamServer[0] + 1) % len(servers)
-	if err := chk.VerifyPlan(streams, bad, len(servers), nil); err == nil {
-		t.Fatal("corrupted plan passed VerifyPlan")
+	if err := chk.VerifyPlanServers(streams, bad, servers, nil); err == nil {
+		t.Fatal("corrupted plan passed VerifyPlanServers")
 	}
 }
 
@@ -398,9 +398,22 @@ func TestPlannerReuseAcrossSolves(t *testing.T) {
 	var prev sched.Plan
 	for round := 0; round < 3; round++ {
 		streams := mkStreams(uint64(100+round), 36, 0.25)
-		plan, _, err := pl.Plan(streams, sched.NewSnapshot(uint64(round), servers, nil))
+		plan, st, err := pl.Plan(streams, sched.NewSnapshot(uint64(round), servers, nil))
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		// Every solve of a feasible workload commits one plan per cell
+		// without the serial fallback, and every commit lands in exactly
+		// one retry bucket.
+		if st.FellBack || st.Commits != 3 {
+			t.Fatalf("round %d: commits = %d (fell back: %v), want one per cell", round, st.Commits, st.FellBack)
+		}
+		mass := 0
+		for _, n := range st.RetryHist {
+			mass += n
+		}
+		if mass != st.Commits {
+			t.Fatalf("round %d: retry histogram mass %d != commits %d", round, mass, st.Commits)
 		}
 		fresh, _, err := New(Options{Shards: 3}).Plan(streams, sched.NewSnapshot(uint64(round), servers, nil))
 		if err != nil {

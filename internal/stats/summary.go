@@ -59,11 +59,6 @@ func R2(obs, pred []float64) float64 {
 	return 1 - ssRes/ssTot
 }
 
-// MeanStd returns both the mean and population standard deviation of xs.
-func MeanStd(xs []float64) (mean, std float64) {
-	return Mean(xs), Std(xs)
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation of the sorted order statistics. xs must be sorted ascending.
 func Quantile(sorted []float64, q float64) float64 {

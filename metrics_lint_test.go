@@ -32,19 +32,7 @@ func TestMetricNamesLinted(t *testing.T) {
 	callRE := regexp.MustCompile(`\b(Counter|Gauge|Histogram)\("([^"]*)"\s*([,)+])`)
 
 	checked := 0
-	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
+	err = walkProductionGo(func(path string) error {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
@@ -78,4 +66,24 @@ func TestMetricNamesLinted(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("lint found no metric registrations — extraction regex rotted")
 	}
+}
+
+// walkProductionGo calls fn with the path of every non-test Go file in the
+// tree, skipping dot-directories (.git, build caches) and testdata.
+func walkProductionGo(fn func(path string) error) error {
+	return filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		return fn(path)
+	})
 }
