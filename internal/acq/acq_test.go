@@ -322,7 +322,7 @@ func TestSharedQNEIAgreesWithPerTrialQNEI(t *testing.T) {
 	universe := append(append([][]float64(nil), cands...), obs...)
 	z := s.SampleBenefit(universe, nSamples, stats.NewRNG(8))
 	sc := NewSharedQNEI(z, []int{5, 6})
-	sc.Add(2) // candidate {1.8}
+	sc.Add(2)             // candidate {1.8}
 	shared := sc.Score(4) // batch {1.8, 3}
 	if math.Abs(perTrial-shared) > 0.02 {
 		t.Fatalf("per-trial qNEI %v vs shared %v", perTrial, shared)

@@ -46,7 +46,7 @@ func FuzzSharedVsPerTrial(f *testing.F) {
 	f.Add(uint64(7), 4, 5, 3, 1, byte(2))
 	f.Add(uint64(1234), 12, 32, 1, 3, byte(3))
 	f.Fuzz(func(t *testing.T, seed uint64, nPts, nSamples, nObs, batch int, kind byte) {
-		nPts = 2 + abs(nPts)%11        // universe size 2..12
+		nPts = 2 + abs(nPts)%11         // universe size 2..12
 		nSamples = 1 + abs(nSamples)%32 // draws 1..32
 		nObs = abs(nObs) % 4
 		if nObs >= nPts {

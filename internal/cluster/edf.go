@@ -99,8 +99,8 @@ func (q *edfQueue) Less(a, b int) bool {
 	}
 	return q.items[a] < q.items[b]
 }
-func (q *edfQueue) Swap(a, b int)       { q.items[a], q.items[b] = q.items[b], q.items[a] }
-func (q *edfQueue) Push(x any)          { q.items = append(q.items, x.(int)) }
+func (q *edfQueue) Swap(a, b int) { q.items[a], q.items[b] = q.items[b], q.items[a] }
+func (q *edfQueue) Push(x any)    { q.items = append(q.items, x.(int)) }
 func (q *edfQueue) Pop() any {
 	n := len(q.items)
 	v := q.items[n-1]

@@ -8,9 +8,9 @@ import (
 // PhysicalServer is a heterogeneous edge machine: compute capacity in
 // multiples of the homogeneous scheduling unit, plus its uplink bandwidth.
 type PhysicalServer struct {
-	Name     string
-	Units    float64 // compute capacity in scheduling units (≥ 0)
-	Uplink   float64 // bits/s, shared by the VMs carved from this machine
+	Name   string
+	Units  float64 // compute capacity in scheduling units (≥ 0)
+	Uplink float64 // bits/s, shared by the VMs carved from this machine
 }
 
 // Virtualize implements the paper's Section 3 note that "heterogeneous

@@ -10,9 +10,11 @@ import (
 )
 
 // clipGPs are the five per-clip outcome GPs used by the Figure 8
-// experiment, trained on noisy profiling data with standardized targets.
+// experiment, trained on noisy profiling data with standardized targets:
+// the five target columns of one multi-target GP, since every metric is
+// measured at the same configurations.
 type clipGPs struct {
-	gps    [5]*gp.GP
+	g      *gp.Multi
 	scales [5]float64
 }
 
@@ -46,25 +48,25 @@ func newTrainedClipGPs(clip *videosim.Clip, prof *videosim.Profiler, n int, rng 
 		}
 	}
 	out := &clipGPs{}
-	for k := 0; k < 5; k++ {
+	scaled := make([][]float64, 5)
+	for k := range scaled {
 		sd := stdOf(ys[k])
 		if sd < 1e-12 {
 			sd = 1
 		}
 		out.scales[k] = sd
-		scaled := make([]float64, len(ys[k]))
+		scaled[k] = make([]float64, len(ys[k]))
 		for i, y := range ys[k] {
-			scaled[i] = y / sd
+			scaled[k][i] = y / sd
 		}
-		kn := kernel.NewMatern52(2)
-		p := kn.LogParams()
-		p[1], p[2] = math.Log(0.4), math.Log(0.4)
-		kn.SetLogParams(p)
-		g := gp.New(kn, 1e-3)
-		if err := g.Fit(xs, scaled); err != nil {
-			panic(err)
-		}
-		out.gps[k] = g
+	}
+	kn := kernel.NewMatern52(2)
+	p := kn.LogParams()
+	p[1], p[2] = math.Log(0.4), math.Log(0.4)
+	kn.SetLogParams(p)
+	out.g = gp.NewMulti(kn, 1e-3, 5)
+	if err := out.g.Fit(xs, scaled); err != nil {
+		panic(err)
 	}
 	return out
 }
@@ -72,10 +74,9 @@ func newTrainedClipGPs(clip *videosim.Clip, prof *videosim.Profiler, n int, rng 
 // predict returns the five posterior means (physical units) at cfg.
 func (c *clipGPs) predict(cfg videosim.Config) [5]float64 {
 	var out [5]float64
-	x := encodeCfg(cfg)
-	for k := 0; k < 5; k++ {
-		mu, _ := c.gps[k].Predict(x)
-		out[k] = mu * c.scales[k]
+	c.g.PredictMean(encodeCfg(cfg), out[:])
+	for k := range out {
+		out[k] *= c.scales[k]
 	}
 	return out
 }

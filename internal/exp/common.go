@@ -39,11 +39,11 @@ type MethodResult struct {
 
 // MethodsConfig controls a four-method comparison run.
 type MethodsConfig struct {
-	Truth     objective.Preference
-	Seed      uint64
-	PaMOOpt   pamo.Options // Seed/TruePref filled in per run
-	DMNoise   float64
-	SkipPaMO  bool // only run the baselines and PaMO+ (weight sweeps)
+	Truth    objective.Preference
+	Seed     uint64
+	PaMOOpt  pamo.Options // Seed/TruePref filled in per run
+	DMNoise  float64
+	SkipPaMO bool // only run the baselines and PaMO+ (weight sweeps)
 }
 
 // withPlusBudget scales a PaMO option set up for the PaMO+ reference run.

@@ -65,7 +65,7 @@ func Pricing(w io.Writer, cfg PricingConfig) []PricingRow {
 	}
 
 	methods := []struct {
-		name   string
+		name    string
 		weights *objective.Preference // nil = learned preference
 	}{
 		{"learned (PaMO)", nil},
@@ -124,4 +124,3 @@ func Pricing(w io.Writer, cfg PricingConfig) []PricingRow {
 }
 
 func ptr(p objective.Preference) *objective.Preference { return &p }
-

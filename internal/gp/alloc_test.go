@@ -3,8 +3,10 @@
 package gp
 
 import (
+	"math/rand/v2"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/mat"
 )
 
@@ -19,8 +21,9 @@ func TestPredictMeanZeroAlloc(t *testing.T) {
 		t.Fatalf("PredictMean allocates %v times per run, want 0", n)
 	}
 	cc := g.NewCrossCache()
-	cc.PredictMean(x) // warm the cache entry
-	if n := testing.AllocsPerRun(100, func() { cc.PredictMean(x) }); n != 0 {
+	mu := make([]float64, 1)
+	cc.PredictMean(x, mu) // warm the cache entry
+	if n := testing.AllocsPerRun(100, func() { cc.PredictMean(x, mu) }); n != 0 {
 		t.Fatalf("CrossCache.PredictMean allocates %v times per run, want 0", n)
 	}
 }
@@ -51,9 +54,46 @@ func TestSparsePredictZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPredictBatchWithWarmAllocs bounds the warm-path batch prediction to
-// the single per-call pointer slice for the cached cross-covariances: all
-// float64 scratch comes from the workspace.
+// TestMultiSampleJointWithWarmAllocs pins the shared k-column sampler to
+// allocating only its result once workspace and cache are warm: one block
+// holding every returned row, the row headers, and the per-column slice.
+// V = L⁻¹K*, the posterior covariance, its factor and the normal deviates
+// all live in the workspace.
+func TestMultiSampleJointWithWarmAllocs(t *testing.T) {
+	const k, samples = 5, 8
+	rng := rand.New(rand.NewPCG(9, 9))
+	xs := make([][]float64, 16)
+	ys := make([][]float64, k)
+	for i := range xs {
+		xs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		for c := range ys {
+			ys[c] = append(ys[c], rng.NormFloat64())
+		}
+	}
+	m := NewMulti(kernel.NewMatern52(3), 1e-4, k)
+	if err := m.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	qs := [][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}, {0.7, 0.8, 0.9}, {0.2, 0.9, 0.5}}
+	rngs := make([]*rand.Rand, k)
+	for c := range rngs {
+		rngs[c] = rand.New(rand.NewPCG(1, uint64(c)))
+	}
+	cc := m.NewCrossCache()
+	ws := mat.NewWorkspace()
+	m.SampleJointWith(ws, cc, qs, samples, rngs) // warm cache and workspace
+	n := testing.AllocsPerRun(50, func() {
+		ws.Reset()
+		m.SampleJointWith(ws, cc, qs, samples, rngs)
+	})
+	if n != 3 {
+		t.Fatalf("warm %d-column SampleJointWith allocates %v times per run, want 3 (its returned rows)", k, n)
+	}
+}
+
+// TestPredictBatchWithWarmAllocs pins the warm-path batch prediction to
+// zero heap allocations: all float64 scratch comes from the workspace and
+// the cross-covariances from the cache.
 func TestPredictBatchWithWarmAllocs(t *testing.T) {
 	g, qs := cacheTestModel(t, 16, 3)
 	cc := g.NewCrossCache()
@@ -64,7 +104,7 @@ func TestPredictBatchWithWarmAllocs(t *testing.T) {
 		ws.Reset()
 		g.PredictBatchWith(ws, cc, qs)
 	})
-	if n > 1 {
-		t.Fatalf("warm PredictBatchWith allocates %v times per run, want <= 1", n)
+	if n != 0 {
+		t.Fatalf("warm PredictBatchWith allocates %v times per run, want 0", n)
 	}
 }

@@ -62,16 +62,35 @@ func BenchmarkGPAddObservation(b *testing.B) {
 			x := []float64{0.31, 0.62, 0.93}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Shallow copy with a fresh Cholesky wrapper: Extend swaps
-				// the factor matrix pointer, so base's factor stays intact.
-				g := *base
-				g.chol = &mat.Cholesky{L: base.chol.L, Jitter: base.chol.Jitter}
+				// Extend grows the factor in place and AddObservation appends
+				// to the inputs and targets, so each iteration conditions a
+				// private copy of base with room for the new row.
+				b.StopTimer()
+				g := cloneForExtend(base)
+				b.StartTimer()
 				if err := g.AddObservation(x, 0.5); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// cloneForExtend deep-copies g's inputs, targets and factor, leaving spare
+// capacity for one more point.
+func cloneForExtend(g *GP) *GP {
+	c := *g
+	c.x = append(make([][]float64, 0, len(g.x)+1), g.x...)
+	c.cols = []column{{
+		y:     append(make(mat.Vector, 0, len(g.x)+1), g.cols[0].y...),
+		mean:  g.cols[0].mean,
+		alpha: g.cols[0].alpha.Clone(),
+	}}
+	n := g.chol.L.Rows
+	l := &mat.Matrix{Rows: n, Cols: n, Data: make([]float64, n*n, (n+1)*(n+1))}
+	copy(l.Data, g.chol.L.Data)
+	c.chol = &mat.Cholesky{L: l, Jitter: g.chol.Jitter}
+	return &c
 }
 
 func BenchmarkGPPredict(b *testing.B) {

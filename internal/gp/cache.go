@@ -2,8 +2,10 @@ package gp
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"repro/internal/mat"
@@ -12,10 +14,10 @@ import (
 // Generation identifies the current factorization epoch of the model. It
 // advances on every full refactorization — Fit, hyperparameter refits, and
 // Extend fallbacks — and stays put across successful incremental
-// AddObservation extensions and SetTargets calls, because neither changes
-// the kernel or invalidates previously computed cross-covariances.
+// AddObservation/Append extensions and SetTargets calls, because neither
+// changes the kernel or invalidates previously computed cross-covariances.
 // CrossCache uses it as its invalidation signal.
-func (g *GP) Generation() uint64 { return g.gen }
+func (g *Multi) Generation() uint64 { return g.gen }
 
 // CrossCache memoizes cross-covariance vectors k(x, X) between query points
 // and the model's training inputs. The BO loop scores the same candidate
@@ -25,56 +27,45 @@ func (g *GP) Generation() uint64 { return g.gen }
 //
 // Invalidation contract (see DESIGN.md "Scaling"): entries are valid for a
 // fixed (kernel hyperparameters, training prefix) pair. The cache snapshots
-// GP.Generation() and drops everything when it changes — i.e. on Fit,
-// OptimizeHyperparams, or an Extend numerical fallback. A successful
-// AddObservation leaves the generation untouched; cached vectors are then
-// lazily extended (they are strictly a prefix of the new k(x, X)).
+// the model's Generation() and drops everything when it changes — i.e. on
+// Fit, OptimizeHyperparams, or an Extend numerical fallback. A successful
+// AddObservation or Append leaves the generation untouched; cached vectors
+// are then lazily extended (they are strictly a prefix of the new k(x, X)).
 //
 // The cache is safe for concurrent use. Returned vectors are cache-owned
 // and must be treated as read-only; they remain valid (at their returned
 // length) even while other goroutines extend the cache.
 type CrossCache struct {
-	g *GP
+	g *Multi
 
 	mu      sync.Mutex
 	gen     uint64
-	entries map[string][]float64
+	entries map[string]mat.Vector
 	key     []byte // scratch for building map keys without per-call allocs
 }
 
-// NewCrossCache returns an empty cross-covariance cache bound to g.
-func (g *GP) NewCrossCache() *CrossCache {
-	return &CrossCache{g: g, entries: make(map[string][]float64)}
+// NewCrossCache returns an empty cross-covariance cache bound to g. One
+// cache serves every column of g, since they share k(x, X).
+func (g *Multi) NewCrossCache() *CrossCache {
+	return &CrossCache{g: g, entries: make(map[string]mat.Vector)}
 }
 
-// Fetch appends the k(x, X) vector of every query point to dst and returns
-// it. The appended slices are cache-owned and read-only. One locked pass
-// covers all queries so a batch prediction pays the mutex once.
-func (c *CrossCache) Fetch(xs [][]float64, dst [][]float64) [][]float64 {
+// vec returns the cached k(x, X) vector of one query point: cache-owned
+// and read-only.
+func (c *CrossCache) vec(x []float64) mat.Vector {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.sync()
-	for _, x := range xs {
-		dst = append(dst, c.lookup(x))
-	}
-	return dst
+	return c.lookup(x)
 }
 
-// PredictMean returns the posterior mean at x using the cached
-// cross-covariance, bit-identical to GP.PredictMean.
-func (c *CrossCache) PredictMean(x []float64) float64 {
-	g := c.g
-	if g.chol == nil {
+// PredictMean writes every column's posterior mean at x into mu using the
+// cached cross-covariance, bit-identical to Multi.PredictMean.
+func (c *CrossCache) PredictMean(x []float64, mu []float64) {
+	if c.g.chol == nil {
 		panic(ErrNotFitted)
 	}
-	c.mu.Lock()
-	ks := func() []float64 { c.sync(); return c.lookup(x) }()
-	c.mu.Unlock()
-	var s float64
-	for i, k := range ks {
-		s += k * g.alpha[i]
-	}
-	return g.mean + s
+	c.g.means(mu, c.vec(x))
 }
 
 // sync drops all entries when the model has refactorized since the last
@@ -88,7 +79,7 @@ func (c *CrossCache) sync() {
 
 // lookup returns the cached k(x, X) vector, creating or lazily extending it
 // to the current training size. Must be called with c.mu held.
-func (c *CrossCache) lookup(x []float64) []float64 {
+func (c *CrossCache) lookup(x []float64) mat.Vector {
 	key := c.key[:0]
 	for _, v := range x {
 		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
@@ -101,45 +92,46 @@ func (c *CrossCache) lookup(x []float64) []float64 {
 	}
 	// Extension appends to the tail, so slices previously handed out keep
 	// their (shorter) length and stay valid for readers mid-flight.
-	for i := len(e); i < n; i++ {
-		e = append(e, c.g.Kern.Eval(c.g.x[i], x))
-	}
+	have := len(e)
+	e = slices.Grow(e, n-have)[:n]
+	c.g.cross(e[have:], have, x)
 	c.entries[string(key)] = e
 	return e
 }
 
 // PredictBatchWith is PredictBatch with workspace-backed outputs and an
-// optional cross-covariance cache. The returned mean vector and covariance
-// matrix live in ws and are valid only until the next ws.Reset; results are
-// bit-identical to PredictBatch. A nil cc computes cross-covariances into
-// the workspace instead.
-func (g *GP) PredictBatchWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64) (mu mat.Vector, cov *mat.Matrix) {
+// optional cross-covariance cache: it builds V = L⁻¹·K* and the posterior
+// covariance K** − VᵀV once for every column. The returned means (row c is
+// column c's mean vector) and covariance live in ws and are valid only until
+// the next ws.Reset; results are bit-identical to PredictBatch. A nil cc
+// computes cross-covariances into the workspace instead. A warm workspace
+// and cache make the call allocation-free.
+func (g *Multi) PredictBatchWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64) (mu, cov *mat.Matrix) {
 	if g.chol == nil {
 		panic(ErrNotFitted)
 	}
 	n, q := len(g.x), len(xs)
-	var kvecs [][]float64
-	if cc != nil {
-		kvecs = cc.Fetch(xs, make([][]float64, 0, q))
-	} else {
-		kvecs = make([][]float64, q)
-		for j, x := range xs {
-			kj := ws.Vec(n)
-			for i, xi := range g.x {
-				kj[i] = g.Kern.Eval(xi, x)
-			}
-			kvecs[j] = kj
-		}
+	mu = ws.Mat(len(g.cols), q)
+	var scratch mat.Vector
+	if cc == nil {
+		scratch = ws.Vec(n)
 	}
-	mu = ws.Vec(q)
 	// Vᵀ stored row-major: row j is L⁻¹·k(x_j, X), so the covariance loop
-	// below streams contiguous rows. Same accumulation order as the n×q
-	// column layout in PredictBatch — identical floats.
+	// below streams contiguous rows.
 	vt := ws.Mat(q, n)
-	for j := 0; j < q; j++ {
-		kj := mat.Vector(kvecs[j])
+	m := ws.Vec(len(g.cols))
+	for j, x := range xs {
+		kj := scratch
+		if cc != nil {
+			kj = cc.vec(x)
+		} else {
+			g.cross(kj, 0, x)
+		}
 		mat.ForwardSolveTo(vt.Row(j), g.chol.L, kj)
-		mu[j] = g.mean + kj.Dot(g.alpha)
+		g.means(m, kj)
+		for c, v := range m {
+			mu.Set(c, j, v)
+		}
 	}
 	cov = ws.Mat(q, q)
 	for a := 0; a < q; a++ {
@@ -157,39 +149,42 @@ func (g *GP) PredictBatchWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64)
 	return mu, cov
 }
 
+// PredictBatchWith is Multi.PredictBatchWith returning the single column's
+// mean vector.
+func (g *GP) PredictBatchWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64) (mat.Vector, *mat.Matrix) {
+	mu, cov := g.Multi.PredictBatchWith(ws, cc, xs)
+	return mu.Row(0), cov
+}
+
+// SampleJointWith draws nSamples joint posterior samples at xs for every
+// column: result[column][sample][point]. The posterior covariance and its
+// jittered factor are built once and shared; column c then draws from its
+// own rngs[c], exactly as an independent single-column model holding that
+// column would from the same stream. Intermediates live in ws and come
+// from the optional cross-covariance cache, so only the returned rows are
+// allocated. A covariance that cannot be factorized even with jitter
+// degrades every column to its mean and counts one fallback per column.
+func (g *Multi) SampleJointWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64, nSamples int, rngs []*rand.Rand) [][][]float64 {
+	if len(rngs) != len(g.cols) {
+		panic(fmt.Sprintf("gp: %d RNG streams for a %d-column model", len(rngs), len(g.cols)))
+	}
+	mu, cov := g.PredictBatchWith(ws, cc, xs)
+	q := len(xs)
+	l := factorCov(ws.Mat(q, q), cov, len(g.cols), g.fallbacks)
+	z := ws.Vec(q)
+	rows := newRows(len(g.cols)*nSamples, q)
+	out := make([][][]float64, len(g.cols))
+	for c := range out {
+		out[c] = rows[c*nSamples : (c+1)*nSamples : (c+1)*nSamples]
+		drawRows(out[c], mu.Row(c), l, z, rngs[c])
+	}
+	return out
+}
+
 // SampleJointWith is SampleJoint with workspace-backed intermediates and an
 // optional cross-covariance cache: only the returned sample rows are
 // allocated. The draws are bit-identical to SampleJoint given the same rng
 // state.
 func (g *GP) SampleJointWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
-	mu, cov := g.PredictBatchWith(ws, cc, xs)
-	q := len(mu)
-	out := make([][]float64, nSamples)
-	f := ws.Mat(q, q)
-	c, err := mat.CholJitterInto(f, cov)
-	if err != nil {
-		mvnFallbacks.Add(1)
-		if g.fallbacks != nil {
-			g.fallbacks.Add(1)
-		}
-	}
-	z := ws.Vec(q)
-	for s := 0; s < nSamples; s++ {
-		row := make([]float64, q)
-		copy(row, mu)
-		if err == nil {
-			for i := range z {
-				z[i] = rng.NormFloat64()
-			}
-			for i := 0; i < q; i++ {
-				var acc float64
-				for j := 0; j <= i; j++ {
-					acc += c.L.At(i, j) * z[j]
-				}
-				row[i] += acc
-			}
-		}
-		out[s] = row
-	}
-	return out
+	return g.Multi.SampleJointWith(ws, cc, xs, nSamples, []*rand.Rand{rng})[0]
 }

@@ -92,8 +92,9 @@ func TestCrossCacheInvalidation(t *testing.T) {
 	checkMean := func(stage string) {
 		t.Helper()
 		want := g.PredictMean(x)
-		if got := cc.PredictMean(x); got != want {
-			t.Fatalf("%s: cached mean %g, want %g", stage, got, want)
+		var got [1]float64
+		if cc.PredictMean(x, got[:]); got[0] != want {
+			t.Fatalf("%s: cached mean %g, want %g", stage, got[0], want)
 		}
 	}
 	checkMean("initial")

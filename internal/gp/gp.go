@@ -1,7 +1,8 @@
 // Package gp implements exact Gaussian process regression: Cholesky-based
-// fitting, predictive means/variances, joint posterior sampling (needed by
-// the Monte-Carlo batch acquisition functions), and marginal-likelihood
-// hyperparameter optimization.
+// fitting of one or several target columns over shared inputs, predictive
+// means/variances, joint posterior sampling (needed by the Monte-Carlo batch
+// acquisition functions), and marginal-likelihood hyperparameter
+// optimization — plus the inducing-point SparseGP.
 package gp
 
 import (
@@ -18,179 +19,282 @@ import (
 
 const log2Pi = 1.8378770664093453
 
-// GP is an exact Gaussian process regressor with a constant (empirical)
-// mean function and homoscedastic observation noise.
-type GP struct {
+// Multi is an exact Gaussian process regressor with k target columns
+// conditioned on one set of inputs. Every column shares the kernel, the
+// noise variance and therefore the Cholesky factor of K+σₙ²I, every
+// cross-covariance k(x, X) and the posterior covariance at any query set;
+// only the targets, their constant means and the alpha vectors differ per
+// column. Conditioning k outcomes measured at the same inputs costs one
+// factor instead of k. GP is its k = 1 case.
+type Multi struct {
 	Kern     kernel.Kernel
 	NoiseVar float64 // observation noise variance σₙ²
 
-	x     [][]float64
-	y     mat.Vector // raw targets
-	mean  float64    // constant mean subtracted before solving
-	chol  *mat.Cholesky
-	alpha mat.Vector // (K+σₙ²I)⁻¹ (y - mean)
-	gen   uint64     // factorization epoch; see Generation
+	x    [][]float64
+	cols []column
+	chol *mat.Cholesky
+	gen  uint64 // factorization epoch; see Generation
 
-	// fallbacks, when set, additionally receives every SampleJoint MVN
+	// fallbacks, when set, additionally receives every joint-sampling MVN
 	// fallback of THIS model, so an owner (e.g. one pamo.Scheduler) can
 	// attribute degraded sampling to itself instead of reading the
 	// process-wide counter shared with every other concurrent run.
 	fallbacks *atomic.Uint64
 }
 
-// SetFallbackCounter injects a per-owner counter that is incremented (in
-// addition to the process-wide MVNFallbacks counter) whenever this model's
-// joint posterior sampling degrades to the deterministic mean.
-func (g *GP) SetFallbackCounter(c *atomic.Uint64) { g.fallbacks = c }
+// column is one target column of a Multi.
+type column struct {
+	y     mat.Vector // raw targets
+	mean  float64    // constant mean subtracted before solving
+	alpha mat.Vector // (K+σₙ²I)⁻¹ (y − mean)
+}
 
-// New returns an unfitted GP with the given kernel and noise variance.
-func New(k kernel.Kernel, noiseVar float64) *GP {
+// GP is an exact Gaussian process regressor with a constant (empirical)
+// mean function and homoscedastic observation noise: the single-target
+// Multi.
+type GP struct{ Multi }
+
+// NewMulti returns an unfitted k-column GP with the given kernel and noise
+// variance.
+func NewMulti(k kernel.Kernel, noiseVar float64, cols int) *Multi {
+	if cols < 1 {
+		panic(fmt.Sprintf("gp: NewMulti with %d columns", cols))
+	}
 	if noiseVar <= 0 {
 		noiseVar = 1e-6
 	}
-	return &GP{Kern: k, NoiseVar: noiseVar}
+	return &Multi{Kern: k, NoiseVar: noiseVar, cols: make([]column, cols)}
 }
+
+// New returns an unfitted GP with the given kernel and noise variance.
+func New(k kernel.Kernel, noiseVar float64) *GP {
+	return &GP{*NewMulti(k, noiseVar, 1)}
+}
+
+// SetFallbackCounter injects a per-owner counter that is incremented (in
+// addition to the process-wide MVNFallbacks counter) whenever this model's
+// joint posterior sampling degrades to the deterministic mean — once per
+// column drawn.
+func (g *Multi) SetFallbackCounter(c *atomic.Uint64) { g.fallbacks = c }
 
 // ErrNotFitted is returned by methods that require a prior Fit call.
 var ErrNotFitted = errors.New("gp: model is not fitted")
 
-// Regressor is the contract shared by the exact GP and the inducing-point
-// SparseGP: conditioning, incremental updates, posterior queries, joint
-// sampling, and hyperparameter handling. Schedulers program against it so
-// the outcome-model family is a runtime knob rather than a compile-time
-// choice.
-type Regressor interface {
-	Fit(xs [][]float64, ys []float64) error
-	AddObservation(x []float64, y float64) error
-	SetTargets(ys []float64) error
-	N() int
-	X() [][]float64
-	Y() []float64
-	Predict(x []float64) (mu, variance float64)
-	PredictMean(x []float64) float64
-	PredictBatch(xs [][]float64) (mat.Vector, *mat.Matrix)
-	SampleJoint(xs [][]float64, nSamples int, rng *rand.Rand) [][]float64
-	LogMarginalLikelihood() float64
-	LeaveOneOut() (mu, variance []float64)
-	LOOLogLikelihood() float64
-	OptimizeHyperparams(nStarts int, rng *rand.Rand) error
-	SetFallbackCounter(c *atomic.Uint64)
+// Hyperparams is the view of a model PoolHyperparams reads: its kernel and
+// observation noise. Exact, multi-target and sparse models all provide it.
+type Hyperparams interface {
 	Kernel() kernel.Kernel
 	Noise() float64
-	SetNoise(v float64)
-	Generation() uint64
 }
 
-var (
-	_ Regressor = (*GP)(nil)
-	_ Regressor = (*SparseGP)(nil)
-)
-
 // Kernel returns the covariance kernel.
-func (g *GP) Kernel() kernel.Kernel { return g.Kern }
+func (g *Multi) Kernel() kernel.Kernel { return g.Kern }
 
 // Noise returns the observation noise variance.
-func (g *GP) Noise() float64 { return g.NoiseVar }
+func (g *Multi) Noise() float64 { return g.NoiseVar }
 
 // SetNoise replaces the observation noise variance. Takes effect at the
 // next Fit/refit, like kernel hyperparameter edits.
-func (g *GP) SetNoise(v float64) { g.NoiseVar = v }
+func (g *Multi) SetNoise(v float64) { g.NoiseVar = v }
 
 // N returns the number of training points.
-func (g *GP) N() int { return len(g.x) }
+func (g *Multi) N() int { return len(g.x) }
 
 // X returns the training inputs (not a copy).
-func (g *GP) X() [][]float64 { return g.x }
+func (g *Multi) X() [][]float64 { return g.x }
+
+// Y returns the training targets of column col (not a copy).
+func (g *Multi) Y(col int) []float64 { return g.cols[col].y }
 
 // Y returns the training targets (not a copy).
-func (g *GP) Y() []float64 { return g.y }
+func (g *GP) Y() []float64 { return g.cols[0].y }
 
-// Fit conditions the GP on inputs xs and targets ys. It replaces any
-// previous training data.
-func (g *GP) Fit(xs [][]float64, ys []float64) error {
-	if len(xs) != len(ys) {
-		return fmt.Errorf("gp: %d inputs vs %d targets", len(xs), len(ys))
+// checkTargets validates one target slice per column, each of length n.
+func (g *Multi) checkTargets(ys [][]float64, n int) error {
+	if len(ys) != len(g.cols) {
+		return fmt.Errorf("gp: %d target columns for a %d-column model", len(ys), len(g.cols))
 	}
-	if len(xs) == 0 {
-		return errors.New("gp: empty training set")
+	for _, y := range ys {
+		if len(y) != n {
+			return fmt.Errorf("gp: %d inputs vs %d targets", n, len(y))
+		}
 	}
+	return nil
+}
+
+// checkInputs validates the dimension of every input against the kernel.
+func (g *Multi) checkInputs(xs [][]float64) error {
 	for i, x := range xs {
 		if len(x) != g.Kern.Dim() {
 			return fmt.Errorf("gp: input %d has dim %d, kernel wants %d", i, len(x), g.Kern.Dim())
 		}
 	}
-	g.x = xs
-	g.y = mat.Vector(ys).Clone()
-	g.mean = g.y.Mean()
-	return g.refactor()
-}
-
-// AddObservation appends one training point without refactorizing from
-// scratch: the Cholesky factor is extended in O(n²) (mat.Cholesky.Extend)
-// and alpha is re-solved against the updated constant mean. When the
-// extension is numerically infeasible — or the GP has never been fitted —
-// it falls back to a full Fit/refactor, so the call always leaves the model
-// conditioned on the enlarged training set.
-//
-// Hyperparameter changes invalidate the factor entirely; callers that tune
-// hyperparameters must still go through Fit/OptimizeHyperparams.
-func (g *GP) AddObservation(x []float64, y float64) error {
-	if len(x) != g.Kern.Dim() {
-		return fmt.Errorf("gp: input has dim %d, kernel wants %d", len(x), g.Kern.Dim())
-	}
-	if g.chol == nil {
-		if len(g.x) == 0 {
-			return g.Fit([][]float64{x}, []float64{y})
-		}
-		return ErrNotFitted
-	}
-	n := len(g.x)
-	ks := mat.NewVector(n)
-	for i, xi := range g.x {
-		ks[i] = g.Kern.Eval(xi, x)
-	}
-	diag := g.Kern.Eval(x, x) + g.NoiseVar
-	if err := g.chol.Extend(ks, diag); err != nil {
-		// Numerically singular extension (e.g. a duplicate input): rebuild
-		// with CholJitter, which can rescue it with fresh diagonal jitter.
-		g.x = append(g.x, x)
-		g.y = append(g.y, y)
-		g.mean = g.y.Mean()
-		return g.refactor()
-	}
-	g.x = append(g.x, x)
-	g.y = append(g.y, y)
-	return g.SetTargets(g.y)
-}
-
-// SetTargets replaces the training targets in place (same training inputs)
-// and re-solves alpha against the existing Cholesky factor in O(n²). The
-// factor depends only on the inputs and hyperparameters, so wholesale
-// target rescaling — as done by standardizing wrappers after every new
-// measurement — does not need a refactorization.
-func (g *GP) SetTargets(ys []float64) error {
-	if g.chol == nil {
-		return ErrNotFitted
-	}
-	if len(ys) != len(g.x) {
-		return fmt.Errorf("gp: %d targets for %d inputs", len(ys), len(g.x))
-	}
-	if &ys[0] != &g.y[0] {
-		g.y = mat.Vector(ys).Clone()
-	}
-	g.mean = g.y.Mean()
-	resid := g.y.Clone()
-	for i := range resid {
-		resid[i] -= g.mean
-	}
-	g.alpha = g.chol.SolveVec(resid)
 	return nil
 }
 
-// refactor recomputes the Cholesky factor and alpha for the current data
+// Fit conditions the model on inputs xs and one target slice per column,
+// replacing any previous training data.
+func (g *Multi) Fit(xs [][]float64, ys [][]float64) error {
+	if err := g.checkTargets(ys, len(xs)); err != nil {
+		return err
+	}
+	if len(xs) == 0 {
+		return errors.New("gp: empty training set")
+	}
+	if err := g.checkInputs(xs); err != nil {
+		return err
+	}
+	g.x = xs
+	for c := range g.cols {
+		g.cols[c].y = mat.Vector(ys[c]).Clone()
+	}
+	return g.refactor()
+}
+
+// Fit conditions the GP on inputs xs and targets ys. It replaces any
+// previous training data.
+func (g *GP) Fit(xs [][]float64, ys []float64) error {
+	return g.Multi.Fit(xs, [][]float64{ys})
+}
+
+// AddObservation appends one training point with one target per column
+// without refactorizing from scratch: the Cholesky factor is extended in
+// O(n²) (mat.Cholesky.Extend) and every column's alpha is re-solved against
+// its updated constant mean. When the extension is numerically infeasible —
+// or the model has never been fitted — it falls back to a full Fit/refactor,
+// so the call always leaves the model conditioned on the enlarged training
+// set.
+//
+// Hyperparameter changes invalidate the factor entirely; callers that tune
+// hyperparameters must still go through Fit/OptimizeHyperparams.
+func (g *Multi) AddObservation(x []float64, ys []float64) error {
+	if len(x) != g.Kern.Dim() {
+		return fmt.Errorf("gp: input has dim %d, kernel wants %d", len(x), g.Kern.Dim())
+	}
+	if len(ys) != len(g.cols) {
+		return fmt.Errorf("gp: %d targets for a %d-column model", len(ys), len(g.cols))
+	}
+	if g.chol == nil {
+		if len(g.x) == 0 {
+			cols := make([][]float64, len(ys))
+			for c, y := range ys {
+				cols[c] = []float64{y}
+			}
+			return g.Fit([][]float64{x}, cols)
+		}
+		return ErrNotFitted
+	}
+	for c := range g.cols {
+		g.cols[c].y = append(g.cols[c].y, ys[c])
+	}
+	if _, err := g.extend([][]float64{x}); err != nil {
+		return err
+	}
+	g.solve()
+	return nil
+}
+
+// AddObservation appends one training point; see Multi.AddObservation.
+func (g *GP) AddObservation(x []float64, y float64) error {
+	return g.Multi.AddObservation(x, []float64{y})
+}
+
+// Append conditions the model on the inputs xs appended to its training
+// inputs, with ys the complete target columns for the enlarged set (each
+// N()+len(xs) long). This is the shape of a standardizing wrapper's refit,
+// which rescales every target whenever a measurement arrives: the factor
+// absorbs the new points one O(n²) extension at a time, exactly as
+// len(xs) AddObservation calls would, and each column then solves its alpha
+// once instead of once per point. Append reports how many of the points
+// needed AddObservation's refactorization fallback. An unfitted, empty
+// model is Fit instead.
+func (g *Multi) Append(xs [][]float64, ys [][]float64) (refactored int, err error) {
+	if err := g.checkInputs(xs); err != nil {
+		return 0, err
+	}
+	if g.chol == nil {
+		if len(g.x) == 0 {
+			return 0, g.Fit(xs, ys)
+		}
+		return 0, ErrNotFitted
+	}
+	if err := g.checkTargets(ys, len(g.x)+len(xs)); err != nil {
+		return 0, err
+	}
+	if refactored, err = g.extend(xs); err != nil {
+		return refactored, err
+	}
+	for c := range g.cols {
+		g.cols[c].y = mat.Vector(ys[c]).Clone()
+	}
+	g.solve()
+	return refactored, nil
+}
+
+// extend appends xs to the training inputs and grows the factor by one
+// Cholesky.Extend per point. A numerically singular extension (e.g. a
+// duplicate input) refactorizes the inputs so far instead, where CholJitter
+// can rescue it with fresh diagonal jitter, and the next point extends that
+// factor. Targets and alpha are left to the caller. It reports how many
+// points needed the refactorization.
+func (g *Multi) extend(xs [][]float64) (refactored int, err error) {
+	ks := make(mat.Vector, len(g.x)+len(xs))
+	for _, x := range xs {
+		col := ks[:len(g.x)]
+		g.cross(col, 0, x)
+		failed := g.chol.Extend(col, g.Kern.Eval(x, x)+g.NoiseVar) != nil
+		g.x = append(g.x, x)
+		if failed {
+			refactored++
+			if err := g.factor(); err != nil {
+				return refactored, err
+			}
+		}
+	}
+	return refactored, nil
+}
+
+// SetTargets replaces the training targets in place (same training inputs),
+// one slice per column, and re-solves every alpha against the existing
+// Cholesky factor in O(n²) per column. The factor depends only on the
+// inputs and hyperparameters, so wholesale target rescaling — as done by
+// standardizing wrappers after every new measurement — does not need a
+// refactorization.
+func (g *Multi) SetTargets(ys [][]float64) error {
+	if g.chol == nil {
+		return ErrNotFitted
+	}
+	if err := g.checkTargets(ys, len(g.x)); err != nil {
+		return err
+	}
+	for c := range g.cols {
+		if &ys[c][0] != &g.cols[c].y[0] {
+			g.cols[c].y = mat.Vector(ys[c]).Clone()
+		}
+	}
+	g.solve()
+	return nil
+}
+
+// SetTargets replaces the training targets; see Multi.SetTargets.
+func (g *GP) SetTargets(ys []float64) error {
+	return g.Multi.SetTargets([][]float64{ys})
+}
+
+// refactor recomputes the Cholesky factor and every alpha for the current
+// data and hyperparameters.
+func (g *Multi) refactor() error {
+	if err := g.factor(); err != nil {
+		return err
+	}
+	g.solve()
+	return nil
+}
+
+// factor recomputes the Cholesky factor of K+σₙ²I for the current inputs
 // and hyperparameters, advancing the generation so cross-covariance caches
 // drop entries computed under the old kernel or training prefix.
-func (g *GP) refactor() error {
+func (g *Multi) factor() error {
 	g.gen++
 	n := len(g.x)
 	k := mat.NewMatrix(n, n)
@@ -207,97 +311,117 @@ func (g *GP) refactor() error {
 		return fmt.Errorf("gp: covariance factorization: %w", err)
 	}
 	g.chol = c
-	resid := g.y.Clone()
-	for i := range resid {
-		resid[i] -= g.mean
-	}
-	g.alpha = c.SolveVec(resid)
 	return nil
+}
+
+// solve re-centres every column on its constant mean and solves its alpha
+// against the current factor.
+func (g *Multi) solve() {
+	for c := range g.cols {
+		col := &g.cols[c]
+		col.mean = col.y.Mean()
+		r := make(mat.Vector, len(col.y))
+		for i, y := range col.y {
+			r[i] = y - col.mean
+		}
+		col.alpha = g.chol.SolveVecTo(r, r)
+	}
+}
+
+// cross writes k(X_i, x) for the training inputs i = from, from+1, … into
+// dst, one per element.
+func (g *Multi) cross(dst mat.Vector, from int, x []float64) {
+	for i := range dst {
+		dst[i] = g.Kern.Eval(g.x[from+i], x)
+	}
+}
+
+// means writes every column's posterior mean given the cross-covariance
+// vector ks = k(x, X) into mu.
+func (g *Multi) means(mu []float64, ks mat.Vector) {
+	for c := range g.cols {
+		mu[c] = g.cols[c].mean + ks.Dot(g.cols[c].alpha)
+	}
+}
+
+// Predict writes every column's posterior mean at x into mu and returns the
+// posterior variance of the latent function, which all columns share. The
+// variance excludes observation noise.
+func (g *Multi) Predict(x []float64, mu []float64) (variance float64) {
+	if g.chol == nil {
+		panic(ErrNotFitted)
+	}
+	ks := mat.NewVector(len(g.x))
+	g.cross(ks, 0, x)
+	g.means(mu, ks)
+	v := mat.ForwardSolveTo(ks, g.chol.L, ks)
+	variance = g.Kern.Eval(x, x) - v.Dot(v)
+	if variance < 0 {
+		variance = 0
+	}
+	return variance
 }
 
 // Predict returns the posterior mean and variance of the latent function at
 // x. The variance excludes observation noise.
 func (g *GP) Predict(x []float64) (mu, variance float64) {
-	if g.chol == nil {
-		panic(ErrNotFitted)
-	}
-	n := len(g.x)
-	ks := mat.NewVector(n)
-	for i := range g.x {
-		ks[i] = g.Kern.Eval(g.x[i], x)
-	}
-	mu = g.mean + ks.Dot(g.alpha)
-	v := mat.ForwardSolve(g.chol.L, ks)
-	variance = g.Kern.Eval(x, x) - v.Dot(v)
-	if variance < 0 {
-		variance = 0
-	}
-	return mu, variance
+	var m [1]float64
+	variance = g.Multi.Predict(x, m[:])
+	return m[0], variance
 }
 
-// PredictMean returns only the posterior mean at x. It skips the O(n²)
-// triangular solve Predict performs for the variance, leaving n kernel
-// evaluations plus one dot product — the right call for hot loops (candidate
-// planning, outcome prediction) that never read the variance.
-func (g *GP) PredictMean(x []float64) float64 {
+// PredictMean writes only the posterior means at x into mu, one per column.
+// It skips the O(n²) triangular solve Predict performs for the variance,
+// leaving n kernel evaluations plus one dot product per column — the right
+// call for hot loops (candidate planning, outcome prediction) that never
+// read the variance. It does not allocate.
+func (g *Multi) PredictMean(x []float64, mu []float64) {
 	if g.chol == nil {
 		panic(ErrNotFitted)
 	}
-	var s float64
+	mu = mu[:len(g.cols)]
+	clear(mu)
 	for i, xi := range g.x {
-		s += g.Kern.Eval(xi, x) * g.alpha[i]
+		k := g.Kern.Eval(xi, x)
+		for c := range g.cols {
+			mu[c] += k * g.cols[c].alpha[i]
+		}
 	}
-	return g.mean + s
+	for c := range g.cols {
+		mu[c] = g.cols[c].mean + mu[c]
+	}
+}
+
+// PredictMean returns only the posterior mean at x; see Multi.PredictMean.
+func (g *GP) PredictMean(x []float64) float64 {
+	var m [1]float64
+	g.Multi.PredictMean(x, m[:])
+	return m[0]
+}
+
+// PredictBatch returns the joint posterior means (row c is column c's mean
+// vector) and the shared covariance matrix of the latent function at the
+// query points.
+func (g *Multi) PredictBatch(xs [][]float64) (mu, cov *mat.Matrix) {
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	mu, cov = g.PredictBatchWith(ws, nil, xs)
+	return mu.Clone(), cov.Clone()
 }
 
 // PredictBatch returns the joint posterior mean vector and covariance
 // matrix of the latent function at the query points.
-func (g *GP) PredictBatch(xs [][]float64) (mu mat.Vector, cov *mat.Matrix) {
-	if g.chol == nil {
-		panic(ErrNotFitted)
-	}
-	n, q := len(g.x), len(xs)
-	// Cross-covariances: Ks is n×q.
-	ks := mat.NewMatrix(n, q)
-	for i := 0; i < n; i++ {
-		for j := 0; j < q; j++ {
-			ks.Set(i, j, g.Kern.Eval(g.x[i], xs[j]))
-		}
-	}
-	// V = L⁻¹·Ks (n×q), computed column-wise.
-	v := mat.NewMatrix(n, q)
-	col := mat.NewVector(n)
-	mu = mat.NewVector(q)
-	for j := 0; j < q; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = ks.At(i, j)
-		}
-		sol := mat.ForwardSolve(g.chol.L, col)
-		for i := 0; i < n; i++ {
-			v.Set(i, j, sol[i])
-		}
-		mu[j] = g.mean + col.Dot(g.alpha)
-	}
-	// cov = K** - VᵀV.
-	cov = mat.NewMatrix(q, q)
-	for a := 0; a < q; a++ {
-		for b := a; b < q; b++ {
-			s := g.Kern.Eval(xs[a], xs[b])
-			for i := 0; i < n; i++ {
-				s -= v.At(i, a) * v.At(i, b)
-			}
-			cov.Set(a, b, s)
-			cov.Set(b, a, s)
-		}
-	}
-	return mu, cov
+func (g *GP) PredictBatch(xs [][]float64) (mat.Vector, *mat.Matrix) {
+	mu, cov := g.Multi.PredictBatch(xs)
+	return mu.Row(0), cov
 }
 
 // SampleJoint draws nSamples correlated samples from the joint posterior at
 // xs. The result is nSamples×len(xs).
 func (g *GP) SampleJoint(xs [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
-	mu, cov := g.PredictBatch(xs)
-	return SampleMVNCounted(mu, cov, nSamples, rng, g.fallbacks)
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	return g.SampleJointWith(ws, nil, xs, nSamples, rng)
 }
 
 // mvnFallbacks counts SampleMVN calls that degraded to the deterministic
@@ -328,33 +452,58 @@ func SampleMVN(mu mat.Vector, cov *mat.Matrix, nSamples int, rng *rand.Rand) [][
 // samplers run concurrently in the same process.
 func SampleMVNCounted(mu mat.Vector, cov *mat.Matrix, nSamples int, rng *rand.Rand, counter *atomic.Uint64) [][]float64 {
 	q := len(mu)
-	out := make([][]float64, nSamples)
-	c, err := mat.CholJitter(cov.Clone())
-	if err != nil {
-		mvnFallbacks.Add(1)
-		if counter != nil {
-			counter.Add(1)
-		}
-	}
-	for s := 0; s < nSamples; s++ {
-		row := make([]float64, q)
-		copy(row, mu)
-		if err == nil {
-			z := mat.NewVector(q)
-			for i := range z {
-				z[i] = rng.NormFloat64()
-			}
-			for i := 0; i < q; i++ {
-				var acc float64
-				for j := 0; j <= i; j++ {
-					acc += c.L.At(i, j) * z[j]
-				}
-				row[i] += acc
-			}
-		}
-		out[s] = row
-	}
+	l := factorCov(mat.NewMatrix(q, q), cov, 1, counter)
+	out := newRows(nSamples, q)
+	drawRows(out, mu, l, mat.NewVector(q), rng)
 	return out
+}
+
+// factorCov factorizes a posterior covariance into f with CholJitter's
+// jitter ladder and returns the factor. A covariance no jitter rescues
+// returns nil and counts draws fallbacks, process-wide and on counter (when
+// non-nil): every one of those draws then degrades to the mean.
+func factorCov(f, cov *mat.Matrix, draws int, counter *atomic.Uint64) *mat.Matrix {
+	c, err := mat.CholJitterInto(f, cov)
+	if err != nil {
+		mvnFallbacks.Add(uint64(draws))
+		if counter != nil {
+			counter.Add(uint64(draws))
+		}
+		return nil
+	}
+	return c.L
+}
+
+// newRows returns n zeroed rows of length q carved out of one allocation.
+func newRows(n, q int) [][]float64 {
+	block := make([]float64, n*q)
+	rows := make([][]float64, n)
+	for s := range rows {
+		rows[s] = block[s*q : (s+1)*q : (s+1)*q]
+	}
+	return rows
+}
+
+// drawRows sets every row to mu + L·z, with z ~ N(0, I) drawn afresh from
+// rng for each row into the scratch vector z. A nil l (a failed
+// factorization) leaves every row at mu and draws nothing from rng.
+func drawRows(rows [][]float64, mu []float64, l *mat.Matrix, z mat.Vector, rng *rand.Rand) {
+	for _, row := range rows {
+		copy(row, mu)
+		if l == nil {
+			continue
+		}
+		for i := range z {
+			z[i] = rng.NormFloat64()
+		}
+		for i := range row {
+			var acc float64
+			for j := 0; j <= i; j++ {
+				acc += l.At(i, j) * z[j]
+			}
+			row[i] += acc
+		}
+	}
 }
 
 // LogMarginalLikelihood returns log p(y | X, θ) under the current
@@ -364,11 +513,12 @@ func (g *GP) LogMarginalLikelihood() float64 {
 		panic(ErrNotFitted)
 	}
 	n := float64(len(g.x))
-	resid := g.y.Clone()
+	col := &g.cols[0]
+	resid := col.y.Clone()
 	for i := range resid {
-		resid[i] -= g.mean
+		resid[i] -= col.mean
 	}
-	return -0.5*resid.Dot(g.alpha) - 0.5*g.chol.LogDet() - 0.5*n*log2Pi
+	return -0.5*resid.Dot(col.alpha) - 0.5*g.chol.LogDet() - 0.5*n*log2Pi
 }
 
 // OptimizeHyperparams maximizes the log marginal likelihood over the

@@ -741,33 +741,9 @@ func (s *SparseGP) SampleJoint(xs [][]float64, nSamples int, rng *rand.Rand) [][
 func (s *SparseGP) SampleJointWith(ws *mat.Workspace, xs [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
 	mu, cov := s.PredictBatchWith(ws, xs)
 	q := len(mu)
-	out := make([][]float64, nSamples)
-	f := ws.Mat(q, q)
-	c, err := mat.CholJitterInto(f, cov)
-	if err != nil {
-		mvnFallbacks.Add(1)
-		if s.fallbacks != nil {
-			s.fallbacks.Add(1)
-		}
-	}
-	z := ws.Vec(q)
-	for t := 0; t < nSamples; t++ {
-		row := make([]float64, q)
-		copy(row, mu)
-		if err == nil {
-			for i := range z {
-				z[i] = rng.NormFloat64()
-			}
-			for i := 0; i < q; i++ {
-				var acc float64
-				for j := 0; j <= i; j++ {
-					acc += c.L.At(i, j) * z[j]
-				}
-				row[i] += acc
-			}
-		}
-		out[t] = row
-	}
+	l := factorCov(ws.Mat(q, q), cov, 1, s.fallbacks)
+	out := newRows(nSamples, q)
+	drawRows(out, mu, l, ws.Vec(q), rng)
 	return out
 }
 

@@ -11,11 +11,11 @@ import "math"
 //
 // The result seeds a warm-started GP for a task believed similar to the
 // donors' — install it with Kernel().SetLogParams and SetNoise before the
-// first Fit. Donors may mix exact and sparse models. ok=false when donors
-// is empty, a donor is nil, the parameter vectors disagree in length
-// (incompatible kernels), or any pooled value is non-finite; the caller
-// should fall back to its cold defaults.
-func PoolHyperparams(donors []Regressor) (logParams []float64, noiseVar float64, ok bool) {
+// first Fit. Donors may mix exact, multi-target and sparse models.
+// ok=false when donors is empty, a donor is nil, the parameter vectors
+// disagree in length (incompatible kernels), or any pooled value is
+// non-finite; the caller should fall back to its cold defaults.
+func PoolHyperparams(donors []Hyperparams) (logParams []float64, noiseVar float64, ok bool) {
 	if len(donors) == 0 || donors[0] == nil {
 		return nil, 0, false
 	}

@@ -7,10 +7,10 @@ import (
 	"repro/internal/kernel"
 )
 
-// regs adapts a slice of exact GPs to the Regressor slice PoolHyperparams
+// regs adapts a slice of exact GPs to the Hyperparams slice PoolHyperparams
 // takes, mapping nil pointers to nil interface values.
-func regs(gs ...*GP) []Regressor {
-	out := make([]Regressor, len(gs))
+func regs(gs ...*GP) []Hyperparams {
+	out := make([]Hyperparams, len(gs))
 	for i, g := range gs {
 		if g != nil {
 			out[i] = g

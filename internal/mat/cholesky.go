@@ -75,24 +75,42 @@ func cholWithJitter(a *Matrix, jitter float64) (*Cholesky, error) {
 //
 // It fails with ErrNotPositiveDefinite when the Schur complement of the new
 // point is non-positive (the extended matrix is numerically singular);
-// callers should fall back to a full CholJitter refactorization.
+// callers should fall back to a full CholJitter refactorization. A failed
+// Extend leaves the factor untouched.
+//
+// L grows in place: its rows are re-strided inside the spare capacity of
+// L.Data, which doubles whenever it runs out, so a run of extensions
+// allocates O(log n) times instead of once per point. The *Matrix header is
+// updated in place too, so every holder of c.L sees the grown factor — a
+// shallow copy of a Cholesky aliases the original and must not be extended
+// independently.
 func (c *Cholesky) Extend(col Vector, diag float64) error {
 	n := c.L.Rows
 	if len(col) != n {
 		panic(fmt.Sprintf("mat: Cholesky Extend dims %d vs %d", n, len(col)))
 	}
-	v := ForwardSolve(c.L, col)
+	m := n + 1
+	old := c.L.Data
+	data := old
+	if cap(data) < m*m {
+		data = make([]float64, m*m, max(2*cap(data), m*m))
+	}
+	data = data[:m*m]
+	// The new row lies beyond the current factor's n² elements, so solving
+	// into it leaves the factor intact should the pivot be rejected.
+	v := ForwardSolveTo(Vector(data[n*m:n*m+n]), c.L, col)
 	d := diag + c.Jitter - v.Dot(v)
 	if d <= 0 || math.IsNaN(d) {
 		return ErrNotPositiveDefinite
 	}
-	l := NewMatrix(n+1, n+1)
-	for i := 0; i < n; i++ {
-		copy(l.Data[i*(n+1):i*(n+1)+i+1], c.L.Data[i*n:i*n+i+1])
+	// Last row first: row i moves from offset i·n to i·m ≥ i·n, past every
+	// row not yet moved, and its upper triangle is cleared of stale values.
+	for i := n - 1; i >= 0; i-- {
+		copy(data[i*m:i*m+i+1], old[i*n:i*n+i+1])
+		clear(data[i*m+i+1 : (i+1)*m])
 	}
-	copy(l.Data[n*(n+1):n*(n+1)+n], v)
-	l.Set(n, n, math.Sqrt(d))
-	c.L = l
+	data[n*m+n] = math.Sqrt(d)
+	c.L.Rows, c.L.Cols, c.L.Data = m, m, data
 	return nil
 }
 

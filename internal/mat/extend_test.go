@@ -112,6 +112,94 @@ func FuzzCholeskyExtendVsRefactor(f *testing.F) {
 	})
 }
 
+// extendByCopy is the reference extension Extend replaced: a fresh zeroed
+// (n+1)² factor with the old rows copied in. In-place growth must produce
+// the same factor bit for bit.
+func extendByCopy(l *Matrix, col Vector, diag, jitter float64) (*Matrix, bool) {
+	n := l.Rows
+	v := ForwardSolve(l, col)
+	d := diag + jitter - v.Dot(v)
+	if d <= 0 || math.IsNaN(d) {
+		return nil, false
+	}
+	out := NewMatrix(n+1, n+1)
+	for i := 0; i < n; i++ {
+		copy(out.Data[i*(n+1):i*(n+1)+i+1], l.Data[i*n:i*n+i+1])
+	}
+	copy(out.Data[n*(n+1):n*(n+1)+n], v)
+	out.Set(n, n, math.Sqrt(d))
+	return out, true
+}
+
+// TestCholeskyExtendInPlaceMatchesCopy grows one factor point by point
+// through Extend and through the copying reference, comparing every element
+// with ==: re-striding inside spare capacity must not change a float, must
+// clear the stale upper triangle, and must reallocate only when the
+// capacity doubles. A rejected extension in the middle of the run — with
+// the new row already solved into spare capacity — must leave the factor
+// exactly as it was.
+func TestCholeskyExtendInPlaceMatchesCopy(t *testing.T) {
+	const start, end = 3, 40
+	rng := rand.New(rand.NewPCG(8, 13))
+	a := randSPD(rng, end)
+	sub := NewMatrix(start, start)
+	for i := 0; i < start; i++ {
+		copy(sub.Row(i), a.Row(i)[:start])
+	}
+	c, err := Chol(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := c.L.Clone()
+	header := c.L
+	reallocs := 0
+	for n := start; n < end; n++ {
+		col := NewVector(n)
+		for i := range col {
+			col[i] = a.At(i, n)
+		}
+		if n == 20 {
+			// d = 0 − ‖L⁻¹col‖² < 0: rejected after solving into spare room.
+			before := append([]float64(nil), c.L.Data...)
+			if err := c.Extend(col, -1); !errors.Is(err, ErrNotPositiveDefinite) {
+				t.Fatalf("n=%d: expected ErrNotPositiveDefinite, got %v", n, err)
+			}
+			if c.L.Rows != n || len(c.L.Data) != n*n {
+				t.Fatalf("n=%d: failed extension resized the factor to %dx%d", n, c.L.Rows, c.L.Cols)
+			}
+			for i, v := range c.L.Data {
+				if v != before[i] {
+					t.Fatalf("n=%d: failed extension changed L.Data[%d]", n, i)
+				}
+			}
+		}
+		first := &c.L.Data[0]
+		if err := c.Extend(col, a.At(n, n)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if &c.L.Data[0] != first {
+			reallocs++
+		}
+		var ok bool
+		if ref, ok = extendByCopy(ref, col, a.At(n, n), c.Jitter); !ok {
+			t.Fatalf("n=%d: reference rejected the extension", n)
+		}
+		if c.L != header {
+			t.Fatalf("n=%d: Extend replaced the *Matrix header", n)
+		}
+		for i, v := range ref.Data {
+			if c.L.Data[i] != v {
+				t.Fatalf("n=%d: L.Data[%d] = %v, reference %v", n+1, i, c.L.Data[i], v)
+			}
+		}
+	}
+	// Capacity doubles from 9: 18, 36, 72, 144, 288, 576, 1152, 2304 hold
+	// every size up to 40² = 1600.
+	if reallocs > 8 {
+		t.Fatalf("%d reallocations over %d extensions, want capacity doubling", reallocs, end-start)
+	}
+}
+
 func absiE(x int) int {
 	if x < 0 {
 		return -x

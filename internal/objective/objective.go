@@ -19,11 +19,11 @@ type Objective int
 
 // The five objectives.
 const (
-	Latency Objective = iota // mean end-to-end latency (s), lower is better
-	Accuracy                 // mean mAP, higher is better
-	Network                  // total uplink bandwidth (bits/s), lower is better
-	Compute                  // total computing power (TFLOPS), lower is better
-	Energy                   // total power (W), lower is better
+	Latency  Objective = iota // mean end-to-end latency (s), lower is better
+	Accuracy                  // mean mAP, higher is better
+	Network                   // total uplink bandwidth (bits/s), lower is better
+	Compute                   // total computing power (TFLOPS), lower is better
+	Energy                    // total power (W), lower is better
 )
 
 // K is the number of objectives.

@@ -119,8 +119,8 @@ func TestDominates(t *testing.T) {
 
 func TestParetoFront(t *testing.T) {
 	pts := []Vector{
-		{0.1, 0.9, 0.1, 0.1, 0.1}, // non-dominated
-		{0.2, 0.8, 0.2, 0.2, 0.2}, // dominated by 0
+		{0.1, 0.9, 0.1, 0.1, 0.1},  // non-dominated
+		{0.2, 0.8, 0.2, 0.2, 0.2},  // dominated by 0
 		{0.05, 0.5, 0.1, 0.1, 0.1}, // non-dominated (faster)
 	}
 	front := ParetoFront(pts)

@@ -72,7 +72,7 @@ func (b *Bank) donors(clip *videosim.Clip, k int) []*clipModels {
 	}
 	cands := make([]cand, 0, len(b.entries))
 	for name, e := range b.entries {
-		if name == clip.Name || len(e.models.m[mAcc].xs) == 0 {
+		if name == clip.Name || len(e.models.xs) == 0 {
 			continue
 		}
 		cands = append(cands, cand{name: name, d: clip.FactorDistance(e.clip), e: e})

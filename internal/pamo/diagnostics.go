@@ -36,20 +36,38 @@ func (s *Scheduler) SamplingFallbacks() uint64 {
 func (s *Scheduler) Diagnostics() ([]MetricDiag, error) {
 	var out []MetricDiag
 	for ci, cm := range s.clips {
-		for mi, mg := range cm.m {
-			if mg.g.N() == 0 {
+		for mi := metric(0); mi < numMetrics; mi++ {
+			d, ok := cm.looDiag(mi)
+			if !ok {
 				return nil, fmt.Errorf("pamo: diagnostics before profiling (clip %d)", ci)
 			}
-			mu, _ := mg.g.LeaveOneOut()
-			obs := mg.g.Y()
-			out = append(out, MetricDiag{
-				Clip:   s.sys.Clips[ci].Name,
-				Metric: metricNames[mi],
-				N:      mg.g.N(),
-				R2:     stats.R2(obs, mu),
-				LogLik: mg.g.LOOLogLikelihood(),
-			})
+			d.Clip, d.Metric = s.sys.Clips[ci].Name, metricNames[mi]
+			out = append(out, d)
 		}
 	}
 	return out, nil
+}
+
+// looDiag computes metric mi's leave-one-out fit quality; ok=false before
+// the model is conditioned.
+func (c *clipModels) looDiag(mi metric) (d MetricDiag, ok bool) {
+	var mu, y []float64
+	if c.exact != nil {
+		if d.N = c.exact.N(); d.N == 0 {
+			return d, false
+		}
+		mu, _ = c.exact.LeaveOneOut(int(mi))
+		y = c.exact.Y(int(mi))
+		d.LogLik = c.exact.LOOLogLikelihood(int(mi))
+	} else {
+		sp := c.sp[mi]
+		if d.N = sp.N(); d.N == 0 {
+			return d, false
+		}
+		mu, _ = sp.LeaveOneOut()
+		y = sp.Y()
+		d.LogLik = sp.LOOLogLikelihood()
+	}
+	d.R2 = stats.R2(y, mu)
+	return d, true
 }

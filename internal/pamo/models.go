@@ -52,7 +52,7 @@ func encodeCfg(c videosim.Config) []float64 {
 }
 
 // modelSpec selects the outcome-model family and telemetry sinks for new
-// metric GPs. The zero value is the exact GP with no telemetry — the
+// clip models. The zero value is the exact GP with no telemetry — the
 // configuration every golden run pins.
 type modelSpec struct {
 	sparse    bool
@@ -64,40 +64,48 @@ type modelSpec struct {
 	gpForget   *obs.Counter
 }
 
-// metricGP is a GP over the encoded configuration space with target
-// standardization, so kernel variance ≈ 1 regardless of the metric's
-// physical scale. The underlying regressor is either the exact GP (the
-// default; golden-pinned) or the inducing-point SparseGP, chosen by
-// modelSpec at construction.
-type metricGP struct {
-	g     gp.Regressor
-	exact *gp.GP         // non-nil iff g is the exact model
-	sp    *gp.SparseGP   // non-nil iff g is the sparse model
-	cache *gp.CrossCache // exact only: memoized k(x, X) for pool scoring
+// clipModels holds the outcome models of one video source over the encoded
+// configuration space. The profiler measures all five metrics at the same
+// configurations, so they share one set of inputs; targets are standardized
+// per metric (scale), so the kernel variance ≈ 1 regardless of a metric's
+// physical scale.
+//
+// The exact family (the default; golden-pinned) conditions the five metrics
+// as the target columns of one gp.Multi: one Cholesky factor, one
+// cross-covariance cache and one posterior covariance per query set serve
+// them all. The sparse family keeps one SparseGP per metric, because its
+// MaxObs forgetting depends on the targets, so the retained inputs diverge.
+// Both families hold identical hyperparameters for every metric: nothing
+// tunes them per metric.
+type clipModels struct {
+	exact *gp.Multi                // exact family: one column per metric
+	cache *gp.CrossCache           // exact only: memoized k(x, X) for pool scoring
+	sp    [numMetrics]*gp.SparseGP // sparse family: one model per metric
 	spec  modelSpec
-	// fed counts how many of allData's points have been conditioned into g.
-	// The exact model's N() equals fed, but the sparse model's N() shrinks
-	// under the MaxObs forgetting budget, so the refit prefix bookkeeping
-	// must not read it back from the regressor.
+	// fed counts how many of allData's points have been conditioned into
+	// the models. The exact model's N() equals fed, but a sparse model's N()
+	// shrinks under the MaxObs forgetting budget, so the refit prefix
+	// bookkeeping must not read it back from a regressor.
 	fed       int
-	lastStats gp.SparseStats // last synced lifecycle counters (sparse only)
-	scale     float64
+	lastStats [numMetrics]gp.SparseStats // last synced lifecycle counters
+	scale     [numMetrics]float64
 	xs        [][]float64
-	ys        []float64
+	ys        [numMetrics][]float64
 	// vxs/vys are virtual observations borrowed from a warm-start donor
-	// (see warmFrom). They condition the GP ahead of the model's own
+	// (see warmFrom). They condition the models ahead of the clip's own
 	// measurements but are down-weighted: while any virtual point remains,
-	// the GP runs at inflate× the pooled observation noise, so real
-	// measurements overrule them locally as they arrive. Once the model has
+	// the models run at inflate× the pooled observation noise, so real
+	// measurements overrule them locally as they arrive. Once the clip has
 	// twice as many real points as virtual ones, the virtual set retires and
 	// the noise floor returns to baseNoise.
 	vxs       [][]float64
-	vys       []float64
+	vys       [numMetrics][]float64
 	baseNoise float64
 	inflate   float64 // > 0 only while the warm-start lifecycle is active
 	forceFull bool    // next refit must refactorize (dataset shape or noise changed)
-	// cholInc/cholFull count which refit path conditioned the GP:
-	// incremental Cholesky extensions vs full refactorizations. Nil (the
+	// cholInc/cholFull count which refit path conditioned the models:
+	// incremental Cholesky extensions vs full refactorizations — per clip
+	// for the exact family, per metric model for the sparse one. Nil (the
 	// untelemetered default) is a no-op.
 	cholInc  *obs.Counter
 	cholFull *obs.Counter
@@ -106,268 +114,370 @@ type metricGP struct {
 	chk *check.Checker
 }
 
-// newMetricGP builds one outcome GP of the family spec selects. mvn, when
-// non-nil, receives this model's posterior-sampling fallbacks so the owning
-// scheduler can attribute them to itself (see gp.SetFallbackCounter).
-func newMetricGP(spec modelSpec, mvn *atomic.Uint64, cholInc, cholFull *obs.Counter, chk *check.Checker) *metricGP {
+// outcomeKernel is the kernel every outcome model starts from.
+func outcomeKernel() kernel.Kernel {
 	k := kernel.NewMatern52(3)
 	p := k.LogParams()
 	p[1], p[2], p[3] = math.Log(0.4), math.Log(0.4), math.Log(0.5)
 	k.SetLogParams(p)
-	m := &metricGP{spec: spec, scale: 1, baseNoise: 1e-3, cholInc: cholInc, cholFull: cholFull, chk: chk}
+	return k
+}
+
+// newClipModels builds one clip's outcome models of the family spec
+// selects. mvn, when non-nil, receives their posterior-sampling fallbacks
+// so the owning scheduler can attribute them to itself (see
+// gp.Multi.SetFallbackCounter).
+func newClipModels(spec modelSpec, mvn *atomic.Uint64, cholInc, cholFull *obs.Counter, chk *check.Checker) *clipModels {
+	c := &clipModels{spec: spec, baseNoise: 1e-3, cholInc: cholInc, cholFull: cholFull, chk: chk}
+	for mi := range c.scale {
+		c.scale[mi] = 1
+	}
 	if spec.sparse {
-		m.sp = gp.NewSparse(k, 1e-3, spec.sparseOpt)
-		m.g = m.sp
+		for mi := range c.sp {
+			c.sp[mi] = gp.NewSparse(outcomeKernel(), 1e-3, spec.sparseOpt)
+		}
 	} else {
-		m.exact = gp.New(k, 1e-3)
-		m.cache = m.exact.NewCrossCache()
-		m.g = m.exact
+		c.exact = gp.NewMulti(outcomeKernel(), 1e-3, int(numMetrics))
+		c.cache = c.exact.NewCrossCache()
 	}
-	if mvn != nil {
-		m.g.SetFallbackCounter(mvn)
-	}
-	return m
+	c.setFallbackCounter(mvn)
+	return c
 }
 
-// add appends one observation.
-func (m *metricGP) add(x []float64, y float64) {
-	m.xs = append(m.xs, x)
-	m.ys = append(m.ys, y)
+// model is what the clip-level lifecycle reads and sets on either family's
+// models.
+type model interface {
+	gp.Hyperparams
+	SetNoise(v float64)
+	SetFallbackCounter(c *atomic.Uint64)
 }
 
-// warmFrom seeds an unconditioned model from the models of similar clips:
-// the kernel hyperparameters become the donors' pooled values
-// (gp.PoolHyperparams — element-wise mean in log space), and up to keep
-// observations of the first donor (the most similar clip) are injected as
-// virtual points. Down-weighting is by noise inflation: the model runs at
-// inflate× the pooled noise variance until the virtual set retires, so the
-// borrowed targets shape the prior mean without being trusted like real
-// measurements. Reports false — leaving the model cold — when it already
-// holds data or the donors' hyperparameters cannot be pooled.
-func (m *metricGP) warmFrom(donors []*metricGP, keep int, inflate float64) bool {
-	if len(m.xs) > 0 || m.g.N() > 0 {
+// models returns the clip's one exact model or its five sparse ones.
+func (c *clipModels) models() []model {
+	if c.exact != nil {
+		return []model{c.exact}
+	}
+	out := make([]model, len(c.sp))
+	for mi, sp := range c.sp {
+		out[mi] = sp
+	}
+	return out
+}
+
+// setFallbackCounter points every model's sampling-fallback counter at mvn.
+func (c *clipModels) setFallbackCounter(mvn *atomic.Uint64) {
+	for _, m := range c.models() {
+		m.SetFallbackCounter(mvn)
+	}
+}
+
+// hyper returns the clip's hyperparameters. Every sparse metric model holds
+// the same ones, so the first speaks for all.
+func (c *clipModels) hyper() gp.Hyperparams { return c.models()[0] }
+
+// setHyper installs the kernel log-parameters lp (nil keeps the current
+// ones) and the noise variance on every model.
+func (c *clipModels) setHyper(lp []float64, noise float64) {
+	for _, m := range c.models() {
+		if lp != nil {
+			m.Kernel().SetLogParams(lp)
+		}
+		m.SetNoise(noise)
+	}
+}
+
+// addMeasurement records one profiling measurement at cfg.
+func (c *clipModels) addMeasurement(cfg videosim.Config, o videosim.Measurement) {
+	c.xs = append(c.xs, encodeCfg(cfg))
+	for mi, y := range [numMetrics]float64{mAcc: o.Acc, mProc: o.ProcTime, mBits: o.Bits, mComp: o.Compute, mPow: o.Power} {
+		c.ys[mi] = append(c.ys[mi], y)
+	}
+}
+
+// warmFrom seeds unconditioned models from the models of similar clips
+// (donors[0] most similar first): the kernel hyperparameters become the
+// donors' pooled values (gp.PoolHyperparams — element-wise mean in log
+// space), and up to keep observations of the first donor (the most similar
+// clip) are injected as virtual points. Down-weighting is by noise
+// inflation: the models run at inflate× the pooled noise variance until the
+// virtual set retires, so the borrowed targets shape the prior mean without
+// being trusted like real measurements. Reports false — leaving the models
+// cold — when they already hold data or the donors' hyperparameters cannot
+// be pooled.
+func (c *clipModels) warmFrom(donors []*clipModels, keep int, inflate float64) bool {
+	if len(c.xs) > 0 || c.fed > 0 {
 		return false
 	}
-	gs := make([]gp.Regressor, 0, len(donors))
+	hs := make([]gp.Hyperparams, 0, len(donors))
+	var first *clipModels
 	for _, d := range donors {
 		if d != nil {
-			gs = append(gs, d.g)
+			if first == nil {
+				first = d
+			}
+			hs = append(hs, d.hyper())
 		}
 	}
-	lp, noise, ok := gp.PoolHyperparams(gs)
+	lp, noise, ok := gp.PoolHyperparams(hs)
 	if !ok {
 		return false
 	}
-	m.g.Kernel().SetLogParams(lp)
-	m.baseNoise = noise
-	if inflate < 1 {
-		inflate = 1
-	}
-	m.inflate = inflate
-	m.g.SetNoise(noise * inflate)
+	c.baseNoise = noise
+	c.inflate = max(inflate, 1)
+	c.setHyper(lp, noise*c.inflate)
 	// Evenly spaced subsample of the most similar donor's raw dataset, so
 	// the virtual points span its covered input region deterministically.
-	if d := donors[0]; keep > 0 && d != nil && len(d.xs) > 0 {
-		if keep > len(d.xs) {
-			keep = len(d.xs)
-		}
+	if d := first; keep > 0 && len(d.xs) > 0 {
+		keep = min(keep, len(d.xs))
 		for k := 0; k < keep; k++ {
 			i := k * len(d.xs) / keep
-			m.vxs = append(m.vxs, append([]float64(nil), d.xs[i]...))
-			m.vys = append(m.vys, d.ys[i])
+			c.vxs = append(c.vxs, append([]float64(nil), d.xs[i]...))
+			for mi := range c.vys {
+				c.vys[mi] = append(c.vys[mi], d.ys[mi][i])
+			}
 		}
 	}
-	m.forceFull = true
+	c.forceFull = true
 	return true
 }
 
 // maybeRetire drops the virtual donor points once real measurements
 // outnumber them 2:1, restoring the base noise floor. The next refit pays
 // one full refactorization for the dataset change.
-func (m *metricGP) maybeRetire() {
-	if len(m.vxs) == 0 || len(m.xs) < 2*len(m.vxs) {
+func (c *clipModels) maybeRetire() {
+	if len(c.vxs) == 0 || len(c.xs) < 2*len(c.vxs) {
 		return
 	}
-	m.vxs, m.vys = nil, nil
-	m.g.SetNoise(m.baseNoise)
-	m.inflate = 0
-	m.forceFull = true
+	c.vxs, c.vys = nil, [numMetrics][]float64{}
+	c.setHyper(nil, c.baseNoise)
+	c.inflate = 0
+	c.forceFull = true
 }
 
 // allData returns the conditioning dataset: virtual donor points first
 // (a stable prefix, so the incremental-Cholesky path keeps working as real
-// measurements append behind them), then the model's own measurements.
-func (m *metricGP) allData() ([][]float64, []float64) {
-	if len(m.vxs) == 0 {
-		return m.xs, m.ys
+// measurements append behind them), then the clip's own measurements.
+func (c *clipModels) allData() ([][]float64, [numMetrics][]float64) {
+	if len(c.vxs) == 0 {
+		return c.xs, c.ys
 	}
-	xs := make([][]float64, 0, len(m.vxs)+len(m.xs))
-	ys := make([]float64, 0, len(m.vys)+len(m.ys))
-	xs = append(append(xs, m.vxs...), m.xs...)
-	ys = append(append(ys, m.vys...), m.ys...)
+	xs := append(append(make([][]float64, 0, len(c.vxs)+len(c.xs)), c.vxs...), c.xs...)
+	var ys [numMetrics][]float64
+	for mi := range ys {
+		ys[mi] = append(append(make([]float64, 0, len(xs)), c.vys[mi]...), c.ys[mi]...)
+	}
 	return xs, ys
 }
 
-// refit standardizes the targets and re-conditions the GP. A GP that is
-// already conditioned on a prefix of the data — the shape of every
-// per-observation refit, since metricGP only ever appends measurements — is
+// refit standardizes the targets and re-conditions the models. Models that
+// are already conditioned on a prefix of the data — the shape of every
+// per-observation refit, since a clip only ever appends measurements — are
 // extended through the incremental fast path (O(n²) per new point for the
-// exact model, O(nm + m²) for the sparse one) and then handed the rescaled
-// targets. Only the first fit and hyperparameter changes pay the full
-// refactorization.
-func (m *metricGP) refit() error {
-	err := m.refitData()
-	m.syncStats()
+// exact model, O(nm + m²) per metric for the sparse one) and then handed the
+// rescaled targets. Only the first fit and hyperparameter changes pay the
+// full refactorization.
+func (c *clipModels) refit() error {
+	err := c.refitData()
+	c.syncStats()
 	return err
 }
 
-func (m *metricGP) refitData() error {
-	m.maybeRetire()
-	xs, ys := m.allData()
+func (c *clipModels) refitData() error {
+	c.maybeRetire()
+	xs, ys := c.allData()
 	if len(xs) == 0 {
 		return fmt.Errorf("pamo: refit with no data")
 	}
-	prevScale := m.scale
-	sd := std(ys)
-	if sd < 1e-12 {
-		sd = math.Abs(mean(ys))
+	var scaled [numMetrics][]float64
+	var rescale [numMetrics]float64
+	for mi, y := range ys {
+		sd := std(y)
 		if sd < 1e-12 {
-			sd = 1
-		}
-	}
-	m.scale = sd
-	scaled := make([]float64, len(ys))
-	for i, y := range ys {
-		scaled[i] = y / sd
-	}
-	if m.sp != nil {
-		return m.refitSparse(xs, scaled, prevScale/sd)
-	}
-	if n := m.g.N(); !m.forceFull && n > 0 && n <= len(xs) {
-		first := n
-		for i := n; i < len(xs); i++ {
-			if err := m.g.AddObservation(xs[i], scaled[i]); err != nil {
-				m.cholFull.Inc()
-				m.fed = len(xs)
-				return m.g.Fit(xs, scaled)
+			sd = math.Abs(mean(y))
+			if sd < 1e-12 {
+				sd = 1
 			}
-			m.cholInc.Inc()
 		}
-		m.fed = len(xs)
-		if err := m.g.SetTargets(scaled); err != nil {
-			return err
+		rescale[mi] = c.scale[mi] / sd
+		c.scale[mi] = sd
+		scaled[mi] = make([]float64, len(y))
+		for i, v := range y {
+			scaled[mi][i] = v / sd
 		}
-		return m.verifyPosterior(xs, first)
 	}
-	m.cholFull.Inc()
-	m.forceFull = false
-	m.fed = len(xs)
-	return m.g.Fit(xs, scaled)
-}
-
-// refitSparse conditions the sparse model on the suffix of points it has not
-// seen. The standardization scale moves with every new measurement, and the
-// sparse model may have forgotten observations — so instead of the exact
-// path's full-vector SetTargets, the retained targets are rescaled in place
-// (ScaleTargets, O(m²)) and only the new points are fed. The fed counter,
-// not the model's shrinking N(), tracks the consumed prefix.
-func (m *metricGP) refitSparse(xs [][]float64, scaled []float64, rescale float64) error {
-	if n := m.fed; !m.forceFull && n > 0 && n <= len(xs) && m.sp.N() > 0 {
-		first := n
-		if err := m.sp.ScaleTargets(rescale); err != nil {
-			return err
+	if c.exact == nil {
+		return c.refitSparse(xs, scaled, rescale)
+	}
+	if n := c.exact.N(); !c.forceFull && n > 0 && n <= len(xs) {
+		refactored, err := c.exact.Append(xs[n:], scaled[:])
+		c.fed = len(xs)
+		if err != nil {
+			c.cholFull.Inc()
+			return c.exact.Fit(xs, scaled[:])
 		}
-		for i := n; i < len(xs); i++ {
-			if err := m.sp.AddObservation(xs[i], scaled[i]); err != nil {
+		c.cholInc.Add(uint64(len(xs) - n - refactored))
+		c.cholFull.Add(uint64(refactored))
+		if c.chk == nil || n == len(xs) {
+			return nil
+		}
+		mu, cov := c.exact.PredictBatch(xs[n:])
+		for mi := range numMetrics {
+			if err := c.verifyPosterior(mu.Row(int(mi)), cov); err != nil {
 				return err
 			}
-			m.cholInc.Inc()
 		}
-		m.fed = len(xs)
-		return m.verifyPosterior(xs, first)
+		return nil
 	}
-	m.cholFull.Inc()
-	m.forceFull = false
-	m.fed = len(xs)
-	return m.sp.Fit(xs, scaled)
+	c.cholFull.Inc()
+	c.forceFull = false
+	c.fed = len(xs)
+	return c.exact.Fit(xs, scaled[:])
 }
 
-// syncStats forwards the regressor's lifecycle deltas into the owning
+// refitSparse conditions each metric's sparse model on the suffix of points
+// it has not seen. The standardization scale moves with every new
+// measurement, and a sparse model may have forgotten observations — so
+// instead of the exact path's full-column targets, the retained targets are
+// rescaled in place (ScaleTargets, O(m²)) and only the new points are fed.
+// The fed counter, not a model's shrinking N(), tracks the consumed prefix.
+func (c *clipModels) refitSparse(xs [][]float64, scaled [numMetrics][]float64, rescale [numMetrics]float64) error {
+	n := c.fed
+	c.fed = len(xs)
+	if c.forceFull || n == 0 || n > len(xs) || c.sp[0].N() == 0 {
+		c.forceFull = false
+		for mi, sp := range c.sp {
+			c.cholFull.Inc()
+			if err := sp.Fit(xs, scaled[mi]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for mi, sp := range c.sp {
+		if err := sp.ScaleTargets(rescale[mi]); err != nil {
+			return err
+		}
+		for i := n; i < len(xs); i++ {
+			if err := sp.AddObservation(xs[i], scaled[mi][i]); err != nil {
+				return err
+			}
+			c.cholInc.Inc()
+		}
+		if c.chk != nil && n < len(xs) {
+			if err := c.verifyPosterior(sp.PredictBatch(xs[n:])); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// syncStats forwards the models' lifecycle deltas into the owning
 // scheduler's counters: conditioned-observation counts for both model
-// families, inducing/forget events for the sparse one. Nil counter handles
-// (no recorder) make this free.
-func (m *metricGP) syncStats() {
-	if m.sp == nil {
-		if f := uint64(m.fed); f > m.lastStats.Obs {
-			m.spec.gpObs.Add(f - m.lastStats.Obs)
-			m.lastStats.Obs = f
+// families — per metric model, so the exact model's five columns count five
+// times — and inducing/forget events for the sparse one. Nil counter
+// handles (no recorder) make this free.
+func (c *clipModels) syncStats() {
+	if c.exact != nil {
+		if f := uint64(c.fed); f > c.lastStats[0].Obs {
+			c.spec.gpObs.Add(uint64(numMetrics) * (f - c.lastStats[0].Obs))
+			c.lastStats[0].Obs = f
 		}
 		return
 	}
-	st := m.sp.Stats()
-	m.spec.gpObs.Add(st.Obs - m.lastStats.Obs)
-	m.spec.gpInducing.Add(st.InducingAdds - m.lastStats.InducingAdds)
-	m.spec.gpForget.Add(st.Forgets - m.lastStats.Forgets)
-	m.lastStats = st
+	for mi, sp := range c.sp {
+		st := sp.Stats()
+		last := c.lastStats[mi]
+		c.spec.gpObs.Add(st.Obs - last.Obs)
+		c.spec.gpInducing.Add(st.InducingAdds - last.InducingAdds)
+		c.spec.gpForget.Add(st.Forgets - last.Forgets)
+		c.lastStats[mi] = st
+	}
 }
 
-// verifyPosterior guards the incremental-Cholesky fast path: after
-// Cholesky.Extend the posterior at the newly added inputs must have finite
-// means and a positive semi-definite covariance, so a corrupted factor
-// surfaces here immediately instead of as silently wrong acquisitions.
-// No-op without a checker (the common untelemetered configuration pays
+// verifyPosterior guards the incremental fast path: after an extension the
+// posterior of one metric at the newly added inputs must have finite means
+// and a positive semi-definite covariance, so a corrupted factor surfaces
+// here immediately instead of as silently wrong acquisitions. Callers skip
+// it without a checker (the common untelemetered configuration pays
 // nothing).
-func (m *metricGP) verifyPosterior(xs [][]float64, from int) error {
-	if m.chk == nil || from >= len(xs) {
-		return nil
-	}
-	mu, cov := m.g.PredictBatch(xs[from:])
-	if err := m.chk.Finite("gp_posterior_mean", mu...); err != nil {
+func (c *clipModels) verifyPosterior(mu []float64, cov *mat.Matrix) error {
+	if err := c.chk.Finite("gp_posterior_mean", mu...); err != nil {
 		return err
 	}
-	return m.chk.PSDCov("gp_posterior_cov", cov)
+	return c.chk.PSDCov("gp_posterior_cov", cov)
 }
 
-// mean returns the posterior mean at config c in physical units. It uses
-// the variance-free prediction path: candidate planning calls this for
-// every clip of every pool candidate, and the variance solve of a full
-// Predict is pure waste there. Exact models route through the memoized
-// cross-covariance cache (O(n) amortized); sparse models read the O(m)
-// inducing representation directly.
-func (m *metricGP) mean(c videosim.Config) float64 {
-	if m.sp != nil {
-		return m.sp.PredictMean(encodeCfg(c)) * m.scale
+// means returns every metric's posterior mean at config c in physical
+// units. It uses the variance-free prediction path: candidate planning calls
+// this for every clip of every pool candidate, and the variance solve of a
+// full Predict is pure waste there. The exact model routes through the
+// memoized cross-covariance cache (O(n) amortized, one lookup for all five
+// metrics); sparse models read the O(m) inducing representation directly.
+func (c *clipModels) means(cfg videosim.Config) [numMetrics]float64 {
+	x := encodeCfg(cfg)
+	var mu [numMetrics]float64
+	if c.exact != nil {
+		c.cache.PredictMean(x, mu[:])
+	} else {
+		for mi, sp := range c.sp {
+			mu[mi] = sp.PredictMean(x)
+		}
 	}
-	return m.cache.PredictMean(encodeCfg(c)) * m.scale
+	for mi := range mu {
+		mu[mi] *= c.scale[mi]
+	}
+	return mu
 }
 
-// meanVar returns the posterior mean and variance at config c in physical
-// units. The draw-reuse probe calls this for every universe point: unlike
-// mean it pays for the variance solve, because detecting posterior movement
-// needs the second moment too.
-func (m *metricGP) meanVar(c videosim.Config) (float64, float64) {
-	mu, v := m.g.Predict(encodeCfg(c))
-	return mu * m.scale, v * m.scale * m.scale
+// meanVar returns every metric's posterior mean and variance at config c in
+// physical units. The draw-reuse probe calls this for every universe point:
+// unlike means it pays for the variance solve, because detecting posterior
+// movement needs the second moment too.
+func (c *clipModels) meanVar(cfg videosim.Config) (mu, v [numMetrics]float64) {
+	x := encodeCfg(cfg)
+	if c.exact != nil {
+		shared := c.exact.Predict(x, mu[:])
+		for mi := range v {
+			v[mi] = shared
+		}
+	} else {
+		for mi, sp := range c.sp {
+			mu[mi], v[mi] = sp.Predict(x)
+		}
+	}
+	for mi, s := range c.scale {
+		mu[mi] *= s
+		v[mi] = v[mi] * s * s
+	}
+	return mu, v
 }
 
-// sampleJoint draws joint posterior samples (physical units) at the given
-// configs: result[sample][point].
-func (m *metricGP) sampleJoint(cfgs []videosim.Config, n int, rng *rand.Rand) [][]float64 {
+// sampleJoint draws n joint posterior samples (physical units) of every
+// metric at the given configs: result[metric][sample][point]. Metric mi
+// draws from rngs[mi]. The exact model builds the posterior covariance and
+// its factor once for all five metrics.
+func (c *clipModels) sampleJoint(cfgs []videosim.Config, n int, rngs [numMetrics]*rand.Rand) [numMetrics][][]float64 {
 	pts := make([][]float64, len(cfgs))
-	for i, c := range cfgs {
-		pts[i] = encodeCfg(c)
+	for i, cfg := range cfgs {
+		pts[i] = encodeCfg(cfg)
 	}
 	ws := mat.GetWorkspace()
-	var out [][]float64
-	if m.sp != nil {
-		out = m.sp.SampleJointWith(ws, pts, n, rng)
+	var out [numMetrics][][]float64
+	if c.exact != nil {
+		copy(out[:], c.exact.SampleJointWith(ws, c.cache, pts, n, rngs[:]))
 	} else {
-		out = m.exact.SampleJointWith(ws, m.cache, pts, n, rng)
+		for mi, sp := range c.sp {
+			ws.Reset()
+			out[mi] = sp.SampleJointWith(ws, pts, n, rngs[mi])
+		}
 	}
 	mat.PutWorkspace(ws)
-	for _, row := range out {
-		for i := range row {
-			row[i] *= m.scale
+	for mi, rows := range out {
+		for _, row := range rows {
+			for i := range row {
+				row[i] *= c.scale[mi]
+			}
 		}
 	}
 	return out
@@ -391,51 +501,6 @@ func std(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// clipModels bundles the five metric GPs of one video source.
-type clipModels struct {
-	m [numMetrics]*metricGP
-}
-
-func newClipModels(spec modelSpec, mvn *atomic.Uint64, cholInc, cholFull *obs.Counter, chk *check.Checker) *clipModels {
-	var c clipModels
-	for i := range c.m {
-		c.m[i] = newMetricGP(spec, mvn, cholInc, cholFull, chk)
-	}
-	return &c
-}
-
-// addMeasurement records one profiling measurement at cfg.
-func (c *clipModels) addMeasurement(cfg videosim.Config, obs videosim.Measurement) {
-	x := encodeCfg(cfg)
-	c.m[mAcc].add(x, obs.Acc)
-	c.m[mProc].add(x, obs.ProcTime)
-	c.m[mBits].add(x, obs.Bits)
-	c.m[mComp].add(x, obs.Compute)
-	c.m[mPow].add(x, obs.Power)
-}
-
-// warmFrom warm-starts every metric model from the corresponding models of
-// the donor clips (donors[0] most similar first). Reports whether every
-// metric pooled successfully; on a false return the models are a mix of
-// warm and cold, which is safe — each metricGP either pooled or kept its
-// defaults.
-func (c *clipModels) warmFrom(donors []*clipModels, keep int, inflate float64) bool {
-	all := true
-	buf := make([]*metricGP, 0, len(donors))
-	for i := range c.m {
-		buf = buf[:0]
-		for _, d := range donors {
-			if d != nil {
-				buf = append(buf, d.m[i])
-			}
-		}
-		if !c.m[i].warmFrom(buf, keep, inflate) {
-			all = false
-		}
-	}
-	return all
-}
-
 // rebind re-points a bank-persisted model set at the owning scheduler's
 // telemetry: fallback counter, Cholesky-path counters, GP lifecycle
 // counters, and checker. Without it a reused model would keep attributing
@@ -443,11 +508,9 @@ func (c *clipModels) warmFrom(donors []*clipModels, keep int, inflate float64) b
 // the persisted state and is deliberately left alone — a banked exact model
 // stays exact even under a sparse-configured scheduler.
 func (c *clipModels) rebind(spec modelSpec, mvn *atomic.Uint64, cholInc, cholFull *obs.Counter, chk *check.Checker) {
-	for _, m := range c.m {
-		m.cholInc, m.cholFull, m.chk = cholInc, cholFull, chk
-		m.spec.gpObs, m.spec.gpInducing, m.spec.gpForget = spec.gpObs, spec.gpInducing, spec.gpForget
-		m.g.SetFallbackCounter(mvn)
-	}
+	c.cholInc, c.cholFull, c.chk = cholInc, cholFull, chk
+	c.spec.gpObs, c.spec.gpInducing, c.spec.gpForget = spec.gpObs, spec.gpInducing, spec.gpForget
+	c.setFallbackCounter(mvn)
 }
 
 // setIncumbent points every sparse metric model's forgetting rule at the
@@ -455,20 +518,11 @@ func (c *clipModels) rebind(spec modelSpec, mvn *atomic.Uint64, cholInc, cholFul
 // observation least informative about the region the schedule actually
 // uses. No-op for exact models.
 func (c *clipModels) setIncumbent(cfg videosim.Config) {
+	if c.exact != nil {
+		return
+	}
 	x := encodeCfg(cfg)
-	for _, m := range c.m {
-		if m.sp != nil {
-			m.sp.SetIncumbent(x)
-		}
+	for _, sp := range c.sp {
+		sp.SetIncumbent(x)
 	}
-}
-
-// refit re-conditions all five GPs.
-func (c *clipModels) refit() error {
-	for i := range c.m {
-		if err := c.m[i].refit(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -349,7 +349,7 @@ func (s *Scheduler) seedClip(clip *videosim.Clip) (*clipModels, clipSeed) {
 		s.met.coldStarts.Inc()
 		return newClipModels(spec, &s.mvn, s.met.cholInc, s.met.cholFull, s.opt.Check), seedCold
 	}
-	if cm, ok := b.get(clip.Name); ok && len(cm.m[mAcc].xs) > 0 {
+	if cm, ok := b.get(clip.Name); ok && len(cm.xs) > 0 {
 		cm.rebind(spec, &s.mvn, s.met.cholInc, s.met.cholFull, s.opt.Check)
 		s.met.bankHits.Inc()
 		return cm, seedBank
@@ -731,8 +731,9 @@ type candidate struct {
 func (s *Scheduler) plan(cfgs []videosim.Config) (candidate, bool) {
 	streams := make([]sched.Stream, s.sys.M())
 	for i := range s.sys.Clips {
-		proc := math.Max(1e-4, s.clips[i].m[mProc].mean(cfgs[i]))
-		bits := math.Max(1, s.clips[i].m[mBits].mean(cfgs[i]))
+		mu := s.clips[i].means(cfgs[i])
+		proc := math.Max(1e-4, mu[mProc])
+		bits := math.Max(1, mu[mBits])
 		streams[i] = sched.Stream{
 			Video:  i,
 			Period: sched.RatFromFPS(int64(math.Round(cfgs[i].FPS))),
@@ -858,18 +859,21 @@ func cfgKey(cfgs []videosim.Config) string {
 func (s *Scheduler) predictOutcomes(c candidate) objective.Vector {
 	var v objective.Vector
 	m := float64(s.sys.M())
+	mus := make([][numMetrics]float64, s.sys.M())
 	for i := range s.sys.Clips {
 		cfg := c.cfgs[i]
-		v[objective.Accuracy] += clamp01(s.clips[i].m[mAcc].mean(cfg)) / m
-		v[objective.Network] += math.Max(0, s.clips[i].m[mBits].mean(cfg)) * cfg.FPS
-		v[objective.Compute] += math.Max(0, s.clips[i].m[mComp].mean(cfg))
-		v[objective.Energy] += math.Max(0, s.clips[i].m[mPow].mean(cfg))
+		mu := s.clips[i].means(cfg)
+		mus[i] = mu
+		v[objective.Accuracy] += clamp01(mu[mAcc]) / m
+		v[objective.Network] += math.Max(0, mu[mBits]) * cfg.FPS
+		v[objective.Compute] += math.Max(0, mu[mComp])
+		v[objective.Energy] += math.Max(0, mu[mPow])
 	}
 	var lat float64
 	for k, st := range c.streams {
 		b := s.sys.Servers[c.plan.StreamServer[k]].Uplink
-		proc := math.Max(0, s.clips[st.Video].m[mProc].mean(c.cfgs[st.Video]))
-		bits := math.Max(0, s.clips[st.Video].m[mBits].mean(c.cfgs[st.Video]))
+		proc := math.Max(0, mus[st.Video][mProc])
+		bits := math.Max(0, mus[st.Video][mBits])
 		tx := 0.0
 		if b > 0 {
 			tx = bits / b

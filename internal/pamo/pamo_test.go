@@ -49,25 +49,26 @@ func TestEncodeCfgRange(t *testing.T) {
 }
 
 func TestMetricGPLearnsCurve(t *testing.T) {
-	mg := newMetricGP(modelSpec{}, nil, nil, nil, nil)
+	cm := newClipModels(modelSpec{}, nil, nil, nil, nil)
 	for _, r := range videosim.Resolutions {
 		for _, s := range videosim.FrameRates {
-			cfg := videosim.Config{Resolution: r, FPS: s}
-			mg.add(encodeCfg(cfg), 0.125*r*r*s) // bandwidth-like surface
+			cm.addMeasurement(videosim.Config{Resolution: r, FPS: s}, measure(0.125*r*r*s)) // bandwidth-like surface
 		}
 	}
-	if err := mg.refit(); err != nil {
+	if err := cm.refit(); err != nil {
 		t.Fatal(err)
 	}
 	cfg := videosim.Config{Resolution: 1250, FPS: 15}
 	truth := 0.125 * 1250 * 1250 * 15
-	if got := mg.mean(cfg); math.Abs(got-truth)/truth > 0.1 {
-		t.Fatalf("metric GP mean %v vs truth %v", got, truth)
+	for mi, got := range cm.means(cfg) {
+		if math.Abs(got-truth)/truth > 0.1 {
+			t.Fatalf("metric %d GP mean %v vs truth %v", mi, got, truth)
+		}
 	}
 }
 
 func TestMetricGPRefitEmptyFails(t *testing.T) {
-	if err := newMetricGP(modelSpec{}, nil, nil, nil, nil).refit(); err == nil {
+	if err := newClipModels(modelSpec{}, nil, nil, nil, nil).refit(); err == nil {
 		t.Fatal("expected error")
 	}
 }

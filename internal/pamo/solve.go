@@ -55,13 +55,14 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 	for si := range samples {
 		samples[si] = make([]objective.Vector, q)
 	}
-	// Per-clip joint draws across the candidate points. The 5·M draws are
+	// Per-clip joint draws across the candidate points. The M clips are
 	// independent — the paper's batch recommendation exists precisely so
 	// observations can proceed in parallel — so fan them out over workers.
-	// Each task gets an RNG derived from (base seed, clip, metric), which
-	// keeps results identical regardless of goroutine scheduling.
-	type draw struct{ byMetric [numMetrics][][]float64 }
-	draws := make([]draw, m)
+	// Each clip draws its five metrics off one posterior factor (see
+	// clipModels.sampleJoint), metric mi from an RNG derived from (base
+	// seed, clip, metric), which keeps results identical regardless of
+	// goroutine scheduling and of how the metrics are grouped into tasks.
+	draws := make([][numMetrics][][]float64, m) // [clip][metric][sample][point]
 	seedBase := rng.Uint64()
 	workers := bs.s.opt.Workers
 	if workers <= 0 {
@@ -74,16 +75,17 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 		for j, cand := range idx {
 			cfgs[j] = bs.cands[cand].cfgs[ci]
 		}
-		for mi := metric(0); mi < numMetrics; mi++ {
-			wg.Add(1)
-			go func(ci int, mi metric, cfgs []videosim.Config) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				taskRng := rand.New(rand.NewPCG(seedBase, uint64(ci)*uint64(numMetrics)+uint64(mi)+1))
-				draws[ci].byMetric[mi] = bs.s.clips[ci].m[mi].sampleJoint(cfgs, nSamples, taskRng)
-			}(ci, mi, cfgs)
-		}
+		wg.Add(1)
+		go func(ci int, cfgs []videosim.Config) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			var rngs [numMetrics]*rand.Rand
+			for mi := range rngs {
+				rngs[mi] = rand.New(rand.NewPCG(seedBase, uint64(ci)*uint64(numMetrics)+uint64(mi)+1))
+			}
+			draws[ci] = bs.s.clips[ci].sampleJoint(cfgs, nSamples, rngs)
+		}(ci, cfgs)
 	}
 	wg.Wait()
 	// Compose raw outcome vectors per sample per point.
@@ -93,19 +95,19 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 			var v objective.Vector
 			for ci := 0; ci < m; ci++ {
 				d := &draws[ci]
-				v[objective.Accuracy] += clamp01(d.byMetric[mAcc][si][j]) / float64(m)
-				v[objective.Network] += math.Max(0, d.byMetric[mBits][si][j]) * c.cfgs[ci].FPS
-				v[objective.Compute] += math.Max(0, d.byMetric[mComp][si][j])
-				v[objective.Energy] += math.Max(0, d.byMetric[mPow][si][j])
+				v[objective.Accuracy] += clamp01(d[mAcc][si][j]) / float64(m)
+				v[objective.Network] += math.Max(0, d[mBits][si][j]) * c.cfgs[ci].FPS
+				v[objective.Compute] += math.Max(0, d[mComp][si][j])
+				v[objective.Energy] += math.Max(0, d[mPow][si][j])
 			}
 			var lat float64
 			for k, st := range c.streams {
 				b := bs.s.sys.Servers[c.plan.StreamServer[k]].Uplink
 				tx := 0.0
 				if b > 0 {
-					tx = math.Max(0, draws[st.Video].byMetric[mBits][si][j]) / b
+					tx = math.Max(0, draws[st.Video][mBits][si][j]) / b
 				}
-				lat += math.Max(0, draws[st.Video].byMetric[mProc][si][j]) + tx
+				lat += math.Max(0, draws[st.Video][mProc][si][j]) + tx
 			}
 			if len(c.streams) > 0 {
 				v[objective.Latency] = lat / float64(len(c.streams))
@@ -335,9 +337,9 @@ func (s *Scheduler) posteriorProbe(universe []candidate) []float64 {
 	for i := range universe {
 		c := &universe[i]
 		for ci := range s.clips {
-			for mi := metric(0); mi < numMetrics; mi++ {
-				mu, v := s.clips[ci].m[mi].meanVar(c.cfgs[ci])
-				probe = append(probe, mu, v)
+			mu, v := s.clips[ci].meanVar(c.cfgs[ci])
+			for mi := range mu {
+				probe = append(probe, mu[mi], v[mi])
 			}
 		}
 		if s.learner != nil && !s.opt.UseTruePref {

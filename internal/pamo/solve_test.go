@@ -125,14 +125,16 @@ func TestSelectBatchDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRefitIncrementalMatchesFullFit(t *testing.T) {
-	// The incremental per-observation refit path must condition the GP on
-	// exactly the same posterior as a from-scratch fit of the same data.
+	// The incremental per-observation refit path must condition every
+	// metric's column on exactly the same posterior as a from-scratch fit of
+	// the same data.
 	rng := rand.New(rand.NewPCG(5, 6))
-	inc := newMetricGP(modelSpec{}, nil, nil, nil, nil)
-	full := newMetricGP(modelSpec{}, nil, nil, nil, nil)
+	inc := newClipModels(modelSpec{}, nil, nil, nil, nil)
+	full := newClipModels(modelSpec{}, nil, nil, nil, nil)
 	addBoth := func(cfg videosim.Config, y float64) {
-		inc.add(encodeCfg(cfg), y)
-		full.add(encodeCfg(cfg), y)
+		o := videosim.Measurement{Acc: y, ProcTime: 2*y + 1, Bits: y * y, Compute: -y, Power: 3}
+		inc.addMeasurement(cfg, o)
+		full.addMeasurement(cfg, o)
 	}
 	cfgAt := func(i int) videosim.Config {
 		return videosim.Config{
@@ -150,29 +152,33 @@ func TestRefitIncrementalMatchesFullFit(t *testing.T) {
 	// Streaming phase (like observe): inc refits after every point, full is
 	// refitted from scratch once at the end.
 	for i := 10; i < 25; i++ {
-		y := rng.NormFloat64() + 2
-		addBoth(cfgAt(i), y)
+		addBoth(cfgAt(i), rng.NormFloat64()+2)
 		if err := inc.refit(); err != nil {
 			t.Fatalf("incremental refit %d: %v", i, err)
 		}
 	}
-	scaled := make([]float64, len(full.ys))
-	for i, y := range full.ys {
-		scaled[i] = y / inc.scale
+	var scaled [numMetrics][]float64
+	for mi, ys := range full.ys {
+		for _, y := range ys {
+			scaled[mi] = append(scaled[mi], y/inc.scale[mi])
+		}
 	}
-	if err := full.g.Fit(full.xs, scaled); err != nil {
+	if err := full.exact.Fit(full.xs, scaled[:]); err != nil {
 		t.Fatal(err)
 	}
+	var mi, mf [numMetrics]float64
 	for i := 0; i < 12; i++ {
 		cfg := videosim.Config{
 			Resolution: videosim.Resolutions[rng.IntN(len(videosim.Resolutions))],
 			FPS:        videosim.FrameRates[rng.IntN(len(videosim.FrameRates))],
 		}
 		x := encodeCfg(cfg)
-		mi, vi := inc.g.Predict(x)
-		mf, vf := full.g.Predict(x)
-		if math.Abs(mi-mf) > 1e-7 || math.Abs(vi-vf) > 1e-7 {
-			t.Fatalf("cfg %+v: incremental (%v, %v) vs full (%v, %v)", cfg, mi, vi, mf, vf)
+		vi := inc.exact.Predict(x, mi[:])
+		vf := full.exact.Predict(x, mf[:])
+		for m := range mi {
+			if math.Abs(mi[m]-mf[m]) > 1e-7 || math.Abs(vi-vf) > 1e-7 {
+				t.Fatalf("cfg %+v metric %d: incremental (%v, %v) vs full (%v, %v)", cfg, m, mi[m], vi, mf[m], vf)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package pamo
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/objective"
@@ -66,6 +67,44 @@ func TestRunEmitsPhaseSpansAndMetrics(t *testing.T) {
 	if snap.Gauges["pamo_mvn_fallbacks"] != float64(res.MVNFallbacks) {
 		t.Fatalf("pamo_mvn_fallbacks gauge %v vs result %d",
 			snap.Gauges["pamo_mvn_fallbacks"], res.MVNFallbacks)
+	}
+}
+
+// TestOneFactorPerClip pins the exact family's shared factor through the
+// Cholesky-path counters: the outcome-model phase factorizes each of the M
+// clips once (not once per metric), and every later observation conditions
+// each clip through exactly one extension or refactorization, while
+// gp_obs_total still counts per metric model.
+func TestOneFactorPerClip(t *testing.T) {
+	rec := obs.NewRecorder(nil)
+	sys := testSys(4, 3, 31)
+	opt := smallOpts(13)
+	opt.Obs = rec
+	opt.UseTruePref = true
+	opt.TruePref = objective.UniformPreference()
+	s := New(sys, &pref.Oracle{Pref: opt.TruePref}, opt)
+	s.ctx, s.evctx = context.Background(), context.Background() // as RunContext sets them
+	if err := s.profileInit(); err != nil {
+		t.Fatal(err)
+	}
+	m := uint64(sys.M())
+	snap := rec.Registry().Snapshot()
+	if got := snap.Counters["pamo_chol_refactorize_total"]; got != m {
+		t.Fatalf("pamo_chol_refactorize_total after the outcome-model phase = %d, want M = %d", got, m)
+	}
+	if got := snap.Counters["pamo_chol_incremental_total"]; got != 0 {
+		t.Fatalf("pamo_chol_incremental_total after the outcome-model phase = %d, want 0", got)
+	}
+	if got, want := snap.Counters["gp_obs_total"], uint64(numMetrics)*uint64(s.profiles); got != want {
+		t.Fatalf("gp_obs_total = %d, want %d (five metric models per profile)", got, want)
+	}
+	if err := s.initialObservations(); err != nil {
+		t.Fatal(err)
+	}
+	snap = rec.Registry().Snapshot()
+	conditioned := snap.Counters["pamo_chol_refactorize_total"] + snap.Counters["pamo_chol_incremental_total"]
+	if want := m * uint64(1+len(s.obs)); conditioned != want {
+		t.Fatalf("%d factor operations after %d observations, want M·(1+obs) = %d", conditioned, len(s.obs), want)
 	}
 }
 

@@ -9,26 +9,30 @@ import (
 	"repro/internal/videosim"
 )
 
+// measure builds a measurement that reports y for every metric.
+func measure(y float64) videosim.Measurement {
+	return videosim.Measurement{Acc: y, ProcTime: y, Bits: y, Compute: y, Power: y}
+}
+
 func TestMetricGPWarmLifecycle(t *testing.T) {
-	donor := newMetricGP(modelSpec{}, nil, nil, nil, nil)
+	donor := newClipModels(modelSpec{}, nil, nil, nil, nil)
 	for _, r := range videosim.Resolutions {
 		for _, s := range videosim.FrameRates {
-			cfg := videosim.Config{Resolution: r, FPS: s}
-			donor.add(encodeCfg(cfg), 0.125*r*r*s)
+			donor.addMeasurement(videosim.Config{Resolution: r, FPS: s}, measure(0.125*r*r*s))
 		}
 	}
 	if err := donor.refit(); err != nil {
 		t.Fatal(err)
 	}
 
-	warm := newMetricGP(modelSpec{}, nil, nil, nil, nil)
-	if !warm.warmFrom([]*metricGP{donor}, 6, 25) {
+	warm := newClipModels(modelSpec{}, nil, nil, nil, nil)
+	if !warm.warmFrom([]*clipModels{donor}, 6, 25) {
 		t.Fatal("warmFrom declined")
 	}
 	if len(warm.vxs) != 6 {
 		t.Fatalf("virtual points = %d, want 6", len(warm.vxs))
 	}
-	if got, want := warm.g.Noise(), warm.baseNoise*25; math.Abs(got-want) > 1e-15 {
+	if got, want := warm.hyper().Noise(), warm.baseNoise*25; math.Abs(got-want) > 1e-15 {
 		t.Fatalf("inflated noise = %v, want %v", got, want)
 	}
 	// Conditioned on virtual points alone, the model already tracks the
@@ -38,7 +42,7 @@ func TestMetricGPWarmLifecycle(t *testing.T) {
 	}
 	cfg := videosim.Config{Resolution: 1250, FPS: 15}
 	truth := 0.125 * 1250 * 1250 * 15
-	if got := warm.mean(cfg); math.Abs(got-truth)/truth > 0.5 {
+	if got := warm.means(cfg)[mBits]; math.Abs(got-truth)/truth > 0.5 {
 		t.Fatalf("virtual-only mean %v too far from donor truth %v", got, truth)
 	}
 
@@ -47,7 +51,7 @@ func TestMetricGPWarmLifecycle(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		r := videosim.Resolutions[i%len(videosim.Resolutions)]
 		s := videosim.FrameRates[i%len(videosim.FrameRates)]
-		warm.add(encodeCfg(videosim.Config{Resolution: r, FPS: s}), 0.125*r*r*s)
+		warm.addMeasurement(videosim.Config{Resolution: r, FPS: s}, measure(0.125*r*r*s))
 	}
 	if err := warm.refit(); err != nil {
 		t.Fatal(err)
@@ -55,22 +59,22 @@ func TestMetricGPWarmLifecycle(t *testing.T) {
 	if len(warm.vxs) != 0 {
 		t.Fatalf("virtual set not retired: %d points", len(warm.vxs))
 	}
-	if warm.g.Noise() != warm.baseNoise {
-		t.Fatalf("noise floor %v not restored to %v", warm.g.Noise(), warm.baseNoise)
+	if warm.hyper().Noise() != warm.baseNoise {
+		t.Fatalf("noise floor %v not restored to %v", warm.hyper().Noise(), warm.baseNoise)
 	}
-	if got := warm.mean(cfg); math.Abs(got-truth)/truth > 0.1 {
+	if got := warm.means(cfg)[mBits]; math.Abs(got-truth)/truth > 0.1 {
 		t.Fatalf("post-retirement mean %v vs truth %v", got, truth)
 	}
 }
 
 func TestMetricGPWarmFromDeclines(t *testing.T) {
-	donor := newMetricGP(modelSpec{}, nil, nil, nil, nil)
-	conditioned := newMetricGP(modelSpec{}, nil, nil, nil, nil)
-	conditioned.add([]float64{0, 0, 1}, 1)
-	if conditioned.warmFrom([]*metricGP{donor}, 4, 25) {
+	donor := newClipModels(modelSpec{}, nil, nil, nil, nil)
+	conditioned := newClipModels(modelSpec{}, nil, nil, nil, nil)
+	conditioned.addMeasurement(videosim.Config{Resolution: videosim.Resolutions[0], FPS: videosim.FrameRates[0]}, measure(1))
+	if conditioned.warmFrom([]*clipModels{donor}, 4, 25) {
 		t.Error("model holding data accepted a warm start")
 	}
-	if fresh := newMetricGP(modelSpec{}, nil, nil, nil, nil); fresh.warmFrom(nil, 4, 25) {
+	if fresh := newClipModels(modelSpec{}, nil, nil, nil, nil); fresh.warmFrom(nil, 4, 25) {
 		t.Error("warm start with no donors succeeded")
 	}
 }
@@ -80,7 +84,7 @@ func TestBankDonorsDeterministicAndFiltered(t *testing.T) {
 	clips := videosim.StandardClips(4, 42)
 	withData := func() *clipModels {
 		cm := newClipModels(modelSpec{}, nil, nil, nil, nil)
-		cm.m[mAcc].add([]float64{0, 0, 1}, 1)
+		cm.addMeasurement(videosim.Config{Resolution: videosim.Resolutions[0], FPS: videosim.FrameRates[0]}, measure(1))
 		return cm
 	}
 	bank.put(clips[0], withData())

@@ -218,9 +218,9 @@ func (m *Model) nllGradHess(g mat.Vector, c float64) (mat.Vector, *mat.Matrix) {
 	w := mat.NewMatrix(n, n)
 	for _, cp := range m.comps {
 		z := c * (g[cp.Winner] - g[cp.Loser])
-		rho := stats.InvMills(z)     // φ(z)/Φ(z)
-		curv := rho * (rho + z)      // -d²logΦ/dz² ≥ 0
-		grad[cp.Winner] -= c * rho   // d(−logΦ)/dg_w
+		rho := stats.InvMills(z)   // φ(z)/Φ(z)
+		curv := rho * (rho + z)    // -d²logΦ/dz² ≥ 0
+		grad[cp.Winner] -= c * rho // d(−logΦ)/dg_w
 		grad[cp.Loser] += c * rho
 		cc := c * c * curv
 		w.Data[cp.Winner*n+cp.Winner] += cc

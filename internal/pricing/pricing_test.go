@@ -28,8 +28,8 @@ func TestTieredTariffMarginalRates(t *testing.T) {
 		{-5, 0},
 		{5, 5},
 		{10, 10},
-		{15, 10 + 10},        // 10·1 + 5·2
-		{25, 10 + 20 + 20},   // 10·1 + 10·2 + 5·4
+		{15, 10 + 10},      // 10·1 + 5·2
+		{25, 10 + 20 + 20}, // 10·1 + 10·2 + 5·4
 	}
 	for _, c := range cases {
 		if got := tr.Cost(c.usage); math.Abs(got-c.want) > 1e-12 {

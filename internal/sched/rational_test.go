@@ -44,11 +44,11 @@ func TestRatGCD(t *testing.T) {
 	cases := []struct {
 		a, b, want Rational
 	}{
-		{RatFromFPS(5), RatFromFPS(10), RatFromFPS(10)},   // gcd(1/5, 1/10) = 1/10
-		{RatFromFPS(10), RatFromFPS(15), RatFromFPS(30)},  // 1/lcm(10,15)
-		{Rat(3, 10), Rat(1, 5), Rat(1, 10)},               // gcd(0.3, 0.2) = 0.1
+		{RatFromFPS(5), RatFromFPS(10), RatFromFPS(10)},  // gcd(1/5, 1/10) = 1/10
+		{RatFromFPS(10), RatFromFPS(15), RatFromFPS(30)}, // 1/lcm(10,15)
+		{Rat(3, 10), Rat(1, 5), Rat(1, 10)},              // gcd(0.3, 0.2) = 0.1
 		{Rat(1, 2), Rat(1, 2), Rat(1, 2)},
-		{Rational{0, 1}, Rat(1, 3), Rat(1, 3)},            // gcd(0, x) = x
+		{Rational{0, 1}, Rat(1, 3), Rat(1, 3)}, // gcd(0, x) = x
 	}
 	for _, c := range cases {
 		got := RatGCD(c.a, c.b)

@@ -7,9 +7,9 @@ package stats
 import "math"
 
 const (
-	invSqrt2   = 0.7071067811865476  // 1/√2
-	invSqrt2Pi = 0.3989422804014327  // 1/√(2π)
-	log2Pi     = 1.8378770664093453  // log(2π)
+	invSqrt2   = 0.7071067811865476 // 1/√2
+	invSqrt2Pi = 0.3989422804014327 // 1/√(2π)
+	log2Pi     = 1.8378770664093453 // log(2π)
 )
 
 // NormPDF returns the standard normal density φ(z).

@@ -186,9 +186,9 @@ func TestContentDifficultyRange(t *testing.T) {
 
 func TestROIKnobEffects(t *testing.T) {
 	c := refClip()
-	full := Config{Resolution: 1500, FPS: 15}            // ROI unset = full frame
-	roi := Config{Resolution: 1500, FPS: 15, ROI: 0.5}   // half-frame ROI
-	one := Config{Resolution: 1500, FPS: 15, ROI: 1}     // explicit full frame
+	full := Config{Resolution: 1500, FPS: 15}          // ROI unset = full frame
+	roi := Config{Resolution: 1500, FPS: 15, ROI: 0.5} // half-frame ROI
+	one := Config{Resolution: 1500, FPS: 15, ROI: 1}   // explicit full frame
 
 	// ROI=1 and unset must behave identically.
 	if c.Accuracy(full) != c.Accuracy(one) || c.Bandwidth(full) != c.Bandwidth(one) ||
