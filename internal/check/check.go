@@ -14,8 +14,9 @@
 // Tolerance policy (documented once, applied everywhere):
 //
 //   - Const1/Const2 (Eqs. 6/7) are exact: every float64 is a dyadic
-//     rational, so Σpᵢ vs the period gcd and Σpᵢ·sᵢ vs 1 are compared in
-//     exact rational arithmetic with NO epsilon. Anything over the bound,
+//     rational, so Σpᵢ vs the period gcd and Σpᵢ·sᵢ vs 1 are summed in an
+//     exact sched.ProcSum (num/2^shift, no GCD normalisation) and compared
+//     by integer cross-multiplication with NO epsilon. Anything over the bound,
 //     however marginal, is a violation.
 //   - Finiteness is exact: NaN or ±Inf anywhere is a violation.
 //   - Positive semi-definiteness is decided by a jittered Cholesky

@@ -564,6 +564,7 @@ func (s *Scheduler) finalTournament(k int) Observation {
 	winner := idx[0]
 	for _, ci := range idx[1:k] {
 		s.tournamentAsks++
+		s.met.prefComps.Inc()
 		if s.dm.Prefer(s.obs[ci].Norm, s.obs[winner].Norm) {
 			winner = ci
 		}

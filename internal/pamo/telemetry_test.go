@@ -70,6 +70,29 @@ func TestRunEmitsPhaseSpansAndMetrics(t *testing.T) {
 	}
 }
 
+// TestPrefComparisonsCounterMatchesResult pins pamo_pref_comparisons_total
+// to Result.PrefPairs: every decision-maker ask — the preference phase, the
+// per-iteration updates and the final tournament — counts exactly once.
+func TestPrefComparisonsCounterMatchesResult(t *testing.T) {
+	rec := obs.NewRecorder(nil)
+	sys := testSys(3, 3, 31)
+	opt := smallOpts(13)
+	opt.Obs = rec
+	counter := rec.Registry().Counter("pamo_pref_comparisons_total")
+	counter.Add(5) // the counter is process-wide: assert the delta, not the total
+	before := counter.Value()
+	res, err := New(sys, &pref.Oracle{Pref: objective.UniformPreference()}, opt).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PrefPairs == 0 {
+		t.Fatal("run asked no preference comparisons")
+	}
+	if got := counter.Value() - before; got != uint64(res.PrefPairs) {
+		t.Fatalf("pamo_pref_comparisons_total grew by %d over the run, Result.PrefPairs = %d", got, res.PrefPairs)
+	}
+}
+
 // TestOneFactorPerClip pins the exact family's shared factor through the
 // Cholesky-path counters: the outcome-model phase factorizes each of the M
 // clips once (not once per metric), and every later observation conditions

@@ -1,7 +1,7 @@
 package sched
 
 import (
-	"math/big"
+	"math"
 
 	"repro/internal/cluster"
 )
@@ -36,21 +36,17 @@ func ExactGroup(streams []Stream, n int) ([][]int, bool) {
 		}
 	}
 
-	// Processing-time sums are exact rationals and the Const2 comparison is
+	// Processing-time sums are exact ProcSums and the Const2 comparison is
 	// tolerance-free, matching CheckConst2Servers at speed 1: the search
 	// decides the same predicate the checker verifies.
-	procR := make([]*big.Rat, len(streams))
-	for i, s := range streams {
-		if procR[i] = ratFromFloat(s.Proc); procR[i] == nil {
+	for _, s := range streams {
+		if math.IsNaN(s.Proc) || math.IsInf(s.Proc, 0) {
 			return nil, false
 		}
 	}
 	groups := make([][]int, n)
 	gcds := make([]Rational, n)
-	procs := make([]*big.Rat, n)
-	for j := range procs {
-		procs[j] = new(big.Rat)
-	}
+	procs := make([]ProcSum, n)
 	used := 0 // number of non-empty groups, for symmetry breaking
 
 	var rec func(k int) bool
@@ -68,14 +64,15 @@ func ExactGroup(streams []Stream, n int) ([][]int, bool) {
 		}
 		for j := 0; j < limit; j++ {
 			newGCD := RatGCD(gcds[j], s.Period)
-			newProc := new(big.Rat).Add(procs[j], procR[si])
-			if newProc.Cmp(newGCD.BigRat()) > 0 {
+			procs[j].Add(s.Proc)
+			if !procs[j].Within(newGCD, 1) {
+				procs[j].Add(-s.Proc) // exact, so the undo restores Σ
 				continue
 			}
-			oldGCD, oldProc := gcds[j], procs[j]
+			oldGCD := gcds[j]
 			wasEmpty := len(groups[j]) == 0
 			groups[j] = append(groups[j], si)
-			gcds[j], procs[j] = newGCD, newProc
+			gcds[j] = newGCD
 			if wasEmpty {
 				used++
 			}
@@ -83,7 +80,8 @@ func ExactGroup(streams []Stream, n int) ([][]int, bool) {
 				return true
 			}
 			groups[j] = groups[j][:len(groups[j])-1]
-			gcds[j], procs[j] = oldGCD, oldProc
+			gcds[j] = oldGCD
+			procs[j].Add(-s.Proc)
 			if wasEmpty {
 				used--
 			}

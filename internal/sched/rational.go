@@ -4,12 +4,16 @@
 //
 // Frame periods are exact rationals (seconds = Num/Den), so the greatest
 // common divisor in Const2 — gcd(1/s₁, …, 1/s_K) = 1/lcm(s₁, …, s_K) — is
-// computed without floating-point error.
+// computed without floating-point error. Processing times are float64s and
+// hence dyadic rationals; every Const1/Const2 decision in the repository
+// sums them in one exact type, ProcSum.
 package sched
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 )
 
 // Rational is an exact non-negative rational number Num/Den (seconds).
@@ -105,21 +109,117 @@ func (r Rational) IsMultipleOf(s Rational) bool {
 // String renders the rational for diagnostics.
 func (r Rational) String() string { return fmt.Sprintf("%d/%d", r.Num, r.Den) }
 
-// BigRat returns the rational as an exact *big.Rat, for arithmetic that
-// must mix exact periods with (dyadic-rational) float64 processing times.
-func (r Rational) BigRat() *big.Rat { return big.NewRat(r.Num, r.Den) }
+// ProcSum is an exact sum of float64 processing times, held as num/2^shift
+// in a reused big.Int. Every finite float64 is m·2^e with |m| < 2^53, so
+// summing over a common power-of-two denominator is lossless and — unlike
+// a general rational, which normalises by a GCD on every add — costs one
+// shift and one add. Budgets are compared by cross-multiplication, so every
+// Const1/Const2 decision in the repository is exact and allocation-free
+// once the sum has grown. The zero value is the empty sum.
+//
+// A ProcSum owns the big.Int scratch its comparisons run in, so it belongs
+// to one goroutine; other sums are only read (Set, AddSum's argument).
+type ProcSum struct {
+	num     big.Int
+	shift   uint
+	a, b, c big.Int // scratch
+}
 
-// ratFromFloat returns the float64 f as an exact rational. Every finite
-// float64 is a dyadic rational, so the conversion is lossless; NaN and the
-// infinities return nil and callers must treat them as invalid inputs.
-func ratFromFloat(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
+// Reset empties the sum, keeping its storage.
+func (s *ProcSum) Reset() {
+	s.num.SetInt64(0)
+	s.shift = 0
+}
 
-// ratCeil returns ⌈r⌉ for a non-negative rational.
-func ratCeil(r *big.Rat) *big.Int {
-	q, rem := new(big.Int), new(big.Int)
-	q.QuoRem(r.Num(), r.Denom(), rem)
-	if rem.Sign() > 0 {
-		q.Add(q, big.NewInt(1))
+// Set copies o into s.
+func (s *ProcSum) Set(o *ProcSum) {
+	s.num.Set(&o.num)
+	s.shift = o.shift
+}
+
+// Add accumulates p exactly. NaN and ±Inf report false and leave the sum
+// unchanged; callers treat them as unverifiable, hence infeasible.
+func (s *ProcSum) Add(p float64) bool { return s.addMul(p, nil) }
+
+// addMul accumulates p·k exactly for an integer k (nil means 1).
+func (s *ProcSum) addMul(p float64, k *big.Int) bool {
+	if math.IsNaN(p) || math.IsInf(p, 0) {
+		return false
 	}
-	return q
+	m, e := dyadic(p)
+	t := s.a.SetInt64(m)
+	if k != nil {
+		t = s.b.Mul(t, k)
+	}
+	s.addShifted(t, e)
+	return true
+}
+
+// AddSum accumulates another exact sum.
+func (s *ProcSum) AddSum(o *ProcSum) {
+	s.addShifted(s.a.Set(&o.num), -int(o.shift))
+}
+
+// addShifted adds t·2^e, rescaling whichever side has the coarser
+// power-of-two denominator. t is scratch and is clobbered.
+func (s *ProcSum) addShifted(t *big.Int, e int) {
+	if e >= 0 {
+		t.Lsh(t, uint(e)+s.shift)
+	} else if d := uint(-e); d > s.shift {
+		s.num.Lsh(&s.num, d-s.shift)
+		s.shift = d
+	} else {
+		t.Lsh(t, s.shift-d)
+	}
+	s.num.Add(&s.num, t)
+}
+
+// Within reports Σ ≤ budget·speed exactly. The speed factor is a float64
+// and hence dyadic, so the scaled budget is an exact rational too. An
+// empty budget admits only a non-positive sum; a non-finite or
+// non-positive speed admits nothing.
+func (s *ProcSum) Within(budget Rational, speed float64) bool {
+	if budget.Num == 0 {
+		return s.num.Sign() <= 0
+	}
+	return s.within(s.c.SetInt64(budget.Num), budget.Den, speed)
+}
+
+// within reports Σ·den ≤ bnum·speed for a positive integer bnum and a
+// positive den. With speed = ms·2^es and Σ = num/2^shift that is
+// num·den ≤ bnum·ms·2^(shift+es), one cross-multiplication with the power
+// of two moved to whichever side keeps it non-negative. bnum may be s.c.
+func (s *ProcSum) within(bnum *big.Int, den int64, speed float64) bool {
+	if !(speed > 0) || math.IsInf(speed, 1) {
+		return false
+	}
+	ms, es := dyadic(speed)
+	rhs := &s.b
+	if ms == 1 {
+		rhs.Set(bnum)
+	} else {
+		rhs.Mul(bnum, s.a.SetInt64(ms))
+	}
+	lhs := &s.num
+	if den != 1 {
+		lhs = s.a.Mul(&s.num, s.c.SetInt64(den))
+	}
+	if sh := int(s.shift) + es; sh >= 0 {
+		rhs.Lsh(rhs, uint(sh))
+	} else {
+		lhs = s.a.Lsh(lhs, uint(-sh))
+	}
+	return lhs.Cmp(rhs) <= 0
+}
+
+// dyadic splits a finite float64 into f = m·2^e exactly, with m odd (or
+// zero), so exact sums and budgets carry no redundant low zero bits.
+func dyadic(f float64) (m int64, e int) {
+	if f == 0 {
+		return 0, 0
+	}
+	fr, exp := math.Frexp(f) // f = fr·2^exp, |fr| ∈ [0.5, 1)
+	m, e = int64(fr*(1<<53)), exp-53
+	tz := bits.TrailingZeros64(uint64(m))
+	return m >> tz, e + tz
 }

@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"math"
-	"math/big"
 
 	"repro/internal/cluster"
 	"repro/internal/hungarian"
@@ -11,14 +10,14 @@ import (
 )
 
 // Replanner amortizes Algorithm 1 across runtime epochs. A full solve pays
-// for the O(m²) priority computation and exact-rational greedy admission in
+// for the O(m²) priority computation and exact greedy admission in
 // GroupStreams on every call; in steady state, though, epochs differ only in
 // drifted per-frame costs (Proc, Bits) and in which servers are healthy —
 // the periods, and therefore every grouping-validity argument that depends
 // on them, are unchanged. Replan exploits that: it keeps the previous
-// grouping, re-verifies Const2 for the drifted processing times with exact
-// rational arithmetic (reused scratch, no big.Rat churn), and re-solves only
-// the group→server Hungarian mapping against the surviving servers.
+// grouping, re-verifies Const2 for the drifted processing times with one
+// reused exact ProcSum, and re-solves only the group→server Hungarian
+// mapping against the surviving servers.
 //
 // Fallback semantics (see DESIGN.md "Scaling"): the incremental path is
 // taken only when it is provably as correct as a full solve — same streams
@@ -33,23 +32,17 @@ type Replanner struct {
 	valid   bool
 	streams []Stream   // adopted workload; periods are authoritative
 	groups  [][]int    // adopted grouping (deep copy)
-	gcds    []*big.Rat // per-group exact gcd of member periods
-	ratGcds []Rational // the same gcds in Rational form, for Admit's divisibility tests
+	ratGcds []Rational // per-group exact gcd of member periods (zero when empty)
 
 	solver hungarian.Solver
-	// Exact Σ proc scratch: float64 processing times are dyadic rationals
-	// m·2^e, so a group's sum is held as sum/2^shift over a common
-	// power-of-two denominator and compared against gcd num/den by
-	// cross-multiplication — same exactness as big.Rat accumulation, none
-	// of Rat.Add's per-step GCD normalization (or its allocations).
-	sum, tmpInt, lhs, rhs big.Int
-	cost                  [][]float64
-	flat                  []float64
-	rows                  []int  // group indices entering the assignment problem
-	cols                  []int  // physical indices of healthy servers
-	seen                  []bool // Adopt's membership-coverage scratch
-	remap                 []int  // Evict's old→new index scratch
-	mtmp                  []int  // Admit's trial-membership scratch
+	sum    ProcSum // exact Σ proc of the group under test
+	cost   [][]float64
+	flat   []float64
+	rows   []int  // group indices entering the assignment problem
+	cols   []int  // physical indices of healthy servers
+	seen   []bool // Adopt's membership-coverage scratch
+	remap  []int  // Evict's old→new index scratch
+	mtmp   []int  // Admit's trial-membership scratch
 }
 
 // NewReplanner returns an empty replanner; the first Replan always runs a
@@ -147,92 +140,29 @@ func (r *Replanner) Adopt(streams []Stream, plan Plan) {
 		r.groups = make([][]int, len(plan.Groups))
 	}
 	r.groups = r.groups[:len(plan.Groups)]
-	r.gcds = r.gcds[:0]
 	r.ratGcds = r.ratGcds[:0]
 	for g, members := range plan.Groups {
 		r.groups[g] = append(r.groups[g][:0], members...)
-		if len(members) == 0 {
-			// Empty group: no Const2 budget to check.
-			r.gcds = append(r.gcds, nil)
-			r.ratGcds = append(r.ratGcds, Rational{})
-			continue
-		}
-		gcd := Rational{}
+		gcd := Rational{} // an empty group has no Const2 budget to check
 		for _, si := range members {
 			gcd = RatGCD(gcd, streams[si].Period)
 		}
-		r.gcds = append(r.gcds, gcd.BigRat())
 		r.ratGcds = append(r.ratGcds, gcd)
 	}
 	r.valid = true
 }
 
-// procSumWithinBudget reports whether Σ streams[si].Proc over members is at
-// most budget, computed exactly. The sum is accumulated as a scaled integer
-// sum/2^shift (every finite float64 is m·2^e with |m| < 2^53), then compared
-// by cross-multiplication: sum/2^shift ≤ num/den ⇔ sum·den ≤ num·2^shift.
-// All big.Int scratch lives on the Replanner, so steady-state calls allocate
-// nothing once the scratch has grown. Non-finite processing times report
-// false — the caller treats the drift as unverifiable and falls back.
-func (r *Replanner) procSumWithinBudget(streams []Stream, members []int, budget *big.Rat) bool {
-	shift, ok := r.accumProcSum(streams, members)
-	if !ok {
-		return false
-	}
-	return r.sumWithinBudget(budget, 1, shift)
-}
-
-// accumProcSum accumulates Σ streams[si].Proc over members into the scratch
-// as r.sum/2^shift, exactly, returning the shift. ok=false on a non-finite
-// processing time.
-func (r *Replanner) accumProcSum(streams []Stream, members []int) (shift uint, ok bool) {
-	r.sum.SetInt64(0)
+// sumProcs accumulates Σ streams[si].Proc over members into r.sum,
+// exactly. A non-finite processing time reports false — the caller treats
+// the drift as unverifiable and falls back.
+func (r *Replanner) sumProcs(streams []Stream, members []int) bool {
+	r.sum.Reset()
 	for _, si := range members {
-		p := streams[si].Proc
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return 0, false
+		if !r.sum.Add(streams[si].Proc) {
+			return false
 		}
-		fr, exp := math.Frexp(p) // p = fr·2^exp, |fr| ∈ [0.5, 1) or 0
-		mant := int64(fr * (1 << 53))
-		e := exp - 53 // p = mant·2^e exactly
-		r.tmpInt.SetInt64(mant)
-		if e >= 0 {
-			r.tmpInt.Lsh(&r.tmpInt, uint(e)+shift)
-		} else if d := uint(-e); d > shift {
-			r.sum.Lsh(&r.sum, d-shift)
-			shift = d
-		} else if shift > d {
-			r.tmpInt.Lsh(&r.tmpInt, shift-d)
-		}
-		r.sum.Add(&r.sum, &r.tmpInt)
 	}
-	return shift, true
-}
-
-// sumWithinBudget reports r.sum/2^shift ≤ budget·speed exactly. The speed
-// factor is a float64 and hence a dyadic rational mant·2^e, so the scaled
-// budget stays exact and the comparison is a cross-multiplication. speed 1
-// is the homogeneous case; non-finite or non-positive speeds report false.
-// r.sum is read-only here, so one accumulation settles many servers.
-func (r *Replanner) sumWithinBudget(budget *big.Rat, speed float64, shift uint) bool {
-	r.lhs.Mul(&r.sum, budget.Denom())
-	if speed == 1 {
-		r.rhs.Lsh(budget.Num(), shift)
-		return r.lhs.Cmp(&r.rhs) <= 0
-	}
-	if math.IsNaN(speed) || math.IsInf(speed, 0) || speed <= 0 {
-		return false
-	}
-	fr, exp := math.Frexp(speed) // speed = mant·2^(exp−53) exactly
-	r.tmpInt.SetInt64(int64(fr * (1 << 53)))
-	r.rhs.Mul(budget.Num(), &r.tmpInt)
-	if e := exp - 53; e >= 0 {
-		r.rhs.Lsh(&r.rhs, shift+uint(e))
-	} else {
-		r.rhs.Lsh(&r.rhs, shift)
-		r.lhs.Lsh(&r.lhs, uint(-e))
-	}
-	return r.lhs.Cmp(&r.rhs) <= 0
+	return true
 }
 
 // Incremental attempts the grouping-reusing replan described on Replanner.
@@ -266,7 +196,7 @@ func (r *Replanner) Incremental(streams []Stream, servers []cluster.Server, heal
 			if len(members) == 0 {
 				continue
 			}
-			if !r.procSumWithinBudget(streams, members, r.gcds[g]) {
+			if !r.sumProcs(streams, members) || !r.sum.Within(r.ratGcds[g], 1) {
 				return Plan{}, false
 			}
 		}
@@ -326,13 +256,12 @@ func (r *Replanner) Incremental(streams []Stream, servers []cluster.Server, heal
 				bits += streams[si].Bits
 			}
 			if het && len(members) > 0 {
-				shift, ok := r.accumProcSum(streams, members)
-				if !ok {
+				if !r.sumProcs(streams, members) {
 					return Plan{}, false
 				}
 				for ci, j := range r.cols {
 					row[ci] = 0
-					if !r.sumWithinBudget(r.gcds[r.rows[ri]], servers[j].Speed(), shift) {
+					if !r.sum.Within(r.ratGcds[r.rows[ri]], servers[j].Speed()) {
 						row[ci] = math.Inf(1)
 					}
 				}
@@ -431,18 +360,12 @@ func (r *Replanner) Evict(remove []bool) bool {
 		if !dropped {
 			continue // same membership, same gcd
 		}
-		if k == 0 {
-			r.gcds[g] = nil
-			r.ratGcds[g] = Rational{}
-			continue
-		}
 		gcd := Rational{}
 		for _, si := range r.groups[g] {
 			gcd = RatGCD(gcd, r.streams[si].Period)
 		}
-		r.gcds[g] = gcd.BigRat()
 		r.ratGcds[g] = gcd
-		if r.rec != nil {
+		if k > 0 && r.rec != nil {
 			r.rec.Registry().Counter("sched_evict_regcd_total").Inc()
 		}
 	}
@@ -529,16 +452,10 @@ func (r *Replanner) admit(s Stream, servers []cluster.Server, healthy []bool) (i
 			newGcd := RatGCD(gcd, s.Period)
 			r.mtmp = append(r.mtmp[:0], members...)
 			r.mtmp = append(r.mtmp, si)
-			shift, ok := r.accumProcSum(r.streams, r.mtmp)
-			if !ok {
-				continue
-			}
-			budget := newGcd.BigRat()
-			if !r.sumWithinBudget(budget, maxSpd, shift) {
+			if !r.sumProcs(r.streams, r.mtmp) || !r.sum.Within(newGcd, maxSpd) {
 				continue
 			}
 			r.groups[g] = append(r.groups[g], si)
-			r.gcds[g] = budget
 			r.ratGcds[g] = newGcd
 			if r.rec != nil {
 				r.rec.Registry().Counter("sched_admit_hits_total").Inc()
@@ -561,19 +478,16 @@ func (r *Replanner) admit(s Stream, servers []cluster.Server, healthy []bool) (i
 		}
 	}
 	r.mtmp = append(r.mtmp[:0], si)
-	shift, ok := r.accumProcSum(r.streams, r.mtmp)
-	if !ok || nonEmpty >= nHealthy || !r.sumWithinBudget(s.Period.BigRat(), maxSpd, shift) {
+	if nonEmpty >= nHealthy || !r.sumProcs(r.streams, r.mtmp) || !r.sum.Within(s.Period, maxSpd) {
 		r.streams = r.streams[:si]
 		return -1, false
 	}
 	if slot < 0 {
 		r.groups = append(r.groups, nil)
-		r.gcds = append(r.gcds, nil)
 		r.ratGcds = append(r.ratGcds, Rational{})
 		slot = len(r.groups) - 1
 	}
 	r.groups[slot] = append(r.groups[slot][:0], si)
-	r.gcds[slot] = s.Period.BigRat()
 	r.ratGcds[slot] = s.Period
 	if r.rec != nil {
 		r.rec.Registry().Counter("sched_admit_new_group_total").Inc()

@@ -49,7 +49,7 @@ func SplitHighRate(streams []Stream) []Stream {
 	return out
 }
 
-// splitFactor returns c = ⌈s·p⌉ = ⌈Proc/Period⌉ computed in exact rational
+// splitFactor returns c = ⌈s·p⌉ = ⌈Proc/Period⌉ computed exactly in integer
 // arithmetic (1 when the stream needs no split). The old float path,
 // ⌈Proc/Period.Float() − 1e-12⌉, under-split when s·p sat marginally above
 // an integer: sp = 3+1e-13 yielded c = 3 sub-streams of period 3·T with
@@ -58,24 +58,32 @@ func SplitHighRate(streams []Stream) []Stream {
 // p ≤ c·T, and therefore s'·p ≤ 1, exactly. Non-finite or non-positive
 // processing times never split.
 func splitFactor(s Stream) int64 {
-	sp := ratFromFloat(s.Proc)
-	if sp == nil || sp.Sign() <= 0 {
+	if !(s.Proc > 0) || math.IsInf(s.Proc, 1) {
 		return 1
 	}
-	sp.Mul(sp, big.NewRat(s.Period.Den, s.Period.Num)) // Proc / Period, exact
-	if sp.Cmp(ratOne) <= 0 {
+	// Proc/Period = m·2^e·Den/Num = a/b over integers.
+	m, e := dyadic(s.Proc)
+	var a, b, q, r big.Int
+	a.Mul(q.SetInt64(m), r.SetInt64(s.Period.Den))
+	b.SetInt64(s.Period.Num)
+	if e >= 0 {
+		a.Lsh(&a, uint(e))
+	} else {
+		b.Lsh(&b, uint(-e))
+	}
+	if a.Cmp(&b) <= 0 {
 		return 1
 	}
-	c := ratCeil(sp)
-	if !c.IsInt64() {
+	if q.QuoRem(&a, &b, &r); r.Sign() > 0 {
+		q.Add(&q, r.SetInt64(1))
+	}
+	if !q.IsInt64() {
 		// Degenerate inputs (absurdly large Proc): saturate rather than
 		// silently truncate big.Int bits.
 		return math.MaxInt64
 	}
-	return c.Int64()
+	return q.Int64()
 }
-
-var ratOne = big.NewRat(1, 1)
 
 // ErrInfeasible is returned when Algorithm 1 cannot group the streams into
 // the available servers under Const2.
@@ -125,42 +133,46 @@ func GroupStreams(streams []Stream, n int) ([][]int, error) {
 	}
 	slices.SortStableFunc(idx, func(a, b int) int { return prio[a] - prio[b] })
 
-	// Lines 4–19: greedy grouping. Processing-time sums are accumulated as
-	// exact rationals (floats are dyadic rationals, so the sums are exact)
-	// and compared against the group's minimum period without tolerance:
-	// the old `Σp ≤ T.Float()+1e-12` admission accepted groups that
-	// marginally violate Theorem 3's Σp ≤ T condition, voiding the
-	// zero-jitter guarantee by up to one epsilon of queueing per hyperperiod.
+	// Lines 4–19: greedy grouping. Σ proc per group is an exact ProcSum
+	// compared against the group's minimum period without tolerance: the
+	// old `Σp ≤ T.Float()+1e-12` admission accepted groups that marginally
+	// violate Theorem 3's Σp ≤ T condition, voiding the zero-jitter
+	// guarantee by up to one epsilon of queueing per hyperperiod.
 	groups := make([][]int, n)
-	gmin := make([]Rational, n)  // min period per group
-	gproc := make([]*big.Rat, n) // Σ proc per group, exact
+	gmin := make([]Rational, n) // min period per group
+	gproc := make([]ProcSum, n) // Σ proc per group, exact
+	var trial ProcSum
 	for _, oi := range idx {
 		si := order[oi]
 		s := streams[si]
-		placed := false
-		procR := ratFromFloat(s.Proc)
-		if procR == nil {
+		trial.Reset()
+		if !trial.Add(s.Proc) {
 			return nil, fmt.Errorf("%w: stream video=%d sub=%d has non-finite p=%v",
 				ErrInfeasible, s.Video, s.Sub, s.Proc)
 		}
 		// A stream whose processing time exceeds its own period violates
 		// Const2 even alone; the caller should have split it (Section 3).
-		if procR.Cmp(s.Period.BigRat()) > 0 {
+		if !trial.Within(s.Period, 1) {
 			return nil, fmt.Errorf("%w: stream video=%d sub=%d has p=%.4fs > T=%s (split it first)",
 				ErrInfeasible, s.Video, s.Sub, s.Proc, s.Period)
 		}
+		placed := false
 		for j := 0; j < n; j++ {
 			if len(groups[j]) == 0 {
 				groups[j] = append(groups[j], si)
 				gmin[j] = s.Period
-				gproc[j] = new(big.Rat).Set(procR)
+				gproc[j].Add(s.Proc)
 				placed = true
 				break
 			}
-			if s.Period.IsMultipleOf(gmin[j]) &&
-				new(big.Rat).Add(gproc[j], procR).Cmp(gmin[j].BigRat()) <= 0 {
+			if !s.Period.IsMultipleOf(gmin[j]) {
+				continue
+			}
+			trial.Set(&gproc[j])
+			trial.Add(s.Proc)
+			if trial.Within(gmin[j], 1) {
 				groups[j] = append(groups[j], si)
-				gproc[j].Add(gproc[j], procR)
+				gproc[j].Set(&trial)
 				placed = true
 				break
 			}
@@ -279,41 +291,23 @@ func hetero(servers []cluster.Server) bool {
 // class too slow to run it without self-queueing. Servers at speed 1 are
 // skipped: the grouping phase already enforced Σp ≤ gcd there.
 func maskSpeedInfeasible(cost [][]float64, groups [][]int, streams []Stream, servers []cluster.Server) {
-	sums := make([]*big.Rat, len(groups))
-	gcds := make([]Rational, len(groups))
+	var sum ProcSum
 	for g, members := range groups {
 		if len(members) == 0 {
 			continue
 		}
-		sum := new(big.Rat)
+		sum.Reset()
 		var gcd Rational
 		finite := true
 		for _, si := range members {
-			p := ratFromFloat(streams[si].Proc)
-			if p == nil {
-				finite = false
-				break
-			}
-			sum.Add(sum, p)
+			finite = finite && sum.Add(streams[si].Proc)
 			gcd = RatGCD(gcd, streams[si].Period)
 		}
-		if finite {
-			sums[g], gcds[g] = sum, gcd
-		}
-	}
-	budget := new(big.Rat)
-	for j, srv := range servers {
-		spd := srv.Speed()
-		if spd == 1 {
+		if !finite {
 			continue
 		}
-		spdR := ratFromFloat(spd)
-		for g := range groups {
-			if sums[g] == nil {
-				continue
-			}
-			budget.Mul(gcds[g].BigRat(), spdR)
-			if sums[g].Cmp(budget) > 0 {
+		for j, srv := range servers {
+			if spd := srv.Speed(); spd != 1 && !sum.Within(gcd, spd) {
 				cost[g][j] = math.Inf(1)
 			}
 		}
@@ -433,84 +427,104 @@ func (p Plan) Utilizations(streams []Stream, n int) []float64 {
 }
 
 // CheckConst1Servers verifies Eq. (6) exactly: on every server,
-// Σ pᵢ·sᵢ ≤ speed_j (1 for a zero SpeedFactor). Utilizations are accumulated
-// as exact rationals — pᵢ and speed_j are dyadic rationals, sᵢ = Den/Num of
-// the exact period — so a load of exactly the budget is accepted and any
-// excess, however marginal, is rejected. (The old float check admitted loads
-// up to 1+1e-9, i.e. genuinely overloaded servers.) Streams with non-finite
-// processing times or out-of-range assignments fail the check.
+// Σ pᵢ·sᵢ ≤ speed_j (1 for a zero SpeedFactor). With L the lcm of the
+// period numerators on a server, every rate sᵢ = Denᵢ/Numᵢ is the integer
+// Denᵢ·(L/Numᵢ) over L, so the load is one exact ProcSum of pᵢ times an
+// integer (a big.Int: it cannot wrap) compared against speed_j·L — a load
+// of exactly the budget is accepted and any excess, however marginal, is
+// rejected. (The old float check admitted loads up to 1+1e-9, i.e.
+// genuinely overloaded servers.) Streams with non-finite processing times
+// or out-of-range assignments fail the check.
 func CheckConst1Servers(streams []Stream, streamServer []int, servers []cluster.Server) bool {
-	n := len(servers)
-	load := make([]*big.Rat, n)
-	for i, s := range streams {
-		j := streamServer[i]
-		if j < 0 || j >= n {
-			return false
-		}
-		u := ratFromFloat(s.Proc)
-		if u == nil {
-			return false
-		}
-		u.Mul(u, big.NewRat(s.Period.Den, s.Period.Num)) // p/T, exact
-		if load[j] == nil {
-			load[j] = u
-		} else {
-			load[j].Add(load[j], u)
-		}
+	order, start, ok := byServer(streams, streamServer, len(servers))
+	if !ok {
+		return false
 	}
-	for j, l := range load {
-		if l == nil {
+	var sum ProcSum
+	var lcm, q, k, t big.Int
+	for j := range servers {
+		on := order[start[j]:start[j+1]]
+		if len(on) == 0 {
 			continue
 		}
-		budget := ratFromFloat(servers[j].Speed())
-		if budget == nil || l.Cmp(budget) > 0 {
+		// L = lcm of the period numerators, so every sᵢ = Denᵢ/Numᵢ is the
+		// integer Denᵢ·(L/Numᵢ) over L: Σ pᵢ·Denᵢ·(L/Numᵢ) ≤ speed·L.
+		lcm.SetInt64(1)
+		for _, i := range on {
+			num := streams[i].Period.Num
+			if q.QuoRem(&lcm, k.SetInt64(num), &t); t.Sign() != 0 {
+				q.Mul(&lcm, k.SetInt64(num/gcd64(num, t.Int64())))
+				lcm.Set(&q)
+			}
+		}
+		sum.Reset()
+		for _, i := range on {
+			q.Quo(&lcm, t.SetInt64(streams[i].Period.Num))
+			if !sum.addMul(streams[i].Proc, k.Mul(&q, t.SetInt64(streams[i].Period.Den))) {
+				return false
+			}
+		}
+		if !sum.within(&lcm, 1, servers[j].Speed()) {
 			return false
 		}
 	}
 	return true
 }
 
+// byServer buckets stream indices by assigned server, in stream order:
+// order[start[j]:start[j+1]] are server j's streams. It reports false when
+// an assignment is out of range.
+func byServer(streams []Stream, streamServer []int, n int) (order, start []int, ok bool) {
+	start = make([]int, n+2)
+	for i := range streams {
+		j := streamServer[i]
+		if j < 0 || j >= n {
+			return nil, nil, false
+		}
+		start[j+2]++
+	}
+	for j := 2; j < len(start); j++ {
+		start[j] += start[j-1]
+	}
+	order = make([]int, len(streams))
+	for i := range streams {
+		j := streamServer[i]
+		order[start[j+1]] = i
+		start[j+1]++
+	}
+	return order, start[:n+1], true
+}
+
 // CheckConst2Servers verifies Eq. (7) exactly: on every server,
 // Σ pᵢ ≤ gcd(T) · speed_j — the gcd of the periods of the streams scheduled
 // there, scaled to the budget a server class at speed s (1 for a zero
 // SpeedFactor) can actually clear inside one gcd window. The processing-time
-// sum over a server is expressed over a common denominator via exact
-// rational accumulation and compared against the exact budget with no
-// tolerance; the speed factor is a dyadic float64, so the scaled budget is
-// an exact rational. The old check compared against gcds[j].Float()+1e-12,
+// sum over a server is an exact ProcSum compared against the exact budget
+// with no tolerance; the speed factor is a dyadic float64, so the scaled
+// budget is an exact rational. The old check compared against gcds[j].Float()+1e-12,
 // so a plan whose Σ pᵢ exceeds the gcd by up to 1e-12 passed while actually
 // self-queueing — silently voiding the paper's zero-jitter latency claim
 // (Theorems 1–3).
 func CheckConst2Servers(streams []Stream, streamServer []int, servers []cluster.Server) bool {
-	n := len(servers)
-	procSum := make([]*big.Rat, n)
-	gcds := make([]Rational, n)
-	for i, s := range streams {
-		j := streamServer[i]
-		if j < 0 || j >= n {
-			return false
-		}
-		p := ratFromFloat(s.Proc)
-		if p == nil {
-			return false
-		}
-		if procSum[j] == nil {
-			procSum[j] = p
-		} else {
-			procSum[j].Add(procSum[j], p)
-		}
-		gcds[j] = RatGCD(gcds[j], s.Period)
+	order, start, ok := byServer(streams, streamServer, len(servers))
+	if !ok {
+		return false
 	}
-	for j := 0; j < n; j++ {
-		if gcds[j].Num == 0 {
-			continue // empty server
+	var sum ProcSum
+	for j := range servers {
+		on := order[start[j]:start[j+1]]
+		if len(on) == 0 {
+			continue
 		}
-		spd := ratFromFloat(servers[j].Speed())
-		if spd == nil {
-			return false
+		sum.Reset()
+		var gcd Rational
+		for _, i := range on {
+			if !sum.Add(streams[i].Proc) {
+				return false
+			}
+			gcd = RatGCD(gcd, streams[i].Period)
 		}
-		budget := gcds[j].BigRat()
-		if procSum[j].Cmp(budget.Mul(budget, spd)) > 0 {
+		if !sum.Within(gcd, servers[j].Speed()) {
 			return false
 		}
 	}

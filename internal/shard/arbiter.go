@@ -2,112 +2,9 @@ package shard
 
 import (
 	"math"
-	"math/big"
 
 	"repro/internal/sched"
 )
-
-// dyadic is an exact sum of float64 processing times, held as num/2^shift.
-// Every finite float64 is m·2^e with |m| < 2^53, so accumulating over a
-// common power-of-two denominator is lossless — the same discipline as
-// sched.Replanner's Const2 re-check, packaged as a value the arbiter can
-// store per server and per claim.
-type dyadic struct {
-	num   big.Int
-	shift uint
-}
-
-// addFloat accumulates p exactly; it reports false on NaN/±Inf, which the
-// caller must treat as an unverifiable (and therefore rejected) claim.
-func (d *dyadic) addFloat(p float64, tmp *big.Int) bool {
-	if math.IsNaN(p) || math.IsInf(p, 0) {
-		return false
-	}
-	fr, exp := math.Frexp(p) // p = fr·2^exp, |fr| ∈ [0.5, 1) or 0
-	mant := int64(fr * (1 << 53))
-	e := exp - 53 // p = mant·2^e exactly
-	tmp.SetInt64(mant)
-	if e >= 0 {
-		tmp.Lsh(tmp, uint(e)+d.shift)
-	} else if s := uint(-e); s > d.shift {
-		d.num.Lsh(&d.num, s-d.shift)
-		d.shift = s
-	} else if d.shift > s {
-		tmp.Lsh(tmp, d.shift-s)
-	}
-	d.num.Add(&d.num, tmp)
-	return true
-}
-
-// add accumulates another dyadic sum exactly.
-func (d *dyadic) add(o *dyadic, tmp *big.Int) {
-	tmp.Set(&o.num)
-	if o.shift > d.shift {
-		d.num.Lsh(&d.num, o.shift-d.shift)
-		d.shift = o.shift
-	} else if d.shift > o.shift {
-		tmp.Lsh(tmp, d.shift-o.shift)
-	}
-	d.num.Add(&d.num, tmp)
-}
-
-// set copies o into d.
-func (d *dyadic) set(o *dyadic) {
-	d.num.Set(&o.num)
-	d.shift = o.shift
-}
-
-// reset zeroes the sum.
-func (d *dyadic) reset() {
-	d.num.SetInt64(0)
-	d.shift = 0
-}
-
-// withinBudget reports d ≤ num/den exactly, by cross-multiplication:
-// d.num/2^shift ≤ num/den  ⇔  d.num·den ≤ num·2^shift.
-func (d *dyadic) withinBudget(budget sched.Rational, sc *fitScratch) bool {
-	return d.withinBudgetSpeed(budget, 1, sc)
-}
-
-// withinBudgetSpeed reports d ≤ (num/den)·speed exactly. The speed factor
-// is a float64 and hence dyadic (mant·2^e), so the scaled budget is still
-// an exact rational and the comparison stays a cross-multiplication:
-// d.num·den·2^max(0,−e) ≤ num·mant·2^(shift+max(0,e)).
-func (d *dyadic) withinBudgetSpeed(budget sched.Rational, speed float64, sc *fitScratch) bool {
-	if budget.Num == 0 {
-		// Empty-budget server: only an empty sum fits.
-		return d.num.Sign() <= 0
-	}
-	if math.IsNaN(speed) || math.IsInf(speed, 0) || speed <= 0 {
-		return false
-	}
-	sc.den.SetInt64(budget.Den)
-	sc.lhs.Mul(&d.num, &sc.den)
-	sc.rhs.SetInt64(budget.Num)
-	if speed == 1 {
-		sc.rhs.Lsh(&sc.rhs, d.shift)
-		return sc.lhs.Cmp(&sc.rhs) <= 0
-	}
-	fr, exp := math.Frexp(speed) // speed = mant·2^(exp−53) exactly
-	sc.tmp.SetInt64(int64(fr * (1 << 53)))
-	sc.rhs.Mul(&sc.rhs, &sc.tmp)
-	if e := exp - 53; e >= 0 {
-		sc.rhs.Lsh(&sc.rhs, d.shift+uint(e))
-	} else {
-		sc.rhs.Lsh(&sc.rhs, d.shift)
-		sc.lhs.Lsh(&sc.lhs, uint(-e))
-	}
-	return sc.lhs.Cmp(&sc.rhs) <= 0
-}
-
-// fitScratch holds the big.Int workspace one goroutine's exact admission
-// checks run in. The arbiter owns one for its serial commit path; every
-// propose goroutine owns its own, so the read-only propose phase touches no
-// shared mutable state.
-type fitScratch struct {
-	tmp, lhs, rhs, den big.Int
-	trial              dyadic
-}
 
 // Claim is one group→server claim of a cell's proposal: place the streams
 // in Members (global indices) on Server. GCD and Sum summarize the group
@@ -117,7 +14,7 @@ type Claim struct {
 	Server  int
 	Members []int
 	GCD     sched.Rational // exact gcd of member periods
-	Sum     dyadic         // exact Σ proc over members
+	Sum     sched.ProcSum  // exact Σ proc over members
 	Bits    float64
 }
 
@@ -138,7 +35,7 @@ type Proposal struct {
 // comment in planner.go for the argument.
 type serverState struct {
 	gcd     sched.Rational
-	sum     dyadic
+	sum     sched.ProcSum
 	members []int
 	claims  int
 }
@@ -156,7 +53,7 @@ type Arbiter struct {
 	commits int
 	comm    float64 // Σ bits/uplink over committed claims
 
-	sc fitScratch // scratch for the serial commit path only
+	trial sched.ProcSum // scratch for the serial commit path only
 }
 
 // NewArbiter returns an arbiter over n servers at the snapshot's version.
@@ -175,7 +72,7 @@ func (a *Arbiter) Reset(n int, version uint64) {
 	a.states = a.states[:n]
 	for j := range a.states {
 		a.states[j].gcd = sched.Rational{}
-		a.states[j].sum.reset()
+		a.states[j].sum.Reset()
 		a.states[j].members = a.states[j].members[:0]
 		a.states[j].claims = 0
 	}
@@ -203,18 +100,18 @@ func (a *Arbiter) CommLatency() float64 { return a.comm }
 // (Σ pᵢ/Tᵢ ≤ Σ pᵢ/gcd ≤ 1), so one exact check settles both. Proposers
 // call it read-only during the propose phase; Commit re-runs it against
 // the live state, which is what makes the concurrency optimistic.
-func (a *Arbiter) Fits(j int, gcd sched.Rational, sum *dyadic) bool {
-	return a.fits(j, gcd, sum, &a.sc)
+func (a *Arbiter) Fits(j int, gcd sched.Rational, sum *sched.ProcSum) bool {
+	return a.fits(j, gcd, sum, &a.trial)
 }
 
-// fits is Fits against caller-owned scratch — the form propose goroutines
-// use so the concurrent propose phase stays free of shared mutable state.
-func (a *Arbiter) fits(j int, gcd sched.Rational, sum *dyadic, sc *fitScratch) bool {
+// fits is Fits against a caller-owned trial sum — the form propose
+// goroutines use so the concurrent propose phase stays free of shared
+// mutable state.
+func (a *Arbiter) fits(j int, gcd sched.Rational, sum, trial *sched.ProcSum) bool {
 	st := &a.states[j]
-	union := sched.RatGCD(st.gcd, gcd)
-	sc.trial.set(&st.sum)
-	sc.trial.add(sum, &sc.tmp)
-	return sc.trial.withinBudgetSpeed(union, a.speed(j), sc)
+	trial.Set(&st.sum)
+	trial.AddSum(sum)
+	return trial.Within(sched.RatGCD(st.gcd, gcd), a.speed(j))
 }
 
 // Commit validates every claim of the proposal against the LIVE state and,
@@ -241,7 +138,7 @@ func (a *Arbiter) Commit(p *Proposal) (ok bool, conflict int) {
 		c := &p.Claims[i]
 		st := &a.states[c.Server]
 		st.gcd = sched.RatGCD(st.gcd, c.GCD)
-		st.sum.add(&c.Sum, &a.sc.tmp)
+		st.sum.AddSum(&c.Sum)
 		st.members = append(st.members, c.Members...)
 		st.claims++
 		a.comm += c.Bits / a.uplink(c.Server)

@@ -113,7 +113,7 @@ type cellScratch struct {
 	idx     int   // the cell's index — the commit order key
 	global  []int // stream indices owned by the cell
 	local   []sched.Stream
-	sc      fitScratch
+	trial   sched.ProcSum // exact-sum scratch of this cell's goroutine
 	prop    Proposal
 	retries int
 	pending bool
@@ -364,18 +364,18 @@ func (p *Planner) propose(cell *cellScratch, streams []sched.Stream, snap *sched
 		}
 		var cl Claim
 		cl.Members = make([]int, len(members))
-		var gcd sched.Rational
+		cell.trial.Reset()
 		for k, li := range members {
 			cl.Members[k] = cell.global[li]
 			s := &cell.local[li]
-			gcd = sched.RatGCD(gcd, s.Period)
-			if !cl.Sum.addFloat(s.Proc, &cell.sc.tmp) {
+			cl.GCD = sched.RatGCD(cl.GCD, s.Period)
+			if !cell.trial.Add(s.Proc) {
 				cell.stuck = true
 				return
 			}
 			cl.Bits += s.Bits
 		}
-		cl.GCD = gcd
+		cl.Sum.Set(&cell.trial)
 		cell.prop.Claims = append(cell.prop.Claims, cl)
 	}
 	if len(cell.prop.Claims) == 0 {
@@ -455,7 +455,7 @@ func (p *Planner) assign(cell *cellScratch, cols []int, snap *sched.Snapshot) bo
 			// breaking the termination argument.
 			occupied := p.arb.states[j].claims > 0 || p.arb.speed(j) < 1
 			switch {
-			case occupied && !p.arb.fits(j, cl.GCD, &cl.Sum, &cell.sc):
+			case occupied && !p.arb.fits(j, cl.GCD, &cl.Sum, &cell.trial):
 				row[ci] = math.Inf(1)
 			case p.uplinks[j] > 0:
 				row[ci] = cl.Bits / p.uplinks[j]

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"reflect"
 	"testing"
 
@@ -110,52 +109,15 @@ func TestPartitionVideosBalance(t *testing.T) {
 	}
 }
 
-// TestDyadicExactness pins the exact accumulator against big.Rat, including
-// the budget boundary: a sum exactly equal to the budget fits, one ULP of
-// the smallest contribution above it does not.
-func TestDyadicExactness(t *testing.T) {
-	var d dyadic
-	var tmp big.Int
-	ref := new(big.Rat)
-	vals := []float64{1.0 / 3.0, 0.1, 2.5e-3, 1e-9, 0.031}
-	for _, v := range vals {
-		if !d.addFloat(v, &tmp) {
-			t.Fatalf("addFloat(%v) rejected a finite value", v)
-		}
-		ref.Add(ref, new(big.Rat).SetFloat64(v))
-	}
-	got := new(big.Rat).SetFrac(new(big.Int).Set(&d.num), new(big.Int).Lsh(big.NewInt(1), d.shift))
-	if got.Cmp(ref) != 0 {
-		t.Fatalf("dyadic sum %v, big.Rat reference %v", got, ref)
-	}
-
-	// Boundary: budget exactly equal to the sum of two halves.
-	var e dyadic
-	e.addFloat(0.25, &tmp)
-	e.addFloat(0.25, &tmp)
-	var sc fitScratch
-	if !e.withinBudget(sched.Rational{Num: 1, Den: 2}, &sc) {
-		t.Fatal("sum exactly at budget must fit")
-	}
-	e.addFloat(5e-324, &tmp) // smallest positive subnormal
-	if e.withinBudget(sched.Rational{Num: 1, Den: 2}, &sc) {
-		t.Fatal("one subnormal above budget must not fit")
-	}
-	if d.addFloat(math.NaN(), &tmp) {
-		t.Fatal("addFloat must reject NaN")
-	}
-}
-
 // claimOf builds a claim over the given streams for tests.
 func claimOf(t *testing.T, streams []sched.Stream, members []int, server int) Claim {
 	t.Helper()
 	var cl Claim
-	var tmp big.Int
 	cl.Server = server
 	for _, i := range members {
 		cl.Members = append(cl.Members, i)
 		cl.GCD = sched.RatGCD(cl.GCD, streams[i].Period)
-		if !cl.Sum.addFloat(streams[i].Proc, &tmp) {
+		if !cl.Sum.Add(streams[i].Proc) {
 			t.Fatalf("stream %d: non-finite proc", i)
 		}
 		cl.Bits += streams[i].Bits
