@@ -108,8 +108,7 @@ func main() {
 
 	var po pamo.Options
 	if *fast {
-		po = pamo.Options{InitProfiles: 12, InitObs: 3, PrefPairs: 10, PrefPool: 12,
-			Batch: 2, MCSamples: 16, CandPool: 10, MaxIter: 5}
+		po = exp.FastOptions()
 	}
 	po.Obs = rec
 	if *strict || rec != nil {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,8 +70,27 @@ func TestCmdPamoSchedJSON(t *testing.T) {
 	}
 }
 
-func TestCmdPamoSchedFaults(t *testing.T) {
+// runFails runs a command that must be refused and returns its output.
+func runFails(t *testing.T, bin string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	if err == nil {
+		t.Fatalf("%s %v succeeded, want a refusal:\n%s", bin, args, out)
+	}
+	return string(out)
+}
+
+func TestCmdPamoSchedRejectsBadWeights(t *testing.T) {
 	bin := buildCmd(t, "pamo-sched")
+	for _, w := range []string{"NaN,1,1,1,1", "1,1,1,1", "1,1,1,1,1,1"} {
+		if out := runFails(t, bin, "-videos", "2", "-servers", "2", "-weights", w); !strings.Contains(out, "weights:") {
+			t.Fatalf("-weights %s: %s", w, out)
+		}
+	}
+}
+
+func TestCmdPamoControllerInProcessFaults(t *testing.T) {
+	bin := buildCmd(t, "pamo-controller")
 	dir := t.TempDir()
 	scPath := filepath.Join(dir, "scenario.json")
 	evPath := filepath.Join(dir, "run.jsonl")
@@ -108,7 +128,7 @@ func TestCmdPamoSchedFaults(t *testing.T) {
 	if payload.DegradedEpochs < 1 || payload.MaxDegradedStreams < 1 {
 		t.Fatalf("no degradation recorded: %+v", payload)
 	}
-	if len(payload.FinalShed) != 0 {
+	if payload.FinalShed == nil || len(payload.FinalShed) != 0 {
 		t.Fatalf("final shed = %v after recovery", payload.FinalShed)
 	}
 	if payload.Replans < 2 {
@@ -128,6 +148,12 @@ func TestCmdPamoSchedFaults(t *testing.T) {
 	// Fault runs are deterministic: same scenario, same seed, same output.
 	if out2 := run(t, bin, args[:len(args)-2]...); out2 != out {
 		t.Fatalf("faulted run not deterministic:\n%s\n%s", out, out2)
+	}
+
+	// Churn, chaos and agent counts act through the wire; in-process they
+	// are refused.
+	for _, extra := range [][]string{{"-churn", "0.5"}, {"-chaos"}, {"-compare-inprocess"}, {"-agents", "4"}} {
+		runFails(t, bin, slices.Concat(args[:len(args)-2], extra)...)
 	}
 }
 
@@ -159,13 +185,23 @@ func TestCmdPamoTraceEventsAndSummary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full (fast) PaMO solve")
 	}
-	bin := buildCmd(t, "pamo-trace")
+	traceBin := buildCmd(t, "pamo-trace")
+	schedBin := buildCmd(t, "pamo-sched")
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "t.json")
 	eventsPath := filepath.Join(dir, "run.jsonl")
-	run(t, bin, "-record", "-videos", "2", "-servers", "2", "-per-cfg", "1", "-o", tracePath)
-	out := run(t, bin, "-run", "-fast", "-i", tracePath, "-events", eventsPath)
-	if !strings.Contains(out, "benefit=") || !strings.Contains(out, "phase breakdown:") {
+	run(t, traceBin, "-record", "-videos", "2", "-servers", "2", "-per-cfg", "1", "-o", tracePath)
+	out := run(t, schedBin, "-method", "pamo", "-trace", tracePath, "-fast", "-seed", "2024", "-events", eventsPath)
+	var payload struct {
+		Videos     int      `json:"videos"`
+		Servers    int      `json:"servers"`
+		Benefit    *float64 `json:"benefit"`
+		Iterations uint64   `json:"iterations"`
+	}
+	if err := json.Unmarshal([]byte(out), &payload); err != nil {
+		t.Fatalf("bad JSON: %v\n%s", err, out)
+	}
+	if payload.Videos != 2 || payload.Servers != 2 || payload.Benefit == nil || payload.Iterations == 0 {
 		t.Fatalf("run output:\n%s", out)
 	}
 
@@ -202,10 +238,81 @@ func TestCmdPamoTraceEventsAndSummary(t *testing.T) {
 		t.Fatal("no per-iteration acquisition events recorded")
 	}
 
-	sum := run(t, bin, "-events-summary", "-events", eventsPath)
+	sum := run(t, traceBin, "-events-summary", "-events", eventsPath)
 	for _, phase := range []string{"profiling", "outcome_model", "preference", "solution", "total_s"} {
 		if !strings.Contains(sum, phase) {
 			t.Fatalf("events-summary missing %q:\n%s", phase, sum)
+		}
+	}
+}
+
+// TestCmdPamoTracePerfettoAndLedger converts a sharded controller run's
+// JSONL stream to a Perfetto trace and renders its ledger table: the
+// epoch → decide → shard round → cell → DES hierarchy must be present and
+// every epoch's benefit attribution must close exactly.
+func TestCmdPamoTracePerfettoAndLedger(t *testing.T) {
+	ctlBin := buildCmd(t, "pamo-controller")
+	traceBin := buildCmd(t, "pamo-trace")
+	dir := t.TempDir()
+	scPath := filepath.Join(dir, "scenario.json")
+	evPath := filepath.Join(dir, "run.jsonl")
+	pfPath := filepath.Join(dir, "run.perfetto.json")
+	scenario := `{"name":"kill-one","events":[
+		{"epoch":2,"action":"server_down","target":1},
+		{"epoch":4,"action":"server_up","target":1}]}`
+	if err := os.WriteFile(scPath, []byte(scenario), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run(t, ctlBin, "-method", "fixed", "-videos", "8", "-servers", "4", "-seed", "11", "-shards", "4",
+		"-faults", scPath, "-epochs", "5", "-events", evPath)
+	run(t, traceBin, "-perfetto", pfPath, "-events", evPath)
+	runFails(t, traceBin, "-perfetto", pfPath)
+
+	raw, err := os.ReadFile(pfPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pf struct {
+		TraceEvents []struct {
+			Ph   string   `json:"ph"`
+			Name string   `json:"name"`
+			Ts   *float64 `json:"ts"`
+			Dur  *float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &pf); err != nil {
+		t.Fatalf("perfetto output is not JSON: %v", err)
+	}
+	spans := map[string]int{}
+	for _, e := range pf.TraceEvents {
+		if e.Ph == "X" {
+			if e.Name == "" || e.Ts == nil || e.Dur == nil || *e.Ts < 0 || *e.Dur < 0 {
+				t.Fatalf("bad complete event %+v", e)
+			}
+			spans[e.Name]++
+		}
+	}
+	for _, want := range []string{"epoch", "decide_attempt", "shard_plan", "shard_round", "shard_cell", "des"} {
+		if spans[want] == 0 {
+			t.Fatalf("span %q missing from the Perfetto trace; saw %v", want, spans)
+		}
+	}
+	if spans["epoch"] != 5 {
+		t.Fatalf("epoch spans = %d, want 5", spans["epoch"])
+	}
+
+	sum := run(t, traceBin, "-events-summary", "-events", evPath)
+	_, table, ok := strings.Cut(sum, "benefit attribution:\n")
+	if !ok {
+		t.Fatalf("events-summary has no ledger table:\n%s", sum)
+	}
+	rows := strings.Split(strings.TrimSpace(table), "\n")
+	if len(rows) != 1+5 { // header + one row per epoch
+		t.Fatalf("ledger table has %d rows, want 6:\n%s", len(rows), table)
+	}
+	for _, row := range rows[1:] {
+		if !strings.HasSuffix(row, " ok") {
+			t.Fatalf("ledger row does not close exactly: %q", row)
 		}
 	}
 }

@@ -44,10 +44,9 @@ func (a *Arena) growStreams(n int) {
 	a.completed = a.completed[:n]
 }
 
-// SimulateServer is SimulateServer computing into the arena's buffers. The
-// simulated records and statistics are bit-identical to the package-level
-// function; only the memory they live in differs (see the ownership rules
-// on Arena).
+// SimulateServer simulates one server into the arena's buffers (see the
+// package-level SimulateServer for the service model, and the ownership
+// rules on Arena for how long the result stays valid).
 func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
 	if horizon <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive horizon %v", horizon))
@@ -67,8 +66,10 @@ func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64
 			total += int(n)
 		}
 	}
-	// Same k-way arrival merge as SimulateServer: each stream's arrivals are
-	// already sorted, ties break toward the lower stream index.
+	// Each stream emits frames in increasing arrival order (its uplink delay
+	// is constant), so a k-way merge produces the global FIFO arrival order
+	// directly, with no sort. Arrival ties break toward the lower stream
+	// index, matching a deterministic NIC delivering interleaved packets.
 	if cap(a.frames) < total {
 		a.frames = make([]FrameRecord, 0, total)
 	}
@@ -101,8 +102,9 @@ func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64
 	}
 	a.frames = frames
 
-	// Speed-scaled service, mirroring the package-level SimulateServer
-	// operation for operation (division by speed 1 is an exact identity).
+	// Service time scales with the server's speed class. At the
+	// homogeneous default (speed 1) the division is an exact identity, so
+	// golden traces are bit-identical.
 	spd := srv.Speed()
 	free := 0.0
 	busy := 0.0
@@ -117,8 +119,8 @@ func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64
 	return a.summarizeInto(frames, streams, horizon, busy)
 }
 
-// summarizeInto is summarize writing the per-stream statistics into the
-// arena's slots instead of fresh slices.
+// summarizeInto aggregates simulated frames into per-stream statistics,
+// written into the arena's slots.
 func (a *Arena) summarizeInto(frames []FrameRecord, streams []StreamSpec, horizon, busy float64) Result {
 	res := Result{Frames: frames, PerStream: a.per}
 	completed := a.completed

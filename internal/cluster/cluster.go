@@ -85,105 +85,10 @@ const JitterEps = 1e-6
 // SimulateServer runs all streams on a single server for the given horizon
 // (seconds). Frames are served in arrival order (FIFO, non-preemptive);
 // ties in arrival time are broken by stream index, which matches a
-// deterministic NIC delivering interleaved packets.
+// deterministic NIC delivering interleaved packets. It runs on a fresh
+// Arena, so the result is the caller's to keep.
 func SimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
-	if horizon <= 0 {
-		panic(fmt.Sprintf("cluster: non-positive horizon %v", horizon))
-	}
-	tx := make([]float64, len(streams))
-	total := 0
-	for si, s := range streams {
-		if s.Period <= 0 {
-			panic(fmt.Sprintf("cluster: stream %d has period %v", si, s.Period))
-		}
-		if srv.Uplink > 0 {
-			tx[si] = s.Bits / srv.Uplink
-		}
-		if n := math.Ceil((horizon - s.Offset) / s.Period); n > 0 {
-			total += int(n)
-		}
-	}
-	// Each stream emits frames in increasing arrival order (its uplink delay
-	// is constant), so a k-way merge produces the global FIFO arrival order
-	// directly — no sort. Arrival ties break toward the lower stream index,
-	// matching a deterministic NIC delivering interleaved packets.
-	frames := make([]FrameRecord, 0, total)
-	next := make([]int, len(streams))
-	for {
-		best, bestArr := -1, math.Inf(1)
-		for si := range streams {
-			cap := streams[si].Offset + float64(next[si])*streams[si].Period
-			if cap >= horizon {
-				continue
-			}
-			if arr := cap + tx[si]; arr < bestArr {
-				best, bestArr = si, arr
-			}
-		}
-		if best < 0 {
-			break
-		}
-		frames = append(frames, FrameRecord{
-			Stream:  best,
-			Seq:     next[best],
-			Capture: streams[best].Offset + float64(next[best])*streams[best].Period,
-			Arrive:  bestArr,
-		})
-		next[best]++
-	}
-
-	// Service time scales with the server's speed class. At the
-	// homogeneous default (speed 1) the division is an exact identity, so
-	// golden traces are bit-identical.
-	spd := srv.Speed()
-	free := 0.0
-	busy := 0.0
-	for i := range frames {
-		f := &frames[i]
-		f.Start = math.Max(f.Arrive, free)
-		proc := streams[f.Stream].Proc / spd
-		f.Finish = f.Start + proc
-		free = f.Finish
-		busy += proc
-	}
-
-	return summarize(frames, streams, horizon, busy)
-}
-
-// summarize aggregates simulated frames into per-stream statistics.
-func summarize(frames []FrameRecord, streams []StreamSpec, horizon, busy float64) Result {
-	res := Result{Frames: frames, PerStream: make([]StreamStats, len(streams))}
-	for si := range streams {
-		st := &res.PerStream[si]
-		st.MinLat = math.Inf(1)
-	}
-	completed := make([]int, len(streams))
-	for _, f := range frames {
-		st := &res.PerStream[f.Stream]
-		st.Frames++
-		l := f.Latency()
-		st.MeanLat += l
-		st.MinLat = math.Min(st.MinLat, l)
-		st.MaxLat = math.Max(st.MaxLat, l)
-		st.MaxWait = math.Max(st.MaxWait, f.Wait())
-		if f.Finish <= horizon {
-			completed[f.Stream]++
-		}
-	}
-	for si := range res.PerStream {
-		st := &res.PerStream[si]
-		if st.Frames > 0 {
-			st.MeanLat /= float64(st.Frames)
-			st.Jitter = st.MaxLat - st.MinLat
-			st.Throughput = float64(completed[si]) / horizon
-		} else {
-			st.MinLat = 0
-		}
-		res.MaxJitter = math.Max(res.MaxJitter, st.Jitter)
-		res.MaxWait = math.Max(res.MaxWait, st.MaxWait)
-	}
-	res.Utilization = busy / horizon
-	return res
+	return NewArena().SimulateServer(streams, srv, horizon)
 }
 
 // Assignment maps each stream index to a server index (or -1 = unassigned,

@@ -150,9 +150,9 @@ type GenOptions struct {
 	Servers int
 	Cameras int
 	Seed    uint64
-	// CrashProb is the per-server per-epoch probability of a crash (default
-	// 0.05); StallProb and DegradeProb are the camera-stall and
-	// link-degrade analogues (default 0.03 and 0.05).
+	// CrashProb is the per-server per-epoch probability of a crash;
+	// StallProb and DegradeProb are the camera-stall and link-degrade
+	// analogues. Zero means the fault never happens.
 	CrashProb   float64
 	StallProb   float64
 	DegradeProb float64
@@ -161,15 +161,6 @@ type GenOptions struct {
 }
 
 func (o GenOptions) withDefaults() GenOptions {
-	if o.CrashProb == 0 {
-		o.CrashProb = 0.05
-	}
-	if o.StallProb == 0 {
-		o.StallProb = 0.03
-	}
-	if o.DegradeProb == 0 {
-		o.DegradeProb = 0.05
-	}
 	if o.MeanOutage <= 0 {
 		o.MeanOutage = 2
 	}

@@ -113,7 +113,7 @@ func TestNilInjectorSafe(t *testing.T) {
 }
 
 func TestScenarioJSONRoundTrip(t *testing.T) {
-	sc := Generate(GenOptions{Epochs: 20, Servers: 4, Cameras: 6, Seed: 9})
+	sc := Generate(GenOptions{Epochs: 20, Servers: 4, Cameras: 6, Seed: 9, CrashProb: 0.05, StallProb: 0.03, DegradeProb: 0.05})
 	if len(sc.Events) == 0 {
 		t.Fatal("generated scenario is empty; pick a different seed")
 	}
@@ -167,14 +167,33 @@ func TestValidateErrors(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	opt := GenOptions{Epochs: 30, Servers: 5, Cameras: 8, Seed: 42}
+	opt := GenOptions{Epochs: 30, Servers: 5, Cameras: 8, Seed: 42, CrashProb: 0.05, StallProb: 0.03, DegradeProb: 0.05}
 	a, b := Generate(opt), Generate(opt)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same options produced different scenarios")
 	}
-	c := Generate(GenOptions{Epochs: 30, Servers: 5, Cameras: 8, Seed: 43})
+	c := Generate(GenOptions{Epochs: 30, Servers: 5, Cameras: 8, Seed: 43, CrashProb: 0.05, StallProb: 0.03, DegradeProb: 0.05})
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical scenarios")
+	}
+}
+
+func TestGenerateZeroProbabilitiesGenerateNothing(t *testing.T) {
+	for seed := uint64(0); seed < 10; seed++ {
+		sc := Generate(GenOptions{Epochs: 50, Servers: 4, Cameras: 6, Seed: seed})
+		if len(sc.Events) != 0 {
+			t.Fatalf("seed %d: zero probabilities generated %d events: %v", seed, len(sc.Events), sc.Events)
+		}
+	}
+	// One kind on, the others off: only that kind appears.
+	sc := Generate(GenOptions{Epochs: 50, Servers: 4, Cameras: 6, Seed: 3, StallProb: 0.2})
+	if len(sc.Events) == 0 {
+		t.Fatal("stall-only scenario is empty; pick a different seed")
+	}
+	for _, e := range sc.Events {
+		if e.Action != CameraStall && e.Action != CameraResume {
+			t.Fatalf("stall-only scenario generated %v", e)
+		}
 	}
 }
 
@@ -182,7 +201,8 @@ func TestGenerateValidAndNeverKillsLastServer(t *testing.T) {
 	for seed := uint64(0); seed < 20; seed++ {
 		opt := GenOptions{
 			Epochs: 40, Servers: 3, Cameras: 5, Seed: seed,
-			CrashProb: 0.3, MeanOutage: 6, // aggressive: outages overlap across servers
+			CrashProb: 0.3, StallProb: 0.03, DegradeProb: 0.05,
+			MeanOutage: 6, // aggressive: outages overlap across servers
 		}
 		sc := Generate(opt)
 		if err := sc.Validate(opt.Servers, opt.Cameras); err != nil {

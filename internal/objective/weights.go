@@ -1,11 +1,39 @@
 package objective
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Classical fixed-weight definitions from the multi-objective optimization
 // literature (Gunantara 2018, the paper's reference [10]). The paper argues
 // none of these can capture real pricing preferences — the ablation in
 // internal/exp quantifies that against learned preferences.
+
+// ParseWeights parses a comma-separated weight list in objective order
+// (latency,accuracy,network,compute,energy). It accepts exactly K finite
+// values: a NaN or infinite weight would only fail once the benefit is
+// serialized, and a short or long list has no unambiguous reading.
+func ParseWeights(s string) (Preference, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != K {
+		return Preference{}, fmt.Errorf("objective: %d weights in %q, want %d (%s)", len(parts), s, K, strings.Join(Names[:], ","))
+	}
+	var p Preference
+	for k, part := range parts {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil {
+			return Preference{}, fmt.Errorf("objective: %s weight: %w", Names[k], err)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Preference{}, fmt.Errorf("objective: %s weight %v is not finite", Names[k], v)
+		}
+		p.W[k] = v
+	}
+	return p, nil
+}
 
 // EqualWeights assigns every objective weight 1/K (scaled to sum 1).
 func EqualWeights() Preference {

@@ -128,3 +128,26 @@ func TestParetoFront(t *testing.T) {
 		t.Fatalf("front size %d: %v", len(front), front)
 	}
 }
+
+func TestParseWeights(t *testing.T) {
+	p, err := ParseWeights("1, 2,1,1,0.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.W != (Vector{1, 2, 1, 1, 0.5}) {
+		t.Fatalf("weights = %v", p.W)
+	}
+	for _, bad := range []string{
+		"NaN,1,1,1,1",
+		"1,1,+Inf,1,1",
+		"1,1,1,-Inf,1",
+		"1,1,1,1",
+		"1,1,1,1,1,1",
+		"1,1,x,1,1",
+		"",
+	} {
+		if _, err := ParseWeights(bad); err == nil {
+			t.Errorf("ParseWeights(%q) accepted", bad)
+		}
+	}
+}

@@ -135,7 +135,7 @@ func (r *Recorder) Ledgers() []EpochLedger {
 }
 
 // WriteLedgerTable renders per-epoch ledgers as an aligned text table (the
-// pamo-trace fault-run summary output).
+// pamo-trace -events-summary ledger output).
 func WriteLedgerTable(w io.Writer, ledgers []EpochLedger) {
 	fmt.Fprintf(w, "%5s %10s %10s %10s %10s %10s %8s %6s %5s\n",
 		"epoch", "planned", "realized", "shed", "drift", "fault", "retries", "shedN", "exact")
