@@ -204,7 +204,6 @@ func main() {
 			exp.AblationEUBO(w, nil, *reps, *seed)
 			exp.AblationZeroJitter(w, 8, 5, *seed)
 			exp.AblationHungarian(w, 8, 5, *seed)
-			exp.AblationSparse(w, exp.AblationSparseConfig{Reps: *reps, Seed: *seed, Fast: *fast})
 		})
 	}
 	if want("pricing") {

@@ -227,7 +227,8 @@ func TestGoldenLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder(nil)
+	var stream bytes.Buffer
+	rec := obs.NewRecorder(&stream)
 	c := &runtime.Controller{
 		Sys:    sys,
 		Sched:  &runtime.FixedScheduler{Cfg: videosim.Config{Resolution: 1000, FPS: 10}},
@@ -241,7 +242,22 @@ func TestGoldenLedger(t *testing.T) {
 	if _, err := c.Run(context.Background(), epochs); err != nil {
 		t.Fatal(err)
 	}
-	ledgers := rec.Ledgers()
+	// The ledgers are read back from the JSONL stream the recorder wrote:
+	// JSON round-trips float64 exactly, so the pinned digits are the
+	// in-memory values.
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs, err := obs.ReadEvents(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledgers []obs.EpochLedger
+	for _, ev := range evs {
+		if ev.Kind == "ledger" {
+			ledgers = append(ledgers, *ev.Ledger)
+		}
+	}
 	if len(ledgers) != epochs {
 		t.Fatalf("got %d ledgers, want %d", len(ledgers), epochs)
 	}

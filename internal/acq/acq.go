@@ -276,21 +276,6 @@ func (sc *SharedScorer) Add(col int) {
 	}
 }
 
-// AnalyticEI is the closed-form expected improvement of a single Gaussian
-// candidate N(mu, sigma²) over a fixed incumbent:
-//
-//	EI = σ·(u·Φ(u) + φ(u)),  u = (μ − best)/σ.
-//
-// It is the q=1, noise-free special case the Monte-Carlo batch
-// acquisitions generalize, and the tests cross-check them against it.
-func AnalyticEI(mu, sigma, best float64) float64 {
-	if sigma <= 0 {
-		return math.Max(0, mu-best)
-	}
-	u := (mu - best) / sigma
-	return sigma * (u*stats.NormCDF(u) + stats.NormPDF(u))
-}
-
 // EUBO is the Expected Utility of the Best Option for a candidate
 // comparison pair (y1, y2) under the preference model's posterior:
 // E[max(g(y1), g(y2))], computed in closed form from the bivariate

@@ -85,29 +85,44 @@ func TestQEIAgainstClosedForm(t *testing.T) {
 	}
 }
 
+// analyticEI is the closed-form expected improvement of a single Gaussian
+// candidate N(mu, sigma²) over a fixed incumbent:
+//
+//	EI = σ·(u·Φ(u) + φ(u)),  u = (μ − best)/σ.
+//
+// It is the q=1, noise-free special case the Monte-Carlo batch
+// acquisitions generalize, and TestAnalyticEI holds MC-qEI to it.
+func analyticEI(mu, sigma, best float64) float64 {
+	if sigma <= 0 {
+		return math.Max(0, mu-best)
+	}
+	u := (mu - best) / sigma
+	return sigma * (u*stats.NormCDF(u) + stats.NormPDF(u))
+}
+
 func TestAnalyticEI(t *testing.T) {
 	// Degenerate σ: improvement is deterministic.
-	if got := AnalyticEI(2, 0, 1); got != 1 {
+	if got := analyticEI(2, 0, 1); got != 1 {
 		t.Fatalf("deterministic EI = %v", got)
 	}
-	if got := AnalyticEI(0, 0, 1); got != 0 {
+	if got := analyticEI(0, 0, 1); got != 0 {
 		t.Fatalf("deterministic no-improvement EI = %v", got)
 	}
 	// Far-below candidates have ~0 EI; far-above ≈ mu − best.
-	if got := AnalyticEI(-10, 1, 0); got > 1e-6 {
+	if got := analyticEI(-10, 1, 0); got > 1e-6 {
 		t.Fatalf("hopeless EI = %v", got)
 	}
-	if got := AnalyticEI(10, 1, 0); math.Abs(got-10) > 1e-6 {
+	if got := analyticEI(10, 1, 0); math.Abs(got-10) > 1e-6 {
 		t.Fatalf("sure-thing EI = %v", got)
 	}
 	// Monotone in mu.
-	if AnalyticEI(0.5, 1, 0) <= AnalyticEI(-0.5, 1, 0) {
+	if analyticEI(0.5, 1, 0) <= analyticEI(-0.5, 1, 0) {
 		t.Fatal("EI not monotone in mean")
 	}
 	// MC agreement (same setup as TestQEIAgainstClosedForm).
 	sampler := gaussSampler{sigma: 0.7}
 	mu := sampler.meanAt([]float64{1.5})
-	want := AnalyticEI(mu, 0.7, -1)
+	want := analyticEI(mu, 0.7, -1)
 	got := QEI(sampler, [][]float64{{1.5}}, -1, 200000, stats.NewRNG(55))
 	if math.Abs(got-want) > 0.01 {
 		t.Fatalf("qEI %v vs analytic %v", got, want)
@@ -228,7 +243,7 @@ func sharedBruteForce(z [][]float64, batch []int, inc []float64) float64 {
 	return acc / float64(len(z))
 }
 
-func sharedTestDraws(nSamples, nPoints int) [][]float64 {
+func sharedTestSamples(nSamples, nPoints int) [][]float64 {
 	rng := stats.NewRNG(101)
 	z := make([][]float64, nSamples)
 	for s := range z {
@@ -242,7 +257,7 @@ func sharedTestDraws(nSamples, nPoints int) [][]float64 {
 }
 
 func TestSharedScorerMatchesBruteForce(t *testing.T) {
-	z := sharedTestDraws(64, 9)
+	z := sharedTestSamples(64, 9)
 	obsCols := []int{6, 7, 8}
 	inc := make([]float64, len(z))
 	for s, row := range z {
@@ -278,7 +293,7 @@ func TestSharedScorerMatchesBruteForce(t *testing.T) {
 }
 
 func TestSharedQUCBMatchesTransformedMax(t *testing.T) {
-	z := sharedTestDraws(128, 5)
+	z := sharedTestSamples(128, 5)
 	const beta = 2.0
 	sc := NewSharedQUCB(z, beta)
 	// Reference: explicit transform then mean-of-max.
@@ -330,7 +345,7 @@ func TestSharedQNEIAgreesWithPerTrialQNEI(t *testing.T) {
 }
 
 func TestSharedQNEINoObsDegeneratesToQSR(t *testing.T) {
-	z := sharedTestDraws(32, 4)
+	z := sharedTestSamples(32, 4)
 	a := NewSharedQNEI(z, nil)
 	b := NewSharedQSR(z)
 	for ci := 0; ci < 4; ci++ {
@@ -340,7 +355,7 @@ func TestSharedQNEINoObsDegeneratesToQSR(t *testing.T) {
 	}
 }
 
-func TestSharedScorerEmptyDraws(t *testing.T) {
+func TestSharedScorerNoSamples(t *testing.T) {
 	sc := NewSharedQSR(nil)
 	if v := sc.Score(0); !math.IsInf(v, -1) {
 		t.Fatalf("empty-draws score = %v", v)

@@ -43,46 +43,3 @@ func TestSharedScorerZeroAlloc(t *testing.T) {
 		}
 	}
 }
-
-// TestDrawReuseZeroAlloc pins the fully amortized acquisition epoch: probing
-// the cache for reusable draws, rebuilding the scorer in place over them, and
-// running the greedy scan must all stay off the heap once the scorer's
-// buffers are warm. This is the path that replaces the joint sampling pass
-// when the posterior hasn't moved.
-func TestDrawReuseZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewPCG(13, 5))
-	const nSamples, nPoints = 64, 40
-	z := make([][]float64, nSamples)
-	for s := range z {
-		z[s] = make([]float64, nPoints)
-		for i := range z[s] {
-			z[s][i] = rng.NormFloat64()
-		}
-	}
-	probe := make([]float64, 2*nPoints)
-	for i := range probe {
-		probe[i] = rng.NormFloat64()
-	}
-	cache := NewDrawCache(4)
-	cache.Store("universe-a", probe, z)
-
-	obsCols := []int{0, 1, 2}
-	sc := NewSharedQNEI(z, obsCols)
-	sc.Score(3) // warm
-	if n := testing.AllocsPerRun(20, func() {
-		cached, ok := cache.TryReuse("universe-a", probe, 1e-3)
-		if !ok {
-			t.Fatal("reuse refused")
-		}
-		sc.ReuseQNEI(cached, obsCols)
-		best, bestV := -1, 0.0
-		for c := 3; c < nPoints; c++ {
-			if v := sc.Score(c); best < 0 || v > bestV {
-				best, bestV = c, v
-			}
-		}
-		sc.Add(best)
-	}); n != 0 {
-		t.Fatalf("amortized epoch allocates %v times per run, want 0", n)
-	}
-}

@@ -105,33 +105,3 @@ func (k *Matern52) Eval(x, y []float64) float64 {
 
 // Clone implements Kernel.
 func (k *Matern52) Clone() Kernel { return &Matern52{k.cloneBase()} }
-
-// Matern32 is the Matérn ν=3/2 kernel σ²·(1+√3·r)·exp(-√3·r).
-type Matern32 struct{ base }
-
-// NewMatern32 returns a Matérn-3/2 kernel on R^dim.
-func NewMatern32(dim int) *Matern32 { return &Matern32{newBase(dim)} }
-
-// Eval implements Kernel.
-func (k *Matern32) Eval(x, y []float64) float64 {
-	r := math.Sqrt(k.scaledSqDist(x, y))
-	s3r := math.Sqrt(3) * r
-	return k.Variance * (1 + s3r) * math.Exp(-s3r)
-}
-
-// Clone implements Kernel.
-func (k *Matern32) Clone() Kernel { return &Matern32{k.cloneBase()} }
-
-// Matern12 is the exponential kernel σ²·exp(-r) (Matérn ν=1/2).
-type Matern12 struct{ base }
-
-// NewMatern12 returns a Matérn-1/2 kernel on R^dim.
-func NewMatern12(dim int) *Matern12 { return &Matern12{newBase(dim)} }
-
-// Eval implements Kernel.
-func (k *Matern12) Eval(x, y []float64) float64 {
-	return k.Variance * math.Exp(-math.Sqrt(k.scaledSqDist(x, y)))
-}
-
-// Clone implements Kernel.
-func (k *Matern12) Clone() Kernel { return &Matern12{k.cloneBase()} }

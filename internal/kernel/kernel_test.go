@@ -13,8 +13,6 @@ func kernels(dim int) map[string]Kernel {
 	return map[string]Kernel{
 		"rbf":      NewRBF(dim),
 		"matern52": NewMatern52(dim),
-		"matern32": NewMatern32(dim),
-		"matern12": NewMatern12(dim),
 	}
 }
 
@@ -138,14 +136,12 @@ func TestGramPSDProperty(t *testing.T) {
 }
 
 func TestKernelDecayOrdering(t *testing.T) {
-	// At the same distance, rougher kernels (smaller ν) decay faster:
-	// matern12 < matern32 < matern52 < rbf for moderate r.
+	// At the same distance, the rougher kernel (smaller ν) decays faster:
+	// matern52 < rbf for moderate r.
 	x, y := []float64{0}, []float64{1.0}
-	v12 := NewMatern12(1).Eval(x, y)
-	v32 := NewMatern32(1).Eval(x, y)
 	v52 := NewMatern52(1).Eval(x, y)
 	vrb := NewRBF(1).Eval(x, y)
-	if !(v12 < v32 && v32 < v52 && v52 < vrb) {
-		t.Fatalf("decay ordering violated: %v %v %v %v", v12, v32, v52, vrb)
+	if !(v52 < vrb) {
+		t.Fatalf("decay ordering violated: %v %v", v52, vrb)
 	}
 }

@@ -75,52 +75,6 @@ func RankSumWeights(ranks [K]int) (Preference, error) {
 	return p, nil
 }
 
-// PseudoWeights computes the pseudo-weight vector of a chosen solution
-// relative to a Pareto front sample (Deb's formulation): each objective's
-// weight is its normalized distance from the worst value, renormalized to
-// sum 1. All outcomes are interpreted as minimized except Accuracy.
-func PseudoWeights(front []Vector, chosen Vector) (Preference, error) {
-	if len(front) < 2 {
-		return Preference{}, fmt.Errorf("objective: pseudo-weights need ≥ 2 front points, got %d", len(front))
-	}
-	var lo, hi Vector
-	lo = front[0]
-	hi = front[0]
-	for _, f := range front[1:] {
-		for k := 0; k < K; k++ {
-			if f[k] < lo[k] {
-				lo[k] = f[k]
-			}
-			if f[k] > hi[k] {
-				hi[k] = f[k]
-			}
-		}
-	}
-	var p Preference
-	var sum float64
-	for k := 0; k < K; k++ {
-		span := hi[k] - lo[k]
-		if span <= 0 {
-			p.W[k] = 0
-			continue
-		}
-		// Distance from the worst value, toward the best.
-		if Objective(k) == Accuracy {
-			p.W[k] = (chosen[k] - lo[k]) / span
-		} else {
-			p.W[k] = (hi[k] - chosen[k]) / span
-		}
-		sum += p.W[k]
-	}
-	if sum <= 0 {
-		return Preference{}, fmt.Errorf("objective: degenerate pseudo-weights (chosen dominates nothing)")
-	}
-	for k := 0; k < K; k++ {
-		p.W[k] /= sum
-	}
-	return p, nil
-}
-
 func validRanks(ranks [K]int) error {
 	var seen [K + 1]bool
 	for _, r := range ranks {

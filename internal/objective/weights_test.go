@@ -67,37 +67,6 @@ func TestRankValidation(t *testing.T) {
 	}
 }
 
-func TestPseudoWeights(t *testing.T) {
-	// Accuracy is maximized; others minimized.
-	front := []Vector{
-		{0.1, 0.9, 0.8, 0.8, 0.8}, // fast+accurate but expensive
-		{0.9, 0.2, 0.1, 0.1, 0.1}, // slow+inaccurate but cheap
-	}
-	// A solution at the accurate end should weight accuracy (and the
-	// objectives where it is best) highly.
-	p, err := PseudoWeights(front, front[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, w := range p.W {
-		if w < 0 {
-			t.Fatalf("negative pseudo-weight: %v", p.W)
-		}
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("pseudo-weights sum to %v", sum)
-	}
-	if p.W[Latency] == 0 || p.W[Accuracy] == 0 {
-		t.Fatalf("chosen point is best on latency and accuracy, weights: %v", p.W)
-	}
-
-	if _, err := PseudoWeights(front[:1], front[0]); err == nil {
-		t.Error("single-point front accepted")
-	}
-}
-
 func TestDominates(t *testing.T) {
 	a := Vector{0.1, 0.9, 0.1, 0.1, 0.1} // better everywhere (acc higher)
 	b := Vector{0.2, 0.8, 0.2, 0.2, 0.2}

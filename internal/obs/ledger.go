@@ -96,9 +96,10 @@ func (l *EpochLedger) Close() {
 // exact float equality — the property Close establishes and golden tests pin.
 func (l *EpochLedger) CheckExact() bool { return l.SumBuckets() == l.Gap() }
 
-// RecordLedger stores the ledger and emits it as one JSONL record of kind
-// "ledger", attributed to the span carried by ctx (normally the epoch
-// span). Safe on a nil receiver.
+// RecordLedger emits the ledger as one JSONL record of kind "ledger",
+// attributed to the span carried by ctx (normally the epoch span). The
+// recorder keeps no copy: readers take the ledgers back from the stream
+// (ReadEvents). Safe on a nil receiver.
 func (r *Recorder) RecordLedger(ctx context.Context, l EpochLedger) {
 	if r == nil {
 		return
@@ -118,20 +119,6 @@ func (r *Recorder) RecordLedger(ctx context.Context, l EpochLedger) {
 		ev.Parent = sp.id
 	}
 	r.emit(ev)
-	r.mu.Lock()
-	r.ledgers = append(r.ledgers, l)
-	r.mu.Unlock()
-}
-
-// Ledgers returns a copy of every ledger recorded so far, in record order.
-// Safe on a nil receiver (returns nil).
-func (r *Recorder) Ledgers() []EpochLedger {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]EpochLedger(nil), r.ledgers...)
 }
 
 // WriteLedgerTable renders per-epoch ledgers as an aligned text table (the

@@ -86,15 +86,14 @@ func F(key string, val float64) Field { return Field{Key: key, Val: val} }
 // concurrent use and no-ops on a nil receiver, so disabled telemetry costs
 // a nil check and nothing else.
 type Recorder struct {
-	mu      sync.Mutex
-	w       *bufio.Writer // nil: events are aggregated but not written
-	start   time.Time
-	reg     *Registry
-	spans   map[string]*SpanStat
-	durs    map[string]*Histogram // per-name span-duration histograms
-	ledgers []EpochLedger
-	err     error         // first write error, surfaced by Close
-	ids     atomic.Uint64 // trace/span ID allocator (IDs start at 1)
+	mu    sync.Mutex
+	w     *bufio.Writer // nil: events are aggregated but not written
+	start time.Time
+	reg   *Registry
+	spans map[string]*SpanStat
+	durs  map[string]*Histogram // per-name span-duration histograms
+	err   error                 // first write error, surfaced by Close
+	ids   atomic.Uint64         // trace/span ID allocator (IDs start at 1)
 }
 
 // NewRecorder returns a recorder writing JSONL events to w. A nil w keeps

@@ -57,27 +57,3 @@ func TestMultiStartSkipsNaNStarts(t *testing.T) {
 		t.Fatalf("minimizer = %v", r.X)
 	}
 }
-
-func TestGoldenSection(t *testing.T) {
-	got := GoldenSection(func(x float64) float64 { return (x - 2.5) * (x - 2.5) }, 0, 10, 1e-10)
-	if math.Abs(got-2.5) > 1e-8 {
-		t.Fatalf("GoldenSection = %v", got)
-	}
-	// Boundary minimum.
-	got = GoldenSection(func(x float64) float64 { return x }, 1, 4, 1e-10)
-	if math.Abs(got-1) > 1e-6 {
-		t.Fatalf("boundary min = %v", got)
-	}
-}
-
-func TestGridSearchMin(t *testing.T) {
-	vals := []float64{3, 1, 4, 1, 5}
-	i, f := GridSearchMin(func(i int) float64 { return vals[i] }, len(vals))
-	if i != 1 || f != 1 {
-		t.Fatalf("GridSearchMin = (%d, %v)", i, f)
-	}
-	i, f = GridSearchMin(func(int) float64 { return 0 }, 0)
-	if i != -1 || !math.IsInf(f, 1) {
-		t.Fatalf("empty grid = (%d, %v)", i, f)
-	}
-}

@@ -51,23 +51,11 @@ func (s *Scheduler) Diagnostics() ([]MetricDiag, error) {
 // looDiag computes metric mi's leave-one-out fit quality; ok=false before
 // the model is conditioned.
 func (c *clipModels) looDiag(mi metric) (d MetricDiag, ok bool) {
-	var mu, y []float64
-	if c.exact != nil {
-		if d.N = c.exact.N(); d.N == 0 {
-			return d, false
-		}
-		mu, _ = c.exact.LeaveOneOut(int(mi))
-		y = c.exact.Y(int(mi))
-		d.LogLik = c.exact.LOOLogLikelihood(int(mi))
-	} else {
-		sp := c.sp[mi]
-		if d.N = sp.N(); d.N == 0 {
-			return d, false
-		}
-		mu, _ = sp.LeaveOneOut()
-		y = sp.Y()
-		d.LogLik = sp.LOOLogLikelihood()
+	if d.N = c.model.N(); d.N == 0 {
+		return d, false
 	}
-	d.R2 = stats.R2(y, mu)
+	mu, _ := c.model.LeaveOneOut(int(mi))
+	d.R2 = stats.R2(c.model.Y(int(mi)), mu)
+	d.LogLik = c.model.LOOLogLikelihood(int(mi))
 	return d, true
 }

@@ -8,10 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/acq"
 	"repro/internal/check"
 	"repro/internal/eva"
-	"repro/internal/gp"
 	"repro/internal/objective"
 	"repro/internal/obs"
 	"repro/internal/pref"
@@ -103,25 +101,6 @@ type Options struct {
 	// keeps every clip on the cold path, byte-identical to the pre-bank
 	// behavior.
 	Models *Bank
-	// Sparse selects inducing-point sparse outcome models (SoR with FITC
-	// variance correction, see gp.SparseGP) instead of exact GPs: O(m)
-	// posterior means and O(nm + m²) incremental refits with m ≪ n, at a
-	// bounded approximation cost. Off by default — exact models are the
-	// golden-pinned configuration.
-	Sparse bool
-	// SparseInducing caps the inducing set size m (default 64).
-	SparseInducing int
-	// SparseMaxObs budget-caps each sparse model's observation set: beyond
-	// it, every new observation forgets the retained one whose leave-one-out
-	// impact on the incumbent's posterior is smallest. 0 keeps everything.
-	SparseMaxObs int
-	// Draws, when non-nil, amortizes the shared-sample acquisition across
-	// scheduler runs, like Models does for outcome models: when an
-	// iteration's candidate∪observation universe matches a cached epoch and
-	// the posterior moved less than drawReuseTol at every pooled point, the
-	// previous epoch's joint draws are reused instead of re-sampled (see
-	// acq.DrawCache). Nil (the default) samples fresh draws every iteration.
-	Draws *acq.DrawCache
 }
 
 // Fixed parameters of the solve.
@@ -135,14 +114,11 @@ const (
 	// any remain, the warm model runs at this multiple of the pooled noise
 	// variance.
 	warmNoiseInflate = 25.0
-	// drawReuseTol is the maximum absolute posterior movement — mean and
-	// variance of every probed marginal per universe point — under which
-	// cached draws still stand in for fresh ones.
-	drawReuseTol = 1e-3
 )
 
-// sharedDraws is the number of joint posterior draws per acquisition round.
-func (o Options) sharedDraws() int { return 4 * o.MCSamples }
+// drawsPerRound is the number of joint posterior draws per acquisition
+// round.
+func (o Options) drawsPerRound() int { return 4 * o.MCSamples }
 
 // warmProfiles is the initial profiling budget for a warm-started clip:
 // with the two corner anchors a warm start costs at most half a cold one.
@@ -168,8 +144,6 @@ func (o Options) Validate() error {
 		{"CandPool", o.CandPool},
 		{"MaxIter", o.MaxIter},
 		{"Workers", o.Workers},
-		{"SparseInducing", o.SparseInducing},
-		{"SparseMaxObs", o.SparseMaxObs},
 	} {
 		if f.v < 0 {
 			bad = append(bad, fmt.Sprintf("option %s is negative (%d)", f.name, f.v))
@@ -217,7 +191,6 @@ func (o Options) withDefaults() Options {
 	if o.ProfilerNoise == 0 {
 		o.ProfilerNoise = 0.02
 	}
-	def(&o.SparseInducing, 64)
 	return o
 }
 
@@ -310,18 +283,14 @@ func New(sys *objective.System, dm pref.DecisionMaker, opt Options) *Scheduler {
 	return s
 }
 
-// modelSpec resolves the Options knobs into the outcome-model family and
-// lifecycle-counter sinks new metric GPs are built with.
-func (s *Scheduler) modelSpec() modelSpec {
-	return modelSpec{
-		sparse: s.opt.Sparse,
-		sparseOpt: gp.SparseOptions{
-			MaxInducing: s.opt.SparseInducing,
-			MaxObs:      s.opt.SparseMaxObs,
-		},
-		gpObs:      s.met.gpObs,
-		gpInducing: s.met.gpInducing,
-		gpForget:   s.met.gpForget,
+// modelSinks is where this scheduler's outcome models report.
+func (s *Scheduler) modelSinks() modelSinks {
+	return modelSinks{
+		mvn:      &s.mvn,
+		gpObs:    s.met.gpObs,
+		cholInc:  s.met.cholInc,
+		cholFull: s.met.cholFull,
+		chk:      s.opt.Check,
 	}
 }
 
@@ -343,18 +312,18 @@ const (
 // models are banked immediately — they are conditioned in place, so
 // whatever this run learns is what the next scheduler inherits.
 func (s *Scheduler) seedClip(clip *videosim.Clip) (*clipModels, clipSeed) {
-	spec := s.modelSpec()
+	sinks := s.modelSinks()
 	b := s.opt.Models
 	if b == nil {
 		s.met.coldStarts.Inc()
-		return newClipModels(spec, &s.mvn, s.met.cholInc, s.met.cholFull, s.opt.Check), seedCold
+		return newClipModels(sinks), seedCold
 	}
 	if cm, ok := b.get(clip.Name); ok && len(cm.xs) > 0 {
-		cm.rebind(spec, &s.mvn, s.met.cholInc, s.met.cholFull, s.opt.Check)
+		cm.rebind(sinks)
 		s.met.bankHits.Inc()
 		return cm, seedBank
 	}
-	cm := newClipModels(spec, &s.mvn, s.met.cholInc, s.met.cholFull, s.opt.Check)
+	cm := newClipModels(sinks)
 	b.put(clip, cm)
 	if donors := b.donors(clip, 3); len(donors) > 0 &&
 		cm.warmFrom(donors, warmKeep, warmNoiseInflate) {
@@ -454,7 +423,6 @@ func (s *Scheduler) solutionLoop(ctx context.Context) (*Result, error) {
 	if err := s.initialObservations(); err != nil {
 		return nil, fmt.Errorf("pamo: initial observations: %w", err)
 	}
-	s.setIncumbents()
 
 	res := &Result{}
 	zPrev := math.Inf(-1)
@@ -484,7 +452,6 @@ func (s *Scheduler) solutionLoop(ctx context.Context) (*Result, error) {
 			}
 		}
 		s.refreshBenefits()
-		s.setIncumbents()
 		z := s.bestObservation().Benefit
 		if err := guard.Observe(z); err != nil {
 			iterSp.End()
@@ -522,23 +489,6 @@ func (s *Scheduler) solutionLoop(ctx context.Context) (*Result, error) {
 	sp.Field("iters", float64(res.Iters))
 	sp.Field("observations", float64(len(s.obs)))
 	return res, nil
-}
-
-// setIncumbents points every sparse outcome model's benefit-aware
-// forgetting rule at the current best observation's per-clip configs, so
-// the MaxObs budget keeps the observations most informative about the
-// region the schedule actually exploits. No-op for exact models.
-func (s *Scheduler) setIncumbents() {
-	if !s.opt.Sparse {
-		return
-	}
-	best := s.bestObservation()
-	if len(best.Decision.Configs) != len(s.clips) {
-		return
-	}
-	for ci := range s.clips {
-		s.clips[ci].setIncumbent(best.Decision.Configs[ci])
-	}
 }
 
 // finalTournament returns the winner of direct decision-maker comparisons

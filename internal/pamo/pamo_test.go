@@ -49,7 +49,7 @@ func TestEncodeCfgRange(t *testing.T) {
 }
 
 func TestMetricGPLearnsCurve(t *testing.T) {
-	cm := newClipModels(modelSpec{}, nil, nil, nil, nil)
+	cm := newClipModels(modelSinks{})
 	for _, r := range videosim.Resolutions {
 		for _, s := range videosim.FrameRates {
 			cm.addMeasurement(videosim.Config{Resolution: r, FPS: s}, measure(0.125*r*r*s)) // bandwidth-like surface
@@ -68,7 +68,7 @@ func TestMetricGPLearnsCurve(t *testing.T) {
 }
 
 func TestMetricGPRefitEmptyFails(t *testing.T) {
-	if err := newClipModels(modelSpec{}, nil, nil, nil, nil).refit(); err == nil {
+	if err := newClipModels(modelSinks{}).refit(); err == nil {
 		t.Fatal("expected error")
 	}
 }

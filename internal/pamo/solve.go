@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand/v2"
 	goruntime "runtime"
-	"strings"
 	"sync"
 
 	"repro/internal/acq"
@@ -182,34 +181,8 @@ func (s *Scheduler) selectBatch(cands []candidate) []candidate {
 	// the very same stream, replaying identical acquisition noise.
 	round := s.acqRound
 	s.acqRound++
-	// Amortized path (Options.Draws): when this exact universe was
-	// sampled before — e.g. a fleet re-solve replaying the same candidate
-	// stream — and the posterior probe moved by at most drawReuseTol per
-	// component, the cached draws come from a statistically
-	// indistinguishable joint posterior and the sampling pass is skipped
-	// entirely. Any probe movement beyond the threshold falls back to
-	// fresh draws, so a posterior that actually learned something is never
-	// scored against stale samples.
-	var (
-		z        [][]float64
-		cacheKey string
-		probe    []float64
-	)
-	if s.opt.Draws != nil {
-		cacheKey = universeKey(universe)
-		probe = s.posteriorProbe(universe)
-		if cached, ok := s.opt.Draws.TryReuse(cacheKey, probe, drawReuseTol); ok && len(cached) == s.opt.sharedDraws() {
-			z = cached
-			s.met.drawsReused.Inc()
-		}
-	}
-	if z == nil {
-		rng := rand.New(rand.NewPCG(acqStream(s.opt.Seed, round)))
-		z = bs.SampleBenefit(pts, s.opt.sharedDraws(), rng)
-		if s.opt.Draws != nil {
-			s.opt.Draws.Store(cacheKey, probe, z)
-		}
-	}
+	rng := rand.New(rand.NewPCG(acqStream(s.opt.Seed, round)))
+	z := bs.SampleBenefit(pts, s.opt.drawsPerRound(), rng)
 
 	var scorer *acq.SharedScorer
 	switch s.opt.Acq {
@@ -304,51 +277,6 @@ func argmaxAvailable(scores []float64, inBatch []bool) int {
 		}
 	}
 	return bestIdx
-}
-
-// universeKey fingerprints a sampling universe exactly: per candidate, the
-// per-clip configurations plus the stream→server assignment — everything
-// SampleBenefit reads from a candidate. Two universes with equal keys
-// describe the same decision points, so draws taken at one are draws at the
-// other; whether the POSTERIOR still matches is the probe's job.
-func universeKey(universe []candidate) string {
-	var b strings.Builder
-	for i := range universe {
-		c := &universe[i]
-		b.WriteString(cfgKey(c.cfgs))
-		for k, st := range c.streams {
-			fmt.Fprintf(&b, "%d>%d,", st.Video, c.plan.StreamServer[k])
-		}
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-// posteriorProbe summarizes the scheduler's belief at the universe points:
-// posterior mean and variance of every per-clip metric model at each
-// candidate's configs, plus the preference model's mean and variance at each
-// candidate's predicted normalized outcome. If every component of this
-// vector is unchanged (within tolerance) since a cached draw matrix was
-// taken, the joint benefit posterior at these points is unchanged too — the
-// draws only depend on the models through exactly these marginals and their
-// cross-covariances, which the kernel ties to them.
-func (s *Scheduler) posteriorProbe(universe []candidate) []float64 {
-	probe := make([]float64, 0, len(universe)*(len(s.clips)*int(numMetrics)+1)*2)
-	for i := range universe {
-		c := &universe[i]
-		for ci := range s.clips {
-			mu, v := s.clips[ci].meanVar(c.cfgs[ci])
-			for mi := range mu {
-				probe = append(probe, mu[mi], v[mi])
-			}
-		}
-		if s.learner != nil && !s.opt.UseTruePref {
-			y := s.norm.Normalize(s.predictOutcomes(*c)).Slice()
-			mu, v := s.learner.Model.PredictOne(y)
-			probe = append(probe, mu, v)
-		}
-	}
-	return probe
 }
 
 // observationCandidate rebuilds a candidate view of a past observation so

@@ -129,8 +129,8 @@ func TestRefitIncrementalMatchesFullFit(t *testing.T) {
 	// metric's column on exactly the same posterior as a from-scratch fit of
 	// the same data.
 	rng := rand.New(rand.NewPCG(5, 6))
-	inc := newClipModels(modelSpec{}, nil, nil, nil, nil)
-	full := newClipModels(modelSpec{}, nil, nil, nil, nil)
+	inc := newClipModels(modelSinks{})
+	full := newClipModels(modelSinks{})
 	addBoth := func(cfg videosim.Config, y float64) {
 		o := videosim.Measurement{Acc: y, ProcTime: 2*y + 1, Bits: y * y, Compute: -y, Power: 3}
 		inc.addMeasurement(cfg, o)
@@ -163,7 +163,7 @@ func TestRefitIncrementalMatchesFullFit(t *testing.T) {
 			scaled[mi] = append(scaled[mi], y/inc.scale[mi])
 		}
 	}
-	if err := full.exact.Fit(full.xs, scaled[:]); err != nil {
+	if err := full.model.Fit(full.xs, scaled[:]); err != nil {
 		t.Fatal(err)
 	}
 	var mi, mf [numMetrics]float64
@@ -173,8 +173,8 @@ func TestRefitIncrementalMatchesFullFit(t *testing.T) {
 			FPS:        videosim.FrameRates[rng.IntN(len(videosim.FrameRates))],
 		}
 		x := encodeCfg(cfg)
-		vi := inc.exact.Predict(x, mi[:])
-		vf := full.exact.Predict(x, mf[:])
+		vi := inc.model.Predict(x, mi[:])
+		vf := full.model.Predict(x, mf[:])
 		for m := range mi {
 			if math.Abs(mi[m]-mf[m]) > 1e-7 || math.Abs(vi-vf) > 1e-7 {
 				t.Fatalf("cfg %+v metric %d: incremental (%v, %v) vs full (%v, %v)", cfg, m, mi[m], vi, mf[m], vf)

@@ -21,9 +21,6 @@ type schedMetrics struct {
 	warmStarts   *obs.Counter   // pamo_warm_starts_total
 	coldStarts   *obs.Counter   // pamo_cold_starts_total
 	gpObs        *obs.Counter   // gp_obs_total
-	gpInducing   *obs.Counter   // gp_inducing_total
-	gpForget     *obs.Counter   // gp_forget_total
-	drawsReused  *obs.Counter   // acq_draws_reused_total
 	bestBenefit  *obs.Gauge     // pamo_best_benefit
 	mvnFallbacks *obs.Gauge     // pamo_mvn_fallbacks
 	acqScore     *obs.Histogram // pamo_acq_score
@@ -43,9 +40,6 @@ func newSchedMetrics(reg *obs.Registry) schedMetrics {
 		warmStarts:   reg.Counter("pamo_warm_starts_total"),
 		coldStarts:   reg.Counter("pamo_cold_starts_total"),
 		gpObs:        reg.Counter("gp_obs_total"),
-		gpInducing:   reg.Counter("gp_inducing_total"),
-		gpForget:     reg.Counter("gp_forget_total"),
-		drawsReused:  reg.Counter("acq_draws_reused_total"),
 		bestBenefit:  reg.Gauge("pamo_best_benefit"),
 		mvnFallbacks: reg.Gauge("pamo_mvn_fallbacks"),
 		acqScore:     reg.Histogram("pamo_acq_score", obs.DefBuckets),

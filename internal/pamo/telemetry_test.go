@@ -93,11 +93,11 @@ func TestPrefComparisonsCounterMatchesResult(t *testing.T) {
 	}
 }
 
-// TestOneFactorPerClip pins the exact family's shared factor through the
+// TestOneFactorPerClip pins the clip's shared factor through the
 // Cholesky-path counters: the outcome-model phase factorizes each of the M
 // clips once (not once per metric), and every later observation conditions
 // each clip through exactly one extension or refactorization, while
-// gp_obs_total still counts per metric model.
+// gp_obs_total still counts per metric column.
 func TestOneFactorPerClip(t *testing.T) {
 	rec := obs.NewRecorder(nil)
 	sys := testSys(4, 3, 31)

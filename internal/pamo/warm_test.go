@@ -15,7 +15,7 @@ func measure(y float64) videosim.Measurement {
 }
 
 func TestMetricGPWarmLifecycle(t *testing.T) {
-	donor := newClipModels(modelSpec{}, nil, nil, nil, nil)
+	donor := newClipModels(modelSinks{})
 	for _, r := range videosim.Resolutions {
 		for _, s := range videosim.FrameRates {
 			donor.addMeasurement(videosim.Config{Resolution: r, FPS: s}, measure(0.125*r*r*s))
@@ -25,14 +25,14 @@ func TestMetricGPWarmLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	warm := newClipModels(modelSpec{}, nil, nil, nil, nil)
+	warm := newClipModels(modelSinks{})
 	if !warm.warmFrom([]*clipModels{donor}, 6, 25) {
 		t.Fatal("warmFrom declined")
 	}
 	if len(warm.vxs) != 6 {
 		t.Fatalf("virtual points = %d, want 6", len(warm.vxs))
 	}
-	if got, want := warm.hyper().Noise(), warm.baseNoise*25; math.Abs(got-want) > 1e-15 {
+	if got, want := warm.model.Noise(), warm.baseNoise*25; math.Abs(got-want) > 1e-15 {
 		t.Fatalf("inflated noise = %v, want %v", got, want)
 	}
 	// Conditioned on virtual points alone, the model already tracks the
@@ -59,8 +59,8 @@ func TestMetricGPWarmLifecycle(t *testing.T) {
 	if len(warm.vxs) != 0 {
 		t.Fatalf("virtual set not retired: %d points", len(warm.vxs))
 	}
-	if warm.hyper().Noise() != warm.baseNoise {
-		t.Fatalf("noise floor %v not restored to %v", warm.hyper().Noise(), warm.baseNoise)
+	if warm.model.Noise() != warm.baseNoise {
+		t.Fatalf("noise floor %v not restored to %v", warm.model.Noise(), warm.baseNoise)
 	}
 	if got := warm.means(cfg)[mBits]; math.Abs(got-truth)/truth > 0.1 {
 		t.Fatalf("post-retirement mean %v vs truth %v", got, truth)
@@ -68,13 +68,13 @@ func TestMetricGPWarmLifecycle(t *testing.T) {
 }
 
 func TestMetricGPWarmFromDeclines(t *testing.T) {
-	donor := newClipModels(modelSpec{}, nil, nil, nil, nil)
-	conditioned := newClipModels(modelSpec{}, nil, nil, nil, nil)
+	donor := newClipModels(modelSinks{})
+	conditioned := newClipModels(modelSinks{})
 	conditioned.addMeasurement(videosim.Config{Resolution: videosim.Resolutions[0], FPS: videosim.FrameRates[0]}, measure(1))
 	if conditioned.warmFrom([]*clipModels{donor}, 4, 25) {
 		t.Error("model holding data accepted a warm start")
 	}
-	if fresh := newClipModels(modelSpec{}, nil, nil, nil, nil); fresh.warmFrom(nil, 4, 25) {
+	if fresh := newClipModels(modelSinks{}); fresh.warmFrom(nil, 4, 25) {
 		t.Error("warm start with no donors succeeded")
 	}
 }
@@ -83,13 +83,13 @@ func TestBankDonorsDeterministicAndFiltered(t *testing.T) {
 	bank := NewBank()
 	clips := videosim.StandardClips(4, 42)
 	withData := func() *clipModels {
-		cm := newClipModels(modelSpec{}, nil, nil, nil, nil)
+		cm := newClipModels(modelSinks{})
 		cm.addMeasurement(videosim.Config{Resolution: videosim.Resolutions[0], FPS: videosim.FrameRates[0]}, measure(1))
 		return cm
 	}
 	bank.put(clips[0], withData())
 	bank.put(clips[1], withData())
-	bank.put(clips[2], newClipModels(modelSpec{}, nil, nil, nil, nil)) // no data: never a donor
+	bank.put(clips[2], newClipModels(modelSinks{})) // no data: never a donor
 
 	got := bank.donors(clips[3], 3)
 	if len(got) != 2 {

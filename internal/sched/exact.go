@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"math"
-
-	"repro/internal/cluster"
-)
+import "math"
 
 // Exact zero-jitter grouping by backtracking. The paper's related work
 // notes non-preemptive periodic scheduling is strongly NP-hard [12] and
@@ -96,18 +92,4 @@ func ExactGroup(streams []Stream, n int) ([][]int, bool) {
 		out[j] = append([]int(nil), groups[j]...)
 	}
 	return out, true
-}
-
-// ExactSchedule runs the exact grouping followed by the same Hungarian
-// group→server mapping as Algorithm 1. The boolean reports feasibility.
-func ExactSchedule(streams []Stream, servers []cluster.Server) (Plan, bool) {
-	groups, ok := ExactGroup(streams, len(servers))
-	if !ok {
-		return Plan{}, false
-	}
-	plan, err := MapGroups(groups, streams, servers)
-	if err != nil {
-		return Plan{}, false
-	}
-	return plan, true
 }

@@ -71,9 +71,13 @@ func TestExactScheduleProducesValidPlan(t *testing.T) {
 		{Video: 2, Period: RatFromFPS(30), Proc: 0.02, Bits: 1e5},
 	}
 	srvs := []cluster.Server{{Uplink: 1e7}, {Uplink: 2e7}}
-	plan, ok := ExactSchedule(streams, srvs)
+	groups, ok := ExactGroup(streams, len(srvs))
 	if !ok {
 		t.Fatal("feasible instance rejected")
+	}
+	plan, err := MapGroups(groups, streams, srvs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !CheckConst2Servers(streams, plan.StreamServer, srvs) {
 		t.Fatal("exact plan violates Const2")

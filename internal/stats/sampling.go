@@ -24,72 +24,6 @@ func SplitMix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Halton fills out with n points of the d-dimensional scrambled Halton
-// low-discrepancy sequence in [0,1)^d. The per-dimension digit permutations
-// are drawn from rng, which both breaks the correlation artifacts of the
-// plain Halton sequence in high dimensions and makes repeated calls produce
-// different point sets.
-func Halton(n, d int, rng *rand.Rand) [][]float64 {
-	primes := firstPrimes(d)
-	perms := make([][]int, d)
-	for j, p := range primes {
-		perm := rng.Perm(p)
-		// A scramble must keep 0 → 0, otherwise trailing (implicit) zero
-		// digits shift every point.
-		for k, v := range perm {
-			if v == 0 {
-				perm[0], perm[k] = perm[k], perm[0]
-				break
-			}
-		}
-		perms[j] = perm
-	}
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		pt := make([]float64, d)
-		for j, p := range primes {
-			pt[j] = radicalInverse(i+1, p, perms[j])
-		}
-		out[i] = pt
-	}
-	return out
-}
-
-// radicalInverse returns the base-p radical inverse of k with scrambled
-// digits.
-func radicalInverse(k, p int, perm []int) float64 {
-	var v float64
-	f := 1.0 / float64(p)
-	scale := f
-	for k > 0 {
-		v += float64(perm[k%p]) * scale
-		k /= p
-		scale *= f
-	}
-	return v
-}
-
-// firstPrimes returns the first n primes.
-func firstPrimes(n int) []int {
-	out := make([]int, 0, n)
-	for c := 2; len(out) < n; c++ {
-		isPrime := true
-		for _, p := range out {
-			if p*p > c {
-				break
-			}
-			if c%p == 0 {
-				isPrime = false
-				break
-			}
-		}
-		if isPrime {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // LatinHypercube returns n stratified samples in [0,1)^d: each dimension is
 // divided into n equal strata and each stratum is hit exactly once.
 func LatinHypercube(n, d int, rng *rand.Rand) [][]float64 {

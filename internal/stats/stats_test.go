@@ -122,32 +122,6 @@ func TestEMaxGaussianPair(t *testing.T) {
 	}
 }
 
-func TestHaltonProperties(t *testing.T) {
-	rng := NewRNG(7)
-	pts := Halton(256, 5, rng)
-	if len(pts) != 256 || len(pts[0]) != 5 {
-		t.Fatal("Halton shape wrong")
-	}
-	for _, p := range pts {
-		for j, x := range p {
-			if x < 0 || x >= 1 {
-				t.Fatalf("Halton point out of range: dim %d = %v", j, x)
-			}
-		}
-	}
-	// Low discrepancy sanity: per-dimension mean close to 0.5.
-	for j := 0; j < 5; j++ {
-		var s float64
-		for _, p := range pts {
-			s += p[j]
-		}
-		m := s / 256
-		if math.Abs(m-0.5) > 0.06 {
-			t.Errorf("Halton dim %d mean = %v", j, m)
-		}
-	}
-}
-
 func TestLatinHypercubeStratification(t *testing.T) {
 	rng := NewRNG(9)
 	n, d := 20, 3
@@ -160,16 +134,6 @@ func TestLatinHypercubeStratification(t *testing.T) {
 				t.Fatalf("dim %d stratum %d violated", j, k)
 			}
 			hit[k] = true
-		}
-	}
-}
-
-func TestFirstPrimes(t *testing.T) {
-	got := firstPrimes(10)
-	want := []int{2, 3, 5, 7, 11, 13, 17, 19, 23, 29}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firstPrimes = %v", got)
 		}
 	}
 }

@@ -10,16 +10,18 @@ import (
 
 // TestMetricNamesLinted walks the source tree for every metric
 // registration — Counter("..."), Gauge("..."), Histogram("...") — and
-// enforces two contracts:
+// enforces three contracts:
 //
 //  1. every name matches ^[a-z][a-z0-9_]*$ (Prometheus-safe, no dots, no
-//     uppercase), and
-//  2. every name is documented in the checked-in metrics.md inventory, so
-//     the inventory cannot rot silently.
+//     uppercase),
+//  2. every name is documented in the checked-in metrics.md inventory, and
+//  3. every metrics.md row names a metric some registration creates,
+//
+// so the inventory cannot rot silently in either direction.
 //
 // Dynamic families built as Counter("prefix_" + label) are linted by their
 // prefix: the prefix itself must be well-formed and metrics.md must list a
-// `prefix_<...>` entry.
+// `prefix_<...>` entry; such a row resolves when its prefix is registered.
 func TestMetricNamesLinted(t *testing.T) {
 	inventory, err := os.ReadFile("metrics.md")
 	if err != nil {
@@ -32,6 +34,7 @@ func TestMetricNamesLinted(t *testing.T) {
 	callRE := regexp.MustCompile(`\b(Counter|Gauge|Histogram)\("([^"]*)"\s*([,)+])`)
 
 	checked := 0
+	registered := map[string]bool{} // literal names and dynamic prefixes
 	err = walkProductionGo(func(path string) error {
 		src, err := os.ReadFile(path)
 		if err != nil {
@@ -40,6 +43,7 @@ func TestMetricNamesLinted(t *testing.T) {
 		for _, m := range callRE.FindAllStringSubmatch(string(src), -1) {
 			name, sep := m[2], m[3]
 			checked++
+			registered[name] = true
 			if sep == "+" {
 				// Dynamic family: lint the prefix, require a prefix entry.
 				trimmed := strings.TrimSuffix(name, "_")
@@ -65,6 +69,25 @@ func TestMetricNamesLinted(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("lint found no metric registrations — extraction regex rotted")
+	}
+
+	// Reverse direction: every inventory row must resolve to a registration.
+	rowRE := regexp.MustCompile("(?m)^\\| `([^`]+)` \\|")
+	rows := rowRE.FindAllStringSubmatch(inv, -1)
+	if len(rows) == 0 {
+		t.Fatal("metrics.md has no inventory rows — row regex rotted")
+	}
+	for _, m := range rows {
+		name := m[1]
+		if prefix, _, dynamic := strings.Cut(name, "<"); dynamic {
+			if !registered[prefix] {
+				t.Errorf("metrics.md row %q: no registration builds the family prefix %q", name, prefix)
+			}
+			continue
+		}
+		if !registered[name] {
+			t.Errorf("metrics.md row %q: no production code registers it", name)
+		}
 	}
 }
 
