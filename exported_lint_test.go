@@ -24,13 +24,9 @@ var funcAllow = map[string]string{
 	"sched.Rat":            "cross-package test fixture: literal stream periods in check and runtime tests",
 	"shard.NewArbiter":     "test fixture: the arbiter's unit tests build a standalone one (the Planner embeds its own)",
 	"eva.AnalyticOutcomes": "closed-form DES oracle; ROADMAP item 14 decides it",
-	"pamo.NewBank":         "persistent outcome models, ROADMAP item 10's foundation",
-	"gp.SampleMVN":         "no caller but its tests; next census round (ROADMAP item 2)",
-	"gp.MVNFallbacks":      "no caller but its tests; next census round (ROADMAP item 2)",
-	"objective.FromSlice":  "no caller but its tests; next census round (ROADMAP item 2)",
-	"obs.ContextWithSpan":  "no caller but its tests; next census round (ROADMAP item 2)",
-	"stats.Clamp":          "no caller but its tests; next census round (ROADMAP item 2)",
-	"stats.Quantile":       "no caller but its tests and FuzzQuantileBounds; next census round (ROADMAP item 2)",
+	"gp.SampleMVN":         "no caller but its tests; ROADMAP item 15(a) owns the MVN sampler and decides it",
+	"gp.MVNFallbacks":      "no caller but its tests; ROADMAP item 15(a) owns the MVN sampler and decides it",
+	"stats.Quantile":       "no caller but its tests; FuzzQuantileBounds fuzzes it, so it stays with that fuzzer",
 }
 
 // TestExportedFuncsHaveCallers is the exported-function census: every

@@ -28,9 +28,9 @@ func (g *Multi) Generation() uint64 { return g.gen }
 // Invalidation contract (see DESIGN.md "Scaling"): entries are valid for a
 // fixed (kernel hyperparameters, training prefix) pair. The cache snapshots
 // the model's Generation() and drops everything when it changes — i.e. on
-// Fit, OptimizeHyperparams, or an Extend numerical fallback. A successful
-// AddObservation or Append leaves the generation untouched; cached vectors
-// are then lazily extended (they are strictly a prefix of the new k(x, X)).
+// Fit or an Extend numerical fallback. A successful AddObservation or Append
+// leaves the generation untouched; cached vectors are then lazily extended
+// (they are strictly a prefix of the new k(x, X)).
 //
 // The cache is safe for concurrent use. Returned vectors are cache-owned
 // and must be treated as read-only; they remain valid (at their returned

@@ -1,20 +1,18 @@
 // Package gp implements exact Gaussian process regression: Cholesky-based
 // fitting of one or several target columns over shared inputs, predictive
 // means/variances, joint posterior sampling (needed by the Monte-Carlo batch
-// acquisition functions), and marginal-likelihood hyperparameter
-// optimization — plus the inducing-point SparseGP.
+// acquisition functions) and the log marginal likelihood — plus the
+// inducing-point SparseGP.
 package gp
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sync/atomic"
 
 	"repro/internal/kernel"
 	"repro/internal/mat"
-	"repro/internal/optim"
 )
 
 const log2Pi = 1.8378770664093453
@@ -79,23 +77,6 @@ func (g *Multi) SetFallbackCounter(c *atomic.Uint64) { g.fallbacks = c }
 
 // ErrNotFitted is returned by methods that require a prior Fit call.
 var ErrNotFitted = errors.New("gp: model is not fitted")
-
-// Hyperparams is the view of a model PoolHyperparams reads: its kernel and
-// observation noise. Exact, multi-target and sparse models all provide it.
-type Hyperparams interface {
-	Kernel() kernel.Kernel
-	Noise() float64
-}
-
-// Kernel returns the covariance kernel.
-func (g *Multi) Kernel() kernel.Kernel { return g.Kern }
-
-// Noise returns the observation noise variance.
-func (g *Multi) Noise() float64 { return g.NoiseVar }
-
-// SetNoise replaces the observation noise variance. Takes effect at the
-// next Fit/refit, like kernel hyperparameter edits.
-func (g *Multi) SetNoise(v float64) { g.NoiseVar = v }
 
 // N returns the number of training points.
 func (g *Multi) N() int { return len(g.x) }
@@ -165,8 +146,8 @@ func (g *GP) Fit(xs [][]float64, ys []float64) error {
 // so the call always leaves the model conditioned on the enlarged training
 // set.
 //
-// Hyperparameter changes invalidate the factor entirely; callers that tune
-// hyperparameters must still go through Fit/OptimizeHyperparams.
+// Hyperparameter changes invalidate the factor entirely; callers that edit
+// Kern or NoiseVar must refit through Fit.
 func (g *Multi) AddObservation(x []float64, ys []float64) error {
 	if len(x) != g.Kern.Dim() {
 		return fmt.Errorf("gp: input has dim %d, kernel wants %d", len(x), g.Kern.Dim())
@@ -519,47 +500,4 @@ func (g *GP) LogMarginalLikelihood() float64 {
 		resid[i] -= col.mean
 	}
 	return -0.5*resid.Dot(col.alpha) - 0.5*g.chol.LogDet() - 0.5*n*log2Pi
-}
-
-// OptimizeHyperparams maximizes the log marginal likelihood over the
-// kernel's log-parameters and the log noise variance using multi-start
-// Nelder–Mead. nStarts must be ≥ 1 — a non-positive count would silently
-// leave the hyperparameters untouched, so it is rejected explicitly. The GP
-// must already be fitted; on return it is refitted with the best
-// hyperparameters found.
-func (g *GP) OptimizeHyperparams(nStarts int, rng *rand.Rand) error {
-	if nStarts <= 0 {
-		return fmt.Errorf("gp: OptimizeHyperparams needs nStarts >= 1, got %d", nStarts)
-	}
-	if g.chol == nil {
-		return ErrNotFitted
-	}
-	kp := g.Kern.LogParams()
-	x0 := append(append([]float64(nil), kp...), math.Log(g.NoiseVar))
-
-	obj := func(p []float64) float64 {
-		for _, v := range p {
-			// Keep the optimizer inside a numerically sane box.
-			if v < -12 || v > 8 {
-				return math.Inf(1)
-			}
-		}
-		g.Kern.SetLogParams(p[:len(p)-1])
-		g.NoiseVar = math.Exp(p[len(p)-1])
-		if err := g.refactor(); err != nil {
-			return math.Inf(1)
-		}
-		return -g.LogMarginalLikelihood()
-	}
-
-	res := optim.MultiStartNelderMead(obj, x0, nStarts, 1.5, rng, optim.NelderMeadOptions{MaxIters: 250 * len(x0), TolF: 1e-7, TolX: 1e-4})
-	if math.IsInf(res.F, 1) {
-		// Restore the original parameters; nothing better was found.
-		g.Kern.SetLogParams(x0[:len(x0)-1])
-		g.NoiseVar = math.Exp(x0[len(x0)-1])
-		return g.refactor()
-	}
-	g.Kern.SetLogParams(res.X[:len(res.X)-1])
-	g.NoiseVar = math.Exp(res.X[len(res.X)-1])
-	return g.refactor()
 }

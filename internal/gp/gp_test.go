@@ -82,9 +82,6 @@ func TestGPRecoversSmootheFunction(t *testing.T) {
 	if err := g.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.OptimizeHyperparams(3, rng); err != nil {
-		t.Fatal(err)
-	}
 	var obs, pred []float64
 	for i := 0; i < 50; i++ {
 		x := 0.05 + float64(i)*(3.9/50)
@@ -94,57 +91,6 @@ func TestGPRecoversSmootheFunction(t *testing.T) {
 	}
 	if r2 := stats.R2(obs, pred); r2 < 0.98 {
 		t.Fatalf("R² = %v, want > 0.98", r2)
-	}
-}
-
-func TestARDHyperoptFindsIrrelevantDimension(t *testing.T) {
-	// y depends only on x₀; after hyperparameter optimization the
-	// lengthscale of the irrelevant x₁ should be clearly longer.
-	rng := stats.NewRNG(21)
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 50; i++ {
-		x0, x1 := rng.Float64(), rng.Float64()
-		xs = append(xs, []float64{x0, x1})
-		ys = append(ys, math.Sin(6*x0)+0.02*rng.NormFloat64())
-	}
-	g := New(kernel.NewMatern52(2), 1e-3)
-	if err := g.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.OptimizeHyperparams(4, rng); err != nil {
-		t.Fatal(err)
-	}
-	p := g.Kern.LogParams() // [log σ², log ℓ₀, log ℓ₁]
-	if p[2] < p[1] {
-		t.Fatalf("ARD failed: relevant ℓ=%.3f, irrelevant ℓ=%.3f",
-			math.Exp(p[1]), math.Exp(p[2]))
-	}
-}
-
-func TestLogMarginalLikelihoodImproves(t *testing.T) {
-	rng := stats.NewRNG(5)
-	var xs [][]float64
-	var ys []float64
-	for i := 0; i < 25; i++ {
-		x := float64(i) / 5
-		xs = append(xs, []float64{x})
-		ys = append(ys, math.Cos(2*x)+0.05*rng.NormFloat64())
-	}
-	g := New(kernel.NewRBF(1), 0.5) // deliberately bad noise guess
-	if err := g.Fit(xs, ys); err != nil {
-		t.Fatal(err)
-	}
-	before := g.LogMarginalLikelihood()
-	if err := g.OptimizeHyperparams(4, rng); err != nil {
-		t.Fatal(err)
-	}
-	after := g.LogMarginalLikelihood()
-	if after < before {
-		t.Fatalf("LML degraded: %v -> %v", before, after)
-	}
-	if g.NoiseVar > 0.1 {
-		t.Errorf("optimizer kept noise at %v despite low-noise data", g.NoiseVar)
 	}
 }
 

@@ -38,16 +38,6 @@ type Vector [K]float64
 // Slice returns the vector as a []float64 (a copy).
 func (v Vector) Slice() []float64 { return []float64{v[0], v[1], v[2], v[3], v[4]} }
 
-// FromSlice builds a Vector from a 5-element slice.
-func FromSlice(s []float64) Vector {
-	if len(s) != K {
-		panic(fmt.Sprintf("objective: FromSlice length %d", len(s)))
-	}
-	var v Vector
-	copy(v[:], s)
-	return v
-}
-
 // System is the EVA system under optimization: the video sources and the
 // edge servers (homogeneous compute, per-server uplink bandwidth).
 type System struct {

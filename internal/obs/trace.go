@@ -36,16 +36,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// ContextWithSpan returns a context carrying sp. A nil span returns ctx
-// unchanged (no allocation), so disabled-telemetry call chains can thread
-// the pair returned by StartSpanCtx without cost.
-func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, spanCtxKey{}, sp)
-}
-
 // StartSpanCtx begins a named span as a child of the span carried by ctx
 // (a root span of a fresh trace when ctx carries none) and returns a
 // derived context carrying the new span plus the span itself. On a nil

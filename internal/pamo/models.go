@@ -87,21 +87,10 @@ type clipModels struct {
 	scale   [numMetrics]float64
 	xs      [][]float64
 	ys      [numMetrics][]float64
-	// vxs/vys are virtual observations borrowed from a warm-start donor
-	// (see warmFrom). They condition the models ahead of the clip's own
-	// measurements but are down-weighted: while any virtual point remains,
-	// the models run at inflate× the pooled observation noise, so real
-	// measurements overrule them locally as they arrive. Once the clip has
-	// twice as many real points as virtual ones, the virtual set retires and
-	// the noise floor returns to baseNoise.
-	vxs       [][]float64
-	vys       [numMetrics][]float64
-	baseNoise float64
-	inflate   float64 // > 0 only while the warm-start lifecycle is active
-	forceFull bool    // next refit must refactorize (dataset shape or noise changed)
 }
 
-// outcomeKernel is the kernel every outcome model starts from.
+// outcomeKernel is every outcome model's kernel. Its hyperparameters are
+// fixed: models live for one solve and nothing re-tunes them.
 func outcomeKernel() kernel.Kernel {
 	k := kernel.NewMatern52(3)
 	p := k.LogParams()
@@ -113,30 +102,13 @@ func outcomeKernel() kernel.Kernel {
 // newClipModels builds one clip's unconditioned outcome models reporting to
 // sinks.
 func newClipModels(sinks modelSinks) *clipModels {
-	c := &clipModels{model: gp.NewMulti(outcomeKernel(), 1e-3, int(numMetrics)), baseNoise: 1e-3}
+	c := &clipModels{model: gp.NewMulti(outcomeKernel(), 1e-3, int(numMetrics)), modelSinks: sinks}
+	c.model.SetFallbackCounter(sinks.mvn)
 	c.cache = c.model.NewCrossCache()
 	for mi := range c.scale {
 		c.scale[mi] = 1
 	}
-	c.rebind(sinks)
 	return c
-}
-
-// rebind re-points the models at sinks. A bank-persisted model set is
-// rebound to every scheduler that reuses it; without that it would keep
-// attributing its work to the scheduler that created it.
-func (c *clipModels) rebind(sinks modelSinks) {
-	c.modelSinks = sinks
-	c.model.SetFallbackCounter(sinks.mvn)
-}
-
-// setHyper installs the kernel log-parameters lp (nil keeps the current
-// ones) and the noise variance.
-func (c *clipModels) setHyper(lp []float64, noise float64) {
-	if lp != nil {
-		c.model.Kernel().SetLogParams(lp)
-	}
-	c.model.SetNoise(noise)
 }
 
 // addMeasurement records one profiling measurement at cfg.
@@ -147,87 +119,12 @@ func (c *clipModels) addMeasurement(cfg videosim.Config, o videosim.Measurement)
 	}
 }
 
-// warmFrom seeds unconditioned models from the models of similar clips
-// (donors[0] most similar first): the kernel hyperparameters become the
-// donors' pooled values (gp.PoolHyperparams — element-wise mean in log
-// space), and up to keep observations of the first donor (the most similar
-// clip) are injected as virtual points. Down-weighting is by noise
-// inflation: the models run at inflate× the pooled noise variance until the
-// virtual set retires, so the borrowed targets shape the prior mean without
-// being trusted like real measurements. Reports false — leaving the models
-// cold — when they already hold data or the donors' hyperparameters cannot
-// be pooled.
-func (c *clipModels) warmFrom(donors []*clipModels, keep int, inflate float64) bool {
-	if len(c.xs) > 0 || c.model.N() > 0 {
-		return false
-	}
-	hs := make([]gp.Hyperparams, 0, len(donors))
-	var first *clipModels
-	for _, d := range donors {
-		if d != nil {
-			if first == nil {
-				first = d
-			}
-			hs = append(hs, d.model)
-		}
-	}
-	lp, noise, ok := gp.PoolHyperparams(hs)
-	if !ok {
-		return false
-	}
-	c.baseNoise = noise
-	c.inflate = max(inflate, 1)
-	c.setHyper(lp, noise*c.inflate)
-	// Evenly spaced subsample of the most similar donor's raw dataset, so
-	// the virtual points span its covered input region deterministically.
-	if d := first; keep > 0 && len(d.xs) > 0 {
-		keep = min(keep, len(d.xs))
-		for k := 0; k < keep; k++ {
-			i := k * len(d.xs) / keep
-			c.vxs = append(c.vxs, append([]float64(nil), d.xs[i]...))
-			for mi := range c.vys {
-				c.vys[mi] = append(c.vys[mi], d.ys[mi][i])
-			}
-		}
-	}
-	c.forceFull = true
-	return true
-}
-
-// maybeRetire drops the virtual donor points once real measurements
-// outnumber them 2:1, restoring the base noise floor. The next refit pays
-// one full refactorization for the dataset change.
-func (c *clipModels) maybeRetire() {
-	if len(c.vxs) == 0 || len(c.xs) < 2*len(c.vxs) {
-		return
-	}
-	c.vxs, c.vys = nil, [numMetrics][]float64{}
-	c.setHyper(nil, c.baseNoise)
-	c.inflate = 0
-	c.forceFull = true
-}
-
-// allData returns the conditioning dataset: virtual donor points first
-// (a stable prefix, so the incremental-Cholesky path keeps working as real
-// measurements append behind them), then the clip's own measurements.
-func (c *clipModels) allData() ([][]float64, [numMetrics][]float64) {
-	if len(c.vxs) == 0 {
-		return c.xs, c.ys
-	}
-	xs := append(append(make([][]float64, 0, len(c.vxs)+len(c.xs)), c.vxs...), c.xs...)
-	var ys [numMetrics][]float64
-	for mi := range ys {
-		ys[mi] = append(append(make([]float64, 0, len(xs)), c.vys[mi]...), c.ys[mi]...)
-	}
-	return xs, ys
-}
-
 // refit standardizes the targets and re-conditions the model. A model
 // already conditioned on a prefix of the data — the shape of every
 // per-observation refit, since a clip only ever appends measurements — is
 // extended through the incremental fast path (O(n²) per new point) and then
-// handed the rescaled targets. Only the first fit and hyperparameter changes
-// pay the full refactorization.
+// handed the rescaled targets. Only the first fit, and an extension the
+// factor cannot absorb, pay the full refactorization.
 func (c *clipModels) refit() error {
 	err := c.refitData()
 	// gp_obs_total counts conditioned points once per metric column.
@@ -239,13 +136,11 @@ func (c *clipModels) refit() error {
 }
 
 func (c *clipModels) refitData() error {
-	c.maybeRetire()
-	xs, ys := c.allData()
-	if len(xs) == 0 {
+	if len(c.xs) == 0 {
 		return fmt.Errorf("pamo: refit with no data")
 	}
 	var scaled [numMetrics][]float64
-	for mi, y := range ys {
+	for mi, y := range c.ys {
 		sd := std(y)
 		if sd < 1e-12 {
 			sd = math.Abs(mean(y))
@@ -259,18 +154,18 @@ func (c *clipModels) refitData() error {
 			scaled[mi][i] = v / sd
 		}
 	}
-	if n := c.model.N(); !c.forceFull && n > 0 && n <= len(xs) {
-		refactored, err := c.model.Append(xs[n:], scaled[:])
+	if n := c.model.N(); n > 0 {
+		refactored, err := c.model.Append(c.xs[n:], scaled[:])
 		if err != nil {
 			c.cholFull.Inc()
-			return c.model.Fit(xs, scaled[:])
+			return c.model.Fit(c.xs, scaled[:])
 		}
-		c.cholInc.Add(uint64(len(xs) - n - refactored))
+		c.cholInc.Add(uint64(len(c.xs) - n - refactored))
 		c.cholFull.Add(uint64(refactored))
-		if c.chk == nil || n == len(xs) {
+		if c.chk == nil || n == len(c.xs) {
 			return nil
 		}
-		mu, cov := c.model.PredictBatch(xs[n:])
+		mu, cov := c.model.PredictBatch(c.xs[n:])
 		for mi := range numMetrics {
 			if err := c.verifyPosterior(mu.Row(int(mi)), cov); err != nil {
 				return err
@@ -279,8 +174,7 @@ func (c *clipModels) refitData() error {
 		return nil
 	}
 	c.cholFull.Inc()
-	c.forceFull = false
-	return c.model.Fit(xs, scaled[:])
+	return c.model.Fit(c.xs, scaled[:])
 }
 
 // verifyPosterior guards the incremental fast path: after an extension the

@@ -92,37 +92,14 @@ type Options struct {
 	// on survivors. Returned assignments still use the full physical server
 	// index space.
 	ServerMask []bool
-	// Models, when non-nil, persists per-clip outcome models across
-	// scheduler instances (see Bank): clips already banked reuse their
-	// conditioned models and skip initial profiling entirely; clips the
-	// bank has never seen warm-start from the most similar banked clip —
-	// pooled kernel hyperpriors plus down-weighted virtual observations —
-	// at no more than half the cold profiling budget. Nil (the default)
-	// keeps every clip on the cold path, byte-identical to the pre-bank
-	// behavior.
-	Models *Bank
 }
 
-// Fixed parameters of the solve.
-const (
-	// ucbBeta is the exploration weight of the QUCB acquisition.
-	ucbBeta = 2.0
-	// warmKeep is how many donor observations a warm start injects as
-	// virtual points.
-	warmKeep = 12
-	// warmNoiseInflate down-weights the virtual donor observations: while
-	// any remain, the warm model runs at this multiple of the pooled noise
-	// variance.
-	warmNoiseInflate = 25.0
-)
+// ucbBeta is the exploration weight of the QUCB acquisition.
+const ucbBeta = 2.0
 
 // drawsPerRound is the number of joint posterior draws per acquisition
 // round.
 func (o Options) drawsPerRound() int { return 4 * o.MCSamples }
-
-// warmProfiles is the initial profiling budget for a warm-started clip:
-// with the two corner anchors a warm start costs at most half a cold one.
-func (o Options) warmProfiles() int { return max(2, o.InitProfiles/2-2) }
 
 // Validate rejects option values the scheduler cannot run with. Every
 // violation is reported, in struct field order, inside one deterministic
@@ -236,7 +213,6 @@ type Scheduler struct {
 	evctx context.Context
 
 	clips          []*clipModels
-	seeds          []clipSeed
 	learner        *pref.Learner
 	obs            []Observation
 	profiles       int
@@ -272,9 +248,9 @@ func New(sys *objective.System, dm pref.DecisionMaker, opt Options) *Scheduler {
 	}
 	s.met = newSchedMetrics(opt.Obs.Registry())
 	s.clips = make([]*clipModels, sys.M())
-	s.seeds = make([]clipSeed, sys.M())
+	sinks := s.modelSinks()
 	for i := range s.clips {
-		s.clips[i], s.seeds[i] = s.seedClip(sys.Clips[i])
+		s.clips[i] = newClipModels(sinks)
 	}
 	if !opt.UseTruePref {
 		s.learner = pref.NewLearner(dm, opt.UseEUBO, stats.NewRNG(opt.Seed+0xE0B0))
@@ -292,46 +268,6 @@ func (s *Scheduler) modelSinks() modelSinks {
 		cholFull: s.met.cholFull,
 		chk:      s.opt.Check,
 	}
-}
-
-// clipSeed records how a clip's outcome models were initialized.
-type clipSeed int
-
-const (
-	seedCold clipSeed = iota // fresh models, full profiling budget
-	seedWarm                 // warm-started from a bank donor, reduced budget
-	seedBank                 // reused banked models, no initial profiling
-)
-
-// seedClip resolves one clip's outcome models against the model bank.
-// Without a bank (the default) every clip is cold — byte-identical to the
-// historical behavior. With one: an entry under the clip's own name that
-// already holds measurements is reused outright; otherwise fresh models
-// warm-start from the most similar banked clips (pooled hyperpriors from
-// up to three donors, virtual observations from the closest). The fresh
-// models are banked immediately — they are conditioned in place, so
-// whatever this run learns is what the next scheduler inherits.
-func (s *Scheduler) seedClip(clip *videosim.Clip) (*clipModels, clipSeed) {
-	sinks := s.modelSinks()
-	b := s.opt.Models
-	if b == nil {
-		s.met.coldStarts.Inc()
-		return newClipModels(sinks), seedCold
-	}
-	if cm, ok := b.get(clip.Name); ok && len(cm.xs) > 0 {
-		cm.rebind(sinks)
-		s.met.bankHits.Inc()
-		return cm, seedBank
-	}
-	cm := newClipModels(sinks)
-	b.put(clip, cm)
-	if donors := b.donors(clip, 3); len(donors) > 0 &&
-		cm.warmFrom(donors, warmKeep, warmNoiseInflate) {
-		s.met.warmStarts.Inc()
-		return cm, seedWarm
-	}
-	s.met.coldStarts.Inc()
-	return cm, seedCold
 }
 
 // Run executes Algorithm 2 end to end and returns the best decision found.
@@ -532,19 +468,8 @@ func (s *Scheduler) profileInit() error {
 	s.rec.Do(s.ctx, "profiling", func(ctx context.Context) {
 		_, sp := s.rec.StartSpanCtx(ctx, "profiling", obs.F("clips", float64(s.sys.M())))
 		for ci, clip := range s.sys.Clips {
-			if s.seeds[ci] == seedBank {
-				// Already conditioned by a previous scheduler run sharing
-				// the model bank; no initial profiling to repay.
-				continue
-			}
-			budget := s.opt.InitProfiles
-			if s.seeds[ci] == seedWarm {
-				// Warm-started: the donor's pooled hyperpriors and virtual
-				// observations stand in for most of the cold budget.
-				budget = s.opt.warmProfiles()
-			}
 			// Latin-hypercube over the knob grid, snapped to grid points.
-			pts := stats.LatinHypercube(budget, 3, s.rng)
+			pts := stats.LatinHypercube(s.opt.InitProfiles, 3, s.rng)
 			for _, p := range pts {
 				cfg := videosim.Config{
 					Resolution: snap(videosim.Resolutions, p[0]),

@@ -48,6 +48,11 @@ func TestEncodeCfgRange(t *testing.T) {
 	}
 }
 
+// measure builds a measurement that reports y for every metric.
+func measure(y float64) videosim.Measurement {
+	return videosim.Measurement{Acc: y, ProcTime: y, Bits: y, Compute: y, Power: y}
+}
+
 func TestMetricGPLearnsCurve(t *testing.T) {
 	cm := newClipModels(modelSinks{})
 	for _, r := range videosim.Resolutions {

@@ -17,9 +17,6 @@ type schedMetrics struct {
 	cholFull     *obs.Counter   // pamo_chol_refactorize_total
 	euboQueries  *obs.Counter   // pamo_eubo_queries_total
 	prefComps    *obs.Counter   // pamo_pref_comparisons_total
-	bankHits     *obs.Counter   // pamo_bank_hits_total
-	warmStarts   *obs.Counter   // pamo_warm_starts_total
-	coldStarts   *obs.Counter   // pamo_cold_starts_total
 	gpObs        *obs.Counter   // gp_obs_total
 	bestBenefit  *obs.Gauge     // pamo_best_benefit
 	mvnFallbacks *obs.Gauge     // pamo_mvn_fallbacks
@@ -36,9 +33,6 @@ func newSchedMetrics(reg *obs.Registry) schedMetrics {
 		cholFull:     reg.Counter("pamo_chol_refactorize_total"),
 		euboQueries:  reg.Counter("pamo_eubo_queries_total"),
 		prefComps:    reg.Counter("pamo_pref_comparisons_total"),
-		bankHits:     reg.Counter("pamo_bank_hits_total"),
-		warmStarts:   reg.Counter("pamo_warm_starts_total"),
-		coldStarts:   reg.Counter("pamo_cold_starts_total"),
 		gpObs:        reg.Counter("gp_obs_total"),
 		bestBenefit:  reg.Gauge("pamo_best_benefit"),
 		mvnFallbacks: reg.Gauge("pamo_mvn_fallbacks"),

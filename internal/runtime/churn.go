@@ -78,11 +78,11 @@ func splitStreamOps(ops []StreamOp) (removes []string, adds []*videosim.Clip) {
 // groups for arrivals — so the epoch's replan can run incrementally instead
 // of paying a full Algorithm 1 resolve plus cold profiling. Arrivals borrow
 // the configuration of the most similar live clip (factor-space distance,
-// deterministic), which is also the donor the warm-started outcome models
-// pool from. ok=false leaves the controller on the full-resolve path (the
-// replanner may have been invalidated); on ok=true the returned decision is
-// a baseline skeleton — Configs and Streams are final, the assignment is
-// produced by the incremental replan that the caller forces this epoch.
+// deterministic). ok=false leaves the controller on the full-resolve path
+// (the replanner may have been invalidated); on ok=true the returned
+// decision is a baseline skeleton — Configs and Streams are final, the
+// assignment is produced by the incremental replan that the caller forces
+// this epoch.
 func (c *Controller) churnAdmitEvict(rp *sched.Replanner, removes []string, adds []*videosim.Clip, current eva.Decision, healthy []bool) (eva.Decision, bool) {
 	if current.IsDegraded() || !current.ZeroJit || len(current.Streams) == 0 {
 		return eva.Decision{}, false
@@ -120,7 +120,7 @@ func (c *Controller) churnAdmitEvict(rp *sched.Replanner, removes []string, adds
 		next++
 	}
 	if next == 0 {
-		return eva.Decision{}, false // everything departed; nothing to warm-start from
+		return eva.Decision{}, false // everything departed; no donor to borrow from
 	}
 
 	// Evict departures from the frozen grouping (always feasible — budgets
@@ -145,8 +145,7 @@ func (c *Controller) churnAdmitEvict(rp *sched.Replanner, removes []string, adds
 	}
 
 	// Admit arrivals: donor = most similar surviving live clip in factor
-	// space; its configuration seeds the arrival (and its outcome models
-	// seed the warm start, in the pamo layer). Admission into the frozen
+	// space; its configuration seeds the arrival. Admission into the frozen
 	// grouping is exact; any failure invalidates and falls back whole.
 	for k, clip := range adds {
 		v := next + k
@@ -179,9 +178,8 @@ func (c *Controller) churnAdmitEvict(rp *sched.Replanner, removes []string, adds
 
 // mostSimilarClip returns the index of the live clip (over the first n
 // post-churn videos — the survivors) closest to clip in per-clip factor
-// space (videosim.Clip.FactorDistance — the same similarity the pamo model
-// bank ranks warm-start donors by), ties broken toward the lower index. −1
-// when no survivor exists.
+// space (videosim.Clip.FactorDistance), ties broken toward the lower index.
+// −1 when no survivor exists.
 func (c *Controller) mostSimilarClip(clip *videosim.Clip, n int) int {
 	best, bestD := -1, math.Inf(1)
 	for v := 0; v < n && v < len(c.Sys.Clips); v++ {

@@ -17,18 +17,16 @@ import (
 type churnDayReport struct {
 	ChurnOps, ChurnEpochs, FastEpochs, ResolveEpochs int
 	FullReplans, IncrementalReplans                  int
-	BankHits, WarmStarts, ColdStarts, Profiles       int
-	DegradedEpochs                                   int
+	Profiles, DegradedEpochs                         int
 	MeanBenefit                                      float64
 }
 
 // runChurnDay drives a 24-hour day (96 epochs) of diurnal stream arrivals
 // and departures at twice the nominal churn rate over a heterogeneous-speed
 // cluster, with everything the churn work composes switched on at once: PaMO
-// as the scheduler, the incremental admit/evict fast path, the periodic full
-// refresh, and the warm-start model bank. The strict speed-aware checker
-// makes every installed decision — fast-path admissions included — a hard
-// assertion.
+// as the scheduler, the incremental admit/evict fast path and the periodic
+// full refresh. The strict speed-aware checker makes every installed
+// decision — fast-path admissions included — a hard assertion.
 func runChurnDay(t *testing.T) churnDayReport {
 	t.Helper()
 	const epochs, seed = 96, 77
@@ -58,10 +56,9 @@ func runChurnDay(t *testing.T) churnDayReport {
 		Opt: pamo.Options{
 			InitProfiles: 10, InitObs: 2, PrefPairs: 6, PrefPool: 8,
 			Batch: 2, MCSamples: 8, CandPool: 6, MaxIter: 2,
-			Seed:   seed,
-			Models: pamo.NewBank(),
-			Check:  chk,
-			Obs:    rec,
+			Seed:  seed,
+			Check: chk,
+			Obs:   rec,
 		},
 	}, 8)
 	ctl.Opt.Incremental = true
@@ -86,9 +83,6 @@ func runChurnDay(t *testing.T) churnDayReport {
 		ResolveEpochs:      cv("runtime_churn_resolve_total"),
 		FullReplans:        cv("runtime_replans_total") - cv("runtime_replans_incremental_total"),
 		IncrementalReplans: cv("runtime_replans_incremental_total"),
-		BankHits:           cv("pamo_bank_hits_total"),
-		WarmStarts:         cv("pamo_warm_starts_total"),
-		ColdStarts:         cv("pamo_cold_starts_total"),
 		Profiles:           cv("pamo_profiles_total"),
 		DegradedEpochs:     cv("runtime_degraded_epochs_total"),
 		MeanBenefit:        trace.MeanBenefit(),
@@ -97,8 +91,7 @@ func runChurnDay(t *testing.T) churnDayReport {
 
 // TestChurnScenario gates the properties the churn work exists for: the
 // strict checker stays silent, most churn epochs avoid a full resolve, the
-// periodic refreshes actually exercise the model bank, and the day is
-// deterministic.
+// periodic refreshes re-run the optimizer, and the day is deterministic.
 func TestChurnScenario(t *testing.T) {
 	rep := runChurnDay(t)
 	if rep.ChurnEpochs == 0 || rep.ChurnOps == 0 {
@@ -112,13 +105,9 @@ func TestChurnScenario(t *testing.T) {
 	if hit := float64(rep.FastEpochs) / float64(rep.ChurnEpochs); hit < 0.7 {
 		t.Errorf("admit hit rate %.3f below 0.7: %+v", hit, rep)
 	}
-	// The periodic configuration refreshes must re-run the optimizer and
-	// seed arrivals from the bank instead of profiling everything cold.
+	// The periodic configuration refreshes must re-run the optimizer.
 	if rep.FullReplans < 2 {
 		t.Errorf("full replans = %d, want >= 2 (refresh cadence broken)", rep.FullReplans)
-	}
-	if rep.WarmStarts == 0 {
-		t.Errorf("no warm starts across refreshes: %+v", rep)
 	}
 	if rep.IncrementalReplans == 0 {
 		t.Errorf("no incremental replans: %+v", rep)

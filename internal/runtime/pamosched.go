@@ -57,9 +57,6 @@ func (p *PaMOScheduler) DecideCell(ctx context.Context, sys *objective.System, v
 	}
 	sub := &objective.System{Clips: clips, Servers: sys.Servers}
 	opt := p.Opt
-	// Cells run concurrently and the bank's models are not goroutine-safe;
-	// per-cell optimizers always profile cold.
-	opt.Models = nil
 	opt.Seed += uint64(epoch)*1009 + uint64(videos[0])*2654435761
 	opt.UseEUBO = true
 	res, err := pamo.New(sub, p.DM, opt).RunContext(ctx)

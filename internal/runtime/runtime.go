@@ -209,8 +209,7 @@ type Options struct {
 	// frozen configurations forever; under stream churn and content drift
 	// the frozen choice decays, so long-running deployments alternate
 	// cheap incremental epochs with an occasional full re-optimization
-	// (which also re-profiles arrivals admitted on borrowed
-	// configurations, warm-starting their outcome models from the bank).
+	// (which also profiles arrivals admitted on borrowed configurations).
 	// 0 disables the refresh.
 	FullResolveEvery int
 	// Shards > 1 routes replans through the sharded control plane when the

@@ -188,12 +188,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp wrong")
-	}
-}
-
 // Property: NormCDF is monotone and maps to (0,1).
 func TestNormCDFMonotoneProperty(t *testing.T) {
 	f := func(a, b float64) bool {

@@ -80,14 +80,3 @@ func Quantile(sorted []float64, q float64) float64 {
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

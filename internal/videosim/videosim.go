@@ -90,8 +90,8 @@ func NewClip(name string, rng *rand.Rand) *Clip {
 }
 
 // FactorDistance is the Euclidean distance between two clips' content
-// factors — the content-similarity metric warm-started outcome models and
-// churn-time configuration donors rank candidate clips by.
+// factors — the content-similarity metric churn-time configuration donors
+// rank candidate clips by.
 func (c *Clip) FactorDistance(o *Clip) float64 {
 	d := 0.0
 	for _, pair := range [...][2]float64{

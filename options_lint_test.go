@@ -29,7 +29,6 @@ var optionAllow = map[string]string{
 	"runtime.ReplanOnDrop":     "seed-runtime behaviour pinned by goldens",
 	"runtime.DecideRetries":    "seed-runtime behaviour pinned by goldens",
 	"runtime.RetryBackoff":     "seed-runtime behaviour pinned by goldens",
-	"pamo.Models":              "fast path awaiting its bench verdict",
 	"runtime.FullResolveEvery": "fast path awaiting its bench verdict",
 	"ctlplane.OnEpoch":         "selected through Controller.OnEpoch, which pamo-controller and bench call",
 }
