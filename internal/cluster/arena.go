@@ -8,144 +8,149 @@ import (
 	"repro/internal/obs"
 )
 
-// Arena holds the reusable simulation buffers of one server's discrete-event
-// run: the FrameRecord log, the per-stream merge cursors, transmission
-// delays, and the per-stream summary slots. Reusing one arena across epochs
-// turns the simulator's per-epoch allocation (dominated by the frame log)
-// into zero steady-state allocations once the buffers have grown to the
-// episode's frame volume.
+// Arena holds the reusable buffers of one server's discrete-event run: a
+// merge cursor per stream (its next frame's sequence number, capture and
+// arrival instants, transmission delay and service time) and the
+// per-stream summary slots. The arena path keeps no frame log: frames are
+// served and summarized in the same pass that merges them, so a warm arena
+// simulates without touching the heap.
 //
 // Ownership rules (see DESIGN.md "Scaling"): an Arena is single-goroutine —
 // the fault-tolerant runtime keeps one per server worker. The Result
-// returned by Arena.SimulateServer aliases the arena's buffers and is valid
-// only until the next call on the same arena; callers that retain frames or
-// stats across epochs must copy them out.
+// returned by Arena.SimulateServer carries no frames (Result.Frames is nil)
+// and its PerStream aliases the arena's slots, valid only until the next
+// call on the same arena; callers that retain stats across epochs must copy
+// them out. Frame logs come only from the package-level SimulateServer and
+// SimulateCluster.
 type Arena struct {
-	tx        []float64
-	next      []int
-	frames    []FrameRecord
+	arrive    []float64 // next frame's arrival; +Inf once past the horizon
+	cur       []cursor
 	per       []StreamStats
 	completed []int
+}
+
+// cursor is one stream's position in the k-way merge.
+type cursor struct {
+	seq     int     // sequence number of the next frame
+	capture float64 // its capture instant
+	tx      float64 // uplink transmission delay, constant per stream
+	proc    float64 // service time on this server, Proc/speed
 }
 
 // NewArena returns an empty arena; buffers grow on first use.
 func NewArena() *Arena { return &Arena{} }
 
 func (a *Arena) growStreams(n int) {
-	if cap(a.tx) < n {
-		a.tx = make([]float64, n)
-		a.next = make([]int, n)
+	if cap(a.arrive) < n {
+		a.arrive = make([]float64, n)
+		a.cur = make([]cursor, n)
 		a.per = make([]StreamStats, n)
 		a.completed = make([]int, n)
 	}
-	a.tx = a.tx[:n]
-	a.next = a.next[:n]
+	a.arrive = a.arrive[:n]
+	a.cur = a.cur[:n]
 	a.per = a.per[:n]
 	a.completed = a.completed[:n]
 }
 
 // SimulateServer simulates one server into the arena's buffers (see the
 // package-level SimulateServer for the service model, and the ownership
-// rules on Arena for how long the result stays valid).
+// rules on Arena for how long the result stays valid). It records no
+// frames; Result.LatSum and Result.FrameCount carry what callers used to
+// fold out of the log.
 func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
+	return a.simulate(streams, srv, horizon, false)
+}
+
+// simulate is the FIFO simulator: one pass that merges the streams' frames
+// in arrival order, serves each one and folds it into the summary. With
+// record set it also logs every frame into a freshly allocated slice that
+// the result owns.
+func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, record bool) Result {
 	if horizon <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive horizon %v", horizon))
 	}
 	a.growStreams(len(streams))
-	tx := a.tx
+	// Service time scales with the server's speed class. At the
+	// homogeneous default (speed 1) the division is an exact identity, so
+	// golden traces are bit-identical.
+	spd := srv.Speed()
 	total := 0
 	for si, s := range streams {
 		if s.Period <= 0 {
 			panic(fmt.Sprintf("cluster: stream %d has period %v", si, s.Period))
 		}
-		tx[si] = 0
+		c := &a.cur[si]
+		*c = cursor{proc: s.Proc / spd}
 		if srv.Uplink > 0 {
-			tx[si] = s.Bits / srv.Uplink
+			c.tx = s.Bits / srv.Uplink
+		}
+		a.aim(si, &streams[si], horizon)
+		a.per[si] = StreamStats{MinLat: math.Inf(1)}
+		a.completed[si] = 0
+		if !record {
+			continue
 		}
 		if n := math.Ceil((horizon - s.Offset) / s.Period); n > 0 {
 			total += int(n)
 		}
 	}
+	var frames []FrameRecord
+	if record {
+		frames = make([]FrameRecord, 0, total)
+	}
+
 	// Each stream emits frames in increasing arrival order (its uplink delay
-	// is constant), so a k-way merge produces the global FIFO arrival order
-	// directly, with no sort. Arrival ties break toward the lower stream
-	// index, matching a deterministic NIC delivering interleaved packets.
-	if cap(a.frames) < total {
-		a.frames = make([]FrameRecord, 0, total)
-	}
-	frames := a.frames[:0]
-	next := a.next
-	for si := range next {
-		next[si] = 0
-	}
+	// is constant), so a k-way merge over the cursors' cached arrivals
+	// produces the global FIFO arrival order directly, with no sort.
+	// Arrival ties break toward the lower stream index (strict <), matching
+	// a deterministic NIC delivering interleaved packets. A stream past the
+	// horizon holds +Inf, which never wins.
+	arrive, per := a.arrive, a.per
+	free, busy, latSum, count := 0.0, 0.0, 0.0, 0
 	for {
-		best, bestArr := -1, math.Inf(1)
-		for si := range streams {
-			cap := streams[si].Offset + float64(next[si])*streams[si].Period
-			if cap >= horizon {
-				continue
-			}
-			if arr := cap + tx[si]; arr < bestArr {
-				best, bestArr = si, arr
+		best, arr := -1, math.Inf(1)
+		for si, t := range arrive {
+			if t < arr {
+				best, arr = si, t
 			}
 		}
 		if best < 0 {
 			break
 		}
-		frames = append(frames, FrameRecord{
-			Stream:  best,
-			Seq:     next[best],
-			Capture: streams[best].Offset + float64(next[best])*streams[best].Period,
-			Arrive:  bestArr,
-		})
-		next[best]++
-	}
-	a.frames = frames
-
-	// Service time scales with the server's speed class. At the
-	// homogeneous default (speed 1) the division is an exact identity, so
-	// golden traces are bit-identical.
-	spd := srv.Speed()
-	free := 0.0
-	busy := 0.0
-	for i := range frames {
-		f := &frames[i]
-		f.Start = math.Max(f.Arrive, free)
-		proc := streams[f.Stream].Proc / spd
-		f.Finish = f.Start + proc
-		free = f.Finish
-		busy += proc
-	}
-	return a.summarizeInto(frames, streams, horizon, busy)
-}
-
-// summarizeInto aggregates simulated frames into per-stream statistics,
-// written into the arena's slots.
-func (a *Arena) summarizeInto(frames []FrameRecord, streams []StreamSpec, horizon, busy float64) Result {
-	res := Result{Frames: frames, PerStream: a.per}
-	completed := a.completed
-	for si := range streams {
-		a.per[si] = StreamStats{MinLat: math.Inf(1)}
-		completed[si] = 0
-	}
-	for _, f := range frames {
-		st := &res.PerStream[f.Stream]
+		c := &a.cur[best]
+		start := fmax(arr, free)
+		finish := start + c.proc
+		free = finish
+		busy += c.proc
+		l := finish - c.capture
+		latSum += l
+		count++
+		st := &per[best]
 		st.Frames++
-		l := f.Latency()
 		st.MeanLat += l
-		st.MinLat = math.Min(st.MinLat, l)
-		st.MaxLat = math.Max(st.MaxLat, l)
-		st.MaxWait = math.Max(st.MaxWait, f.Wait())
-		if f.Finish <= horizon {
-			completed[f.Stream]++
+		st.MinLat = fmin(st.MinLat, l)
+		st.MaxLat = fmax(st.MaxLat, l)
+		st.MaxWait = fmax(st.MaxWait, start-arr)
+		if finish <= horizon {
+			a.completed[best]++
 		}
+		if record {
+			frames = append(frames, FrameRecord{
+				Stream: best, Seq: c.seq, Capture: c.capture, Arrive: arr, Start: start, Finish: finish,
+			})
+		}
+		c.seq++
+		a.aim(best, &streams[best], horizon)
 	}
-	for si := range res.PerStream {
-		st := &res.PerStream[si]
+
+	res := Result{Frames: frames, PerStream: per, LatSum: latSum, FrameCount: count}
+	for si := range per {
+		st := &per[si]
 		if st.Frames > 0 {
 			st.MeanLat /= float64(st.Frames)
 			st.Jitter = st.MaxLat - st.MinLat
-			st.Throughput = float64(completed[si]) / horizon
+			st.Throughput = float64(a.completed[si]) / horizon
 		} else {
 			st.MinLat = 0
 		}
@@ -155,6 +160,60 @@ func (a *Arena) summarizeInto(frames []FrameRecord, streams []StreamSpec, horizo
 	res.Utilization = busy / horizon
 	return res
 }
+
+// aim points stream si's cursor at its frame number seq: capture at
+// Offset + seq·Period, arrival one transmission delay later, or the +Inf
+// sentinel once the capture reaches the horizon.
+func (a *Arena) aim(si int, s *StreamSpec, horizon float64) {
+	c := &a.cur[si]
+	c.capture = s.Offset + float64(c.seq)*s.Period
+	if c.capture >= horizon {
+		a.arrive[si] = math.Inf(1)
+		return
+	}
+	a.arrive[si] = c.capture + c.tx
+}
+
+// fmax is math.Max, bit for bit, written so the compiler inlines it
+// (math.Max calls out to assembly on amd64): equal operands share their
+// bits except ±0, where math.Max keeps -0 only if both are -0 (the AND of
+// the bits); +Inf beats NaN; any other NaN gives math.NaN(). The builtin
+// max is no substitute: max(+Inf, NaN) is NaN. TestFmaxFminMatchMath and
+// FuzzArenaVsOracle check it against math.Max.
+func fmax(x, y float64) float64 {
+	switch {
+	case x > y:
+		return x
+	case y > x:
+		return y
+	case x == y:
+		return math.Float64frombits(math.Float64bits(x) & math.Float64bits(y))
+	case x == posInf() || y == posInf():
+		return posInf()
+	}
+	return math.NaN()
+}
+
+// fmin is math.Min the way fmax is math.Max: ±0 keeps -0 if either is -0
+// (the OR of the bits), and -Inf beats NaN.
+func fmin(x, y float64) float64 {
+	switch {
+	case x < y:
+		return x
+	case y < x:
+		return y
+	case x == y:
+		return math.Float64frombits(math.Float64bits(x) | math.Float64bits(y))
+	case x == negInf() || y == negInf():
+		return negInf()
+	}
+	return math.NaN()
+}
+
+// posInf and negInf are math.Inf(±1) at a cost the inliner accepts inside
+// fmax and fmin.
+func posInf() float64 { return math.Float64frombits(0x7FF0000000000000) }
+func negInf() float64 { return math.Float64frombits(0xFFF0000000000000) }
 
 // SimulateServerRecordedCtx is SimulateServer with telemetry: after the
 // simulation it emits one "cluster.server" event (server index, utilization,
@@ -175,7 +234,7 @@ func (a *Arena) SimulateServerRecordedCtx(ctx context.Context, streams []StreamS
 	rec.EventCtx(ctx, "cluster.server",
 		obs.F("server", float64(server)),
 		obs.F("streams", float64(len(streams))),
-		obs.F("frames", float64(len(res.Frames))),
+		obs.F("frames", float64(res.FrameCount)),
 		obs.F("utilization", res.Utilization),
 		obs.F("max_jitter", res.MaxJitter),
 		obs.F("max_wait", res.MaxWait))

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -23,8 +22,8 @@ func arenaWorkload(n int) ([]StreamSpec, Server) {
 
 // TestArenaMatchesSimulateServer pins the arena path bit-exact against the
 // allocating oracle simulator across repeated reuse, shrinking workloads,
-// and a zero-uplink server, both on one reused arena and through the
-// package-level fresh-arena SimulateServer.
+// and a zero-uplink server, both on one reused arena (summary only) and
+// through the package-level fresh-arena SimulateServer (summary and frames).
 func TestArenaMatchesSimulateServer(t *testing.T) {
 	a := NewArena()
 	cases := []struct {
@@ -41,27 +40,62 @@ func TestArenaMatchesSimulateServer(t *testing.T) {
 	for ci, tc := range cases {
 		streams, _ := arenaWorkload(tc.n)
 		want := oracleSimulateServer(streams, tc.srv, tc.horizon)
-		sameResult(t, fmt.Sprintf("case %d reused arena", ci), want, a.SimulateServer(streams, tc.srv, tc.horizon))
-		sameResult(t, fmt.Sprintf("case %d fresh arena", ci), want, SimulateServer(streams, tc.srv, tc.horizon))
+		sameResult(t, fmt.Sprintf("case %d reused arena", ci), want, a.SimulateServer(streams, tc.srv, tc.horizon), false)
+		sameResult(t, fmt.Sprintf("case %d fresh arena", ci), want, SimulateServer(streams, tc.srv, tc.horizon), true)
 	}
 }
 
-func sameResult(t *testing.T, what string, want, got Result) {
+// sameResult demands got equal the oracle's want bit for bit (signed zeros
+// and infinities included; see sameBits for NaNs): every summary field,
+// LatSum and FrameCount, and — when frames is set — the frame log. Without
+// frames, got must carry no log at all.
+func sameResult(t *testing.T, what string, want, got Result, frames bool) {
 	t.Helper()
-	if len(want.Frames) != len(got.Frames) || (len(want.Frames) > 0 && !reflect.DeepEqual(want.Frames, got.Frames)) {
-		t.Fatalf("%s: frames diverged (%d vs %d records)", what, len(want.Frames), len(got.Frames))
+	if frames {
+		if len(want.Frames) != len(got.Frames) {
+			t.Fatalf("%s: %d frames, want %d", what, len(got.Frames), len(want.Frames))
+		}
+		for i, w := range want.Frames {
+			g := got.Frames[i]
+			if g.Stream != w.Stream || g.Seq != w.Seq || !sameBits(g.Capture, w.Capture) || !sameBits(g.Arrive, w.Arrive) ||
+				!sameBits(g.Start, w.Start) || !sameBits(g.Finish, w.Finish) {
+				t.Fatalf("%s: frame %d = %+v, want %+v", what, i, g, w)
+			}
+		}
+	} else if got.Frames != nil {
+		t.Fatalf("%s: arena path logged %d frames", what, len(got.Frames))
 	}
-	if len(want.PerStream) != len(got.PerStream) || (len(want.PerStream) > 0 && !reflect.DeepEqual(want.PerStream, got.PerStream)) {
-		t.Fatalf("%s: per-stream stats diverged:\n%+v\n%+v", what, want.PerStream, got.PerStream)
+	if len(want.PerStream) != len(got.PerStream) {
+		t.Fatalf("%s: %d stream stats, want %d", what, len(got.PerStream), len(want.PerStream))
 	}
-	if want.MaxJitter != got.MaxJitter || want.MaxWait != got.MaxWait || want.Utilization != got.Utilization {
-		t.Fatalf("%s: aggregates diverged: %+v vs %+v", what, want, got)
+	for si, w := range want.PerStream {
+		g := got.PerStream[si]
+		if g.Frames != w.Frames || !sameBits(g.MeanLat, w.MeanLat) || !sameBits(g.MinLat, w.MinLat) || !sameBits(g.MaxLat, w.MaxLat) ||
+			!sameBits(g.Jitter, w.Jitter) || !sameBits(g.MaxWait, w.MaxWait) || !sameBits(g.Throughput, w.Throughput) {
+			t.Fatalf("%s: stream %d stats %+v, want %+v", what, si, g, w)
+		}
+	}
+	if !sameBits(got.MaxJitter, want.MaxJitter) || !sameBits(got.MaxWait, want.MaxWait) || !sameBits(got.Utilization, want.Utilization) ||
+		!sameBits(got.LatSum, want.LatSum) || got.FrameCount != want.FrameCount {
+		t.Fatalf("%s: aggregates (jitter %v wait %v util %v latsum %v frames %d), want (%v %v %v %v %d)", what,
+			got.MaxJitter, got.MaxWait, got.Utilization, got.LatSum, got.FrameCount,
+			want.MaxJitter, want.MaxWait, want.Utilization, want.LatSum, want.FrameCount)
 	}
 }
 
-// oracleSimulateServer is the allocating single-pass FIFO simulator the
-// Arena replaced, kept as an independent reference: fresh slices for every
-// buffer, no reuse, no arena bookkeeping.
+// sameBits is Float64bits equality, except that any two NaNs match: when
+// both operands of an addition are NaN, amd64 returns the one register
+// allocation happened to put first, so a NaN's sign and payload depend on
+// how the code was compiled, not on what it computes. A NaN against a
+// number (say math.Max's +Inf) still fails.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// oracleSimulateServer is the allocating three-pass FIFO simulator the
+// Arena replaced, kept as an independent reference: merge every frame into
+// a log, serve the log, then summarize it — fresh slices for every buffer,
+// no reuse, no cached cursors.
 func oracleSimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
 	if horizon <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive horizon %v", horizon))
@@ -126,7 +160,9 @@ func oracleSimulateServer(streams []StreamSpec, srv Server, horizon float64) Res
 	return oracleSummarize(frames, streams, horizon, busy)
 }
 
-// oracleSummarize aggregates simulated frames into per-stream statistics.
+// oracleSummarize aggregates simulated frames into per-stream statistics,
+// and folds LatSum and FrameCount over the log in slice order (service
+// order for the FIFO oracle). The EDF variant summarizes with it too.
 func oracleSummarize(frames []FrameRecord, streams []StreamSpec, horizon, busy float64) Result {
 	res := Result{Frames: frames, PerStream: make([]StreamStats, len(streams))}
 	for si := range streams {
@@ -159,7 +195,108 @@ func oracleSummarize(frames []FrameRecord, streams []StreamSpec, horizon, busy f
 		res.MaxWait = math.Max(res.MaxWait, st.MaxWait)
 	}
 	res.Utilization = busy / horizon
+	for _, f := range frames {
+		res.LatSum += f.Latency()
+		res.FrameCount++
+	}
 	return res
+}
+
+// specialFloats are the operands on which fmax/fmin could part from
+// math.Max/math.Min: NaNs of both signs and two payloads, ±Inf, ±0, the
+// extreme finite and subnormal magnitudes, and ordinary numbers.
+var specialFloats = []float64{
+	math.NaN(), math.Float64frombits(0xFFF8000000000000), math.Float64frombits(0x7FF0000000000123),
+	math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	1, -1, 0.5, 1.0 / 3,
+}
+
+// TestFmaxFminMatchMath pins the inlined fmax/fmin bit-equal to math.Max
+// and math.Min on every ordered pair of special operands.
+func TestFmaxFminMatchMath(t *testing.T) {
+	for _, x := range specialFloats {
+		for _, y := range specialFloats {
+			checkFmaxFmin(t, x, y)
+		}
+	}
+}
+
+func checkFmaxFmin(t *testing.T, x, y float64) {
+	t.Helper()
+	if got, want := math.Float64bits(fmax(x, y)), math.Float64bits(math.Max(x, y)); got != want {
+		t.Fatalf("fmax(%v, %v) bits %#x, math.Max %#x", x, y, got, want)
+	}
+	if got, want := math.Float64bits(fmin(x, y)), math.Float64bits(math.Min(x, y)); got != want {
+		t.Fatalf("fmin(%v, %v) bits %#x, math.Min %#x", x, y, got, want)
+	}
+}
+
+// FuzzArenaVsOracle drives the one-pass simulator against the three-pass
+// oracle above, bit for bit: the arena path's summary, LatSum and
+// FrameCount, and the package-level path's frame log as well. It also
+// holds fmax/fmin to math.Max/math.Min on the raw fuzzed floats. Inputs mix
+// 0–16 streams; exact arrival ties (duplicated streams, dyadic periods and
+// offsets, zero uplink); offsets at, one ULP either side of, and beyond the
+// horizon, plus +Inf and NaN; overloaded servers; NaN, ±Inf and negative
+// per-frame costs and sizes from the fuzzer; and non-unit speed factors.
+// Periods stay at or above 1/240 s so every input terminates quickly. One
+// arena serves every input and, within an input, a shrinking series of
+// stream prefixes, so cursor or summary state left over from a larger run
+// would show.
+func FuzzArenaVsOracle(f *testing.F) {
+	f.Add(uint64(1), uint8(6), 0.01, 1e5, 1.0, 40e6, 0.05)
+	f.Add(uint64(2), uint8(16), 0.3, 0.0, 0.5, 0.0, 0.25) // overload, ties at zero uplink
+	f.Add(uint64(3), uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0)   // empty server
+	f.Add(uint64(4), uint8(9), math.NaN(), math.Inf(1), 2.0, 1e7, math.Inf(1))
+	f.Add(uint64(5), uint8(12), -0.0, -1e5, 1.1, 5e-324, 1e300)
+	f.Add(uint64(6), uint8(16), 1.0/3, 2.5e5, 0.3, 15e6, 0.125)
+	a := NewArena()
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, proc, bits, speed, uplink, period float64) {
+		raw := []float64{proc, bits, speed, uplink, period}
+		for _, x := range raw {
+			for _, y := range append(raw, specialFloats...) {
+				checkFmaxFmin(t, x, y)
+				checkFmaxFmin(t, y, x)
+			}
+		}
+		rng := newRng(seed)
+		horizon := []float64{0.5, 1, 2, 3.3}[rng.IntN(4)]
+		periods := []float64{1.0 / 30, 1.0 / 15, 0.1, 0.125, 0.25, 0.5, 1.0 / 3, horizon, math.Inf(1)}
+		if !math.IsNaN(period) && !math.IsInf(period, 0) {
+			periods = append(periods, 1.0/240+math.Mod(math.Abs(period), 1))
+		}
+		offsets := []float64{0, math.Copysign(0, -1), 0.01, 0.125, 0.25, -0.3, horizon,
+			math.Nextafter(horizon, 0), math.Nextafter(horizon, 2*horizon), 2 * horizon, math.Inf(1), math.NaN()}
+		procs := []float64{0, 0.001, 0.01, 0.05, 0.3, 1.25, proc, -proc}
+		sizes := []float64{0, 8e4, 1e5, 2.5e5, bits}
+		streams := make([]StreamSpec, int(n)%17)
+		for i := range streams {
+			if i > 0 && rng.IntN(4) == 0 {
+				streams[i] = streams[rng.IntN(i)] // an exact twin: every arrival ties
+				continue
+			}
+			streams[i] = StreamSpec{
+				Period: periods[rng.IntN(len(periods))],
+				Offset: offsets[rng.IntN(len(offsets))],
+				Proc:   procs[rng.IntN(len(procs))],
+				Bits:   sizes[rng.IntN(len(sizes))],
+			}
+		}
+		srv := Server{
+			Uplink:      []float64{0, 1e7, 40e6, uplink}[rng.IntN(4)],
+			SpeedFactor: []float64{0, 1, 0.5, 0.75, 2, 0.3, 1.1, speed}[rng.IntN(8)],
+		}
+		for k := len(streams); ; k /= 2 {
+			sub := streams[:k]
+			want := oracleSimulateServer(sub, srv, horizon)
+			sameResult(t, fmt.Sprintf("%d streams, reused arena", k), want, a.SimulateServer(sub, srv, horizon), false)
+			sameResult(t, fmt.Sprintf("%d streams, package level", k), want, SimulateServer(sub, srv, horizon), true)
+			if k == 0 {
+				break
+			}
+		}
+	})
 }
 
 // TestZeroJitterOffsetsInPlace pins the in-place offsets bit-exact against
@@ -186,21 +323,22 @@ func TestZeroJitterOffsetsInPlace(t *testing.T) {
 }
 
 // TestArenaResultAliasing documents the reuse contract: results from the
-// same arena alias its buffers, so a second call overwrites the first's
-// view. This is intentional; retainers must copy.
+// same arena alias its per-stream slots, so a second call overwrites the
+// first's view, and the arena path returns no frame log. This is
+// intentional; retainers must copy.
 func TestArenaResultAliasing(t *testing.T) {
 	a := NewArena()
 	streams, srv := arenaWorkload(4)
 	r1 := a.SimulateServer(streams, srv, 2)
-	first := math.NaN()
-	if len(r1.Frames) > 0 {
-		first = r1.Frames[0].Finish
-	}
+	first := r1.PerStream[0]
 	r2 := a.SimulateServer(streams, srv, 2)
-	if len(r1.Frames) > 0 && len(r2.Frames) > 0 && &r1.Frames[0] != &r2.Frames[0] {
-		t.Fatal("expected results from one arena to alias the same buffers")
+	if &r1.PerStream[0] != &r2.PerStream[0] {
+		t.Fatal("expected results from one arena to alias the same per-stream slots")
 	}
-	if len(r2.Frames) > 0 && r2.Frames[0].Finish != first {
-		t.Fatalf("deterministic rerun changed results: %g vs %g", r2.Frames[0].Finish, first)
+	if r2.PerStream[0] != first || r2.LatSum != r1.LatSum || r2.FrameCount != r1.FrameCount {
+		t.Fatalf("deterministic rerun changed results: %+v vs %+v", r2.PerStream[0], first)
+	}
+	if r1.Frames != nil || r2.Frames != nil {
+		t.Fatal("arena path returned a frame log")
 	}
 }

@@ -71,8 +71,13 @@ type StreamStats struct {
 
 // Result is the outcome of simulating one server.
 type Result struct {
-	Frames      []FrameRecord
-	PerStream   []StreamStats
+	Frames    []FrameRecord // the frame log; nil from Arena.SimulateServer
+	PerStream []StreamStats
+	// LatSum is the running sum of every frame's Latency in service
+	// order, starting from 0, and FrameCount the number of frames served.
+	// Both are filled on every path, frame log or not.
+	LatSum      float64
+	FrameCount  int
 	MaxJitter   float64 // max over streams
 	MaxWait     float64
 	Utilization float64 // busy time / horizon
@@ -86,9 +91,10 @@ const JitterEps = 1e-6
 // (seconds). Frames are served in arrival order (FIFO, non-preemptive);
 // ties in arrival time are broken by stream index, which matches a
 // deterministic NIC delivering interleaved packets. It runs on a fresh
-// Arena, so the result is the caller's to keep.
+// Arena and also logs every frame into Result.Frames, so the result is the
+// caller's to keep.
 func SimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
-	return NewArena().SimulateServer(streams, srv, horizon)
+	return NewArena().simulate(streams, srv, horizon, true)
 }
 
 // Assignment maps each stream index to a server index (or -1 = unassigned,
@@ -97,14 +103,24 @@ type Assignment []int
 
 // SimulateCluster partitions the streams by assignment and simulates each
 // server independently (uplinks are dedicated per-camera channels, as in
-// the paper's model where only server uplink bandwidth matters).
+// the paper's model where only server uplink bandwidth matters). Each
+// result carries its server's frame log. It panics on an assignment of the
+// wrong length or naming a server outside [-1, len(servers)).
 func SimulateCluster(streams []StreamSpec, servers []Server, assign Assignment, horizon float64) []Result {
 	if len(assign) != len(streams) {
 		panic(fmt.Sprintf("cluster: %d assignments for %d streams", len(assign), len(streams)))
 	}
+	for i, a := range assign {
+		if a < -1 || a >= len(servers) {
+			panic(fmt.Sprintf("cluster: stream %d assigned to server %d of %d", i, a, len(servers)))
+		}
+	}
 	out := make([]Result, len(servers))
+	// One spec buffer serves every server: the simulator reads it during
+	// the call and keeps no reference.
+	sub := make([]StreamSpec, 0, len(streams))
 	for j := range servers {
-		var sub []StreamSpec
+		sub = sub[:0]
 		for i, a := range assign {
 			if a == j {
 				sub = append(sub, streams[i])

@@ -174,6 +174,20 @@ func TestSimulatePanicsOnBadInput(t *testing.T) {
 	})
 }
 
+// TestSimulateClusterRejectsUnknownServer pins that an assignment naming a
+// server the cluster does not have panics instead of silently dropping the
+// stream (and its latency) the way an explicit -1 does.
+func TestSimulateClusterRejectsUnknownServer(t *testing.T) {
+	streams := []StreamSpec{{Period: 0.2, Proc: 0.05}, {Period: 0.5, Proc: 0.1}}
+	servers := []Server{{Uplink: 1e7}, {Uplink: 1e7}}
+	for _, assign := range []Assignment{{0, 2}, {5, 1}, {-2, 0}, {0, math.MaxInt}} {
+		mustPanic(t, func() { SimulateCluster(streams, servers, assign, 1) })
+	}
+	if r := SimulateCluster(streams, servers, Assignment{-1, 1}, 1); r[0].FrameCount != 0 || r[1].FrameCount != 2 {
+		t.Fatalf("valid assignment simulated %d and %d frames, want 0 and 2", r[0].FrameCount, r[1].FrameCount)
+	}
+}
+
 func mustPanic(t *testing.T, f func()) {
 	t.Helper()
 	defer func() {

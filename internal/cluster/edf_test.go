@@ -201,9 +201,7 @@ func SimulateServerEDF(streams []StreamSpec, srv Server, horizon float64) Result
 		served++
 	}
 
-	a := NewArena()
-	a.growStreams(len(streams))
-	return a.summarizeInto(frames, streams, horizon, busy)
+	return oracleSummarize(frames, streams, horizon, busy)
 }
 
 // edfQueue is a min-heap of frame indices keyed by deadline.

@@ -273,18 +273,13 @@ func (a *Agent) Run(ctx context.Context) error {
 	}
 }
 
-// evaluate runs the dispatched specs on the agent's DES arena and folds the
-// frames exactly as the controller's in-process evaluation does — same
-// iteration order, same float additions — so a wire-driven run merges to
-// bit-identical epoch outcomes.
+// evaluate runs the dispatched specs on the agent's DES arena and reports
+// the simulator's own LatSum and FrameCount. The controller's in-process
+// evaluation reads the same summary fields off the same simulator, so a
+// wire-driven run merges to bit-identical epoch outcomes.
 func (a *Agent) evaluate(pr PollResponse) runtime.ServerEvalResult {
 	res := a.arena.SimulateServer(pr.Specs, pr.Server, pr.Horizon)
-	var out runtime.ServerEvalResult
-	for _, f := range res.Frames {
-		out.LatSum += f.Latency()
-		out.Frames++
-	}
-	out.MaxJitter = res.MaxJitter
+	out := runtime.ServerEvalResult{LatSum: res.LatSum, Frames: res.FrameCount, MaxJitter: res.MaxJitter}
 	a.lastUtil = res.Utilization
 	a.lastJitter = res.MaxJitter
 	return out

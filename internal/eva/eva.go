@@ -115,13 +115,16 @@ func Evaluate(sys *objective.System, d Decision) objective.Vector {
 			off = d.Offsets[i]
 		}
 		specs[i] = cluster.StreamSpec{
-			Name:   fmt.Sprintf("v%d.%d", s.Video, s.Sub),
 			Period: s.Period.Float(),
 			Offset: off,
 			Proc:   s.Proc,
 			Bits:   s.Bits,
 		}
 	}
+	// MeanLatency folds every frame into one running sum across servers.
+	// Adding the servers' per-server Result.LatSum instead would skip the
+	// frame logs but round differently, so it waits for the golden re-pin
+	// that the DES hyperperiod extrapolation needs anyway.
 	results := cluster.SimulateCluster(specs, sys.Servers, cluster.Assignment(d.Assign), EvalHorizon)
 	v[objective.Latency] = cluster.MeanLatency(results)
 	return v

@@ -991,7 +991,7 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 	// Fan out one simulation per healthy server. Each server owns a
 	// long-lived arena and spec buffer (index j is only ever touched by
 	// server j's goroutine, and wg.Wait barriers the epochs), so steady-state
-	// evaluation reuses the frame logs instead of reallocating them.
+	// evaluation reuses the simulator's buffers instead of reallocating them.
 	for len(c.arenas) < sys.N() {
 		c.arenas = append(c.arenas, cluster.NewArena())
 	}
@@ -1070,14 +1070,12 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 						obs.F("server", float64(j)),
 						obs.F("streams", float64(len(specs))))
 					res = c.arenas[j].SimulateServerRecordedCtx(sctx, specs, sys.Servers[j], eva.EvalHorizon, rec, j)
-					sp.Field("frames", float64(len(res.Frames)))
+					sp.Field("frames", float64(res.FrameCount))
 					sp.End()
 				})
 			}
-			for _, f := range res.Frames {
-				results[j].latSum += f.Latency()
-				results[j].frames++
-			}
+			results[j].latSum = res.LatSum
+			results[j].frames = res.FrameCount
 			results[j].jitter = res.MaxJitter
 		}(j)
 	}
