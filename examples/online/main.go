@@ -23,7 +23,8 @@ func main() {
 	truth := repro.UniformPreference()
 
 	// A cheap reactive scheduler: pick per-clip configurations by a greedy
-	// score on the *drifted* clip curves, then Algorithm 1.
+	// score on the *drifted* clip curves, then Algorithm 1; the plan is
+	// deployed with Theorem 1's offsets by eva.ZeroJitterDecision.
 	reactive := runtime.SchedulerFunc(func(ctx context.Context, s *objective.System, epoch int) (eva.Decision, error) {
 		cfgs := make([]videosim.Config, s.M())
 		for i, clip := range s.Clips {
@@ -44,13 +45,7 @@ func main() {
 		if err != nil {
 			return eva.Decision{}, err
 		}
-		specs, _ := plan.ToClusterStreams(streams, s.Servers)
-		offsets := make([]float64, len(streams))
-		for i := range specs {
-			offsets[i] = specs[i].Offset
-		}
-		return eva.Decision{Configs: cfgs, Streams: streams, Assign: plan.StreamServer,
-			Offsets: offsets, ZeroJit: true}, nil
+		return eva.ZeroJitterDecision(cfgs, streams, plan, s.Servers), nil
 	})
 
 	run := func(replanEvery int) *runtime.Trace {

@@ -1,6 +1,8 @@
 // Zero-jitter scheduling demo: run Algorithm 1 on a mixed-rate workload,
-// verify Theorems 1–3 empirically with the discrete-event simulator, and
-// contrast with an uncoordinated placement that jitters.
+// deploy it with Theorem 1's capture offsets (ZeroJitterDecision, the same
+// deploy path every scheduler uses), verify Theorems 1–3 empirically
+// with the discrete-event simulator, and contrast with an uncoordinated
+// placement that jitters.
 //
 //	go run ./examples/zerojitter
 package main
@@ -54,46 +56,12 @@ func main() {
 	}
 
 	// Deploy with Theorem 1 offsets and verify in the simulator.
-	good := repro.Decision{Configs: cfgs, Streams: streams, Assign: plan.StreamServer, ZeroJit: true}
-	good.Offsets = theoremOffsets(sys, streams, plan)
+	good := repro.ZeroJitterDecision(cfgs, streams, plan, sys.Servers)
 	fmt.Printf("\nmax jitter with Algorithm 1 + Theorem 1 offsets: %.3g s\n", repro.MaxJitter(sys, good))
 
 	// The same assignment with uncoordinated (random) capture offsets and
 	// no grouping discipline: pile streams on server 0.
 	bad := repro.Decision{Configs: cfgs, Streams: streams, Assign: make([]int, len(streams))}
-	bad.Offsets = randomOffsets(streams, 99)
+	bad.Offsets = repro.RandomOffsets(streams, repro.NewRNG(99))
 	fmt.Printf("max jitter with uncoordinated single-server placement: %.3g s\n", repro.MaxJitter(sys, bad))
-}
-
-func theoremOffsets(sys *repro.System, streams []repro.Stream, plan repro.Plan) []float64 {
-	// o(τ_k) = Σ_{i<k} p_i within each group, compensated for per-stream
-	// transmission delay (see cluster.ZeroJitterOffsetsOn).
-	offsets := make([]float64, len(streams))
-	for g, members := range plan.Groups {
-		if len(members) == 0 {
-			continue
-		}
-		uplink := sys.Servers[plan.GroupServer[g]].Uplink
-		var maxTx float64
-		for _, si := range members {
-			if tx := streams[si].Bits / uplink; tx > maxTx {
-				maxTx = tx
-			}
-		}
-		acc := 0.0
-		for _, si := range members {
-			offsets[si] = maxTx + acc - streams[si].Bits/uplink
-			acc += streams[si].Proc
-		}
-	}
-	return offsets
-}
-
-func randomOffsets(streams []repro.Stream, seed uint64) []float64 {
-	rng := repro.NewRNG(seed)
-	out := make([]float64, len(streams))
-	for i, s := range streams {
-		out[i] = rng.Float64() * s.Period.Float()
-	}
-	return out
 }

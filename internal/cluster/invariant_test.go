@@ -1,6 +1,6 @@
 // Empirical invariant tests: the check package's verdicts must agree with
 // what the discrete-event simulator actually observes. These live in an
-// external test package because check imports sched, which imports cluster.
+// external test package because check, eva and sched import cluster.
 package cluster_test
 
 import (
@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/cluster"
+	"repro/internal/eva"
+	"repro/internal/objective"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -37,9 +39,8 @@ func TestVerifiedPlanSimulatesZeroJitter(t *testing.T) {
 		t.Fatalf("exact verifier rejected Algorithm 1's plan: %v", err)
 	}
 
-	specs, assign := plan.ToClusterStreams(streams, servers)
-	results := cluster.SimulateCluster(specs, servers, assign, 30)
-	jitter := cluster.MaxJitter(results)
+	sys := &objective.System{Servers: servers}
+	jitter := cluster.MaxJitter(eva.Simulate(sys, eva.ZeroJitterDecision(nil, streams, plan, servers)))
 	if jitter > cluster.JitterEps {
 		t.Fatalf("verified plan simulated with jitter %g > eps %g", jitter, cluster.JitterEps)
 	}

@@ -1,10 +1,14 @@
-// Package eva holds the shared decision types and the ground-truth
-// evaluation path used by PaMO and the baseline schedulers alike: a
-// Decision (per-video configurations + post-split stream assignment +
-// capture offsets), helpers to build schedulable streams from
-// configurations, and an evaluator that scores a decision on the real
-// system — analytic Eqs. (2)–(4) for accuracy/bandwidth/compute/energy and
-// the discrete-event simulator for end-to-end latency, so that queueing
+// Package eva holds the shared decision types and the one deploy path used
+// by PaMO, the baseline schedulers and the online runtime alike. Each step
+// of "configurations → streams → plan → decision → simulator input →
+// outcome vector" has one home: NewStream/TrueStream and BuildStreams turn
+// configurations into schedulable streams; ZeroJitterDecision turns an
+// Algorithm 1 plan into a deployable Decision, with the slot layout itself
+// in sched.Plan.Offsets; Recost prices a planned decision at ground truth;
+// Decision.Spec is a stream as the simulator runs it; and Evaluate scores a
+// decision on the real system. Accuracy, bandwidth, compute and energy come
+// from analytic Eqs. (2)–(4) (objective.System.ConfigOutcomes), and
+// latency from the discrete-event simulator (Simulate), so that queueing
 // and delay jitter caused by poor scheduling actually hurt, exactly as on
 // the paper's testbed.
 package eva
@@ -20,7 +24,10 @@ import (
 	"repro/internal/videosim"
 )
 
-// Decision is a complete scheduling decision for a System.
+// Decision is a complete scheduling decision for a System: Algorithm 1's
+// grouping and server mapping (Assign) plus Theorem 1's capture offsets.
+// ZeroJitterDecision builds one from a plan; Spec(i) is stream i as the
+// simulator runs it.
 type Decision struct {
 	Configs []videosim.Config // per video source
 	Streams []sched.Stream    // post-split periodic streams
@@ -56,24 +63,76 @@ func (d Decision) ShedSet(m int) []bool {
 	return set
 }
 
+// NewStream is video v's unsplit periodic stream at configuration cfg: the
+// exact period 1/fps and the given per-frame processing time and frame
+// size. Planners that must not peek at ground truth (PaMO) pass their model
+// estimates; TrueStream passes the truth.
+func NewStream(v int, cfg videosim.Config, proc, bits float64) sched.Stream {
+	return sched.Stream{
+		Video:  v,
+		Period: sched.RatFromFPS(int64(math.Round(cfg.FPS))),
+		Proc:   proc,
+		Bits:   bits,
+	}
+}
+
+// TrueStream is NewStream at the clip's ground-truth per-frame cost.
+func TrueStream(clip *videosim.Clip, v int, cfg videosim.Config) sched.Stream {
+	return NewStream(v, cfg, clip.ProcTimeOf(cfg), clip.BitsOf(cfg))
+}
+
 // BuildStreams converts per-video configurations into post-split periodic
-// streams using the system's ground-truth processing/frame-size curves.
-// Schedulers that must not peek at ground truth (PaMO) build their own
-// stream lists from model estimates instead.
+// streams at the system's ground-truth processing/frame-size curves
+// (TrueStream for every video, then sched.SplitHighRate).
 func BuildStreams(sys *objective.System, cfgs []videosim.Config) []sched.Stream {
 	if len(cfgs) != sys.M() {
 		panic(fmt.Sprintf("eva: %d configs for %d videos", len(cfgs), sys.M()))
 	}
 	streams := make([]sched.Stream, sys.M())
 	for i, c := range sys.Clips {
-		streams[i] = sched.Stream{
-			Video:  i,
-			Period: sched.RatFromFPS(int64(math.Round(cfgs[i].FPS))),
-			Proc:   c.ProcTimeOf(cfgs[i]),
-			Bits:   c.BitsOf(cfgs[i]),
-		}
+		streams[i] = TrueStream(c, i, cfgs[i])
 	}
 	return sched.SplitHighRate(streams)
+}
+
+// Recost overwrites dst with streams, each re-priced at the ground-truth
+// per-frame cost of its video's configuration cfgs[Video] on sys, and
+// returns it. Periods, splitting and order are kept: this is what a
+// decision planned against estimated (or stale) costs costs when it runs.
+// dst's capacity is reused; nil allocates.
+func Recost(dst []sched.Stream, sys *objective.System, streams []sched.Stream, cfgs []videosim.Config) []sched.Stream {
+	dst = append(dst[:0], streams...)
+	for i := range dst {
+		clip := sys.Clips[dst[i].Video]
+		cfg := cfgs[dst[i].Video]
+		dst[i].Proc = clip.ProcTimeOf(cfg)
+		dst[i].Bits = clip.BitsOf(cfg)
+	}
+	return dst
+}
+
+// ZeroJitterDecision deploys an Algorithm 1 plan: the configurations and
+// streams as given, the plan's stream→server mapping, and the Theorem 1
+// capture offsets plan.Offsets lays out on each group's server.
+func ZeroJitterDecision(cfgs []videosim.Config, streams []sched.Stream, plan sched.Plan, servers []cluster.Server) Decision {
+	return Decision{
+		Configs: cfgs,
+		Streams: streams,
+		Assign:  plan.StreamServer,
+		Offsets: plan.Offsets(streams, servers),
+		ZeroJit: true,
+	}
+}
+
+// Spec is stream i of the decision as the simulator runs it: its period,
+// its capture offset (0 when Offsets is nil) and its per-frame cost.
+func (d Decision) Spec(i int) cluster.StreamSpec {
+	s := d.Streams[i]
+	off := 0.0
+	if d.Offsets != nil {
+		off = d.Offsets[i]
+	}
+	return cluster.StreamSpec{Period: s.Period.Float(), Offset: off, Proc: s.Proc, Bits: s.Bits}
 }
 
 // RandomOffsets draws a capture offset in [0, T) for every stream — the
@@ -91,75 +150,43 @@ const EvalHorizon = 30.0
 
 // Evaluate scores a decision against ground truth. Accuracy, bandwidth,
 // compute and energy follow Eqs. (2)–(4) analytically from the per-video
-// configurations; latency is measured by simulating the post-split streams
-// on the cluster, so queueing delay and jitter from bad placements are paid
-// for.
+// configurations (objective.System.ConfigOutcomes); latency is measured by
+// simulating the post-split streams on the cluster, so queueing delay and
+// jitter from bad placements are paid for.
 func Evaluate(sys *objective.System, d Decision) objective.Vector {
 	if len(d.Streams) != len(d.Assign) {
 		panic(fmt.Sprintf("eva: %d streams vs %d assignments", len(d.Streams), len(d.Assign)))
 	}
-	var v objective.Vector
-	m := float64(sys.M())
-	for i, c := range sys.Clips {
-		cfg := d.Configs[i]
-		v[objective.Accuracy] += c.Accuracy(cfg) / m
-		v[objective.Network] += c.Bandwidth(cfg)
-		v[objective.Compute] += c.Compute(cfg)
-		v[objective.Energy] += c.Power(cfg)
-	}
-
-	specs := make([]cluster.StreamSpec, len(d.Streams))
-	for i, s := range d.Streams {
-		off := 0.0
-		if d.Offsets != nil {
-			off = d.Offsets[i]
-		}
-		specs[i] = cluster.StreamSpec{
-			Period: s.Period.Float(),
-			Offset: off,
-			Proc:   s.Proc,
-			Bits:   s.Bits,
-		}
-	}
+	v := sys.ConfigOutcomes(d.Configs, nil)
 	// MeanLatency folds every frame into one running sum across servers.
 	// Adding the servers' per-server Result.LatSum instead would skip the
 	// frame logs but round differently, so it waits for the golden re-pin
 	// that the DES hyperperiod extrapolation needs anyway.
-	results := cluster.SimulateCluster(specs, sys.Servers, cluster.Assignment(d.Assign), EvalHorizon)
-	v[objective.Latency] = cluster.MeanLatency(results)
+	v[objective.Latency] = cluster.MeanLatency(Simulate(sys, d))
 	return v
 }
 
 // MaxJitter reports the worst simulated per-stream jitter of a decision —
 // the quantity Theorem 1 guarantees to be zero for Algorithm 1 plans.
 func MaxJitter(sys *objective.System, d Decision) float64 {
+	return cluster.MaxJitter(Simulate(sys, d))
+}
+
+// Simulate runs the decision's streams (Spec) on the cluster for
+// EvalHorizon and returns the per-server results with their frame logs.
+func Simulate(sys *objective.System, d Decision) []cluster.Result {
 	specs := make([]cluster.StreamSpec, len(d.Streams))
-	for i, s := range d.Streams {
-		off := 0.0
-		if d.Offsets != nil {
-			off = d.Offsets[i]
-		}
-		specs[i] = cluster.StreamSpec{
-			Period: s.Period.Float(), Offset: off, Proc: s.Proc, Bits: s.Bits,
-		}
+	for i := range specs {
+		specs[i] = d.Spec(i)
 	}
-	results := cluster.SimulateCluster(specs, sys.Servers, cluster.Assignment(d.Assign), EvalHorizon)
-	return cluster.MaxJitter(results)
+	return cluster.SimulateCluster(specs, sys.Servers, cluster.Assignment(d.Assign), EvalHorizon)
 }
 
 // AnalyticOutcomes scores a decision with the purely analytic latency of
 // Eq. (5) (per-frame processing + transmission, no queueing), which is
 // what model-based planners reason with.
 func AnalyticOutcomes(sys *objective.System, d Decision) objective.Vector {
-	var v objective.Vector
-	m := float64(sys.M())
-	for i, c := range sys.Clips {
-		cfg := d.Configs[i]
-		v[objective.Accuracy] += c.Accuracy(cfg) / m
-		v[objective.Network] += c.Bandwidth(cfg)
-		v[objective.Compute] += c.Compute(cfg)
-		v[objective.Energy] += c.Power(cfg)
-	}
+	v := sys.ConfigOutcomes(d.Configs, nil)
 	var lat float64
 	for i, s := range d.Streams {
 		b := sys.Servers[d.Assign[i]].Uplink

@@ -68,25 +68,7 @@ func TestEvaluateMatchesAnalyticWhenUncontended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := make([]cluster.StreamSpec, len(streams))
-	for i, st := range streams {
-		specs[i] = cluster.StreamSpec{Period: st.Period.Float(), Proc: st.Proc, Bits: st.Bits}
-	}
-	offsets := make([]float64, len(streams))
-	for g, members := range plan.Groups {
-		if len(members) == 0 {
-			continue
-		}
-		sub := make([]cluster.StreamSpec, len(members))
-		for k, si := range members {
-			sub[k] = specs[si]
-		}
-		sub = cluster.ZeroJitterOffsetsOn(sub, s.Servers[plan.GroupServer[g]])
-		for k, si := range members {
-			offsets[si] = sub[k].Offset
-		}
-	}
-	d := Decision{Configs: cfgs, Streams: streams, Assign: plan.StreamServer, Offsets: offsets, ZeroJit: true}
+	d := ZeroJitterDecision(cfgs, streams, plan, s.Servers)
 	measured := Evaluate(s, d)
 	analytic := AnalyticOutcomes(s, d)
 	// Zero-jitter plan → DES latency equals the analytic Eq. 5 latency.
@@ -148,4 +130,36 @@ func TestEvaluateValidation(t *testing.T) {
 		}
 	}()
 	Evaluate(s, Decision{Configs: midCfgs(1), Streams: BuildStreams(s, midCfgs(1)), Assign: nil})
+}
+
+// TestRecostPricesAtTruth re-costs model-priced, split streams: every
+// stream keeps its video, sub-index and period and takes the ground-truth
+// cost BuildStreams would give it, and dst's buffer is reused.
+func TestRecostPricesAtTruth(t *testing.T) {
+	s := sys(2, 2)
+	cfgs := []videosim.Config{{Resolution: 2000, FPS: 30}, {Resolution: 500, FPS: 5}}
+	truth := BuildStreams(s, cfgs)
+	model := make([]sched.Stream, s.M())
+	for i := range model {
+		model[i] = NewStream(i, cfgs[i], 0.5*s.Clips[i].ProcTimeOf(cfgs[i]), 1)
+	}
+	planned := sched.SplitHighRate(model)
+	dst := make([]sched.Stream, 0, 16)
+	got := Recost(dst, s, planned, cfgs)
+	if &got[0] != &dst[:1][0] {
+		t.Fatal("Recost did not reuse dst")
+	}
+	for i, st := range got {
+		p := planned[i]
+		if st.Video != p.Video || st.Sub != p.Sub || st.Period != p.Period {
+			t.Fatalf("stream %d: %+v lost its planned shape %+v", i, st, p)
+		}
+		clip, cfg := s.Clips[st.Video], cfgs[st.Video]
+		if st.Proc != clip.ProcTimeOf(cfg) || st.Bits != clip.BitsOf(cfg) {
+			t.Fatalf("stream %d: cost (%v, %v) is not the truth", i, st.Proc, st.Bits)
+		}
+	}
+	if len(truth) == len(got) {
+		t.Fatal("model costs at half the truth should split less than the truth does")
+	}
 }

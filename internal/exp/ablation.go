@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/cluster"
+	"repro/internal/eva"
 	"repro/internal/objective"
 	"repro/internal/pamo"
 	"repro/internal/pref"
@@ -150,24 +151,14 @@ func AblationZeroJitter(w io.Writer, videos, servers int, seed uint64) Table {
 	}
 
 	if plan, err := sched.Schedule(streams, sys.Servers); err == nil {
-		specs, assign := plan.ToClusterStreams(streams, sys.Servers)
-		results := cluster.SimulateCluster(specs, sys.Servers, assign, 30)
+		results := eva.Simulate(sys, eva.ZeroJitterDecision(nil, streams, plan, sys.Servers))
 		t.Add("algorithm1", cluster.MaxJitter(results), maxWait(results), cluster.MeanLatency(results))
 	} else {
 		t.Add("algorithm1", "infeasible", "-", "-")
 	}
 
 	if assign, failed := baselines.FirstFit(streams, servers); failed < 0 {
-		specs := make([]cluster.StreamSpec, len(streams))
-		for i, s := range streams {
-			specs[i] = cluster.StreamSpec{
-				Period: s.Period.Float(),
-				Offset: rng.Float64() * s.Period.Float(),
-				Proc:   s.Proc,
-				Bits:   s.Bits,
-			}
-		}
-		results := cluster.SimulateCluster(specs, sys.Servers, assign, 30)
+		results := eva.Simulate(sys, eva.Decision{Streams: streams, Assign: assign, Offsets: eva.RandomOffsets(streams, rng)})
 		t.Add("first-fit", cluster.MaxJitter(results), maxWait(results), cluster.MeanLatency(results))
 	} else {
 		t.Add("first-fit", "infeasible", "-", "-")

@@ -58,7 +58,7 @@ func (s *System) Outcomes(cfgs []videosim.Config, assign []int) Vector {
 	if len(cfgs) != len(s.Clips) || len(assign) != len(s.Clips) {
 		panic(fmt.Sprintf("objective: %d clips, %d cfgs, %d assigns", len(s.Clips), len(cfgs), len(assign)))
 	}
-	var v Vector
+	v := s.ConfigOutcomes(cfgs, nil)
 	m := float64(len(s.Clips))
 	for i, c := range s.Clips {
 		cfg := cfgs[i]
@@ -72,6 +72,22 @@ func (s *System) Outcomes(cfgs []videosim.Config, assign []int) Vector {
 			tx = c.BitsOf(cfg) / b
 		}
 		v[Latency] += (c.ProcTimeOf(cfg) + tx) / m
+	}
+	return v
+}
+
+// ConfigOutcomes sums the configuration-only outcome terms of Eqs. (2)–(4)
+// over the videos skip does not exclude (nil excludes none): accuracy
+// averaged over all M videos, and total bandwidth, compute and power.
+// Latency is left 0; it depends on the placement.
+func (s *System) ConfigOutcomes(cfgs []videosim.Config, skip func(v int) bool) Vector {
+	var v Vector
+	m := float64(len(s.Clips))
+	for i, c := range s.Clips {
+		if skip != nil && skip(i) {
+			continue
+		}
+		cfg := cfgs[i]
 		v[Accuracy] += c.Accuracy(cfg) / m
 		v[Network] += c.Bandwidth(cfg)
 		v[Compute] += c.Compute(cfg)

@@ -225,3 +225,25 @@ func TestVectorSliceRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %v", got)
 	}
 }
+
+// TestConfigOutcomesSkip drops exactly the skipped videos' terms while
+// accuracy stays averaged over every video, and leaves latency at 0.
+func TestConfigOutcomesSkip(t *testing.T) {
+	s := testSystem(3, 2)
+	cfgs, assign := uniform(s, videosim.Config{Resolution: 1000, FPS: 10})
+	all := s.ConfigOutcomes(cfgs, nil)
+	some := s.ConfigOutcomes(cfgs, func(v int) bool { return v == 1 })
+	clip := s.Clips[1]
+	if d := all[Accuracy] - some[Accuracy]; math.Abs(d-clip.Accuracy(cfgs[1])/float64(s.M())) > 1e-12 {
+		t.Fatalf("skipping video 1 moved accuracy by %v", d)
+	}
+	if d := all[Energy] - some[Energy]; math.Abs(d-clip.Power(cfgs[1])) > 1e-9 {
+		t.Fatalf("skipping video 1 moved energy by %v", d)
+	}
+	if all[Latency] != 0 || some[Latency] != 0 {
+		t.Fatal("ConfigOutcomes must leave latency to the placement")
+	}
+	if full := s.Outcomes(cfgs, assign); full[Accuracy] != all[Accuracy] || full[Energy] != all[Energy] {
+		t.Fatal("Outcomes and ConfigOutcomes disagree on the configuration terms")
+	}
+}

@@ -610,12 +610,7 @@ func (s *Scheduler) plan(cfgs []videosim.Config) (candidate, bool) {
 		mu := s.clips[i].means(cfgs[i])
 		proc := math.Max(1e-4, mu[mProc])
 		bits := math.Max(1, mu[mBits])
-		streams[i] = sched.Stream{
-			Video:  i,
-			Period: sched.RatFromFPS(int64(math.Round(cfgs[i].FPS))),
-			Proc:   proc,
-			Bits:   bits,
-		}
+		streams[i] = eva.NewStream(i, cfgs[i], proc, bits)
 	}
 	split := sched.SplitHighRate(streams)
 	plan, err := sched.ScheduleMasked(split, s.sys.Servers, s.opt.ServerMask)

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/acq"
-	"repro/internal/cluster"
 	"repro/internal/eva"
 	"repro/internal/objective"
 	"repro/internal/sched"
@@ -303,21 +302,8 @@ func (s *Scheduler) observe(c candidate) (Observation, error) {
 	}
 	// The deployed streams keep the plan's periods/splitting but the
 	// true processing times and frame sizes apply.
-	streams := append([]sched.Stream(nil), c.streams...)
-	for i := range streams {
-		clip := s.sys.Clips[streams[i].Video]
-		cfg := c.cfgs[streams[i].Video]
-		streams[i].Proc = clip.ProcTimeOf(cfg)
-		streams[i].Bits = clip.BitsOf(cfg)
-	}
-	offsets := s.zeroJitterOffsets(streams, c.plan)
-	dec := eva.Decision{
-		Configs: c.cfgs,
-		Streams: streams,
-		Assign:  c.plan.StreamServer,
-		Offsets: offsets,
-		ZeroJit: true,
-	}
+	streams := eva.Recost(nil, s.sys, c.streams, c.cfgs)
+	dec := eva.ZeroJitterDecision(c.cfgs, streams, c.plan, s.sys.Servers)
 	// The same decision under TRUE processing times: a violation here is
 	// model error (estimated p below truth), which is an expected operating
 	// condition to surface in check_* metrics, never a hard failure.
@@ -366,31 +352,6 @@ func (s *Scheduler) observe(c candidate) (Observation, error) {
 	s.obs = append(s.obs, ob)
 	s.met.observations.Inc()
 	return ob, nil
-}
-
-// zeroJitterOffsets computes Theorem 1 offsets for the deployed streams
-// group by group.
-func (s *Scheduler) zeroJitterOffsets(streams []sched.Stream, plan sched.Plan) []float64 {
-	offsets := make([]float64, len(streams))
-	for g, members := range plan.Groups {
-		if len(members) == 0 {
-			continue
-		}
-		srv := s.sys.Servers[plan.GroupServer[g]]
-		specs := make([]cluster.StreamSpec, len(members))
-		for k, si := range members {
-			specs[k] = cluster.StreamSpec{
-				Period: streams[si].Period.Float(),
-				Proc:   streams[si].Proc,
-				Bits:   streams[si].Bits,
-			}
-		}
-		specs = cluster.ZeroJitterOffsetsOn(specs, srv)
-		for k, si := range members {
-			offsets[si] = specs[k].Offset
-		}
-	}
-	return offsets
 }
 
 // believedBenefit scores a normalized outcome under the scheduler's

@@ -83,7 +83,9 @@ var ErrPoolTooSmall = errors.New("pref: need at least two candidate outcome vect
 
 // Learn runs nPairs query rounds against the pool of candidate outcome
 // vectors (normalized), refitting the model after every answer as in
-// Algorithm 2's preference-modeling phase.
+// Algorithm 2's preference-modeling phase. Pool entries that coincide
+// exactly are one model point; a pair of them is never asked and does not
+// count against nPairs.
 func (l *Learner) Learn(pool []objective.Vector, nPairs int) error {
 	if len(pool) < 2 {
 		return ErrPoolTooSmall
@@ -95,17 +97,15 @@ func (l *Learner) Learn(pool []objective.Vector, nPairs int) error {
 		idx[i] = l.Model.AddPoint(pts[i])
 	}
 	asked := make(map[[2]int]bool)
-	for v := 0; v < nPairs; v++ {
+	for v := 0; v < nPairs; {
 		var i, j int
-		if l.UseEUBO && l.Model.NumComparisons() > 0 {
-			// Model exists only after the first (random) comparison.
+		// Model exists only after the first (random) comparison.
+		eubo := l.UseEUBO && l.Model.NumComparisons() > 0
+		if eubo {
 			if err := l.Model.Fit(); err != nil {
 				return err
 			}
 			i, j = l.selectEUBO(pts, asked)
-			if i >= 0 {
-				l.EUBOQueries++
-			}
 		} else {
 			i, j = l.randomPair(len(pool), asked)
 		}
@@ -113,6 +113,13 @@ func (l *Learner) Learn(pool []objective.Vector, nPairs int) error {
 			break // pool exhausted
 		}
 		asked[[2]int{i, j}] = true
+		if idx[i] == idx[j] {
+			continue // a point compared with itself tells the model nothing
+		}
+		v++
+		if eubo {
+			l.EUBOQueries++
+		}
 		var err error
 		if l.DM.Prefer(pool[i], pool[j]) {
 			err = l.Model.AddComparison(idx[i], idx[j])

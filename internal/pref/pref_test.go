@@ -147,3 +147,44 @@ func TestLearnerExhaustsSmallPoolGracefully(t *testing.T) {
 		t.Fatalf("comparisons = %d, want 3", got)
 	}
 }
+
+// preferFunc adapts a function to DecisionMaker.
+type preferFunc func(a, b objective.Vector) bool
+
+func (f preferFunc) Prefer(a, b objective.Vector) bool { return f(a, b) }
+
+// TestLearnerSkipsDuplicatePoolPair is the duplicate-corner regression: two
+// pool entries that coincide exactly map to one model point, and picking
+// that pair used to fail the whole solve with "comparison of a point with
+// itself". The pair is skipped, unasked, under both pair selectors.
+func TestLearnerSkipsDuplicatePoolPair(t *testing.T) {
+	pool := randomPool(2, 23)
+	pool = []objective.Vector{pool[0], pool[0], pool[1]}
+	for _, eubo := range []bool{true, false} {
+		for seed := uint64(0); seed < 8; seed++ {
+			asked := 0
+			dm := preferFunc(func(a, b objective.Vector) bool {
+				if a == b {
+					t.Fatalf("eubo=%v seed=%d: asked to compare %v with itself", eubo, seed, a)
+				}
+				asked++
+				return objective.UniformPreference().Benefit(a) > objective.UniformPreference().Benefit(b)
+			})
+			l := NewLearner(dm, eubo, stats.NewRNG(seed))
+			if err := l.Learn(pool, 3); err != nil {
+				t.Fatalf("eubo=%v seed=%d: %v", eubo, seed, err)
+			}
+			if got := l.Model.NumComparisons(); got != 2 || asked != 2 {
+				t.Fatalf("eubo=%v seed=%d: %d comparisons from %d questions, want the 2 distinct-point pairs", eubo, seed, got, asked)
+			}
+			// Only the first question is drawn at random under EUBO.
+			want := 0
+			if eubo {
+				want = asked - 1
+			}
+			if l.EUBOQueries != want {
+				t.Fatalf("eubo=%v seed=%d: %d EUBO queries counted, want %d", eubo, seed, l.EUBOQueries, want)
+			}
+		}
+	}
+}

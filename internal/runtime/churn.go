@@ -155,12 +155,7 @@ func (c *Controller) churnAdmitEvict(rp *sched.Replanner, removes []string, adds
 			return eva.Decision{}, false
 		}
 		newConfigs[v] = newConfigs[donor]
-		arrival := sched.SplitHighRate([]sched.Stream{{
-			Video:  v,
-			Period: sched.RatFromFPS(int64(math.Round(newConfigs[v].FPS))),
-			Proc:   clip.ProcTimeOf(newConfigs[v]),
-			Bits:   clip.BitsOf(newConfigs[v]),
-		}})
+		arrival := sched.SplitHighRate([]sched.Stream{eva.TrueStream(clip, v, newConfigs[v])})
 		for _, s := range arrival {
 			if _, ok := rp.Admit(s, c.Sys.Servers, healthy); !ok {
 				rp.Invalidate()

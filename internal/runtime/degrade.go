@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"math"
-
 	"repro/internal/eva"
 	"repro/internal/objective"
 	"repro/internal/sched"
@@ -72,32 +70,16 @@ func (c *Controller) degrade(sys *objective.System, healthy []bool, base []video
 			if shed[i] {
 				continue
 			}
-			raw = append(raw, sched.Stream{
-				Video:  i,
-				Period: sched.RatFromFPS(int64(math.Round(cfgs[i].FPS))),
-				Proc:   clip.ProcTimeOf(cfgs[i]),
-				Bits:   clip.BitsOf(cfgs[i]),
-			})
+			raw = append(raw, eva.TrueStream(clip, i, cfgs[i]))
 		}
 		streams := sched.SplitHighRate(raw)
 		plan, err := sched.ScheduleMasked(streams, sys.Servers, healthy)
 		if err != nil {
 			return eva.Decision{}, false
 		}
-		specs, _ := plan.ToClusterStreams(streams, sys.Servers)
-		offsets := make([]float64, len(streams))
-		for i := range specs {
-			offsets[i] = specs[i].Offset
-		}
-		return eva.Decision{
-			Configs:    append([]videosim.Config(nil), cfgs...),
-			Streams:    streams,
-			Assign:     append([]int(nil), plan.StreamServer...),
-			Offsets:    offsets,
-			ZeroJit:    true,
-			Shed:       trueIndices(shed),
-			Downgraded: trueIndices(down),
-		}, true
+		d := eva.ZeroJitterDecision(append([]videosim.Config(nil), cfgs...), streams, plan, sys.Servers)
+		d.Shed, d.Downgraded = trueIndices(shed), trueIndices(down)
+		return d, true
 	}
 
 	// Each iteration removes load, and a fully-shed workload is trivially

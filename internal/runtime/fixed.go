@@ -51,13 +51,5 @@ func (f *FixedScheduler) DecideMasked(ctx context.Context, sys *objective.System
 	if err != nil {
 		return eva.Decision{}, err
 	}
-	specs, _ := plan.ToClusterStreams(streams, sys.Servers)
-	offsets := make([]float64, len(streams))
-	for i := range specs {
-		offsets[i] = specs[i].Offset
-	}
-	return eva.Decision{
-		Configs: cfgs, Streams: streams, Assign: plan.StreamServer,
-		Offsets: offsets, ZeroJit: true,
-	}, nil
+	return eva.ZeroJitterDecision(cfgs, streams, plan, sys.Servers), nil
 }

@@ -45,24 +45,10 @@ func (c *Controller) incrementalReplan(ctx context.Context, rp *sched.Replanner,
 	if prev.IsDegraded() || !prev.ZeroJit || len(prev.Streams) == 0 {
 		return eva.Decision{}, false
 	}
-	streams := append([]sched.Stream(nil), prev.Streams...)
-	for i := range streams {
-		clip := sys.Clips[streams[i].Video]
-		cfg := prev.Configs[streams[i].Video]
-		streams[i].Proc = clip.ProcTimeOf(cfg)
-		streams[i].Bits = clip.BitsOf(cfg)
-	}
+	streams := eva.Recost(nil, sys, prev.Streams, prev.Configs)
 	plan, ok := rp.IncrementalCtx(ctx, streams, sys.Servers, healthy)
 	if !ok {
 		return eva.Decision{}, false
 	}
-	specs, _ := plan.ToClusterStreams(streams, sys.Servers)
-	offsets := make([]float64, len(streams))
-	for i := range specs {
-		offsets[i] = specs[i].Offset
-	}
-	return eva.Decision{
-		Configs: prev.Configs, Streams: streams, Assign: plan.StreamServer,
-		Offsets: offsets, ZeroJit: true,
-	}, true
+	return eva.ZeroJitterDecision(prev.Configs, streams, plan, sys.Servers), true
 }

@@ -940,15 +940,11 @@ func (c *Controller) evaluateParallel(ctx context.Context, epoch int, sys *objec
 func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.Decision, workers int, healthy []bool, stalled []bool, rec *obs.Recorder, audit bool, epoch int, ev ServerEvaluator) (objective.Vector, float64) {
 	// The decision's stream parameters were planned against possibly-stale
 	// content: re-derive true per-frame cost from the drifted clips while
-	// keeping the decision's periods and placement.
-	streams := append(c.evalStreams[:0], d.Streams...)
-	c.evalStreams = streams
-	for i := range streams {
-		clip := sys.Clips[streams[i].Video]
-		cfg := d.Configs[streams[i].Video]
-		streams[i].Proc = clip.ProcTimeOf(cfg)
-		streams[i].Bits = clip.BitsOf(cfg)
-	}
+	// keeping the decision's periods and placement. d is this call's shallow
+	// copy, so re-pointing its Streams at the re-costed buffer leaves the
+	// caller's decision alone.
+	c.evalStreams = eva.Recost(c.evalStreams, sys, d.Streams, d.Configs)
+	d.Streams = c.evalStreams
 
 	shed := d.ShedSet(sys.M())
 	skipVideo := func(v int) bool {
@@ -965,7 +961,7 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 	if chk := c.Opt.Check; chk != nil && audit {
 		var liveStreams []sched.Stream
 		var liveAssign []int
-		for i, s := range streams {
+		for i, s := range d.Streams {
 			if skipVideo(s.Video) {
 				continue
 			}
@@ -975,18 +971,7 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 		_ = chk.Relaxed().VerifyAssignmentServers(liveStreams, liveAssign, sys.Servers)
 	}
 
-	var v objective.Vector
-	m := float64(sys.M())
-	for i, clip := range sys.Clips {
-		if skipVideo(i) {
-			continue
-		}
-		cfg := d.Configs[i]
-		v[objective.Accuracy] += clip.Accuracy(cfg) / m
-		v[objective.Network] += clip.Bandwidth(cfg)
-		v[objective.Compute] += clip.Compute(cfg)
-		v[objective.Energy] += clip.Power(cfg)
-	}
+	v := sys.ConfigOutcomes(d.Configs, skipVideo)
 
 	// Fan out one simulation per healthy server. Each server owns a
 	// long-lived arena and spec buffer (index j is only ever touched by
@@ -1024,19 +1009,10 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 			}
 			specs := c.specBufs[j][:0]
 			for i, a := range d.Assign {
-				if a != j || skipVideo(streams[i].Video) {
+				if a != j || skipVideo(d.Streams[i].Video) {
 					continue
 				}
-				off := 0.0
-				if d.Offsets != nil {
-					off = d.Offsets[i]
-				}
-				specs = append(specs, cluster.StreamSpec{
-					Period: streams[i].Period.Float(),
-					Offset: off,
-					Proc:   streams[i].Proc,
-					Bits:   streams[i].Bits,
-				})
+				specs = append(specs, d.Spec(i))
 			}
 			c.specBufs[j] = specs
 			if ev != nil {

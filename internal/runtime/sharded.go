@@ -86,13 +86,5 @@ func (c *Controller) decideSharded(ctx context.Context, cd CellDecider, sys *obj
 	if err != nil {
 		return eva.Decision{}, stats, err
 	}
-	specs, _ := plan.ToClusterStreams(streams, sys.Servers)
-	offsets := make([]float64, len(streams))
-	for i := range specs {
-		offsets[i] = specs[i].Offset
-	}
-	return eva.Decision{
-		Configs: cfgs, Streams: streams, Assign: plan.StreamServer,
-		Offsets: offsets, ZeroJit: true,
-	}, stats, nil
+	return eva.ZeroJitterDecision(cfgs, streams, plan, sys.Servers), stats, nil
 }

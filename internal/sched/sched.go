@@ -531,35 +531,26 @@ func CheckConst2Servers(streams []Stream, streamServer []int, servers []cluster.
 	return true
 }
 
-// ToClusterStreams converts the plan's streams into simulator specs with
-// the zero-jitter offsets of Theorem 1 applied per server, ready for
-// empirical verification with the cluster package.
-func (p Plan) ToClusterStreams(streams []Stream, servers []cluster.Server) ([]cluster.StreamSpec, cluster.Assignment) {
-	specs := make([]cluster.StreamSpec, len(streams))
-	assign := make(cluster.Assignment, len(streams))
-	for i, s := range streams {
-		specs[i] = cluster.StreamSpec{
-			Name:   fmt.Sprintf("v%d.%d", s.Video, s.Sub),
-			Period: s.Period.Float(),
-			Proc:   s.Proc,
-			Bits:   s.Bits,
-		}
-		assign[i] = p.StreamServer[i]
-	}
-	// Apply Theorem 1 offsets group by group.
+// Offsets returns every stream's Theorem 1 capture offset: each group's
+// members are laid out back to back on the group's server
+// (cluster.ZeroJitterOffsetsInPlaceOn, which accounts for the server's
+// speed and uplink). Streams in no group keep offset 0.
+func (p Plan) Offsets(streams []Stream, servers []cluster.Server) []float64 {
+	offsets := make([]float64, len(streams))
+	var sub []cluster.StreamSpec
 	for g, members := range p.Groups {
 		if len(members) == 0 {
 			continue
 		}
-		srv := servers[p.GroupServer[g]]
-		sub := make([]cluster.StreamSpec, len(members))
-		for k, si := range members {
-			sub[k] = specs[si]
+		sub = sub[:0]
+		for _, si := range members {
+			s := streams[si]
+			sub = append(sub, cluster.StreamSpec{Period: s.Period.Float(), Proc: s.Proc, Bits: s.Bits})
 		}
-		sub = cluster.ZeroJitterOffsetsOn(sub, srv)
+		cluster.ZeroJitterOffsetsInPlaceOn(sub, servers[p.GroupServer[g]])
 		for k, si := range members {
-			specs[si] = sub[k]
+			offsets[si] = sub[k].Offset
 		}
 	}
-	return specs, assign
+	return offsets
 }

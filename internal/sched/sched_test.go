@@ -17,6 +17,17 @@ func servers(uplinks ...float64) []cluster.Server {
 	return out
 }
 
+// zeroJitterSpecs is the plan as the simulator runs it: every stream at
+// its Theorem 1 offset (Plan.Offsets) on its planned server.
+func zeroJitterSpecs(plan Plan, streams []Stream, srvs []cluster.Server) ([]cluster.StreamSpec, cluster.Assignment) {
+	offsets := plan.Offsets(streams, srvs)
+	specs := make([]cluster.StreamSpec, len(streams))
+	for i, s := range streams {
+		specs[i] = cluster.StreamSpec{Period: s.Period.Float(), Offset: offsets[i], Proc: s.Proc, Bits: s.Bits}
+	}
+	return specs, plan.StreamServer
+}
+
 func TestSplitHighRate(t *testing.T) {
 	streams := []Stream{
 		{Video: 0, Period: RatFromFPS(10), Proc: 0.05},  // s·p = 0.5, keep
@@ -168,7 +179,7 @@ func TestScheduleZeroJitterInSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, assign := plan.ToClusterStreams(streams, srvs)
+	specs, assign := zeroJitterSpecs(plan, streams, srvs)
 	// Epoch -1 runs the planned costs themselves. The others treat the plan
 	// as made at a 1.06× worst-case margin and run drifted true costs below
 	// it: Theorem 1's offsets stay zero-jitter when frames finish early,
@@ -224,7 +235,7 @@ func TestSchedulePropertyZeroJitter(t *testing.T) {
 			!CheckConst2Servers(split, plan.StreamServer, srvs) {
 			return false
 		}
-		specs, assign := plan.ToClusterStreams(split, srvs)
+		specs, assign := zeroJitterSpecs(plan, split, srvs)
 		results := cluster.SimulateCluster(specs, srvs, assign, 10)
 		return cluster.MaxJitter(results) <= cluster.JitterEps
 	}
@@ -279,5 +290,44 @@ func BenchmarkSchedule10Streams(b *testing.B) {
 		if _, err := Schedule(streams, srvs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestPlanOffsetsPerGroupLayout pins Plan.Offsets bit-exactly to Theorem 1's
+// layout of each group on its own server — cluster.ZeroJitterOffsetsOn over
+// the group's members in group order — on servers of mixed speed and
+// uplink, and checks that the layout runs jitter-free in the simulator.
+func TestPlanOffsetsPerGroupLayout(t *testing.T) {
+	streams := []Stream{
+		{Video: 0, Period: RatFromFPS(5), Proc: 0.06, Bits: 2e5},
+		{Video: 1, Period: RatFromFPS(10), Proc: 0.03, Bits: 3e5},
+		{Video: 2, Period: RatFromFPS(10), Proc: 0.04, Bits: 1e5},
+		{Video: 3, Period: RatFromFPS(15), Proc: 0.01, Bits: 2e5},
+		{Video: 4, Period: RatFromFPS(30), Proc: 0.02, Bits: 1e5},
+	}
+	srvs := []cluster.Server{
+		{Name: "slow", Uplink: 1e7, SpeedFactor: 0.75},
+		{Name: "fast", Uplink: 2e7, SpeedFactor: 2},
+		{Name: "base", Uplink: 3e7},
+	}
+	plan, err := Schedule(streams, srvs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := plan.Offsets(streams, srvs)
+	for g, members := range plan.Groups {
+		sub := make([]cluster.StreamSpec, len(members))
+		for k, si := range members {
+			sub[k] = cluster.StreamSpec{Period: streams[si].Period.Float(), Proc: streams[si].Proc, Bits: streams[si].Bits}
+		}
+		for k, s := range cluster.ZeroJitterOffsetsOn(sub, srvs[plan.GroupServer[g]]) {
+			if math.Float64bits(got[members[k]]) != math.Float64bits(s.Offset) {
+				t.Fatalf("stream %d: offset %v, per-group layout %v", members[k], got[members[k]], s.Offset)
+			}
+		}
+	}
+	specs, assign := zeroJitterSpecs(plan, streams, srvs)
+	if j := cluster.MaxJitter(cluster.SimulateCluster(specs, srvs, assign, 30)); j > cluster.JitterEps {
+		t.Fatalf("simulated jitter %v under Plan.Offsets", j)
 	}
 }

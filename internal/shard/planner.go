@@ -25,8 +25,8 @@ import (
 // (offset_k = Σ_{i<k} p_i < g). Whatever subset of streams releases a
 // frame in any particular window, each frame occupies its own disjoint
 // slice [offset_k, offset_k+p_k) of the window and is served on arrival —
-// zero queueing, zero jitter. Plan.ToClusterStreams applies Theorem 1
-// offsets over each MERGED group, so the committed plan inherits the
+// zero queueing, zero jitter. Plan.Offsets lays Theorem 1 offsets out
+// over each MERGED group, so the committed plan inherits the
 // guarantee; internal/check audits it against the simulator.
 //
 // Determinism and termination

@@ -172,6 +172,18 @@ func ScheduleZeroJitter(streams []Stream, servers []Server) (Plan, error) {
 	return sched.Schedule(streams, servers)
 }
 
+// ZeroJitterDecision deploys an Algorithm 1 plan with Theorem 1's capture
+// offsets laid out on each group's server.
+func ZeroJitterDecision(cfgs []Config, streams []Stream, plan Plan, servers []Server) Decision {
+	return eva.ZeroJitterDecision(cfgs, streams, plan, servers)
+}
+
+// RandomOffsets draws an uncoordinated capture offset in [0, T) for every
+// stream, as cameras without a scheduler would start.
+func RandomOffsets(streams []Stream, rng *rand.Rand) []float64 {
+	return eva.RandomOffsets(streams, rng)
+}
+
 // NewOracle builds a decision maker that answers comparisons from a hidden
 // true preference, with optional response noise.
 func NewOracle(truth Preference, noise float64, seed uint64) *Oracle {
