@@ -61,7 +61,7 @@ func main() {
 	rctx, root := rec.StartSpanCtx(context.Background(), "profile",
 		obs.F("clips", float64(*clips)))
 	for _, clip := range videosim.StandardClips(*clips, *seed) {
-		_, sp := rec.StartSpanCtx(rctx, "profile.clip", obs.F("noisy", b2f(*noisy)))
+		_, sp := rec.StartSpanCtx(rctx, "profile.clip", obs.F("noisy", obs.Bool(*noisy)))
 		rows := 0
 		for _, r := range videosim.Resolutions {
 			for _, s := range videosim.FrameRates {
@@ -89,11 +89,4 @@ func main() {
 		sp.End()
 	}
 	root.End()
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -82,8 +82,9 @@ type goldenConfig struct {
 func TestGoldenPaMOTrace(t *testing.T) {
 	sys := exp.NewSystem(4, 3, 2024)
 	rec := obs.NewRecorder(nil)
+	truth := objective.UniformPreference()
 	opt := pamo.Options{
-		Seed: 7, UseTruePref: true, TruePref: objective.UniformPreference(),
+		Seed: 7, TruePref: &truth,
 		InitProfiles: 12, InitObs: 3, PrefPairs: 10, PrefPool: 12,
 		Batch: 2, MCSamples: 16, CandPool: 10, MaxIter: 4,
 		Workers: 1,

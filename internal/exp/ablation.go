@@ -60,7 +60,6 @@ func AblationAcq(w io.Writer, cfg AblationAcqConfig) []AblationAcqRow {
 			opt := cfg.PaMOOpt
 			opt.Seed = cfg.Seed + uint64(rep)
 			opt.Acq = a
-			opt.UseEUBO = true
 			if cfg.Noise > 0 {
 				opt.ProfilerNoise = cfg.Noise
 			}

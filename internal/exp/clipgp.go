@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/gp"
 	"repro/internal/kernel"
+	"repro/internal/stats"
 	"repro/internal/videosim"
 )
 
@@ -50,7 +51,7 @@ func newTrainedClipGPs(clip *videosim.Clip, prof *videosim.Profiler, n int, rng 
 	out := &clipGPs{}
 	scaled := make([][]float64, 5)
 	for k := range scaled {
-		sd := stdOf(ys[k])
+		sd := stats.Std(ys[k])
 		if sd < 1e-12 {
 			sd = 1
 		}
@@ -79,18 +80,4 @@ func (c *clipGPs) predict(cfg videosim.Config) [5]float64 {
 		out[k] *= c.scales[k]
 	}
 	return out
-}
-
-func stdOf(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		m += x
-	}
-	m /= float64(len(xs))
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

@@ -105,7 +105,6 @@ func RunMethods(sys *objective.System, cfg MethodsConfig) []MethodResult {
 		dm := &pref.Oracle{Pref: cfg.Truth, Noise: cfg.DMNoise, Rng: stats.NewRNG(cfg.Seed + 0xD1)}
 		po := cfg.PaMOOpt
 		po.Seed = cfg.Seed
-		po.UseEUBO = true
 		res, err := pamo.New(sys, dm, po).Run()
 		var out objective.Vector
 		if err == nil {
@@ -118,8 +117,7 @@ func RunMethods(sys *objective.System, cfg MethodsConfig) []MethodResult {
 	// true preference), so give it a larger search budget than PaMO.
 	pp := withPlusBudget(cfg.PaMOOpt)
 	pp.Seed = cfg.Seed
-	pp.UseTruePref = true
-	pp.TruePref = cfg.Truth
+	pp.TruePref = &cfg.Truth
 	resPlus, errPlus := pamo.New(sys, nil, pp).Run()
 	var outPlus objective.Vector
 	if errPlus == nil {

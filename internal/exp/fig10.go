@@ -64,8 +64,7 @@ func Fig10a(w io.Writer, cfg Fig10aConfig) []Fig10aRow {
 		// Weight-free references, once per setup.
 		pp := cfg.PaMOOpt
 		pp.Seed = cfg.Seed
-		pp.UseTruePref = true
-		pp.TruePref = truth
+		pp.TruePref = &truth
 		resPlus, err := pamo.New(sys, nil, pp).Run()
 		if err != nil {
 			panic(fmt.Sprintf("fig10a: PaMO+ failed: %v", err))
@@ -74,7 +73,6 @@ func Fig10a(w io.Writer, cfg Fig10aConfig) []Fig10aRow {
 
 		po := cfg.PaMOOpt
 		po.Seed = cfg.Seed
-		po.UseEUBO = true
 		dm := &pref.Oracle{Pref: truth, Rng: stats.NewRNG(cfg.Seed + 5)}
 		resP, err := pamo.New(sys, dm, po).Run()
 		if err != nil {
@@ -152,8 +150,7 @@ func Fig10b(w io.Writer, cfg Fig10bConfig) []Fig10bRow {
 			pp := cfg.PaMOOpt
 			pp.Seed = cfg.Seed
 			pp.Delta = delta
-			pp.UseTruePref = true
-			pp.TruePref = truth
+			pp.TruePref = &truth
 			resPlus, err := pamo.New(sys, nil, pp).Run()
 			if err != nil {
 				panic(fmt.Sprintf("fig10b: PaMO+ failed: %v", err))
@@ -163,7 +160,6 @@ func Fig10b(w io.Writer, cfg Fig10bConfig) []Fig10bRow {
 			po := cfg.PaMOOpt
 			po.Seed = cfg.Seed
 			po.Delta = delta
-			po.UseEUBO = true
 			dm := &pref.Oracle{Pref: truth, Rng: stats.NewRNG(cfg.Seed + 5)}
 			resP, err := pamo.New(sys, dm, po).Run()
 			if err != nil {

@@ -60,7 +60,6 @@ func NoiseSensitivity(w io.Writer, cfg NoiseConfig) []NoiseRow {
 			opt := cfg.PaMOOpt
 			opt.Seed = cfg.Seed + uint64(rep)
 			opt.ProfilerNoise = lvl
-			opt.UseEUBO = true
 			dm := &pref.Oracle{Pref: truth, Noise: cfg.DMNoise, Rng: stats.NewRNG(cfg.Seed + uint64(rep))}
 			res, err := pamo.New(sys, dm, opt).Run()
 			if err != nil {

@@ -89,7 +89,6 @@ func Pricing(w io.Writer, cfg PricingConfig) []PricingRow {
 			var err error
 			if m.weights == nil {
 				dm := &pricing.Oracle{Billing: billing, Norm: norm}
-				opt.UseEUBO = true
 				// The billing benefit has sharp non-linearities (SLA
 				// thresholds, tariff tiers): give the learned model more
 				// comparisons and evidence-tuned hyperparameters.
@@ -99,8 +98,7 @@ func Pricing(w io.Writer, cfg PricingConfig) []PricingRow {
 				opt.OptimizePrefHyper = true
 				res, err = pamo.New(sys, dm, opt).Run()
 			} else {
-				opt.UseTruePref = true
-				opt.TruePref = *m.weights
+				opt.TruePref = m.weights
 				res, err = pamo.New(sys, nil, opt).Run()
 			}
 			if err != nil {

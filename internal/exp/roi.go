@@ -66,8 +66,7 @@ func ROI(w io.Writer, cfg ROIConfig) []ROIRow {
 			norm := objective.NewNormalizer(sys)
 			opt := cfg.PaMOOpt
 			opt.Seed = cfg.Seed + uint64(rep)
-			opt.UseTruePref = true
-			opt.TruePref = truth
+			opt.TruePref = &truth
 			opt.ROIGrid = v.grid
 			res, err := pamo.New(sys, nil, opt).Run()
 			if err != nil {

@@ -29,8 +29,7 @@ func Scheduler(method string, truth objective.Preference, base pamo.Options) (ru
 	case "pamo":
 		return &runtime.PaMOScheduler{DM: &pref.Oracle{Pref: truth, Rng: stats.NewRNG(seed)}, Opt: base}, nil
 	case "pamo+":
-		base.UseTruePref = true
-		base.TruePref = truth
+		base.TruePref = &truth
 		return &runtime.PaMOScheduler{Opt: base}, nil
 	case "jcab":
 		return runtime.SchedulerFunc(func(ctx context.Context, s *objective.System, epoch int) (eva.Decision, error) {

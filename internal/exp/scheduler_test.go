@@ -25,7 +25,6 @@ func TestSchedulerOfflineMatchesDirectCalls(t *testing.T) {
 	direct := map[string]func(sys *objective.System) (eva.Decision, error){
 		"pamo": func(sys *objective.System) (eva.Decision, error) {
 			opt := base
-			opt.UseEUBO = true
 			res, err := pamo.New(sys, &pref.Oracle{Pref: truth, Rng: stats.NewRNG(seed)}, opt).Run()
 			if err != nil {
 				return eva.Decision{}, err
@@ -34,7 +33,7 @@ func TestSchedulerOfflineMatchesDirectCalls(t *testing.T) {
 		},
 		"pamo+": func(sys *objective.System) (eva.Decision, error) {
 			opt := base
-			opt.UseTruePref, opt.TruePref = true, truth
+			opt.TruePref = &truth
 			res, err := pamo.New(sys, nil, opt).Run()
 			if err != nil {
 				return eva.Decision{}, err

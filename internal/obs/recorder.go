@@ -80,6 +80,14 @@ type Field struct {
 // F builds a Field; it keeps call sites short.
 func F(key string, val float64) Field { return Field{Key: key, Val: val} }
 
+// Bool is the numeric value of a boolean field: 1 for true, 0 for false.
+func Bool(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Recorder emits a replayable JSONL event stream and aggregates span
 // durations as it goes. It also owns a metric Registry so instrumented
 // code reaches both surfaces through one handle. All methods are safe for

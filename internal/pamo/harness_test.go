@@ -87,9 +87,9 @@ func TestStrictRunCleanAndCheckedMetrics(t *testing.T) {
 	opt.Check = chk
 	// Fixed belief (PaMO+): the incumbent guard runs in its strict
 	// monotone mode.
-	opt.UseTruePref = true
-	opt.TruePref = objective.UniformPreference()
-	s := New(sys, &pref.Oracle{Pref: opt.TruePref}, opt)
+	truth := objective.UniformPreference()
+	opt.TruePref = &truth
+	s := New(sys, &pref.Oracle{Pref: truth}, opt)
 	res, err := s.Run()
 	if err != nil {
 		t.Fatalf("strict run failed: %v", err)

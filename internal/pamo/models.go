@@ -16,6 +16,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/mat"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/videosim"
 )
 
@@ -141,9 +142,9 @@ func (c *clipModels) refitData() error {
 	}
 	var scaled [numMetrics][]float64
 	for mi, y := range c.ys {
-		sd := std(y)
+		sd := stats.Std(y)
 		if sd < 1e-12 {
-			sd = math.Abs(mean(y))
+			sd = math.Abs(stats.Mean(y))
 			if sd < 1e-12 {
 				sd = 1
 			}
@@ -225,22 +226,4 @@ func (c *clipModels) sampleJoint(cfgs []videosim.Config, n int, rngs [numMetrics
 		}
 	}
 	return out
-}
-
-func mean(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func std(xs []float64) float64 {
-	m := mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }

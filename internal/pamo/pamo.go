@@ -2,6 +2,7 @@ package pamo
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -30,8 +31,9 @@ const (
 	QSR  Acquisition = "qsr"
 )
 
-// Options tunes the PaMO scheduler. Zero values select defaults sized for
-// the paper's experiments (8 videos, 5 servers).
+// Options tunes the PaMO scheduler. Zero values select the paper's method —
+// a learned preference with EUBO pair selection and qNEI — with budgets
+// sized for its experiments (8 videos, 5 servers).
 type Options struct {
 	InitProfiles int // profiling configs per clip before the loop (default 24)
 	InitObs      int // initial full-system observations (default 4)
@@ -46,14 +48,16 @@ type Options struct {
 	// compared under identical noise, so their score *differences* have far
 	// lower variance than independently re-sampled estimates of the same
 	// budget.
-	MCSamples   int
-	CandPool    int         // candidate configurations per iteration (default 20)
-	MaxIter     int         // BO iteration cap (default 12)
-	Delta       float64     // convergence threshold δ on benefit change (default 0.02)
-	Acq         Acquisition // default QNEI
-	UseTruePref bool        // PaMO+: score with the true preference function
-	TruePref    objective.Preference
-	UseEUBO     bool // select comparison pairs by EUBO (default true via NewDefault)
+	MCSamples int
+	CandPool  int         // candidate configurations per iteration (default 20)
+	MaxIter   int         // BO iteration cap (default 12)
+	Delta     float64     // convergence threshold δ on benefit change (default 0.02)
+	Acq       Acquisition // default QNEI
+	// TruePref, when non-nil, selects PaMO+: candidates are scored with
+	// this true preference function and no decision maker is asked. Nil
+	// learns the preference from comparisons, choosing each pair after the
+	// first by EUBO (Eq. 11).
+	TruePref *objective.Preference
 	// OptimizePrefHyper tunes the preference GP's kernel and probit scale
 	// by Laplace evidence after the initial comparisons — worthwhile when
 	// the hidden benefit has sharp non-linearities (SLA thresholds, tiered
@@ -82,7 +86,7 @@ type Options struct {
 	// deployed-decision feasibility under the TRUE processing times
 	// (metric-only — model error there is expected and surfaced, not
 	// fatal), finiteness of measured outcomes and benefits, and incumbent
-	// monotonicity in the BO loop (strict only under UseTruePref; a learned
+	// monotonicity in the BO loop (strict only under TruePref; a learned
 	// preference refresh legitimately rescales past benefits). A strict
 	// checker turns planner-side violations into hard run errors.
 	Check *check.Checker
@@ -229,7 +233,8 @@ type Scheduler struct {
 }
 
 // New builds a PaMO scheduler for the system. dm answers pairwise
-// comparisons; it is ignored when opt.UseTruePref is set (PaMO+).
+// comparisons; it is ignored when opt.TruePref is set (PaMO+) and
+// required otherwise.
 func New(sys *objective.System, dm pref.DecisionMaker, opt Options) *Scheduler {
 	opt = opt.withDefaults()
 	rng := stats.NewRNG(opt.Seed + 0x9A30)
@@ -252,8 +257,8 @@ func New(sys *objective.System, dm pref.DecisionMaker, opt Options) *Scheduler {
 	for i := range s.clips {
 		s.clips[i] = newClipModels(sinks)
 	}
-	if !opt.UseTruePref {
-		s.learner = pref.NewLearner(dm, opt.UseEUBO, stats.NewRNG(opt.Seed+0xE0B0))
+	if opt.TruePref == nil {
+		s.learner = pref.NewLearner(dm, true, stats.NewRNG(opt.Seed+0xE0B0))
 		s.learner.Model.SetFallbackCounter(&s.mvn)
 	}
 	return s
@@ -285,6 +290,9 @@ func (s *Scheduler) Run() (*Result, error) {
 func (s *Scheduler) RunContext(ctx context.Context) (*Result, error) {
 	if err := s.opt.Validate(); err != nil {
 		return nil, err
+	}
+	if s.dm == nil && s.opt.TruePref == nil {
+		return nil, errors.New("pamo: no decision maker to learn the preference from (set TruePref for PaMO+)")
 	}
 	if s.opt.ServerMask != nil {
 		if len(s.opt.ServerMask) != s.sys.N() {
@@ -363,9 +371,9 @@ func (s *Scheduler) solutionLoop(ctx context.Context) (*Result, error) {
 	res := &Result{}
 	zPrev := math.Inf(-1)
 	// The incumbent is strictly non-decreasing only when the benefit scale
-	// is fixed (UseTruePref); a learned preference model refreshes between
+	// is fixed (TruePref); a learned preference model refreshes between
 	// iterations and may legitimately rescale every past benefit.
-	guard := s.opt.Check.NewIncumbent(s.opt.UseTruePref)
+	guard := s.opt.Check.NewIncumbent(s.opt.TruePref != nil)
 	for iter := 0; iter < s.opt.MaxIter; iter++ {
 		if s.ctx != nil && s.ctx.Err() != nil {
 			return nil, s.ctx.Err()
@@ -521,7 +529,7 @@ func snap(grid []float64, u float64) float64 {
 // --- phase 2: preference modeling --------------------------------------
 
 func (s *Scheduler) learnPreference() error {
-	if s.opt.UseTruePref {
+	if s.opt.TruePref != nil {
 		return nil
 	}
 	// Build a pool of predicted outcome vectors for the decision maker to

@@ -2,6 +2,7 @@ package pamo
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -33,7 +34,6 @@ func smallOpts(seed uint64) Options {
 		CandPool:     8,
 		MaxIter:      4,
 		Seed:         seed,
-		UseEUBO:      true,
 	}
 }
 
@@ -126,8 +126,7 @@ func TestRunPaMOPlusUsesNoComparisons(t *testing.T) {
 	sys := testSys(5, 4, 55)
 	truth := objective.UniformPreference()
 	opt := smallOpts(3)
-	opt.UseTruePref = true
-	opt.TruePref = truth
+	opt.TruePref = &truth
 	s := New(sys, nil, opt) // no decision maker needed
 	res, err := s.Run()
 	if err != nil {
@@ -149,8 +148,7 @@ func TestPaMOPlusAtLeastAsGoodOnAverage(t *testing.T) {
 	const runs = 2
 	for seed := uint64(0); seed < runs; seed++ {
 		optP := smallOpts(10 + seed)
-		optP.UseTruePref = true
-		optP.TruePref = truth
+		optP.TruePref = &truth
 		rp, err := New(sys, nil, optP).Run()
 		if err != nil {
 			t.Fatal(err)
@@ -290,6 +288,16 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestRunWithoutDecisionMakerFails pins that a learned-preference run with
+// no decision maker is rejected up front with an error, not a nil
+// dereference at the first comparison.
+func TestRunWithoutDecisionMakerFails(t *testing.T) {
+	_, err := New(testSys(2, 2, 1), nil, smallOpts(1)).Run()
+	if err == nil || !strings.HasPrefix(err.Error(), "pamo: ") {
+		t.Fatalf("err = %v, want a pamo: error", err)
+	}
+}
+
 // TestOnIterationCallback pins the per-iteration record a caller follows a
 // solve by: Result.History holds one plausible best-benefit entry per BO
 // iteration, in order.
@@ -336,8 +344,7 @@ func TestROIGridExpandsSearchSpace(t *testing.T) {
 	truth := objective.UniformPreference()
 	truth.W[objective.Energy] = 2
 	opt := smallOpts(5)
-	opt.UseTruePref = true
-	opt.TruePref = truth
+	opt.TruePref = &truth
 	opt.ROIGrid = []float64{0.5, 1}
 	res, err := New(sys, nil, opt).Run()
 	if err != nil {

@@ -127,7 +127,7 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			row := make([]float64, q)
-			if bs.s.opt.UseTruePref {
+			if bs.s.opt.TruePref != nil {
 				for j := range row {
 					row[j] = bs.s.opt.TruePref.Benefit(bs.s.norm.Normalize(samples[si][j]))
 				}
@@ -358,7 +358,7 @@ func (s *Scheduler) observe(c candidate) (Observation, error) {
 // current belief: the learned preference model's posterior mean, or the
 // true preference for PaMO+.
 func (s *Scheduler) believedBenefit(norm objective.Vector) float64 {
-	if s.opt.UseTruePref {
+	if s.opt.TruePref != nil {
 		return s.opt.TruePref.Benefit(norm)
 	}
 	mu, _ := s.learner.Model.PredictOne(norm.Slice())

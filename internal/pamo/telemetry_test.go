@@ -103,9 +103,9 @@ func TestOneFactorPerClip(t *testing.T) {
 	sys := testSys(4, 3, 31)
 	opt := smallOpts(13)
 	opt.Obs = rec
-	opt.UseTruePref = true
-	opt.TruePref = objective.UniformPreference()
-	s := New(sys, &pref.Oracle{Pref: opt.TruePref}, opt)
+	truth := objective.UniformPreference()
+	opt.TruePref = &truth
+	s := New(sys, &pref.Oracle{Pref: truth}, opt)
 	s.ctx, s.evctx = context.Background(), context.Background() // as RunContext sets them
 	if err := s.profileInit(); err != nil {
 		t.Fatal(err)
@@ -154,5 +154,19 @@ func TestRunWithNilRecorderMatchesRecorded(t *testing.T) {
 		if plain.Best.Decision.Configs[i] != recorded.Best.Decision.Configs[i] {
 			t.Fatalf("decision diverged at clip %d", i)
 		}
+	}
+}
+
+// TestZeroOptionsSelectPairsByEUBO pins the paper's pair selection as the
+// default: a learned-preference run on zero-valued Options spends EUBO
+// queries (Eq. 11) after its first, random comparison.
+func TestZeroOptionsSelectPairsByEUBO(t *testing.T) {
+	rec := obs.NewRecorder(nil)
+	opt := Options{Obs: rec}
+	if _, err := New(testSys(3, 3, 31), &pref.Oracle{Pref: objective.UniformPreference()}, opt).Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Registry().Snapshot().Counters["pamo_eubo_queries_total"]; got == 0 {
+		t.Fatal("pamo_eubo_queries_total is 0: zero Options fell back to random pairs")
 	}
 }

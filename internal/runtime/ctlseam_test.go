@@ -64,8 +64,6 @@ func TestAbandonedDecideNeverInstalls(t *testing.T) {
 	c := controller(sys, s, 2)
 	c.Obs = rec
 	c.Opt.DecideTimeout = 20 * time.Millisecond
-	c.Opt.DecideRetries = 1
-	c.Opt.RetryBackoff = time.Millisecond
 
 	trace, err := c.Run(context.Background(), 6)
 	if err != nil {

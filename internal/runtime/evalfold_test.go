@@ -32,7 +32,7 @@ func TestEvaluateAgreesWithEva(t *testing.T) {
 	}
 	for _, epoch := range []int{0, 17, 60, 143} {
 		drifted := c.driftedSystem(epoch)
-		got, _ := c.evaluate(context.Background(), drifted, d, 2, nil, nil, nil, false, epoch, nil)
+		got, _ := c.evaluate(context.Background(), drifted, d, 2, nil, nil, epoch, false)
 
 		deployed := d
 		deployed.Streams = eva.Recost(nil, drifted, d.Streams, d.Configs)

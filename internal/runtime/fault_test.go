@@ -219,8 +219,6 @@ func TestBlockingSchedulerCannotStall(t *testing.T) {
 	c := controller(sys, s, 2)
 	c.Obs = rec
 	c.Opt.DecideTimeout = 20 * time.Millisecond
-	c.Opt.DecideRetries = 1
-	c.Opt.RetryBackoff = time.Millisecond
 
 	var trace *Trace
 	var err error

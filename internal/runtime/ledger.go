@@ -51,7 +51,7 @@ type ledgerInput struct {
 // buildLedger runs the counterfactual chain and returns the closed ledger.
 func (c *Controller) buildLedger(ctx context.Context, in ledgerInput) obs.EpochLedger {
 	bene := func(sys *objective.System, d eva.Decision) float64 {
-		out, _ := c.evaluate(ctx, sys, d, in.workers, nil, nil, nil, false, in.epoch, nil)
+		out, _ := c.evaluate(ctx, sys, d, in.workers, nil, nil, in.epoch, false)
 		return c.Truth.Benefit(c.Norm.Normalize(out))
 	}
 	baseSys := &objective.System{Clips: c.Sys.Clips, Servers: c.Sys.Servers}

@@ -13,9 +13,10 @@ import (
 // PaMOScheduler adapts the PaMO optimizer to the controller's Scheduler
 // interface: every replan runs a fresh Algorithm 2 loop against the
 // drifted system. Opt's Seed is advanced per epoch so repeated replans
-// explore differently while remaining reproducible. It is mask-aware:
-// after a server crash the optimizer plans directly onto the survivors
-// via pamo.Options.ServerMask.
+// explore differently while remaining reproducible. DM answers the
+// comparisons of a learned preference; with Opt.TruePref set the loop is
+// PaMO+ and DM may be nil. It is mask-aware: after a server crash the
+// optimizer plans directly onto the survivors via pamo.Options.ServerMask.
 type PaMOScheduler struct {
 	DM  pref.DecisionMaker
 	Opt pamo.Options
@@ -30,7 +31,6 @@ func (p *PaMOScheduler) Decide(ctx context.Context, sys *objective.System, epoch
 func (p *PaMOScheduler) DecideMasked(ctx context.Context, sys *objective.System, healthy []bool, epoch int) (eva.Decision, error) {
 	opt := p.Opt
 	opt.Seed += uint64(epoch) * 1009
-	opt.UseEUBO = true
 	opt.ServerMask = healthy
 	res, err := pamo.New(sys, p.DM, opt).RunContext(ctx)
 	if err != nil {
@@ -58,7 +58,6 @@ func (p *PaMOScheduler) DecideCell(ctx context.Context, sys *objective.System, v
 	sub := &objective.System{Clips: clips, Servers: sys.Servers}
 	opt := p.Opt
 	opt.Seed += uint64(epoch)*1009 + uint64(videos[0])*2654435761
-	opt.UseEUBO = true
 	res, err := pamo.New(sub, p.DM, opt).RunContext(ctx)
 	if err != nil {
 		return nil, err

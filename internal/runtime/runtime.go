@@ -1,15 +1,15 @@
 // Package runtime is the online control plane of the EVA system (Section
 // 2.1's loop made concrete): camera and server agents report status over
 // channels, a controller periodically collects it, re-plans through a
-// pluggable scheduler when content drift degrades the running decision,
+// pluggable scheduler every few epochs against the content-drifted system,
 // and dispatches new configurations. Epochs are virtual time; all
 // concurrency is real.
 //
 // The controller is fault-tolerant: an optional fault.Injector crashes
 // and recovers servers, stalls cameras, and degrades uplinks at epoch
-// granularity; topology changes force an immediate replan on the
-// survivors, every scheduler call runs under a context deadline with
-// bounded retry + exponential backoff, and when Algorithm 1 turns
+// granularity; topology changes and stream churn force an immediate
+// replan, every scheduler call runs under a context deadline with one
+// jittered-backoff retry, and when Algorithm 1 turns
 // infeasible on the shrunken cluster a degradation policy sheds or
 // downgrades streams until a feasible zero-jitter plan exists.
 package runtime
@@ -125,11 +125,8 @@ type EpochReport struct {
 	Replanned bool // a new decision was installed this epoch
 
 	// ReplanFailed marks an epoch whose scheduler invocation errored (after
-	// retries) so the previous decision kept running; DropTriggered marks a
-	// replan caused by the benefit-drop trigger rather than the clock. They
-	// make traces self-contained — previously only metrics recorded these.
-	ReplanFailed  bool
-	DropTriggered bool
+	// the retry) so the previous decision kept running.
+	ReplanFailed bool
 
 	// Fault-tolerance record. Degraded means the installed decision came
 	// from the degradation policy; Shed/Downgraded are its victim videos.
@@ -169,30 +166,15 @@ func (t *Trace) MeanBenefit() float64 {
 type Options struct {
 	ReplanEvery int // re-run the scheduler every k epochs (default 5)
 	Workers     int // parallel per-server evaluators (default N)
-	// ReplanOnDrop additionally triggers a replan whenever the measured
-	// benefit falls more than this amount below the best benefit seen
-	// since the last replan (0 = disabled). This is event-driven
-	// adaptation: react to content drift instead of waiting for the clock.
-	ReplanOnDrop float64
 	// DecideTimeout bounds every individual scheduler invocation
 	// (0 = unbounded). When the deadline fires the attempt is abandoned —
 	// the call's goroutine is left to finish on its own and its result is
-	// discarded — and the retry/backoff path takes over, so a hung
-	// scheduler cannot stall the control loop.
+	// discarded — and the retry path takes over, so a hung scheduler
+	// cannot stall the control loop.
 	DecideTimeout time.Duration
-	// DecideRetries is how many extra attempts a failed decide gets
-	// (default 1; negative disables retries). Infeasibility is not
-	// retried — it goes straight to the degradation policy.
-	DecideRetries int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// subsequent retry (default 10ms). Each delay is spread by a
-	// deterministic ±20% multiplicative factor derived from (BackoffSeed,
-	// epoch, try) — pure doubling synchronizes retry storms across
-	// concurrent deciders that fail together, jitter decorrelates them
-	// without giving up reproducibility. Delays never enter a trace.
-	RetryBackoff time.Duration
-	// BackoffSeed decorrelates the jitter streams of concurrent deciders;
-	// any per-controller value works (0 is fine for a single controller).
+	// BackoffSeed decorrelates the retry-delay jitter of concurrent
+	// deciders (see retryBackoff); any per-controller value works (0 is
+	// fine for a single controller).
 	BackoffSeed uint64
 	// Incremental enables the amortized replan fast path: when the running
 	// decision is a full-capacity zero-jitter plan, a replan epoch first
@@ -264,7 +246,7 @@ type Controller struct {
 	Obs *obs.Recorder
 
 	// Reusable per-server evaluation state: one simulation arena and one
-	// spec buffer per physical server, grown lazily by evaluateParallel.
+	// spec buffer per physical server, grown lazily by evaluate.
 	// Index j is touched only by server j's goroutine within an epoch and
 	// epochs are fan-in barriers, so no extra synchronization is needed.
 	arenas      []*cluster.Arena
@@ -293,7 +275,6 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 	reg := c.Obs.Registry()
 	epochsTotal := reg.Counter("runtime_epochs_total")
 	replansTotal := reg.Counter("runtime_replans_total")
-	replansDrop := reg.Counter("runtime_replans_drop_total")
 	replansFailed := reg.Counter("runtime_replans_failed_total")
 	replansForced := reg.Counter("runtime_replans_forced_total")
 	replansIncremental := reg.Counter("runtime_replans_incremental_total")
@@ -317,8 +298,6 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 	rp.SetRecorder(c.Obs)
 	var current eva.Decision
 	haveDecision := false
-	bestSinceReplan := 0.0
-	dropPending := false
 	for epoch := 0; epoch < epochs; epoch++ {
 		select {
 		case <-ctx.Done():
@@ -363,7 +342,7 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 				c.Obs.EventCtx(ectx, "stream_churn",
 					obs.F("epoch", float64(epoch)),
 					obs.F("ops", float64(len(ops))),
-					obs.F("warm", boolField(churnWarm)),
+					obs.F("warm", obs.Bool(churnWarm)),
 					obs.F("videos", float64(c.Sys.M())))
 			}
 		}
@@ -404,8 +383,40 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 		infeasible := false
 		attempts := 0
 		var sstats shard.Stats
-		dropTriggered := dropPending
-		if !haveDecision || epoch%opt.ReplanEvery == 0 || dropPending || topologyChanged || churned {
+		// install makes d the running decision. The incremental fast path,
+		// the scheduler and the degradation policy all install through it:
+		// the strict audit of the decision's planned costs, the loop state,
+		// the counters and the replanner's baseline.
+		install := func(d eva.Decision, src decisionSource) error {
+			if err := opt.Check.VerifyDecisionServers(d, c.Sys.Servers); err != nil {
+				return fmt.Errorf("runtime: epoch %d: %s decision: %w", epoch, src, err)
+			}
+			current, haveDecision, replanned = d, true, true
+			switch src {
+			case fromIncremental: // the replanner already holds d as its baseline
+				replansTotal.Inc()
+				replansIncremental.Inc()
+				c.Obs.EventCtx(ectx, "replan_incremental",
+					obs.F("epoch", float64(epoch)),
+					obs.F("healthy_servers", float64(nHealthy)),
+					obs.F("drift", drift))
+			case fromScheduler:
+				replansTotal.Inc()
+				if opt.Incremental {
+					adoptIncremental(rp, d, n)
+				}
+			case fromDegrade:
+				degraded = true
+				rp.Invalidate() // degraded configs are not an incremental baseline
+				degradedEpochs.Inc()
+				c.Obs.EventCtx(ectx, "degraded",
+					obs.F("epoch", float64(epoch)),
+					obs.F("shed", float64(len(d.Shed))),
+					obs.F("downgraded", float64(len(d.Downgraded))))
+			}
+			return nil
+		}
+		if !haveDecision || epoch%opt.ReplanEvery == 0 || topologyChanged || churned {
 			if topologyChanged {
 				replansForced.Inc()
 			}
@@ -413,54 +424,27 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 			fullDue := opt.FullResolveEvery > 0 && epoch > 0 && epoch%opt.FullResolveEvery == 0
 			if opt.Incremental && haveDecision && !fullDue {
 				if d, ok := c.incrementalReplan(ectx, rp, drifted, current, healthy); ok && decisionValid(d, healthy, n) == nil {
-					if verr := opt.Check.VerifyDecisionServers(d, c.Sys.Servers); verr != nil {
-						return trace, fmt.Errorf("runtime: epoch %d: incremental decision: %w", epoch, verr)
-					}
-					current = d
-					replanned = true
-					dropPending = false
-					bestSinceReplan = math.Inf(-1)
-					replansTotal.Inc()
-					replansIncremental.Inc()
-					if dropTriggered {
-						replansDrop.Inc()
+					if err := install(d, fromIncremental); err != nil {
+						return trace, err
 					}
 					incInstalled = true
-					c.Obs.EventCtx(ectx, "replan_incremental",
-						obs.F("epoch", float64(epoch)),
-						obs.F("drop_triggered", boolField(dropTriggered)),
-						obs.F("healthy_servers", float64(nHealthy)),
-						obs.F("drift", drift))
 				}
 			}
 			if !incInstalled {
 				rctx, sp := c.Obs.StartSpanCtx(ectx, "replan",
 					obs.F("epoch", float64(epoch)),
-					obs.F("drop_triggered", boolField(dropTriggered)),
 					obs.F("healthy_servers", float64(nHealthy)),
 					obs.F("drift", drift))
 				d, tries, stats, err := c.decide(rctx, drifted, healthy, epoch, opt)
 				attempts = tries
 				sstats = stats
-				sp.Field("failed", boolField(err != nil))
+				sp.Field("failed", obs.Bool(err != nil))
 				sp.Field("attempts", float64(tries))
 				sp.End()
 				switch {
 				case err == nil:
-					if verr := opt.Check.VerifyDecisionServers(d, c.Sys.Servers); verr != nil {
-						return trace, fmt.Errorf("runtime: epoch %d: scheduler decision: %w", epoch, verr)
-					}
-					current = d
-					haveDecision = true
-					replanned = true
-					dropPending = false
-					bestSinceReplan = math.Inf(-1)
-					replansTotal.Inc()
-					if dropTriggered {
-						replansDrop.Inc()
-					}
-					if opt.Incremental {
-						adoptIncremental(rp, d, n)
+					if err := install(d, fromScheduler); err != nil {
+						return trace, err
 					}
 				case ctx.Err() != nil:
 					return trace, ctx.Err()
@@ -497,25 +481,13 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 			if haveDecision {
 				base = current.Configs
 			}
-			current = c.degrade(drifted, healthy, base, current.Shed, current.Downgraded)
-			if verr := opt.Check.VerifyDecisionServers(current, c.Sys.Servers); verr != nil {
-				return trace, fmt.Errorf("runtime: epoch %d: degraded decision: %w", epoch, verr)
+			if err := install(c.degrade(drifted, healthy, base, current.Shed, current.Downgraded), fromDegrade); err != nil {
+				return trace, err
 			}
-			haveDecision = true
-			replanned = true
-			degraded = true
-			dropPending = false
-			bestSinceReplan = math.Inf(-1)
-			rp.Invalidate() // degraded configs are not an incremental baseline
-			degradedEpochs.Inc()
-			c.Obs.EventCtx(ectx, "degraded",
-				obs.F("epoch", float64(epoch)),
-				obs.F("shed", float64(len(current.Shed))),
-				obs.F("downgraded", float64(len(current.Downgraded))))
 		}
 		degradedStreams.Set(float64(len(current.Shed) + len(current.Downgraded)))
 
-		out, jitter := c.evaluateParallel(ectx, epoch, drifted, current, opt.Workers, healthy, st.Stalled)
+		out, jitter := c.evaluate(ectx, drifted, current, opt.Workers, healthy, st.Stalled, epoch, true)
 		if ctx.Err() != nil {
 			return trace, ctx.Err()
 		}
@@ -527,12 +499,6 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 		if err := opt.Check.Finite("epoch_benefit", benefit); err != nil {
 			return trace, fmt.Errorf("runtime: epoch %d: %w", epoch, err)
 		}
-		if benefit > bestSinceReplan {
-			bestSinceReplan = benefit
-		}
-		if opt.ReplanOnDrop > 0 && bestSinceReplan-benefit > opt.ReplanOnDrop {
-			dropPending = true
-		}
 		trace.Reports = append(trace.Reports, EpochReport{
 			Epoch:          epoch,
 			Outcome:        out,
@@ -540,7 +506,6 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 			MaxJitter:      jitter,
 			Replanned:      replanned,
 			ReplanFailed:   replanFailed,
-			DropTriggered:  dropTriggered,
 			Degraded:       degraded || current.IsDegraded(),
 			Shed:           append([]int(nil), current.Shed...),
 			Downgraded:     append([]int(nil), current.Downgraded...),
@@ -559,11 +524,10 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 			obs.F("benefit", benefit),
 			obs.F("max_jitter", jitter),
 			obs.F("drift", drift),
-			obs.F("replanned", boolField(replanned)),
-			obs.F("replan_failed", boolField(replanFailed)),
-			obs.F("degraded", boolField(degraded)),
-			obs.F("healthy_servers", float64(nHealthy)),
-			obs.F("drop_pending", boolField(dropPending)))
+			obs.F("replanned", obs.Bool(replanned)),
+			obs.F("replan_failed", obs.Bool(replanFailed)),
+			obs.F("degraded", obs.Bool(degraded)),
+			obs.F("healthy_servers", float64(nHealthy)))
 
 		// Benefit-attribution ledger: decompose planned−realized into the
 		// loss buckets via counterfactual re-evaluations. Only when
@@ -583,15 +547,34 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 		}
 
 		esp.Field("benefit", benefit)
-		esp.Field("replanned", boolField(replanned))
+		esp.Field("replanned", obs.Bool(replanned))
 		esp.Field("healthy_servers", float64(nHealthy))
 		esp.End()
 	}
 	return trace, nil
 }
 
+// decisionSource names where an installed decision came from.
+type decisionSource string
+
+const (
+	fromIncremental decisionSource = "incremental"
+	fromScheduler   decisionSource = "scheduler"
+	fromDegrade     decisionSource = "degraded"
+)
+
+// A failed decide attempt is retried decideRetries times, each retry after
+// retryBackoff spread by a deterministic ±20% factor keyed on (BackoffSeed,
+// epoch, try): a fixed delay synchronizes retry storms across concurrent
+// deciders that fail together, and the jitter decorrelates them without
+// giving up reproducibility. Delays never enter a trace.
+const (
+	decideRetries = 1
+	retryBackoff  = 10 * time.Millisecond
+)
+
 // decide invokes the scheduler under the configured per-attempt deadline
-// with bounded retry + exponential backoff, planning around down servers.
+// with bounded, jittered retry, planning around down servers.
 // The returned decision is validated and always uses the full physical
 // server index space. It returns the number of attempts made plus the
 // sharded-solve stats aggregated across attempts (zero when the serial
@@ -599,37 +582,26 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 // degradation policy is the answer, not another attempt) and on
 // parent-context cancellation.
 func (c *Controller) decide(ctx context.Context, sys *objective.System, healthy []bool, epoch int, opt Options) (eva.Decision, int, shard.Stats, error) {
-	retries := opt.DecideRetries
-	if retries == 0 {
-		retries = 1
-	} else if retries < 0 {
-		retries = 0
-	}
-	backoff := opt.RetryBackoff
-	if backoff <= 0 {
-		backoff = 10 * time.Millisecond
-	}
 	retryCounter := c.Obs.Registry().Counter("runtime_decide_retries_total")
 
 	attempts := 0
 	var agg shard.Stats
 	var lastErr error
-	for try := 0; try <= retries; try++ {
+	for try := 0; try <= decideRetries; try++ {
 		if try > 0 {
 			retryCounter.Inc()
 			select {
-			case <-time.After(backoffWithJitter(backoff, opt.BackoffSeed, epoch, try)):
+			case <-time.After(backoffWithJitter(retryBackoff, opt.BackoffSeed, epoch, try)):
 			case <-ctx.Done():
 				return eva.Decision{}, attempts, agg, ctx.Err()
 			}
-			backoff *= 2
 		}
 		attempts++
 		actx, asp := c.Obs.StartSpanCtx(ctx, "decide_attempt",
 			obs.F("epoch", float64(epoch)),
 			obs.F("try", float64(try)))
 		d, stats, err := c.decideOnce(actx, sys, healthy, epoch, opt)
-		asp.Field("failed", boolField(err != nil))
+		asp.Field("failed", obs.Bool(err != nil))
 		asp.End()
 		mergeShardStats(&agg, stats)
 		if err == nil {
@@ -885,13 +857,6 @@ func serverStreams(d eva.Decision, n int, stalled []bool) []int {
 	return out
 }
 
-func boolField(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // driftMagnitude quantifies how far the clips' content difficulty has
 // moved from baseline at the epoch's virtual time: the mean of
 // |ContentDifficulty(t) − 1| across clips. It is what the epoch events and
@@ -920,24 +885,21 @@ func (c *Controller) driftedSystem(epoch int) *objective.System {
 	return &objective.System{Clips: clips, Servers: c.Sys.Servers}
 }
 
-// evaluateParallel measures the decision's outcomes on the drifted system,
+// evaluate measures the decision's outcomes on the drifted system,
 // simulating each healthy server in its own goroutine and merging the
-// results. Shed videos and stalled cameras contribute nothing; a
-// cancelled ctx makes remaining workers return without simulating, so a
-// mid-epoch cancellation does not wait out every server.
-func (c *Controller) evaluateParallel(ctx context.Context, epoch int, sys *objective.System, d eva.Decision, workers int, healthy []bool, stalled []bool) (objective.Vector, float64) {
-	return c.evaluate(ctx, sys, d, workers, healthy, stalled, c.Obs, true, epoch, c.Eval)
-}
-
-// evaluate is evaluateParallel's engine with the telemetry and audit taps
-// exposed: the real per-epoch evaluation passes (c.Obs, true, c.Eval); the
-// ledger's counterfactual evaluations pass (nil, false, nil) so they perturb
-// neither the DES metrics/events nor the relaxed checker's check_* counts,
-// and always re-simulate locally (counterfactuals are hypotheticals — there
-// is nothing to measure on a real agent). A non-nil ev replaces the
-// in-process DES per server; an evaluator error scores that server as
-// contributing nothing, like a crashed server.
-func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.Decision, workers int, healthy []bool, stalled []bool, rec *obs.Recorder, audit bool, epoch int, ev ServerEvaluator) (objective.Vector, float64) {
+// results. Shed videos and stalled cameras contribute nothing; a cancelled
+// ctx makes remaining workers return without simulating, so a mid-epoch
+// cancellation does not wait out every server.
+//
+// live marks the real per-epoch evaluation: it emits DES telemetry, audits
+// the deployed decision through the relaxed checker, and delegates to
+// c.Eval when one is set. The ledger's counterfactual evaluations pass
+// false so they perturb neither the DES metrics/events nor the relaxed
+// checker's check_* counts, and always re-simulate locally (counterfactuals
+// are hypotheticals — there is nothing to measure on a real agent). An
+// evaluator error scores that server as contributing nothing, like a
+// crashed server.
+func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.Decision, workers int, healthy []bool, stalled []bool, epoch int, live bool) (objective.Vector, float64) {
 	// The decision's stream parameters were planned against possibly-stale
 	// content: re-derive true per-frame cost from the drifted clips while
 	// keeping the decision's periods and placement. d is this call's shallow
@@ -958,7 +920,7 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 	// relaxed checker: the plan was feasible under its believed costs, so an
 	// exact-constraint violation here is model error (content drifted under a
 	// running plan), recorded as check_* metrics but never an error.
-	if chk := c.Opt.Check; chk != nil && audit {
+	if chk := c.Opt.Check; chk != nil && live {
 		var liveStreams []sched.Stream
 		var liveAssign []int
 		for i, s := range d.Streams {
@@ -1015,16 +977,16 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 				specs = append(specs, d.Spec(i))
 			}
 			c.specBufs[j] = specs
-			if ev != nil {
+			if live && c.Eval != nil {
 				// Remote evaluation: the agent owns the DES (or the real
 				// measurement); the controller only merges its numbers. The
 				// specs slice aliases c.specBufs[j] — the evaluator contract
 				// requires implementations that retain it to copy.
-				r, err := ev.EvaluateServer(ctx, epoch, j, specs, sys.Servers[j], eva.EvalHorizon)
+				r, err := c.Eval.EvaluateServer(ctx, epoch, j, specs, sys.Servers[j], eva.EvalHorizon)
 				if err != nil {
-					if rec != nil {
-						rec.Registry().Counter("runtime_eval_failures_total").Inc()
-						rec.EventCtx(ctx, "eval_failed",
+					if c.Obs != nil {
+						c.Obs.Registry().Counter("runtime_eval_failures_total").Inc()
+						c.Obs.EventCtx(ctx, "eval_failed",
 							obs.F("epoch", float64(epoch)),
 							obs.F("server", float64(j)))
 					}
@@ -1036,16 +998,16 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 				return
 			}
 			var res cluster.Result
-			if rec == nil {
+			if !live || c.Obs == nil {
 				// Counterfactual / disabled-telemetry path: plain simulation,
 				// no spans, no events, no added allocations.
 				res = c.arenas[j].SimulateServer(specs, sys.Servers[j], eva.EvalHorizon)
 			} else {
-				rec.Do(ctx, "des", func(ctx context.Context) {
-					sctx, sp := rec.StartSpanCtx(ctx, "des",
+				c.Obs.Do(ctx, "des", func(ctx context.Context) {
+					sctx, sp := c.Obs.StartSpanCtx(ctx, "des",
 						obs.F("server", float64(j)),
 						obs.F("streams", float64(len(specs))))
-					res = c.arenas[j].SimulateServerRecordedCtx(sctx, specs, sys.Servers[j], eva.EvalHorizon, rec, j)
+					res = c.arenas[j].SimulateServerRecordedCtx(sctx, specs, sys.Servers[j], eva.EvalHorizon, c.Obs, j)
 					sp.Field("frames", float64(res.FrameCount))
 					sp.End()
 				})

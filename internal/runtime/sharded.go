@@ -49,7 +49,7 @@ func (c *Controller) decideSharded(ctx context.Context, cd CellDecider, sys *obj
 					obs.F("cell", float64(ci)),
 					obs.F("videos", float64(len(cells[ci]))))
 				sub, err := cd.DecideCell(cctx, sys, cells[ci], epoch)
-				csp.Field("failed", boolField(err != nil))
+				csp.Field("failed", obs.Bool(err != nil))
 				csp.End()
 				if err != nil {
 					errs[ci] = err

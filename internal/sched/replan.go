@@ -65,20 +65,13 @@ func (r *Replanner) IncrementalCtx(ctx context.Context, streams []Stream, server
 	}
 	_, sp := r.rec.StartSpanCtx(ctx, "sched_incremental", obs.F("streams", float64(len(streams))))
 	plan, ok := r.Incremental(streams, servers, healthy)
-	sp.Field("taken", b2f(ok))
+	sp.Field("taken", obs.Bool(ok))
 	sp.End()
 	r.rec.Registry().Counter("sched_incremental_total").Inc()
 	if !ok {
 		r.rec.Registry().Counter("sched_incremental_declined_total").Inc()
 	}
 	return plan, ok
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Invalidate drops the adopted grouping, forcing the next Replan to run a

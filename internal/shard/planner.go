@@ -156,7 +156,7 @@ func (p *Planner) PlanCtx(ctx context.Context, streams []sched.Stream, snap *sch
 	defer func() {
 		sp.Field("rounds", float64(st.Rounds))
 		sp.Field("conflicts", float64(st.Conflicts))
-		sp.Field("fellback", b2f(st.FellBack))
+		sp.Field("fellback", obs.Bool(st.FellBack))
 		sp.End()
 	}()
 	reg.Counter("shard_plans_total").Inc()
@@ -302,7 +302,7 @@ func (p *Planner) proposeRound(ctx context.Context, streams []sched.Stream, snap
 			obs.F("round", float64(round)),
 			obs.F("streams", float64(len(p.cells[c].global))))
 		p.propose(&p.cells[c], streams, snap)
-		csp.Field("stuck", b2f(p.cells[c].stuck))
+		csp.Field("stuck", obs.Bool(p.cells[c].stuck))
 		csp.Field("groups", float64(len(p.cells[c].prop.Claims)))
 		csp.End()
 	}
@@ -484,11 +484,4 @@ func (p *Planner) assign(cell *cellScratch, cols []int, snap *sched.Snapshot) bo
 // multi-cell commit ever violates feasibility on a shared server.
 func (p *Planner) audit(streams []sched.Stream, plan sched.Plan, snap *sched.Snapshot) error {
 	return p.opt.Check.VerifyPlanServers(streams, plan, snap.Servers(), snap.Healthy())
-}
-
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

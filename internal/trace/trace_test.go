@@ -135,7 +135,7 @@ func TestPaMOFromTraceIsReproducible(t *testing.T) {
 		opt := pamo.Options{
 			InitProfiles: 10, InitObs: 2, PrefPairs: 6, PrefPool: 8,
 			Batch: 2, MCSamples: 8, CandPool: 6, MaxIter: 2,
-			Seed: 21, UseEUBO: true,
+			Seed:     21,
 			Measurer: NewReplayer(tr),
 		}
 		res, err := pamo.New(sys, dm, opt).Run()

@@ -20,16 +20,15 @@ var optionOwners = []string{
 }
 
 // optionAllow lists the fields no caller selects that stay anyway, each
-// with the reason. An entry whose field gains a caller (or disappears)
-// fails the test, so the list cannot go stale.
+// with the reason. A reason must name the test or golden that selects the
+// field: a field no test, golden or caller sets to another value is a
+// constant. An entry whose field gains a caller (or disappears) fails
+// the test, so the list cannot go stale.
 var optionAllow = map[string]string{
-	"pamo.Workers":             "determinism oracle: tests pin results equal across worker counts",
-	"runtime.Workers":          "determinism oracle: tests pin traces equal across worker counts",
+	"pamo.Workers":             "determinism oracle: TestParallelSamplingDeterministicAcrossWorkerCounts pins results equal across worker counts",
+	"runtime.Workers":          "determinism oracle: TestIncrementalDeterministic pins traces at one evaluator worker",
 	"shard.Sequential":         "differential oracle: FuzzShardedVsSerial holds parallel ≡ sequential",
-	"runtime.ReplanOnDrop":     "seed-runtime behaviour pinned by goldens",
-	"runtime.DecideRetries":    "seed-runtime behaviour pinned by goldens",
-	"runtime.RetryBackoff":     "seed-runtime behaviour pinned by goldens",
-	"runtime.FullResolveEvery": "fast path awaiting its bench verdict",
+	"runtime.FullResolveEvery": "fast path awaiting its bench verdict; TestChurnScenario selects it",
 	"ctlplane.OnEpoch":         "selected through Controller.OnEpoch, which pamo-controller and bench call",
 }
 

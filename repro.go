@@ -125,7 +125,6 @@ type PaMOScheduler = pamo.Scheduler
 
 // NewPaMO builds a PaMO scheduler without running it.
 func NewPaMO(sys *System, dm DecisionMaker, opt PaMOOptions) *PaMOScheduler {
-	opt.UseEUBO = true
 	return pamo.New(sys, dm, opt)
 }
 
@@ -138,8 +137,7 @@ func RunPaMO(sys *System, dm DecisionMaker, opt PaMOOptions) (*PaMOResult, error
 // RunPaMOPlus runs the PaMO+ variant, which scores candidates with the
 // true preference function instead of a learned model.
 func RunPaMOPlus(sys *System, truth Preference, opt PaMOOptions) (*PaMOResult, error) {
-	opt.UseTruePref = true
-	opt.TruePref = truth
+	opt.TruePref = &truth
 	return pamo.New(sys, nil, opt).Run()
 }
 
