@@ -24,9 +24,8 @@ var funcAllow = map[string]string{
 	"sched.Rat":            "cross-package test fixture: literal stream periods in check and runtime tests",
 	"shard.NewArbiter":     "test fixture: the arbiter's unit tests build a standalone one (the Planner embeds its own)",
 	"eva.AnalyticOutcomes": "closed-form DES oracle; ROADMAP item 14 decides it",
-	"gp.SampleMVN":         "no caller but its tests; ROADMAP item 15(a) owns the MVN sampler and decides it",
-	"gp.MVNFallbacks":      "no caller but its tests; ROADMAP item 15(a) owns the MVN sampler and decides it",
 	"stats.Quantile":       "no caller but its tests; FuzzQuantileBounds fuzzes it, so it stays with that fuzzer",
+	"stats.NormQuantile":   "no caller but its tests since EUBO's sentinel became -Inf; ROADMAP item 1 plans Const2 against mean + z·sd with it",
 }
 
 // TestExportedFuncsHaveCallers is the exported-function census: every

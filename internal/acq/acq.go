@@ -1,7 +1,7 @@
 // Package acq implements the Monte-Carlo batch acquisition functions used
 // by PaMO's Bayesian optimization loop (Section 4.3): qNEI (the paper's
 // choice), and the qEI / qUCB / qSR variants used in the ablation study,
-// plus the EUBO criterion for preference-pair selection (Section 4.2).
+// plus EUBO preference-pair selection (Section 4.2).
 //
 // All batch acquisitions are defined against a Sampler that yields joint
 // posterior samples of the (noisy, preference-weighted) benefit z = g(f(x))
@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"repro/internal/mat"
 	"repro/internal/prefgp"
 	"repro/internal/stats"
 )
@@ -276,36 +277,43 @@ func (sc *SharedScorer) Add(col int) {
 	}
 }
 
-// EUBO is the Expected Utility of the Best Option for a candidate
-// comparison pair (y1, y2) under the preference model's posterior:
-// E[max(g(y1), g(y2))], computed in closed form from the bivariate
-// Gaussian posterior (Lin et al. 2022, Eq. 11 in the paper).
-func EUBO(m *prefgp.Model, y1, y2 []float64) float64 {
-	mu, cov := m.Predict([][]float64{y1, y2})
-	s1 := math.Sqrt(math.Max(cov.At(0, 0), 0))
-	s2 := math.Sqrt(math.Max(cov.At(1, 1), 0))
-	return stats.EMaxGaussianPair(mu[0], mu[1], s1, s2, cov.At(0, 1))
+// SelectEUBOPair returns the indices (i, j), i < j, of the candidate
+// outcome vectors whose comparison maximizes EUBO — the Expected Utility of
+// the Best Option, E[max(g(y_i), g(y_j))] under the preference posterior,
+// in closed form from the pair's bivariate Gaussian marginal (Lin et al.
+// 2022, Eq. 11 in the paper) — and that EUBO value. With fewer than two
+// candidates it returns (-1, -1, -Inf).
+func SelectEUBOPair(m *prefgp.Model, candidates [][]float64) (int, int, float64) {
+	return SelectEUBOPairExcept(m, candidates, nil)
 }
 
-// SelectEUBOPair returns the indices (i, j) of the candidate outcome
-// vectors whose comparison maximizes EUBO. One batch Predict over all
-// candidates yields the joint posterior, from which every pair's bivariate
-// marginal (means, variances, covariance) is read directly — O(|cands|)
-// posterior algebra instead of the O(|cands|²) two-point Predict calls of a
-// pairwise scan.
-func SelectEUBOPair(m *prefgp.Model, candidates [][]float64) (int, int, float64) {
+// SelectEUBOPairExcept is SelectEUBOPair over the pairs skip does not
+// exclude (a nil skip excludes none). One batch posterior over all
+// candidates yields every pair's bivariate marginal (means, variances,
+// covariance) with the same bits a two-point prediction of that pair
+// would give, so the scan costs one posterior instead of one per pair.
+// Pairs are scanned in (i, j) order and a later pair must score strictly
+// higher to win. The scan starts from -Inf, so on a finite posterior it
+// returns (-1, -1, -Inf) only when every pair is excluded, however low the
+// remaining pairs score.
+func SelectEUBOPairExcept(m *prefgp.Model, candidates [][]float64, skip func(i, j int) bool) (int, int, float64) {
 	bestI, bestJ := -1, -1
 	best := math.Inf(-1)
 	if len(candidates) < 2 {
 		return bestI, bestJ, best
 	}
-	mu, cov := m.Predict(candidates)
-	sd := make([]float64, len(candidates))
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	mu, cov := m.PredictWith(ws, candidates)
+	sd := ws.Vec(len(candidates))
 	for i := range sd {
 		sd[i] = math.Sqrt(math.Max(cov.At(i, i), 0))
 	}
 	for i := 0; i < len(candidates); i++ {
 		for j := i + 1; j < len(candidates); j++ {
+			if skip != nil && skip(i, j) {
+				continue
+			}
 			v := stats.EMaxGaussianPair(mu[i], mu[j], sd[i], sd[j], cov.At(i, j))
 			if v > best {
 				best, bestI, bestJ = v, i, j

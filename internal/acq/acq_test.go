@@ -178,11 +178,39 @@ func buildPrefModel(t *testing.T) *prefgp.Model {
 	return m
 }
 
+// eubo is the pairwise EUBO the batched scan replaced, kept as its
+// oracle: E[max(g(y1), g(y2))] in closed form from a two-point posterior
+// predicted on its own.
+func eubo(m *prefgp.Model, y1, y2 []float64) float64 {
+	mu, cov := m.Predict([][]float64{y1, y2})
+	s1 := math.Sqrt(math.Max(cov.At(0, 0), 0))
+	s2 := math.Sqrt(math.Max(cov.At(1, 1), 0))
+	return stats.EMaxGaussianPair(mu[0], mu[1], s1, s2, cov.At(0, 1))
+}
+
+// selectPairwise is the pairwise scan SelectEUBOPairExcept must reproduce:
+// one two-point posterior per remaining pair, strict > in (i, j) order
+// from -Inf.
+func selectPairwise(m *prefgp.Model, pts [][]float64, skip func(i, j int) bool) (int, int, float64) {
+	bestI, bestJ, best := -1, -1, math.Inf(-1)
+	for i := 0; i < len(pts); i++ {
+		for j := i + 1; j < len(pts); j++ {
+			if skip != nil && skip(i, j) {
+				continue
+			}
+			if v := eubo(m, pts[i], pts[j]); v > best {
+				best, bestI, bestJ = v, i, j
+			}
+		}
+	}
+	return bestI, bestJ, best
+}
+
 func TestEUBOBasicProperties(t *testing.T) {
 	m := buildPrefModel(t)
 	y1 := []float64{0.9, 0.9}
 	y2 := []float64{0.1, 0.1}
-	e := EUBO(m, y1, y2)
+	e := eubo(m, y1, y2)
 	mu1, _ := m.PredictOne(y1)
 	mu2, _ := m.PredictOne(y2)
 	// E[max] is at least the max of the means.
@@ -190,7 +218,7 @@ func TestEUBOBasicProperties(t *testing.T) {
 		t.Fatalf("EUBO %v < max mean %v", e, math.Max(mu1, mu2))
 	}
 	// Symmetry.
-	if e2 := EUBO(m, y2, y1); math.Abs(e-e2) > 1e-6 {
+	if e2 := eubo(m, y2, y1); math.Abs(e-e2) > 1e-6 {
 		t.Fatalf("EUBO asymmetric: %v vs %v", e, e2)
 	}
 }
@@ -208,10 +236,32 @@ func TestSelectEUBOPair(t *testing.T) {
 	// The returned pair must actually achieve the max over all pairs.
 	for a := 0; a < len(cands); a++ {
 		for b := a + 1; b < len(cands); b++ {
-			if e := EUBO(m, cands[a], cands[b]); e > v+1e-12 {
+			if e := eubo(m, cands[a], cands[b]); e > v+1e-12 {
 				t.Fatalf("pair (%d,%d) EUBO %v beats returned %v", a, b, e, v)
 			}
 		}
+	}
+}
+
+// TestSelectEUBOPairExceptSkipsAndExhausts pins the skip contract: skipped
+// pairs never win, and no pair comes back only once every pair is skipped.
+func TestSelectEUBOPairExceptSkipsAndExhausts(t *testing.T) {
+	m := buildPrefModel(t)
+	cands := [][]float64{{0.1, 0.1}, {0.5, 0.5}, {0.95, 0.95}, {0.9, 0.1}}
+	asked := map[[2]int]bool{}
+	for n := 0; n < 6; n++ {
+		i, j, v := SelectEUBOPairExcept(m, cands, func(i, j int) bool { return asked[[2]int{i, j}] })
+		if i < 0 || asked[[2]int{i, j}] {
+			t.Fatalf("round %d: got (%d, %d) with %d of 6 pairs asked", n, i, j, len(asked))
+		}
+		wi, wj, wv := selectPairwise(m, cands, func(i, j int) bool { return asked[[2]int{i, j}] })
+		if i != wi || j != wj || math.Float64bits(v) != math.Float64bits(wv) {
+			t.Fatalf("round %d: batched (%d, %d, %v), pairwise (%d, %d, %v)", n, i, j, v, wi, wj, wv)
+		}
+		asked[[2]int{i, j}] = true
+	}
+	if i, j, v := SelectEUBOPairExcept(m, cands, func(int, int) bool { return true }); i != -1 || j != -1 || !math.IsInf(v, -1) {
+		t.Fatalf("every pair asked: got (%d, %d, %v), want (-1, -1, -Inf)", i, j, v)
 	}
 }
 

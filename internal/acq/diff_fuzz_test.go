@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"repro/internal/kernel"
+	"repro/internal/prefgp"
 )
 
 // replaySampler replays rows of a fixed draw matrix z[sample][point]. Points
@@ -132,6 +135,82 @@ func FuzzSharedVsPerTrial(f *testing.F) {
 			sc.Add(argShared)
 			committed = append(committed, point(argShared))
 			inBatch[argShared] = true
+		}
+	})
+}
+
+// FuzzEUBOScanVsPairwise differentially fuzzes the batched EUBO scan
+// against one two-point posterior per pair. Column j of the batch
+// posterior depends only on query j, so the batched scan must pick the
+// same pair with the same score bits, on pools that repeat points (the
+// learner's coincident pool entries), reuse the model's own points, and
+// skip an arbitrary set of already-asked pairs.
+func FuzzEUBOScanVsPairwise(f *testing.F) {
+	f.Add(uint64(1), 6, 4, uint64(0), byte(0))
+	f.Add(uint64(42), 10, 8, uint64(0x5a5a), byte(3))
+	f.Add(uint64(7), 4, 3, uint64(0x3f), byte(1))
+	f.Add(uint64(99), 8, 12, uint64(0xffffffff), byte(2))
+	f.Fuzz(func(t *testing.T, seed uint64, nPool, nComps int, askedMask uint64, dup byte) {
+		nPool = 2 + abs(nPool)%9    // pool size 2..10
+		nComps = 1 + abs(nComps)%12 // comparisons 1..12
+		rng := rand.New(rand.NewPCG(seed, 0xeab0))
+		const dim = 3
+		rand3 := func() []float64 { return []float64{rng.Float64(), rng.Float64(), rng.Float64()} }
+		k := kernel.NewRBF(dim)
+		p := k.LogParams()
+		p[0] = 1.4
+		k.SetLogParams(p)
+		m := prefgp.NewModel(k, 0.03)
+		var model [][]float64
+		for i := 0; i < 2+nComps/2; i++ {
+			y := rand3()
+			model = append(model, y)
+			m.AddPoint(y)
+		}
+		for c := 0; c < nComps; c++ {
+			a, b := rng.IntN(len(model)), rng.IntN(len(model))
+			if a == b {
+				b = (a + 1) % len(model)
+			}
+			if err := m.AddComparison(a, b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Fit(); err != nil {
+			t.Skip(err)
+		}
+		pool := make([][]float64, nPool)
+		for i := range pool {
+			switch {
+			case i > 0 && int(dup)%4 == 1 && i%3 == 0:
+				pool[i] = pool[rng.IntN(i)] // a coincident pool entry
+			case int(dup)%4 == 2 && i < len(model):
+				pool[i] = model[i] // a point the model was fitted on
+			case int(dup)%4 == 3:
+				y := model[rng.IntN(len(model))] // a near-duplicate of one
+				pool[i] = []float64{y[0] + 1e-9*rng.NormFloat64(), y[1], y[2]}
+			default:
+				pool[i] = rand3()
+			}
+		}
+		bit := 0
+		asked := map[[2]int]bool{}
+		for i := 0; i < nPool; i++ {
+			for j := i + 1; j < nPool; j++ {
+				if askedMask>>(bit%64)&1 == 1 {
+					asked[[2]int{i, j}] = true
+				}
+				bit++
+			}
+		}
+		skip := func(i, j int) bool { return asked[[2]int{i, j}] }
+		gi, gj, gv := SelectEUBOPairExcept(m, pool, skip)
+		wi, wj, wv := selectPairwise(m, pool, skip)
+		if gi != wi || gj != wj || math.Float64bits(gv) != math.Float64bits(wv) {
+			t.Fatalf("batched scan (%d, %d, %v), pairwise (%d, %d, %v)", gi, gj, gv, wi, wj, wv)
+		}
+		if remaining := nPool*(nPool-1)/2 - len(asked); (gi < 0) != (remaining == 0) {
+			t.Fatalf("returned (%d, %d) with %d pairs unasked", gi, gj, remaining)
 		}
 	})
 }

@@ -15,6 +15,15 @@ func TestArenaSimulateZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { a.SimulateServer(streams, srv, 5) }); n != 0 {
 		t.Fatalf("warm Arena.SimulateServer allocates %v times per run, want 0", n)
 	}
+	servers := []Server{srv, {Uplink: 1e7}, srv}
+	assign := make(Assignment, len(streams))
+	for i := range assign {
+		assign[i] = i%4 - 1
+	}
+	a.MeanLatency(streams, servers, assign, 5) // size the subset buffer
+	if n := testing.AllocsPerRun(20, func() { a.MeanLatency(streams, servers, assign, 5) }); n != 0 {
+		t.Fatalf("warm Arena.MeanLatency allocates %v times per run, want 0", n)
+	}
 	if n := testing.AllocsPerRun(20, func() { ZeroJitterOffsetsInPlaceOn(streams, srv) }); n != 0 {
 		t.Fatalf("ZeroJitterOffsetsInPlaceOn allocates %v times per run, want 0", n)
 	}

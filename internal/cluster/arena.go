@@ -27,6 +27,7 @@ type Arena struct {
 	cur       []cursor
 	per       []StreamStats
 	completed []int
+	sub       []StreamSpec // MeanLatency's per-server stream subset
 }
 
 // cursor is one stream's position in the k-way merge.
@@ -59,14 +60,39 @@ func (a *Arena) growStreams(n int) {
 // frames; Result.LatSum and Result.FrameCount carry what callers used to
 // fold out of the log.
 func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
-	return a.simulate(streams, srv, horizon, false)
+	return a.simulate(streams, srv, horizon, false, 0)
+}
+
+// MeanLatency simulates the cluster like SimulateCluster and returns the
+// frame-weighted mean end-to-end latency, bit-identical to
+// MeanLatency(SimulateCluster(streams, servers, assign, horizon)) but
+// without frame logs: one running latency sum is threaded through the
+// servers in index order, so every frame's latency is added in the order
+// the logs would fold it. A warm arena allocates nothing.
+func (a *Arena) MeanLatency(streams []StreamSpec, servers []Server, assign Assignment, horizon float64) float64 {
+	checkAssignment(streams, servers, assign)
+	sum, n := 0.0, 0
+	for j := range servers {
+		a.sub = a.sub[:0]
+		for i, s := range assign {
+			if s == j {
+				a.sub = append(a.sub, streams[i])
+			}
+		}
+		res := a.simulate(a.sub, servers[j], horizon, false, sum)
+		sum, n = res.LatSum, n+res.FrameCount
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // simulate is the FIFO simulator: one pass that merges the streams' frames
 // in arrival order, serves each one and folds it into the summary. With
 // record set it also logs every frame into a freshly allocated slice that
-// the result owns.
-func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, record bool) Result {
+// the result owns. The result's LatSum continues the running sum latSum.
+func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, record bool, latSum float64) Result {
 	if horizon <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive horizon %v", horizon))
 	}
@@ -107,7 +133,7 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 	// a deterministic NIC delivering interleaved packets. A stream past the
 	// horizon holds +Inf, which never wins.
 	arrive, per := a.arrive, a.per
-	free, busy, latSum, count := 0.0, 0.0, 0.0, 0
+	free, busy, count := 0.0, 0.0, 0
 	for {
 		best, arr := -1, math.Inf(1)
 		for si, t := range arrive {

@@ -342,3 +342,30 @@ func TestArenaResultAliasing(t *testing.T) {
 		t.Fatal("arena path returned a frame log")
 	}
 }
+
+// TestArenaMeanLatencyMatchesFrameLogs pins the log-free cluster mean
+// latency to MeanLatency over SimulateCluster's frame logs, bit for bit,
+// on one reused arena: random assignments with unassigned streams and idle
+// servers, shrinking and growing workloads.
+func TestArenaMeanLatencyMatchesFrameLogs(t *testing.T) {
+	rng := newRng(77)
+	a := NewArena()
+	pool, _ := arenaWorkload(24)
+	for trial := 0; trial < 40; trial++ {
+		streams := pool[:rng.IntN(len(pool)+1)]
+		servers := make([]Server, 1+rng.IntN(5))
+		for j := range servers {
+			servers[j] = Server{Uplink: []float64{0, 1e7, 40e6}[rng.IntN(3)], SpeedFactor: []float64{0, 1, 0.5, 2}[rng.IntN(4)]}
+		}
+		assign := make(Assignment, len(streams))
+		for i := range assign {
+			assign[i] = rng.IntN(len(servers)+1) - 1
+		}
+		horizon := []float64{0.5, 1, 3.3}[rng.IntN(3)]
+		want := MeanLatency(SimulateCluster(streams, servers, assign, horizon))
+		if got := a.MeanLatency(streams, servers, assign, horizon); !sameBits(got, want) {
+			t.Fatalf("trial %d: arena mean latency %v, frame logs %v", trial, got, want)
+		}
+	}
+	mustPanic(t, func() { a.MeanLatency(pool[:2], []Server{{}}, Assignment{0, 1}, 1) })
+}

@@ -94,7 +94,7 @@ const JitterEps = 1e-6
 // Arena and also logs every frame into Result.Frames, so the result is the
 // caller's to keep.
 func SimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
-	return NewArena().simulate(streams, srv, horizon, true)
+	return NewArena().simulate(streams, srv, horizon, true, 0)
 }
 
 // Assignment maps each stream index to a server index (or -1 = unassigned,
@@ -107,14 +107,7 @@ type Assignment []int
 // result carries its server's frame log. It panics on an assignment of the
 // wrong length or naming a server outside [-1, len(servers)).
 func SimulateCluster(streams []StreamSpec, servers []Server, assign Assignment, horizon float64) []Result {
-	if len(assign) != len(streams) {
-		panic(fmt.Sprintf("cluster: %d assignments for %d streams", len(assign), len(streams)))
-	}
-	for i, a := range assign {
-		if a < -1 || a >= len(servers) {
-			panic(fmt.Sprintf("cluster: stream %d assigned to server %d of %d", i, a, len(servers)))
-		}
-	}
+	checkAssignment(streams, servers, assign)
 	out := make([]Result, len(servers))
 	// One spec buffer serves every server: the simulator reads it during
 	// the call and keeps no reference.
@@ -129,6 +122,19 @@ func SimulateCluster(streams []StreamSpec, servers []Server, assign Assignment, 
 		out[j] = SimulateServer(sub, servers[j], horizon)
 	}
 	return out
+}
+
+// checkAssignment panics on an assignment of the wrong length or naming a
+// server outside [-1, len(servers)).
+func checkAssignment(streams []StreamSpec, servers []Server, assign Assignment) {
+	if len(assign) != len(streams) {
+		panic(fmt.Sprintf("cluster: %d assignments for %d streams", len(assign), len(streams)))
+	}
+	for i, a := range assign {
+		if a < -1 || a >= len(servers) {
+			panic(fmt.Sprintf("cluster: stream %d assigned to server %d of %d", i, a, len(servers)))
+		}
+	}
 }
 
 // MaxJitter returns the worst per-stream jitter across the cluster results.

@@ -152,17 +152,35 @@ const EvalHorizon = 30.0
 // compute and energy follow Eqs. (2)–(4) analytically from the per-video
 // configurations (objective.System.ConfigOutcomes); latency is measured by
 // simulating the post-split streams on the cluster, so queueing delay and
-// jitter from bad placements are paid for.
+// jitter from bad placements are paid for. It runs on a fresh Evaluator;
+// a caller that scores many decisions keeps one.
 func Evaluate(sys *objective.System, d Decision) objective.Vector {
+	var e Evaluator
+	return e.Evaluate(sys, d)
+}
+
+// Evaluator is Evaluate on reused simulator memory: one cluster.Arena and
+// one spec buffer, so a warm Evaluator scores a decision without touching
+// the heap. It is single-goroutine, like the arena it owns; its zero value
+// is ready to use.
+type Evaluator struct {
+	arena cluster.Arena
+	specs []cluster.StreamSpec
+}
+
+// Evaluate is the package-level Evaluate, bit for bit.
+func (e *Evaluator) Evaluate(sys *objective.System, d Decision) objective.Vector {
 	if len(d.Streams) != len(d.Assign) {
 		panic(fmt.Sprintf("eva: %d streams vs %d assignments", len(d.Streams), len(d.Assign)))
 	}
 	v := sys.ConfigOutcomes(d.Configs, nil)
-	// MeanLatency folds every frame into one running sum across servers.
-	// Adding the servers' per-server Result.LatSum instead would skip the
-	// frame logs but round differently, so it waits for the golden re-pin
-	// that the DES hyperperiod extrapolation needs anyway.
-	v[objective.Latency] = cluster.MeanLatency(Simulate(sys, d))
+	e.specs = e.specs[:0]
+	for i := range d.Streams {
+		e.specs = append(e.specs, d.Spec(i))
+	}
+	// The arena threads one running latency sum through the servers in
+	// index order, the fold cluster.MeanLatency makes over frame logs.
+	v[objective.Latency] = e.arena.MeanLatency(e.specs, sys.Servers, cluster.Assignment(d.Assign), EvalHorizon)
 	return v
 }
 

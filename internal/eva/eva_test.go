@@ -163,3 +163,50 @@ func TestRecostPricesAtTruth(t *testing.T) {
 		t.Fatal("model costs at half the truth should split less than the truth does")
 	}
 }
+
+// evalDecisions returns zero-jitter and randomly offset, contended
+// decisions of several sizes on s.
+func evalDecisions(t *testing.T, s *objective.System) []Decision {
+	t.Helper()
+	rng := stats.NewRNG(5)
+	var out []Decision
+	for _, cfg := range []videosim.Config{{Resolution: 500, FPS: 5}, {Resolution: 1000, FPS: 10}, {Resolution: 2000, FPS: 30}} {
+		cfgs := make([]videosim.Config, s.M())
+		for i := range cfgs {
+			cfgs[i] = cfg
+		}
+		streams := BuildStreams(s, cfgs)
+		if plan, err := sched.Schedule(streams, s.Servers); err == nil {
+			out = append(out, ZeroJitterDecision(cfgs, streams, plan, s.Servers))
+		}
+		assign := make([]int, len(streams))
+		for i := range assign {
+			assign[i] = rng.IntN(s.N()+1) - 1
+		}
+		out = append(out, Decision{Configs: cfgs, Streams: streams, Assign: assign, Offsets: RandomOffsets(streams, rng)})
+	}
+	return out
+}
+
+// TestEvaluatorMatchesFrameLogFold pins a reused Evaluator to the
+// evaluation it replaced — MeanLatency over Simulate's frame logs — bit for
+// bit, across decisions of different sizes.
+func TestEvaluatorMatchesFrameLogFold(t *testing.T) {
+	s := sys(5, 3)
+	var e Evaluator
+	for round := 0; round < 2; round++ {
+		for i, d := range evalDecisions(t, s) {
+			want := s.ConfigOutcomes(d.Configs, nil)
+			want[objective.Latency] = cluster.MeanLatency(Simulate(s, d))
+			got := e.Evaluate(s, d)
+			for k := range want {
+				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("round %d decision %d: %s = %v, frame-log fold %v", round, i, objective.Names[k], got[k], want[k])
+				}
+			}
+			if Evaluate(s, d) != got {
+				t.Fatalf("round %d decision %d: package-level Evaluate differs from the Evaluator", round, i)
+			}
+		}
+	}
+}

@@ -4,6 +4,7 @@ package gp
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/kernel"
@@ -55,10 +56,9 @@ func TestSparsePredictZeroAlloc(t *testing.T) {
 }
 
 // TestMultiSampleJointWithWarmAllocs pins the shared k-column sampler to
-// allocating only its result once workspace and cache are warm: one block
-// holding every returned row, the row headers, and the per-column slice.
-// V = L⁻¹K*, the posterior covariance, its factor and the normal deviates
-// all live in the workspace.
+// zero heap allocations once workspace and cache are warm: the rows are
+// the caller's, and V = L⁻¹K*, the posterior covariance, its factor and the
+// normal deviates all live in the workspace.
 func TestMultiSampleJointWithWarmAllocs(t *testing.T) {
 	const k, samples = 5, 8
 	rng := rand.New(rand.NewPCG(9, 9))
@@ -76,18 +76,65 @@ func TestMultiSampleJointWithWarmAllocs(t *testing.T) {
 	}
 	qs := [][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}, {0.7, 0.8, 0.9}, {0.2, 0.9, 0.5}}
 	rngs := make([]*rand.Rand, k)
+	rows := make([][][]float64, k)
 	for c := range rngs {
 		rngs[c] = rand.New(rand.NewPCG(1, uint64(c)))
+		rows[c] = newRows(samples, len(qs))
 	}
 	cc := m.NewCrossCache()
 	ws := mat.NewWorkspace()
-	m.SampleJointWith(ws, cc, qs, samples, rngs) // warm cache and workspace
+	m.SampleJointWith(ws, cc, qs, rows, rngs) // warm cache and workspace
 	n := testing.AllocsPerRun(50, func() {
 		ws.Reset()
-		m.SampleJointWith(ws, cc, qs, samples, rngs)
+		m.SampleJointWith(ws, cc, qs, rows, rngs)
 	})
-	if n != 3 {
-		t.Fatalf("warm %d-column SampleJointWith allocates %v times per run, want 3 (its returned rows)", k, n)
+	if n != 0 {
+		t.Fatalf("warm %d-column SampleJointWith allocates %v times per run, want 0", k, n)
+	}
+}
+
+// TestExtendWithinReserveZeroAlloc pins Reserve: a model whose factor was
+// sized for its final training set absorbs every AddObservation without
+// reallocating the factor, so a warm extension allocates nothing.
+func TestExtendWithinReserveZeroAlloc(t *testing.T) {
+	const n0, extra = 12, 40
+	rng := rand.New(rand.NewPCG(3, 3))
+	pt := func() []float64 { return []float64{rng.Float64(), rng.Float64(), rng.Float64()} }
+	xs := make([][]float64, n0)
+	ys := make([]float64, n0)
+	for i := range xs {
+		xs[i], ys[i] = pt(), rng.NormFloat64()
+	}
+	adds := make([][]float64, extra+1)
+	for i := range adds {
+		adds[i] = pt()
+	}
+	g := New(kernel.NewMatern52(3), 1e-3)
+	g.Reserve(n0 + len(adds))
+	if err := g.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	// The first call grows the scratch and target storage; the factor's
+	// array must not move from then on.
+	if err := g.AddObservation(adds[0], 0); err != nil {
+		t.Fatal(err)
+	}
+	l := &g.chol.L.Data[0]
+	g.x = slices.Grow(g.x, extra)
+	g.cols[0].y = slices.Grow(g.cols[0].y, extra)
+	g.cols[0].alpha = slices.Grow(g.cols[0].alpha, extra)
+	i := 1
+	allocs := testing.AllocsPerRun(extra-1, func() {
+		if err := g.AddObservation(adds[i], rng.NormFloat64()); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("AddObservation within the reserve allocates %v times per run, want 0", allocs)
+	}
+	if &g.chol.L.Data[0] != l || g.N() != n0+extra+1 || g.Generation() != 1 {
+		t.Fatalf("factor moved or refactorized: N %d, generation %d", g.N(), g.Generation())
 	}
 }
 

@@ -156,29 +156,27 @@ func (g *GP) PredictBatchWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64)
 	return mu.Row(0), cov
 }
 
-// SampleJointWith draws nSamples joint posterior samples at xs for every
-// column: result[column][sample][point]. The posterior covariance and its
-// jittered factor are built once and shared; column c then draws from its
-// own rngs[c], exactly as an independent single-column model holding that
+// SampleJointWith draws joint posterior samples at xs for every column
+// into the caller-owned rows: rows[c][s] (len(xs) long) receives column c's
+// sample s. The posterior covariance and its jittered factor are built once
+// and shared; column c then draws its len(rows[c]) samples from its own
+// rngs[c], exactly as an independent single-column model holding that
 // column would from the same stream. Intermediates live in ws and come
-// from the optional cross-covariance cache, so only the returned rows are
-// allocated. A covariance that cannot be factorized even with jitter
-// degrades every column to its mean and counts one fallback per column.
-func (g *Multi) SampleJointWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64, nSamples int, rngs []*rand.Rand) [][][]float64 {
-	if len(rngs) != len(g.cols) {
-		panic(fmt.Sprintf("gp: %d RNG streams for a %d-column model", len(rngs), len(g.cols)))
+// from the optional cross-covariance cache, so a warm workspace and cache
+// make the call allocation-free. A covariance that cannot be factorized
+// even with jitter degrades every column to its mean and counts one
+// fallback per column.
+func (g *Multi) SampleJointWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64, rows [][][]float64, rngs []*rand.Rand) {
+	if len(rngs) != len(g.cols) || len(rows) != len(g.cols) {
+		panic(fmt.Sprintf("gp: %d RNG streams and %d row sets for a %d-column model", len(rngs), len(rows), len(g.cols)))
 	}
 	mu, cov := g.PredictBatchWith(ws, cc, xs)
 	q := len(xs)
 	l := factorCov(ws.Mat(q, q), cov, len(g.cols), g.fallbacks)
 	z := ws.Vec(q)
-	rows := newRows(len(g.cols)*nSamples, q)
-	out := make([][][]float64, len(g.cols))
-	for c := range out {
-		out[c] = rows[c*nSamples : (c+1)*nSamples : (c+1)*nSamples]
-		drawRows(out[c], mu.Row(c), l, z, rngs[c])
+	for c := range rows {
+		drawRows(rows[c], mu.Row(c), l, z, rngs[c])
 	}
-	return out
 }
 
 // SampleJointWith is SampleJoint with workspace-backed intermediates and an
@@ -186,5 +184,7 @@ func (g *Multi) SampleJointWith(ws *mat.Workspace, cc *CrossCache, xs [][]float6
 // allocated. The draws are bit-identical to SampleJoint given the same rng
 // state.
 func (g *GP) SampleJointWith(ws *mat.Workspace, cc *CrossCache, xs [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
-	return g.Multi.SampleJointWith(ws, cc, xs, nSamples, []*rand.Rand{rng})[0]
+	out := newRows(nSamples, len(xs))
+	g.Multi.SampleJointWith(ws, cc, xs, [][][]float64{out}, []*rand.Rand{rng})
+	return out
 }

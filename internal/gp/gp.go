@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/kernel"
@@ -33,10 +34,15 @@ type Multi struct {
 	chol *mat.Cholesky
 	gen  uint64 // factorization epoch; see Generation
 
-	// fallbacks, when set, additionally receives every joint-sampling MVN
-	// fallback of THIS model, so an owner (e.g. one pamo.Scheduler) can
-	// attribute degraded sampling to itself instead of reading the
-	// process-wide counter shared with every other concurrent run.
+	// reserve is the training size the factor's backing array is sized
+	// for at its next full factorization (see Reserve).
+	reserve int
+	// kcol is extend's scratch for one new point's cross-covariances.
+	kcol mat.Vector
+
+	// fallbacks, when set, receives every joint-sampling MVN fallback of
+	// THIS model, so an owner (e.g. one pamo.Scheduler) can attribute
+	// degraded sampling to itself.
 	fallbacks *atomic.Uint64
 }
 
@@ -69,11 +75,18 @@ func New(k kernel.Kernel, noiseVar float64) *GP {
 	return &GP{*NewMulti(k, noiseVar, 1)}
 }
 
-// SetFallbackCounter injects a per-owner counter that is incremented (in
-// addition to the process-wide MVNFallbacks counter) whenever this model's
-// joint posterior sampling degrades to the deterministic mean — once per
-// column drawn.
+// SetFallbackCounter injects a per-owner counter that is incremented
+// whenever this model's joint posterior sampling degrades to the
+// deterministic mean — once per column drawn.
 func (g *Multi) SetFallbackCounter(c *atomic.Uint64) { g.fallbacks = c }
+
+// Reserve sizes the Cholesky factor for n training points: every later
+// full factorization allocates room for max(n, N()) points, so AddObservation
+// and Append extend it in place, without reallocating, until the training
+// set outgrows n. A caller that knows its final training size (a BO solve
+// with a fixed iteration budget) sets it once before the first Fit. It
+// changes no value the model computes.
+func (g *Multi) Reserve(n int) { g.reserve = n }
 
 // ErrNotFitted is returned by methods that require a prior Fit call.
 var ErrNotFitted = errors.New("gp: model is not fitted")
@@ -126,9 +139,7 @@ func (g *Multi) Fit(xs [][]float64, ys [][]float64) error {
 		return err
 	}
 	g.x = xs
-	for c := range g.cols {
-		g.cols[c].y = mat.Vector(ys[c]).Clone()
-	}
+	g.copyTargets(ys)
 	return g.refactor()
 }
 
@@ -205,9 +216,7 @@ func (g *Multi) Append(xs [][]float64, ys [][]float64) (refactored int, err erro
 	if refactored, err = g.extend(xs); err != nil {
 		return refactored, err
 	}
-	for c := range g.cols {
-		g.cols[c].y = mat.Vector(ys[c]).Clone()
-	}
+	g.copyTargets(ys)
 	g.solve()
 	return refactored, nil
 }
@@ -219,9 +228,11 @@ func (g *Multi) Append(xs [][]float64, ys [][]float64) (refactored int, err erro
 // factor. Targets and alpha are left to the caller. It reports how many
 // points needed the refactorization.
 func (g *Multi) extend(xs [][]float64) (refactored int, err error) {
-	ks := make(mat.Vector, len(g.x)+len(xs))
+	if n := len(g.x) + len(xs); cap(g.kcol) < n {
+		g.kcol = make(mat.Vector, max(n, g.reserve, 2*cap(g.kcol)))
+	}
 	for _, x := range xs {
-		col := ks[:len(g.x)]
+		col := g.kcol[:len(g.x)]
 		g.cross(col, 0, x)
 		failed := g.chol.Extend(col, g.Kern.Eval(x, x)+g.NoiseVar) != nil
 		g.x = append(g.x, x)
@@ -248,13 +259,18 @@ func (g *Multi) SetTargets(ys [][]float64) error {
 	if err := g.checkTargets(ys, len(g.x)); err != nil {
 		return err
 	}
-	for c := range g.cols {
-		if &ys[c][0] != &g.cols[c].y[0] {
-			g.cols[c].y = mat.Vector(ys[c]).Clone()
-		}
-	}
+	g.copyTargets(ys)
 	g.solve()
 	return nil
+}
+
+// copyTargets copies one target slice per column into the model's own
+// target storage, reusing its capacity (a slice that is that storage
+// copies onto itself).
+func (g *Multi) copyTargets(ys [][]float64) {
+	for c := range g.cols {
+		g.cols[c].y = append(g.cols[c].y[:0], ys[c]...)
+	}
 }
 
 // SetTargets replaces the training targets; see Multi.SetTargets.
@@ -275,10 +291,16 @@ func (g *Multi) refactor() error {
 // factor recomputes the Cholesky factor of K+σₙ²I for the current inputs
 // and hyperparameters, advancing the generation so cross-covariance caches
 // drop entries computed under the old kernel or training prefix.
+//
+// The kernel matrix is pooled scratch. The factor is a fresh array with
+// room for the reserved training size (see Reserve), so a failed
+// factorization leaves the previous factor intact.
 func (g *Multi) factor() error {
 	g.gen++
 	n := len(g.x)
-	k := mat.NewMatrix(n, n)
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	k := ws.Mat(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			v := g.Kern.Eval(g.x[i], g.x[j])
@@ -287,21 +309,23 @@ func (g *Multi) factor() error {
 		}
 	}
 	k.AddScaledEye(g.NoiseVar)
-	c, err := mat.CholJitter(k)
+	room := max(n, g.reserve)
+	l := &mat.Matrix{Rows: n, Cols: n, Data: make([]float64, n*n, room*room)}
+	c, err := mat.CholJitterInto(l, k)
 	if err != nil {
 		return fmt.Errorf("gp: covariance factorization: %w", err)
 	}
-	g.chol = c
+	g.chol = &c
 	return nil
 }
 
 // solve re-centres every column on its constant mean and solves its alpha
-// against the current factor.
+// against the current factor, in place in the column's alpha storage.
 func (g *Multi) solve() {
 	for c := range g.cols {
 		col := &g.cols[c]
 		col.mean = col.y.Mean()
-		r := make(mat.Vector, len(col.y))
+		r := slices.Grow(col.alpha[:0], len(col.y))[:len(col.y)]
 		for i, y := range col.y {
 			r[i] = y - col.mean
 		}
@@ -405,48 +429,25 @@ func (g *GP) SampleJoint(xs [][]float64, nSamples int, rng *rand.Rand) [][]float
 	return g.SampleJointWith(ws, nil, xs, nSamples, rng)
 }
 
-// mvnFallbacks counts SampleMVN calls that degraded to the deterministic
-// mean because the covariance could not be factorized even with jitter.
-// Incremented atomically so concurrent samplers can share it; read it with
-// MVNFallbacks.
-var mvnFallbacks atomic.Uint64
-
-// MVNFallbacks returns the process-wide number of SampleMVN calls that
-// silently returned the deterministic mean instead of posterior draws.
-// Consumers (e.g. pamo's diagnostics) snapshot it before a run and report
-// the delta, so degraded sampling is visible instead of silent.
-func MVNFallbacks() uint64 { return mvnFallbacks.Load() }
-
-// SampleMVN draws nSamples vectors from N(mu, cov) using a jittered
-// Cholesky factor. A covariance that is numerically singular (common for
-// posterior covariances at nearly-duplicated points) is handled by the
-// jitter; if factorization still fails the deterministic mean is returned
-// for every sample and the MVNFallbacks counter is incremented.
-func SampleMVN(mu mat.Vector, cov *mat.Matrix, nSamples int, rng *rand.Rand) [][]float64 {
-	return SampleMVNCounted(mu, cov, nSamples, rng, nil)
-}
-
-// SampleMVNCounted is SampleMVN with an optional per-owner fallback
-// counter: when the covariance cannot be factorized, both the process-wide
-// counter and (if non-nil) counter are incremented, so a consumer that owns
-// several models can attribute degraded sampling to itself even while other
-// samplers run concurrently in the same process.
-func SampleMVNCounted(mu mat.Vector, cov *mat.Matrix, nSamples int, rng *rand.Rand, counter *atomic.Uint64) [][]float64 {
+// DrawMVN sets every row of rows to an independent draw from N(mu, cov):
+// mu + L·z, with L the jittered Cholesky factor of cov and z ~ N(0, I)
+// drawn from rng row by row. The factor and the deviates live in ws, so a
+// warm workspace makes the call allocation-free. A covariance no jitter
+// rescues leaves every row at mu, draws nothing from rng and adds one to
+// counter (when non-nil), so an owner can see its sampling ran blind.
+func DrawMVN(ws *mat.Workspace, rows [][]float64, mu mat.Vector, cov *mat.Matrix, rng *rand.Rand, counter *atomic.Uint64) {
 	q := len(mu)
-	l := factorCov(mat.NewMatrix(q, q), cov, 1, counter)
-	out := newRows(nSamples, q)
-	drawRows(out, mu, l, mat.NewVector(q), rng)
-	return out
+	l := factorCov(ws.Mat(q, q), cov, 1, counter)
+	drawRows(rows, mu, l, ws.Vec(q), rng)
 }
 
 // factorCov factorizes a posterior covariance into f with CholJitter's
 // jitter ladder and returns the factor. A covariance no jitter rescues
-// returns nil and counts draws fallbacks, process-wide and on counter (when
-// non-nil): every one of those draws then degrades to the mean.
+// returns nil and adds draws to counter (when non-nil): every one of those
+// draws then degrades to the mean.
 func factorCov(f, cov *mat.Matrix, draws int, counter *atomic.Uint64) *mat.Matrix {
 	c, err := mat.CholJitterInto(f, cov)
 	if err != nil {
-		mvnFallbacks.Add(uint64(draws))
 		if counter != nil {
 			counter.Add(uint64(draws))
 		}
@@ -478,9 +479,10 @@ func drawRows(rows [][]float64, mu []float64, l *mat.Matrix, z mat.Vector, rng *
 			z[i] = rng.NormFloat64()
 		}
 		for i := range row {
+			li := l.Data[i*l.Cols : i*l.Cols+i+1]
 			var acc float64
-			for j := 0; j <= i; j++ {
-				acc += l.At(i, j) * z[j]
+			for j, v := range li {
+				acc += v * z[j]
 			}
 			row[i] += acc
 		}

@@ -2,6 +2,8 @@ package gp
 
 import (
 	"math"
+	"math/rand/v2"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/kernel"
@@ -147,16 +149,99 @@ func TestSampleJointMatchesPosterior(t *testing.T) {
 	}
 }
 
+// sampleMVN is the MVN sampler DrawMVN replaced, kept as its oracle: a
+// fresh CholJitter factor, fresh rows, and mu + L·z read through At. A
+// covariance no jitter rescues returns the mean in every row and bumps
+// counter once.
+func sampleMVN(mu mat.Vector, cov *mat.Matrix, nSamples int, rng *rand.Rand, counter *atomic.Uint64) [][]float64 {
+	q := len(mu)
+	out := make([][]float64, nSamples)
+	c, err := mat.CholJitter(cov)
+	if err != nil && counter != nil {
+		counter.Add(1)
+	}
+	z := mat.NewVector(q)
+	for s := range out {
+		out[s] = append([]float64(nil), mu...)
+		if err != nil {
+			continue
+		}
+		for i := range z {
+			z[i] = rng.NormFloat64()
+		}
+		for i := 0; i < q; i++ {
+			var acc float64
+			for j := 0; j <= i; j++ {
+				acc += c.L.At(i, j) * z[j]
+			}
+			out[s][i] += acc
+		}
+	}
+	return out
+}
+
+// drawMVN is DrawMVN into fresh rows on a fresh workspace.
+func drawMVN(mu mat.Vector, cov *mat.Matrix, nSamples int, rng *rand.Rand, counter *atomic.Uint64) [][]float64 {
+	out := newRows(nSamples, len(mu))
+	DrawMVN(mat.NewWorkspace(), out, mu, cov, rng, counter)
+	return out
+}
+
 func TestSampleMVNDegenerateCovariance(t *testing.T) {
 	rng := stats.NewRNG(13)
 	mu := mat.Vector{1, 2}
 	cov := mat.NewMatrix(2, 2) // exactly singular (zero) covariance
-	samples := SampleMVN(mu, cov, 5, rng)
+	samples := drawMVN(mu, cov, 5, rng, nil)
 	for _, s := range samples {
 		// With zero covariance the samples collapse to (almost) the mean;
 		// jitter adds at most ~1e-2 noise in pathological cases.
 		if math.Abs(s[0]-1) > 0.1 || math.Abs(s[1]-2) > 0.1 {
 			t.Fatalf("degenerate sample = %v", s)
+		}
+	}
+}
+
+// TestDrawMVNMatchesOracle holds the workspace sampler to the allocating
+// one it replaced, bit for bit, on random, rank-deficient and indefinite
+// covariances, with a dirty reused workspace.
+func TestDrawMVNMatchesOracle(t *testing.T) {
+	rng := stats.NewRNG(17)
+	ws := mat.NewWorkspace()
+	for trial := 0; trial < 40; trial++ {
+		q := 1 + rng.IntN(7)
+		f := mat.NewMatrix(q, q)
+		rank := q
+		if trial%4 == 1 {
+			rank = 1 + rng.IntN(q) // rank-deficient: needs the jitter ladder
+		}
+		for i := range f.Data {
+			if i%q < rank {
+				f.Data[i] = rng.NormFloat64()
+			}
+		}
+		cov := f.Mul(f.T())
+		if trial%4 == 3 {
+			cov.Set(0, 0, -1) // indefinite: no jitter rescues it
+		}
+		mu := mat.NewVector(q)
+		for i := range mu {
+			mu[i] = rng.NormFloat64()
+		}
+		var wantN, gotN atomic.Uint64
+		seed := uint64(trial)
+		want := sampleMVN(mu, cov, 6, rand.New(rand.NewPCG(seed, 1)), &wantN)
+		ws.Reset()
+		got := newRows(6, q)
+		DrawMVN(ws, got, mu, cov, rand.New(rand.NewPCG(seed, 1)), &gotN)
+		if wantN.Load() != gotN.Load() {
+			t.Fatalf("trial %d: fallbacks %d, oracle %d", trial, gotN.Load(), wantN.Load())
+		}
+		for s := range want {
+			for i := range want[s] {
+				if math.Float64bits(got[s][i]) != math.Float64bits(want[s][i]) {
+					t.Fatalf("trial %d: draw[%d][%d] = %v, oracle %v", trial, s, i, got[s][i], want[s][i])
+				}
+			}
 		}
 	}
 }
@@ -286,16 +371,16 @@ func TestPredictMeanMatchesPredict(t *testing.T) {
 
 func TestMVNFallbackCounter(t *testing.T) {
 	// An indefinite "covariance" cannot be factorized even with jitter, so
-	// SampleMVN must return the mean and bump the fallback counter.
+	// DrawMVN must return the mean and bump the owner's counter.
 	bad := mat.NewMatrix(2, 2)
 	bad.Set(0, 0, 1)
 	bad.Set(1, 1, -5)
 	mu := mat.NewVector(2)
 	mu[0], mu[1] = 3, 7
-	before := MVNFallbacks()
-	out := SampleMVN(mu, bad, 4, stats.NewRNG(44))
-	if got := MVNFallbacks() - before; got != 1 {
-		t.Fatalf("fallback counter delta %d, want 1", got)
+	var n atomic.Uint64
+	out := drawMVN(mu, bad, 4, stats.NewRNG(44), &n)
+	if got := n.Load(); got != 1 {
+		t.Fatalf("fallback counter %d, want 1", got)
 	}
 	for _, row := range out {
 		if row[0] != 3 || row[1] != 7 {
@@ -303,10 +388,8 @@ func TestMVNFallbackCounter(t *testing.T) {
 		}
 	}
 	// A healthy covariance must not bump it.
-	good := mat.Identity(2)
-	before = MVNFallbacks()
-	SampleMVN(mu, good, 4, stats.NewRNG(45))
-	if got := MVNFallbacks() - before; got != 0 {
-		t.Fatalf("healthy covariance bumped the counter by %d", got)
+	drawMVN(mu, &mat.Matrix{Rows: 2, Cols: 2, Data: []float64{1, 0, 0, 1}}, 4, stats.NewRNG(45), &n)
+	if got := n.Load(); got != 1 {
+		t.Fatalf("healthy covariance bumped the counter to %d", got)
 	}
 }

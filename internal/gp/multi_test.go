@@ -197,7 +197,11 @@ func compare(t *testing.T, fx *multiFixture, cc *CrossCache, caches []*CrossCach
 	for c := range rngs {
 		rngs[c] = rand.New(rand.NewPCG(seed, uint64(c)))
 	}
-	draws := fx.m.SampleJointWith(ws, cc, qs, 4, rngs)
+	draws := make([][][]float64, k)
+	for c := range draws {
+		draws[c] = newRows(4, len(qs))
+	}
+	fx.m.SampleJointWith(ws, cc, qs, draws, rngs)
 	for c, g := range fx.cols {
 		gmu, gcov := g.PredictBatch(qs)
 		for j := range gmu {

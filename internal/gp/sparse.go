@@ -731,8 +731,9 @@ func (s *SparseGP) PredictBatchWith(ws *mat.Workspace, xs [][]float64) (mu mat.V
 // SampleJoint draws nSamples correlated samples from the joint posterior at
 // xs. The result is nSamples×len(xs).
 func (s *SparseGP) SampleJoint(xs [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
-	mu, cov := s.PredictBatch(xs)
-	return SampleMVNCounted(mu, cov, nSamples, rng, s.fallbacks)
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	return s.SampleJointWith(ws, xs, nSamples, rng)
 }
 
 // SampleJointWith is SampleJoint with workspace-backed intermediates: only
@@ -740,10 +741,8 @@ func (s *SparseGP) SampleJoint(xs [][]float64, nSamples int, rng *rand.Rand) [][
 // SampleJoint given the same rng state.
 func (s *SparseGP) SampleJointWith(ws *mat.Workspace, xs [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
 	mu, cov := s.PredictBatchWith(ws, xs)
-	q := len(mu)
-	l := factorCov(ws.Mat(q, q), cov, 1, s.fallbacks)
-	out := newRows(nSamples, q)
-	drawRows(out, mu, l, ws.Vec(q), rng)
+	out := newRows(nSamples, len(mu))
+	DrawMVN(ws, out, mu, cov, rng, s.fallbacks)
 	return out
 }
 

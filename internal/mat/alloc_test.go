@@ -37,3 +37,37 @@ func TestInPlaceOpsZeroAlloc(t *testing.T) {
 		t.Fatalf("warm workspace cycle allocates %v times per run, want 0", n)
 	}
 }
+
+// TestExtendWithinCapacityZeroAlloc pins Extend's in-place growth: a
+// factor whose backing array was reserved for its final size absorbs every
+// extension without allocating.
+func TestExtendWithinCapacityZeroAlloc(t *testing.T) {
+	const n0, final = 4, 40
+	rng := rand.New(rand.NewPCG(2, 9))
+	a := ipRandSPD(rng, final)
+	sub := NewMatrix(n0, n0)
+	for i := 0; i < n0; i++ {
+		copy(sub.Row(i), a.Row(i)[:n0])
+	}
+	l := &Matrix{Rows: n0, Cols: n0, Data: make([]float64, n0*n0, final*final)}
+	c, err := CholJitterInto(l, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := make(Vector, final)
+	grow := func() {
+		n := c.L.Rows
+		for i := 0; i < n; i++ {
+			col[i] = a.At(n, i)
+		}
+		if err := c.Extend(col[:n], a.At(n, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(final-n0-1, grow); allocs != 0 {
+		t.Fatalf("Extend within reserved capacity allocates %v times per run, want 0", allocs)
+	}
+	if c.L.Rows != final {
+		t.Fatalf("factor has %d rows, want %d", c.L.Rows, final)
+	}
+}

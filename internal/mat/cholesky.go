@@ -130,11 +130,11 @@ func (c *Cholesky) Solve(b *Matrix) *Matrix {
 	col := NewVector(n)
 	for j := 0; j < b.Cols; j++ {
 		for i := 0; i < n; i++ {
-			col[i] = b.At(i, j)
+			col[i] = b.Data[i*b.Cols+j]
 		}
-		x := c.SolveVec(col)
-		for i := 0; i < n; i++ {
-			out.Set(i, j, x[i])
+		c.SolveVecTo(col, col)
+		for i, x := range col {
+			out.Data[i*out.Cols+j] = x
 		}
 	}
 	return out
@@ -153,7 +153,28 @@ func (c *Cholesky) LogDet() float64 {
 // exists for the Laplace-approximation algebra that genuinely needs the
 // full inverse.
 func (c *Cholesky) Inverse() *Matrix {
-	return c.Solve(Identity(c.L.Rows))
+	return c.InverseTo(NewMatrix(c.L.Rows, c.L.Rows))
+}
+
+// InverseTo writes A⁻¹ into the caller-owned n×n matrix dst and returns
+// dst. Each column of the identity is solved in place (the arithmetic of
+// Solve against an identity matrix), so the only allocation is one
+// n-vector of scratch.
+func (c *Cholesky) InverseTo(dst *Matrix) *Matrix {
+	n := c.L.Rows
+	if dst.Rows != n || dst.Cols != n {
+		panic(fmt.Sprintf("mat: InverseTo dst %dx%d, want %dx%d", dst.Rows, dst.Cols, n, n))
+	}
+	col := NewVector(n)
+	for j := 0; j < n; j++ {
+		clear(col)
+		col[j] = 1
+		c.SolveVecTo(col, col)
+		for i, x := range col {
+			dst.Data[i*n+j] = x
+		}
+	}
+	return dst
 }
 
 // ForwardSolve solves the lower-triangular system L·y = b.

@@ -105,8 +105,10 @@ func (c *Cholesky) SolveVecTo(dst, b Vector) Vector {
 
 // CholJitterInto factorizes a into the caller-owned n×n factor matrix l,
 // with the same progressive-jitter ladder as CholJitter, and returns a
-// Cholesky whose L field is l. No matrix is allocated; jitter retries reuse
-// l. The factor values are bit-identical to CholJitter's.
+// Cholesky whose L field is l. Nothing is allocated, not even on failure:
+// jitter retries reuse l, and a matrix no jitter rescues returns the bare
+// ErrNotPositiveDefinite (posterior samplers hit that path once per draw).
+// The factor values are bit-identical to CholJitter's.
 func CholJitterInto(l, a *Matrix) (Cholesky, error) {
 	if err := cholInto(l, a, 0); err == nil {
 		return Cholesky{L: l}, nil
@@ -120,7 +122,7 @@ func CholJitterInto(l, a *Matrix) (Cholesky, error) {
 			return Cholesky{L: l, Jitter: j}, nil
 		}
 	}
-	return Cholesky{}, fmt.Errorf("%w (after jitter up to %g)", ErrNotPositiveDefinite, 1e-4*scale)
+	return Cholesky{}, ErrNotPositiveDefinite
 }
 
 // cholInto factorizes a+jitter·I into the caller-owned matrix l, zeroing it
@@ -133,25 +135,26 @@ func cholInto(l, a *Matrix, jitter float64) error {
 	if l.Rows != n || l.Cols != n {
 		panic(fmt.Sprintf("mat: cholInto dst %dx%d, want %dx%d", l.Rows, l.Cols, n, n))
 	}
-	for i := range l.Data {
-		l.Data[i] = 0
-	}
+	clear(l.Data)
 	for i := 0; i < n; i++ {
+		ai := a.Data[i*n : (i+1)*n]
+		li := l.Data[i*n : (i+1)*n]
 		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
+			sum := ai[j]
 			if i == j {
 				sum += jitter
 			}
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
+			lj := l.Data[j*n : j*n+j]
+			for k, v := range lj {
+				sum -= li[k] * v
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
 					return ErrNotPositiveDefinite
 				}
-				l.Set(i, i, math.Sqrt(sum))
+				li[i] = math.Sqrt(sum)
 			} else {
-				l.Set(i, j, sum/l.At(j, j))
+				li[j] = sum / l.Data[j*n+j]
 			}
 		}
 	}

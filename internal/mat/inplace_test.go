@@ -212,3 +212,87 @@ func BenchmarkMulTo(b *testing.B) {
 		x.MulTo(dst, y)
 	}
 }
+
+// seedChol is the Cholesky kernel as first written, reading and writing
+// through At/Set: cholInto's row-slice loop must reproduce it bit for bit.
+func seedChol(a *Matrix, jitter float64) (*Matrix, bool) {
+	n := a.Rows
+	l := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := a.At(i, j)
+			if i == j {
+				sum += jitter
+			}
+			for k := 0; k < j; k++ {
+				sum -= l.At(i, k) * l.At(j, k)
+			}
+			if i == j {
+				if sum <= 0 || math.IsNaN(sum) {
+					return nil, false
+				}
+				l.Set(i, i, math.Sqrt(sum))
+			} else {
+				l.Set(i, j, sum/l.At(j, j))
+			}
+		}
+	}
+	return l, true
+}
+
+// seedInverse is Inverse as first written: Solve against an explicit
+// identity, one allocating SolveVec per column.
+func seedInverse(c *Cholesky) *Matrix {
+	n := c.L.Rows
+	out := NewMatrix(n, n)
+	for j := 0; j < n; j++ {
+		e := NewVector(n)
+		e[j] = 1
+		x := c.SolveVec(e)
+		for i := 0; i < n; i++ {
+			out.Set(i, j, x[i])
+		}
+	}
+	return out
+}
+
+// TestRowSliceKernelsMatchSeed holds the row-slice Cholesky and the
+// in-place inverse to the At-based originals, bit for bit, on random SPD
+// and singular-but-jitterable matrices, into a dirty reused factor.
+func TestRowSliceKernelsMatchSeed(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 13))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.IntN(12)
+		a := ipRandSPD(rng, n)
+		if trial%3 == 2 && n > 1 {
+			for j := 0; j < n; j++ { // duplicate row/column 0: singular
+				a.Set(1, j, a.At(0, j))
+				a.Set(j, 1, a.At(j, 0))
+			}
+			a.Set(1, 1, a.At(0, 0))
+		}
+		for _, jitter := range []float64{0, 1e-8} {
+			want, ok := seedChol(a, jitter)
+			l := ipRandMatrix(rng, n, n) // stale contents must not leak
+			err := cholInto(l, a, jitter)
+			if ok != (err == nil) {
+				t.Fatalf("trial %d jitter %g: seed ok=%v, cholInto err=%v", trial, jitter, ok, err)
+			}
+			if !ok {
+				continue
+			}
+			for i := range want.Data {
+				if math.Float64bits(l.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("trial %d jitter %g: L[%d] = %v, seed %v", trial, jitter, i, l.Data[i], want.Data[i])
+				}
+			}
+			c := &Cholesky{L: l, Jitter: jitter}
+			inv, seed := c.InverseTo(ipRandMatrix(rng, n, n)), seedInverse(c)
+			for i := range seed.Data {
+				if math.Float64bits(inv.Data[i]) != math.Float64bits(seed.Data[i]) {
+					t.Fatalf("trial %d: inverse[%d] = %v, seed %v", trial, i, inv.Data[i], seed.Data[i])
+				}
+			}
+		}
+	}
+}

@@ -8,6 +8,15 @@ import (
 	"testing/quick"
 )
 
+// Identity returns the n×n identity matrix (a fixture of mat's tests).
+func Identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestVectorDot(t *testing.T) {

@@ -19,13 +19,12 @@ var metricNames = [numMetrics]string{"accuracy", "proc_time", "frame_bits", "com
 
 // SamplingFallbacks returns how many of THIS scheduler's joint-posterior
 // sampling calls degraded to the deterministic mean because the covariance
-// could not be factorized (gp.SampleMVN's silent fallback). A non-zero
-// count means part of the acquisition search ran blind to model
-// uncertainty — worth surfacing in any trace/bench report. The counter is
-// injected into every outcome GP and the preference model this scheduler
-// owns, so concurrently running schedulers no longer cross-attribute each
-// other's fallbacks (the old implementation diffed the process-wide
-// gp.MVNFallbacks counter and did).
+// could not be factorized (gp.DrawMVN's fallback). A non-zero count means
+// part of the acquisition search ran blind to model uncertainty — worth
+// surfacing in any trace/bench report. The counter is injected into every
+// outcome GP and the preference model this scheduler owns; gp keeps no
+// process-wide count, so concurrently running schedulers never
+// cross-attribute each other's fallbacks.
 func (s *Scheduler) SamplingFallbacks() uint64 {
 	return s.mvn.Load()
 }

@@ -37,6 +37,11 @@ const (
 // (resolution, fps, ROI fraction — the last constant at 1 unless the ROI
 // extension is enabled).
 func encodeCfg(c videosim.Config) []float64 {
+	return encodeCfgTo(make([]float64, 3), c)
+}
+
+// encodeCfgTo is encodeCfg into the caller's 3-vector dst.
+func encodeCfgTo(dst []float64, c videosim.Config) []float64 {
 	rLo := videosim.Resolutions[0]
 	rHi := videosim.Resolutions[len(videosim.Resolutions)-1]
 	sLo := videosim.FrameRates[0]
@@ -45,11 +50,10 @@ func encodeCfg(c videosim.Config) []float64 {
 	if roi <= 0 || roi > 1 {
 		roi = 1
 	}
-	return []float64{
-		(c.Resolution - rLo) / (rHi - rLo),
-		(c.FPS - sLo) / (sHi - sLo),
-		roi,
-	}
+	dst[0] = (c.Resolution - rLo) / (rHi - rLo)
+	dst[1] = (c.FPS - sLo) / (sHi - sLo)
+	dst[2] = roi
+	return dst
 }
 
 // modelSinks are where a clip's outcome models report: posterior-sampling
@@ -88,6 +92,14 @@ type clipModels struct {
 	scale   [numMetrics]float64
 	xs      [][]float64
 	ys      [numMetrics][]float64
+	// scaled is refitData's standardized copy of ys, rewritten per refit.
+	scaled [numMetrics][]float64
+	// Scratch of sampleJoint: the encoded queries and one PCG stream per
+	// metric, reseeded per call.
+	pts  [][]float64
+	enc  []float64
+	pcg  [numMetrics]rand.PCG
+	rngs [numMetrics]*rand.Rand
 }
 
 // outcomeKernel is every outcome model's kernel. Its hyperparameters are
@@ -108,6 +120,7 @@ func newClipModels(sinks modelSinks) *clipModels {
 	c.cache = c.model.NewCrossCache()
 	for mi := range c.scale {
 		c.scale[mi] = 1
+		c.rngs[mi] = rand.New(&c.pcg[mi])
 	}
 	return c
 }
@@ -140,7 +153,7 @@ func (c *clipModels) refitData() error {
 	if len(c.xs) == 0 {
 		return fmt.Errorf("pamo: refit with no data")
 	}
-	var scaled [numMetrics][]float64
+	scaled := &c.scaled
 	for mi, y := range c.ys {
 		sd := stats.Std(y)
 		if sd < 1e-12 {
@@ -150,9 +163,9 @@ func (c *clipModels) refitData() error {
 			}
 		}
 		c.scale[mi] = sd
-		scaled[mi] = make([]float64, len(y))
-		for i, v := range y {
-			scaled[mi][i] = v / sd
+		scaled[mi] = scaled[mi][:0]
+		for _, v := range y {
+			scaled[mi] = append(scaled[mi], v/sd)
 		}
 	}
 	if n := c.model.N(); n > 0 {
@@ -205,25 +218,30 @@ func (c *clipModels) means(cfg videosim.Config) [numMetrics]float64 {
 	return mu
 }
 
-// sampleJoint draws n joint posterior samples (physical units) of every
-// metric at the given configs: result[metric][sample][point]. Metric mi
-// draws from rngs[mi]; the posterior covariance and its factor are built
-// once for all five metrics.
-func (c *clipModels) sampleJoint(cfgs []videosim.Config, n int, rngs [numMetrics]*rand.Rand) [numMetrics][][]float64 {
-	pts := make([][]float64, len(cfgs))
-	for i, cfg := range cfgs {
-		pts[i] = encodeCfg(cfg)
+// sampleJoint draws joint posterior samples (physical units) of every
+// metric at cfgs into the caller-owned rows: rows[metric][sample] is one
+// len(cfgs)-long sample. Metric mi draws from the PCG stream (seed,
+// stream+mi); the posterior covariance and its factor are built once for
+// all five metrics. The clip's own scratch holds the encoded queries, so
+// one goroutine at a time may sample a clip.
+func (c *clipModels) sampleJoint(cfgs []videosim.Config, rows [numMetrics][][]float64, seed, stream uint64) {
+	q := len(cfgs)
+	c.enc = grow(c.enc, 3*q)
+	c.pts = grow(c.pts, q)
+	for j, cf := range cfgs {
+		c.pts[j] = encodeCfgTo(c.enc[3*j:3*j+3:3*j+3], cf)
+	}
+	for mi := range c.pcg {
+		c.pcg[mi].Seed(seed, stream+uint64(mi))
 	}
 	ws := mat.GetWorkspace()
-	var out [numMetrics][][]float64
-	copy(out[:], c.model.SampleJointWith(ws, c.cache, pts, n, rngs[:]))
+	c.model.SampleJointWith(ws, c.cache, c.pts, rows[:], c.rngs[:])
 	mat.PutWorkspace(ws)
-	for mi, rows := range out {
-		for _, row := range rows {
+	for mi, rs := range rows {
+		for _, row := range rs {
 			for i := range row {
 				row[i] *= c.scale[mi]
 			}
 		}
 	}
-	return out
 }

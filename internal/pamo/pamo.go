@@ -193,7 +193,7 @@ type Result struct {
 	Profiles  int // profiling measurements taken
 	// MVNFallbacks counts joint-posterior sampling calls during this run
 	// that degraded to the deterministic mean because a covariance could
-	// not be factorized (see gp.SampleMVN). Non-zero values mean part of
+	// not be factorized (see gp.DrawMVN). Non-zero values mean part of
 	// the acquisition ran without posterior uncertainty.
 	MVNFallbacks uint64
 }
@@ -224,11 +224,13 @@ type Scheduler struct {
 
 	rec      *obs.Recorder
 	met      schedMetrics
-	acqRound uint64 // acquisition rounds run, keys per-round RNG streams
+	acqRound uint64        // acquisition rounds run, keys per-round RNG streams
+	draw     drawScratch   // SampleBenefit's reused memory
+	eval     eva.Evaluator // scores every observed decision
 	// mvn counts THIS scheduler's posterior-sampling fallbacks: it is
 	// injected into every outcome GP and the preference model, so
-	// concurrently running schedulers no longer cross-attribute each
-	// other's degraded sampling (the old process-wide counter did).
+	// concurrently running schedulers never cross-attribute each other's
+	// degraded sampling.
 	mvn atomic.Uint64
 }
 
@@ -502,7 +504,10 @@ func (s *Scheduler) profileInit() error {
 	s.rec.Do(s.ctx, "outcome_model", func(ctx context.Context) {
 		_, fit := s.rec.StartSpanCtx(ctx, "outcome_model")
 		defer fit.End()
-		for ci := range s.clips {
+		for ci, c := range s.clips {
+			// Size each factor once for the whole solve: the profiles, the
+			// initial observations and one measurement per batch slot.
+			c.model.Reserve(len(c.xs) + s.opt.InitObs + s.opt.MaxIter*s.opt.Batch)
 			if err = s.clips[ci].refit(); err != nil {
 				return
 			}

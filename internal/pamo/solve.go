@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand/v2"
 	goruntime "runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/acq"
 	"repro/internal/eva"
+	"repro/internal/mat"
 	"repro/internal/objective"
 	"repro/internal/sched"
 	"repro/internal/stats"
@@ -34,24 +36,79 @@ type benefitSampler struct {
 	cands []candidate // the candidate universe this sampler covers
 }
 
-// point encodes candidate index i as a 1-vector so it fits acq.Sampler.
-func point(i int) []float64 { return []float64{float64(i)} }
+// handles returns the sampler handles of candidates 0, …, n-1 — candidate
+// i as the 1-vector {i}, so it fits acq.Sampler — out of one allocation.
+func handles(n int) [][]float64 {
+	block := make([]float64, n)
+	pts := make([][]float64, n)
+	for i := range pts {
+		block[i] = float64(i)
+		pts[i] = block[i : i+1 : i+1]
+	}
+	return pts
+}
+
+// drawScratch is SampleBenefit's working memory. A scheduler samples one
+// batch at a time and nothing SampleBenefit returns aliases it, so every
+// call overwrites the previous call's contents and reuses its capacity.
+type drawScratch struct {
+	idx     []int
+	cfgs    []videosim.Config         // [clip·q + point]: each clip's query configs
+	draws   [][numMetrics][][]float64 // [clip][metric][sample][point]
+	rows    [][]float64               // the sample rows of draws, in one block
+	block   []float64
+	samples []objective.Vector // [sample·q + point]: composed raw outcomes
+	ys      [][]float64        // per preference worker, q normalized outcomes
+	yblock  []float64
+}
+
+// grow returns s resized to n, reusing its capacity; contents are stale.
+func grow[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// size shapes the scratch for m clips, nSamples draws at q points and
+// workers preference workers.
+func (d *drawScratch) size(m, nSamples, q, workers int) {
+	d.idx = grow(d.idx, q)
+	d.cfgs = grow(d.cfgs, m*q)
+	nRows := m * int(numMetrics) * nSamples
+	d.block = grow(d.block, nRows*q)
+	d.rows = grow(d.rows, nRows)
+	for r := range d.rows {
+		d.rows[r] = d.block[r*q : (r+1)*q : (r+1)*q]
+	}
+	d.draws = grow(d.draws, m)
+	for ci := range d.draws {
+		for mi := range d.draws[ci] {
+			r := (ci*int(numMetrics) + mi) * nSamples
+			d.draws[ci][mi] = d.rows[r : r+nSamples : r+nSamples]
+		}
+	}
+	d.samples = grow(d.samples, nSamples*q)
+	d.yblock = grow(d.yblock, workers*q*objective.K)
+	d.ys = grow(d.ys, workers*q)
+	for j := range d.ys {
+		d.ys[j] = d.yblock[j*objective.K : (j+1)*objective.K : (j+1)*objective.K]
+	}
+}
 
 // SampleBenefit draws nSamples joint samples of the believed benefit
 // z = g(f(x)) at the referenced candidates, propagating both outcome-GP
-// and preference-GP uncertainty (the integrand of Eq. 12).
+// and preference-GP uncertainty (the integrand of Eq. 12). Only the
+// returned rows are allocated per call: the outcome draws and every
+// intermediate live in the scheduler's drawScratch and pooled workspaces.
 func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
-	idx := make([]int, len(points))
+	q := len(points)
+	m := bs.s.sys.M()
+	workers := bs.s.opt.Workers
+	if workers <= 0 {
+		workers = goruntime.GOMAXPROCS(0)
+	}
+	prefWorkers := min(workers, nSamples)
+	sc := &bs.s.draw
+	sc.size(m, nSamples, q, prefWorkers)
+	idx := sc.idx
 	for i, p := range points {
 		idx[i] = int(p[0])
-	}
-	// Joint outcome samples per clip per metric at the configs of every
-	// referenced candidate.
-	q := len(idx)
-	m := bs.s.sys.M()
-	samples := make([][]objective.Vector, nSamples) // [sample][point]raw outcome
-	for si := range samples {
-		samples[si] = make([]objective.Vector, q)
 	}
 	// Per-clip joint draws across the candidate points. The M clips are
 	// independent — the paper's batch recommendation exists precisely so
@@ -60,16 +117,12 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 	// clipModels.sampleJoint), metric mi from an RNG derived from (base
 	// seed, clip, metric), which keeps results identical regardless of
 	// goroutine scheduling and of how the metrics are grouped into tasks.
-	draws := make([][numMetrics][][]float64, m) // [clip][metric][sample][point]
+	draws := sc.draws // [clip][metric][sample][point]
 	seedBase := rng.Uint64()
-	workers := bs.s.opt.Workers
-	if workers <= 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for ci := 0; ci < m; ci++ {
-		cfgs := make([]videosim.Config, q)
+		cfgs := sc.cfgs[ci*q : (ci+1)*q]
 		for j, cand := range idx {
 			cfgs[j] = bs.cands[cand].cfgs[ci]
 		}
@@ -78,15 +131,12 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			var rngs [numMetrics]*rand.Rand
-			for mi := range rngs {
-				rngs[mi] = rand.New(rand.NewPCG(seedBase, uint64(ci)*uint64(numMetrics)+uint64(mi)+1))
-			}
-			draws[ci] = bs.s.clips[ci].sampleJoint(cfgs, nSamples, rngs)
+			bs.s.clips[ci].sampleJoint(cfgs, draws[ci], seedBase, uint64(ci)*uint64(numMetrics)+1)
 		}(ci, cfgs)
 	}
 	wg.Wait()
 	// Compose raw outcome vectors per sample per point.
+	samples := sc.samples // [sample·q + point]raw outcome
 	for si := 0; si < nSamples; si++ {
 		for j, cand := range idx {
 			c := &bs.cands[cand]
@@ -110,40 +160,60 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 			if len(c.streams) > 0 {
 				v[objective.Latency] = lat / float64(len(c.streams))
 			}
-			samples[si][j] = v
+			samples[si*q+j] = v
 		}
 	}
 	// Map through the (learned or true) preference to benefit samples. Each
 	// outcome sample needs its own preference-posterior draw at q points —
 	// O(q³)-ish work that dominates when the shared-sample path covers a
-	// large universe — so fan the samples out over the same worker pool,
-	// again with per-task RNG streams for schedule-independent results.
+	// large universe — so deal the samples out over a fixed set of workers,
+	// each with its own workspace and query buffer. Sample si draws from
+	// its own PCG stream (prefSeed, si), so results do not depend on which
+	// worker takes it.
 	out := make([][]float64, nSamples)
+	block := make([]float64, nSamples*q)
+	for si := range out {
+		out[si] = block[si*q : (si+1)*q : (si+1)*q]
+	}
 	prefSeed := rng.Uint64()
-	for si := 0; si < nSamples; si++ {
+	for w := 0; w < prefWorkers; w++ {
 		wg.Add(1)
-		go func(si int) {
+		go func(w int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			row := make([]float64, q)
-			if bs.s.opt.TruePref != nil {
-				for j := range row {
-					row[j] = bs.s.opt.TruePref.Benefit(bs.s.norm.Normalize(samples[si][j]))
-				}
-			} else {
-				ys := make([][]float64, q)
-				for j := range ys {
-					ys[j] = bs.s.norm.Normalize(samples[si][j]).Slice()
-				}
-				sampleRng := rand.New(rand.NewPCG(prefSeed, uint64(si)))
-				row = bs.s.learner.Model.Sample(ys, 1, sampleRng)[0]
-			}
-			out[si] = row
-		}(si)
+			bs.prefDraws(out, samples, sc.ys[w*q:(w+1)*q], prefSeed, w, prefWorkers)
+		}(w)
 	}
 	wg.Wait()
 	return out
+}
+
+// prefDraws maps samples w, w+stride, … of the composed outcomes (q per
+// sample) to benefit rows of out: through the true preference for PaMO+,
+// otherwise by one preference-posterior draw per sample. ys is this
+// worker's query buffer.
+func (bs *benefitSampler) prefDraws(out [][]float64, samples []objective.Vector, ys [][]float64, prefSeed uint64, w, stride int) {
+	q := len(ys)
+	if truth := bs.s.opt.TruePref; truth != nil {
+		for si := w; si < len(out); si += stride {
+			for j := range out[si] {
+				out[si][j] = truth.Benefit(bs.s.norm.Normalize(samples[si*q+j]))
+			}
+		}
+		return
+	}
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	var pcg rand.PCG
+	rng := rand.New(&pcg)
+	for si := w; si < len(out); si += stride {
+		for j, y := range ys {
+			v := bs.s.norm.Normalize(samples[si*q+j])
+			copy(y, v[:])
+		}
+		pcg.Seed(prefSeed, uint64(si))
+		ws.Reset()
+		bs.s.learner.Model.SampleWith(ws, ys, out[si:si+1], rng)
+	}
 }
 
 // selectBatch implements line 15 of Algorithm 2: greedy sequential batch
@@ -169,10 +239,7 @@ func (s *Scheduler) selectBatch(cands []candidate) []candidate {
 		universe = append(universe, s.observationCandidate(o))
 	}
 	bs := &benefitSampler{s: s, cands: universe}
-	pts := make([][]float64, len(universe))
-	for i := range pts {
-		pts[i] = point(i)
-	}
+	pts := handles(len(universe))
 	// One sampling pass feeds the whole greedy construction. Each
 	// acquisition round owns a collision-free PCG stream (see acqStream):
 	// the old derivation Seed^(len(obs)·GOLDEN) aliased across runs — e.g.
@@ -308,7 +375,7 @@ func (s *Scheduler) observe(c candidate) (Observation, error) {
 	// model error (estimated p below truth), which is an expected operating
 	// condition to surface in check_* metrics, never a hard failure.
 	s.opt.Check.Relaxed().VerifyDecisionServers(dec, s.sys.Servers)
-	raw := eva.Evaluate(s.sys, dec)
+	raw := s.eval.Evaluate(s.sys, dec)
 	norm := s.norm.Normalize(raw)
 	if err := s.opt.Check.Finite("measured_outcomes", raw.Slice()...); err != nil {
 		return Observation{}, fmt.Errorf("pamo: deployed decision: %w", err)

@@ -47,22 +47,19 @@ func TestSharedQNEIAgreesWithPerTrialOnFittedModel(t *testing.T) {
 		universe = append(universe, s.observationCandidate(o))
 	}
 	bs := &benefitSampler{s: s, cands: universe}
+	pts := handles(len(universe))
 	obsPts := make([][]float64, 0, len(s.obs))
 	obsCols := make([]int, 0, len(s.obs))
 	for i := range s.obs {
-		obsPts = append(obsPts, point(obsStart+i))
+		obsPts = append(obsPts, pts[obsStart+i])
 		obsCols = append(obsCols, obsStart+i)
 	}
 
 	const nSamples = 4000
 	trialCols := []int{0, 2}
-	trial := [][]float64{point(0), point(2)}
+	trial := [][]float64{pts[0], pts[2]}
 	perTrial := acq.QNEI(bs, trial, obsPts, nSamples, rand.New(rand.NewPCG(1, 2)))
 
-	pts := make([][]float64, len(universe))
-	for i := range pts {
-		pts[i] = point(i)
-	}
 	z := bs.SampleBenefit(pts, nSamples, rand.New(rand.NewPCG(3, 4)))
 	scorer := acq.NewSharedQNEI(z, obsCols)
 	scorer.Add(trialCols[0])

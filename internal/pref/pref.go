@@ -12,7 +12,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/objective"
 	"repro/internal/prefgp"
-	"repro/internal/stats"
 )
 
 // DecisionMaker answers pairwise comparisons between normalized outcome
@@ -149,20 +148,11 @@ func (l *Learner) randomPair(n int, asked map[[2]int]bool) (int, int) {
 	return -1, -1
 }
 
+// selectEUBO picks the unasked pool pair of highest EUBO from one batch
+// posterior over the pool; (-1, -1) means every pair has been asked.
 func (l *Learner) selectEUBO(pts [][]float64, asked map[[2]int]bool) (int, int) {
-	bestI, bestJ := -1, -1
-	best := stats.NormQuantile(1e-12) // very negative sentinel
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if asked[[2]int{i, j}] {
-				continue
-			}
-			if v := acq.EUBO(l.Model, pts[i], pts[j]); v > best {
-				best, bestI, bestJ = v, i, j
-			}
-		}
-	}
-	return bestI, bestJ
+	i, j, _ := acq.SelectEUBOPairExcept(l.Model, pts, func(i, j int) bool { return asked[[2]int{i, j}] })
+	return i, j
 }
 
 // PairwiseAccuracy is the Figure 9 metric: the fraction of random test

@@ -1,10 +1,13 @@
 package pref
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/objective"
+	"repro/internal/prefgp"
 	"repro/internal/stats"
 )
 
@@ -185,6 +188,30 @@ func TestLearnerSkipsDuplicatePoolPair(t *testing.T) {
 			if l.EUBOQueries != want {
 				t.Fatalf("eubo=%v seed=%d: %d EUBO queries counted, want %d", eubo, seed, l.EUBOQueries, want)
 			}
+		}
+	}
+}
+
+// TestLearnerAsksEveryPairBelowOldSentinel is the regression for EUBO's old
+// "pool exhausted" rule. The scan started from NormQuantile(1e-12) ≈ −7.03
+// instead of −Inf, so once every unasked pair's EUBO fell below that, Learn
+// stopped short of nPairs. A large kernel variance and a wide probit scale
+// put the losers' latent utilities far below zero, so the last pair scores
+// below −7.03; all six pairs of the 4-point pool must still be asked.
+func TestLearnerAsksEveryPairBelowOldSentinel(t *testing.T) {
+	pool := randomPool(4, 0)
+	for seed := uint64(0); seed < 3; seed++ {
+		l := NewLearner(&Oracle{Pref: objective.UniformPreference()}, true, stats.NewRNG(seed))
+		k := kernel.NewRBF(objective.K)
+		p := k.LogParams()
+		p[0] = math.Log(1e4)
+		k.SetLogParams(p)
+		l.Model = prefgp.NewModel(k, 10)
+		if err := l.Learn(pool, 6); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if got := l.Model.NumComparisons(); got != 6 {
+			t.Fatalf("seed %d: %d comparisons, want all 6 pairs of a 4-point pool", seed, got)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/gp"
@@ -36,15 +37,21 @@ type Model struct {
 	points [][]float64
 	comps  []Comparison
 
-	// Laplace posterior state (valid after Fit).
+	// Laplace posterior state (valid after Fit). Each Fit overwrites it in
+	// place, reusing the storage of the previous one.
 	ghat     mat.Vector  // MAP latent utilities at points
+	kinvGhat mat.Vector  // K⁻¹ĝ, the weights of the posterior mean
 	kinv     *mat.Matrix // K⁻¹ over points
 	ainv     *mat.Matrix // (K⁻¹+W)⁻¹ — posterior covariance of g at points
 	evidence float64     // Laplace log marginal likelihood of the comparisons
 
+	// fitWS is Fit's scratch (the prior covariance, the Newton Hessians,
+	// their factors and the iterate vectors), reset by every Fit.
+	fitWS mat.Workspace
+
 	// fallbacks, when set, receives every Sample MVN fallback of this
 	// model so an owner can attribute degraded sampling to itself (see
-	// gp.SampleMVNCounted).
+	// gp.DrawMVN).
 	fallbacks *atomic.Uint64
 }
 
@@ -110,7 +117,9 @@ func (m *Model) Points() [][]float64 { return m.points }
 
 // Fit computes the Laplace approximation of the posterior over latent
 // utilities. It must be called after adding points/comparisons and before
-// prediction.
+// prediction. Its scratch lives in the model and is reused by the next
+// Fit, so a refit at an unchanged point count allocates only the inverse
+// solves' column vectors.
 func (m *Model) Fit() error {
 	n := len(m.points)
 	if n == 0 {
@@ -119,8 +128,10 @@ func (m *Model) Fit() error {
 	if len(m.comps) == 0 {
 		return errors.New("prefgp: no comparisons")
 	}
+	ws := &m.fitWS
+	ws.Reset()
 	// Prior covariance and its inverse.
-	k := mat.NewMatrix(n, n)
+	k := ws.Mat(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			v := m.Kern.Eval(m.points[i], m.points[j])
@@ -128,18 +139,21 @@ func (m *Model) Fit() error {
 			k.Set(j, i, v)
 		}
 	}
-	ck, err := mat.CholJitter(k)
+	ck, err := mat.CholJitterInto(ws.Mat(n, n), k)
 	if err != nil {
 		return fmt.Errorf("prefgp: prior covariance: %w", err)
 	}
-	m.kinv = ck.Inverse()
+	m.kinv = ck.InverseTo(reshape(m.kinv, n))
 
-	// Damped Newton iterations for the MAP latent utilities.
-	g := mat.NewVector(n)
+	// Damped Newton iterations for the MAP latent utilities. grad and w
+	// are overwritten by every nllGradHess call; kg holds K⁻¹g.
+	g, next, kg := ws.Vec(n), ws.Vec(n), ws.Vec(n)
+	grad, step := ws.Vec(n), ws.Vec(n)
+	w, lh := ws.Mat(n, n), ws.Mat(n, n)
 	c := 1 / (math.Sqrt2 * m.Lambda)
 	psi := func(gv mat.Vector) float64 {
 		// ψ(g) = −Σ log Φ(z_v) + ½ gᵀK⁻¹g
-		s := 0.5 * gv.Dot(m.kinv.MulVec(gv))
+		s := 0.5 * gv.Dot(m.kinv.MulVecTo(kg, gv))
 		for _, cp := range m.comps {
 			z := c * (gv[cp.Winner] - gv[cp.Loser])
 			s -= stats.NormLogCDF(z)
@@ -148,21 +162,21 @@ func (m *Model) Fit() error {
 	}
 	cur := psi(g)
 	for iter := 0; iter < 100; iter++ {
-		grad, w := m.nllGradHess(g, c)
+		m.nllGradHess(grad, w, g, c)
 		// ∇ψ = ∇nll + K⁻¹g ; Hψ = W + K⁻¹.
-		gradPsi := grad.Add(m.kinv.MulVec(g))
-		h := w.Add(m.kinv) // w is freshly allocated each call; safe to mutate
-		ch, err := mat.CholJitter(h)
+		grad.Add(m.kinv.MulVecTo(kg, g))
+		w.Add(m.kinv)
+		ch, err := mat.CholJitterInto(lh, w)
 		if err != nil {
 			return fmt.Errorf("prefgp: Newton Hessian: %w", err)
 		}
-		step := ch.SolveVec(gradPsi)
+		ch.SolveVecTo(step, grad)
 		// Damped line search on ψ.
 		t := 1.0
-		var next mat.Vector
 		improved := false
 		for ls := 0; ls < 30; ls++ {
-			next = g.Clone().AddScaled(-t, step)
+			copy(next, g)
+			next.AddScaled(-t, step)
 			if v := psi(next); v < cur {
 				cur = v
 				improved = true
@@ -177,27 +191,38 @@ func (m *Model) Fit() error {
 		for i := range g {
 			delta = math.Max(delta, math.Abs(next[i]-g[i]))
 		}
-		g = next
+		g, next = next, g
 		if delta < 1e-8 {
 			break
 		}
 	}
-	m.ghat = g
+	m.ghat = append(m.ghat[:0], g...)
 
 	// Posterior covariance (K⁻¹+W)⁻¹ at the MAP point.
-	_, w := m.nllGradHess(g, c)
-	a := w.Add(m.kinv.Clone())
-	ca, err := mat.CholJitter(a)
+	m.nllGradHess(grad, w, g, c)
+	w.Add(m.kinv)
+	ca, err := mat.CholJitterInto(lh, w)
 	if err != nil {
 		return fmt.Errorf("prefgp: Laplace covariance: %w", err)
 	}
-	m.ainv = ca.Inverse()
+	m.ainv = ca.InverseTo(reshape(m.ainv, n))
 	m.ainv.Symmetrize()
+	m.kinvGhat = m.kinv.MulVecTo(slices.Grow(m.kinvGhat[:0], n)[:n], m.ghat)
 
 	// Laplace evidence: log q(P|θ) = −ψ(ĝ) − ½ log det(I + K·W)
 	// with det(I + K·W) = det(K)·det(K⁻¹ + W).
 	m.evidence = -cur - 0.5*(ck.LogDet()+ca.LogDet())
 	return nil
+}
+
+// reshape returns an n×n matrix, reusing a's storage when it is large
+// enough. Its contents are left for the caller to overwrite.
+func reshape(a *mat.Matrix, n int) *mat.Matrix {
+	if a == nil || cap(a.Data) < n*n {
+		return mat.NewMatrix(n, n)
+	}
+	a.Rows, a.Cols, a.Data = n, n, a.Data[:n*n]
+	return a
 }
 
 // LogEvidence returns the Laplace approximation of the log marginal
@@ -210,12 +235,13 @@ func (m *Model) LogEvidence() float64 {
 	return m.evidence
 }
 
-// nllGradHess returns the gradient and Hessian (W) of the negative log
-// likelihood at latent utilities g, with probit scale c = 1/(√2λ).
-func (m *Model) nllGradHess(g mat.Vector, c float64) (mat.Vector, *mat.Matrix) {
+// nllGradHess overwrites grad and w with the gradient and Hessian (W) of
+// the negative log likelihood at latent utilities g, with probit scale
+// c = 1/(√2λ).
+func (m *Model) nllGradHess(grad mat.Vector, w *mat.Matrix, g mat.Vector, c float64) {
 	n := len(g)
-	grad := mat.NewVector(n)
-	w := mat.NewMatrix(n, n)
+	clear(grad)
+	clear(w.Data)
 	for _, cp := range m.comps {
 		z := c * (g[cp.Winner] - g[cp.Loser])
 		rho := stats.InvMills(z)   // φ(z)/Φ(z)
@@ -228,43 +254,63 @@ func (m *Model) nllGradHess(g mat.Vector, c float64) (mat.Vector, *mat.Matrix) {
 		w.Data[cp.Winner*n+cp.Loser] -= cc
 		w.Data[cp.Loser*n+cp.Winner] -= cc
 	}
-	return grad, w
 }
 
 // ErrNotFitted is returned by predictions before Fit.
 var ErrNotFitted = errors.New("prefgp: model is not fitted")
 
 // Predict returns the joint posterior mean and covariance of the latent
-// utility at the query outcome vectors.
+// utility at the query outcome vectors, in memory the caller owns; see
+// PredictWith.
+func (m *Model) Predict(ys [][]float64) (mat.Vector, *mat.Matrix) {
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	mu, cov := m.PredictWith(ws, ys)
+	return mu.Clone(), cov.Clone()
+}
+
+// PredictWith returns the joint posterior mean and covariance of the
+// latent utility at the query outcome vectors,
 //
 //	μ* = K*ᵀ K⁻¹ ĝ
-//	Σ* = K** − K*ᵀ(K⁻¹ − K⁻¹ A⁻¹ K⁻¹)K*,  A = K⁻¹ + W.
-func (m *Model) Predict(ys [][]float64) (mat.Vector, *mat.Matrix) {
+//	Σ* = K** − K*ᵀ(K⁻¹ − K⁻¹ A⁻¹ K⁻¹)K*,  A = K⁻¹ + W,
+//
+// with every intermediate and both results carved out of ws: they are
+// valid until the next ws.Reset, and a warm workspace makes the call
+// allocation-free. Column j of K⁻¹K* and of A⁻¹K⁻¹K* depends only on query
+// j, so the entries for any pair of queries carry the same bits whether
+// the pair is predicted alone or inside a larger batch.
+func (m *Model) PredictWith(ws *mat.Workspace, ys [][]float64) (mat.Vector, *mat.Matrix) {
 	if m.ainv == nil {
 		panic(ErrNotFitted)
 	}
 	n, q := len(m.points), len(ys)
-	ks := mat.NewMatrix(n, q)
+	ks := ws.Mat(n, q)
 	for i := 0; i < n; i++ {
-		for j := 0; j < q; j++ {
-			ks.Set(i, j, m.Kern.Eval(m.points[i], ys[j]))
+		row := ks.Row(i)
+		for j, y := range ys {
+			row[j] = m.Kern.Eval(m.points[i], y)
 		}
 	}
-	kinvKs := m.kinv.Mul(ks) // n×q
-	kinvGhat := m.kinv.MulVec(m.ghat)
-	mu := mat.NewVector(q)
-	for j := 0; j < q; j++ {
-		mu[j] = colDot(ks, j, kinvGhat)
+	kinvKs := m.kinv.MulTo(ws.Mat(n, q), ks)
+	aKinvKs := m.ainv.MulTo(ws.Mat(n, q), kinvKs)
+	// The loops below walk columns of the three n×q products; transposed,
+	// each column is a contiguous row.
+	ksT, kinvKsT, aKinvKsT := transpose(ws, ks), transpose(ws, kinvKs), transpose(ws, aKinvKs)
+	mu := ws.Vec(q)
+	for j := range mu {
+		mu[j] = ksT.Row(j).Dot(m.kinvGhat)
 	}
 	// Σ* = K** − Ksᵀ·K⁻¹·Ks + (K⁻¹Ks)ᵀ·A⁻¹·(K⁻¹Ks)
-	cov := mat.NewMatrix(q, q)
-	aKinvKs := m.ainv.Mul(kinvKs) // n×q
+	cov := ws.Mat(q, q)
 	for a := 0; a < q; a++ {
+		ksA, kinvKsA := ksT.Row(a), kinvKsT.Row(a)
 		for b := a; b < q; b++ {
 			v := m.Kern.Eval(ys[a], ys[b])
-			for i := 0; i < n; i++ {
-				v -= ks.At(i, a) * kinvKs.At(i, b)
-				v += kinvKs.At(i, a) * aKinvKs.At(i, b)
+			kinvKsB, aKinvKsB := kinvKsT.Row(b), aKinvKsT.Row(b)
+			for i, k := range ksA {
+				v -= k * kinvKsB[i]
+				v += kinvKsA[i] * aKinvKsB[i]
 			}
 			cov.Set(a, b, v)
 			cov.Set(b, a, v)
@@ -273,17 +319,22 @@ func (m *Model) Predict(ys [][]float64) (mat.Vector, *mat.Matrix) {
 	return mu, cov
 }
 
-func colDot(m *mat.Matrix, j int, v mat.Vector) float64 {
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		s += m.At(i, j) * v[i]
+// transpose returns aᵀ carved out of ws.
+func transpose(ws *mat.Workspace, a *mat.Matrix) *mat.Matrix {
+	t := ws.Mat(a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			t.Data[j*a.Rows+i] = v
+		}
 	}
-	return s
+	return t
 }
 
 // PredictOne returns the posterior mean and variance of the utility at y.
 func (m *Model) PredictOne(y []float64) (mu, variance float64) {
-	mv, cov := m.Predict([][]float64{y})
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	mv, cov := m.PredictWith(ws, [][]float64{y})
 	v := cov.At(0, 0)
 	if v < 0 {
 		v = 0
@@ -291,10 +342,28 @@ func (m *Model) PredictOne(y []float64) (mu, variance float64) {
 	return mv[0], v
 }
 
-// Sample draws nSamples joint samples of the latent utility at ys.
+// Sample draws nSamples joint samples of the latent utility at ys. Only the
+// returned rows are allocated; see SampleWith.
 func (m *Model) Sample(ys [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
-	mu, cov := m.Predict(ys)
-	return gp.SampleMVNCounted(mu, cov, nSamples, rng, m.fallbacks)
+	block := make([]float64, nSamples*len(ys))
+	rows := make([][]float64, nSamples)
+	for s := range rows {
+		rows[s] = block[s*len(ys) : (s+1)*len(ys) : (s+1)*len(ys)]
+	}
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	m.SampleWith(ws, ys, rows, rng)
+	return rows
+}
+
+// SampleWith draws len(rows) joint samples of the latent utility at ys into
+// the caller-owned rows (each len(ys) long): the posterior of PredictWith,
+// factored and drawn by gp.DrawMVN on the same workspace, so a warm
+// workspace makes the call allocation-free. A posterior covariance no
+// jitter rescues leaves every row at the mean and counts one fallback.
+func (m *Model) SampleWith(ws *mat.Workspace, ys [][]float64, rows [][]float64, rng *rand.Rand) {
+	mu, cov := m.PredictWith(ws, ys)
+	gp.DrawMVN(ws, rows, mu, cov, rng, m.fallbacks)
 }
 
 // ProbPrefer returns the posterior predictive probability that y1 ≻ y2,
