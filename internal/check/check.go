@@ -61,14 +61,6 @@ func New(strict bool, rec *obs.Recorder) *Checker {
 	return &Checker{Strict: strict, rec: rec}
 }
 
-// Recorder returns the checker's recorder (nil on a nil receiver).
-func (c *Checker) Recorder() *obs.Recorder {
-	if c == nil {
-		return nil
-	}
-	return c.rec
-}
-
 // begin counts one invariant evaluation.
 func (c *Checker) begin(invariant string) {
 	if c == nil {

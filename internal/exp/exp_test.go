@@ -379,3 +379,23 @@ func TestNewSystemUplinksFromPaperSet(t *testing.T) {
 		}
 	}
 }
+
+// Test-only API: no non-test code calls what follows (see
+// TestExportedMethodsHaveCallers in the repository root).
+
+// Fmarkdown renders the table as GitHub-flavored markdown.
+func (t *Table) Fmarkdown(w io.Writer) {
+	fmt.Fprintf(w, "\n### %s\n\n", t.Title)
+	fmt.Fprintf(w, "| %s |\n", strings.Join(t.Header, " | "))
+	sep := make([]string, len(t.Header))
+	for i := range sep {
+		sep[i] = "---"
+	}
+	fmt.Fprintf(w, "| %s |\n", strings.Join(sep, " | "))
+	for _, r := range t.Rows {
+		fmt.Fprintf(w, "| %s |\n", strings.Join(r, " | "))
+	}
+	for _, n := range t.Notes {
+		fmt.Fprintf(w, "\n*%s*\n", n)
+	}
+}

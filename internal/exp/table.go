@@ -73,20 +73,3 @@ func pad(s string, w int) string {
 	}
 	return s + strings.Repeat(" ", w-len(s))
 }
-
-// Fmarkdown renders the table as GitHub-flavored markdown.
-func (t *Table) Fmarkdown(w io.Writer) {
-	fmt.Fprintf(w, "\n### %s\n\n", t.Title)
-	fmt.Fprintf(w, "| %s |\n", strings.Join(t.Header, " | "))
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = "---"
-	}
-	fmt.Fprintf(w, "| %s |\n", strings.Join(sep, " | "))
-	for _, r := range t.Rows {
-		fmt.Fprintf(w, "| %s |\n", strings.Join(r, " | "))
-	}
-	for _, n := range t.Notes {
-		fmt.Fprintf(w, "\n*%s*\n", n)
-	}
-}

@@ -155,3 +155,26 @@ func TestPredictBatchWithWarmAllocs(t *testing.T) {
 		t.Fatalf("warm PredictBatchWith allocates %v times per run, want 0", n)
 	}
 }
+
+// TestMultiSolveWarmZeroAlloc pins the k-column re-solve to zero heap
+// allocations once its alpha storage and header scratch exist: five
+// columns go through one SolveColsTo call in place.
+func TestMultiSolveWarmZeroAlloc(t *testing.T) {
+	const k = 5
+	rng := rand.New(rand.NewPCG(4, 4))
+	xs := make([][]float64, 24)
+	ys := make([][]float64, k)
+	for i := range xs {
+		xs[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
+		for c := range ys {
+			ys[c] = append(ys[c], rng.NormFloat64())
+		}
+	}
+	m := NewMulti(kernel.NewMatern52(3), 1e-4, k)
+	if err := m.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(50, m.solve); n != 0 {
+		t.Fatalf("warm %d-column solve allocates %v times per run, want 0", k, n)
+	}
+}

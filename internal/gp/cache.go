@@ -112,26 +112,31 @@ func (g *Multi) PredictBatchWith(ws *mat.Workspace, cc *CrossCache, xs [][]float
 	}
 	n, q := len(g.x), len(xs)
 	mu = ws.Mat(len(g.cols), q)
-	var scratch mat.Vector
-	if cc == nil {
-		scratch = ws.Vec(n)
-	}
 	// Vᵀ stored row-major: row j is L⁻¹·k(x_j, X), so the covariance loop
 	// below streams contiguous rows.
 	vt := ws.Mat(q, n)
 	m := ws.Vec(len(g.cols))
-	for j, x := range xs {
-		kj := scratch
-		if cc != nil {
-			kj = cc.vec(x)
-		} else {
-			g.cross(kj, 0, x)
+	// Queries are forward-solved four per pass over L. Without a cache, a
+	// query's cross-covariance is computed into its own row of Vᵀ and
+	// solved in place.
+	var ks, vs [4]mat.Vector
+	for j0 := 0; j0 < q; j0 += len(ks) {
+		k := min(len(ks), q-j0)
+		for t := range k {
+			j := j0 + t
+			vs[t] = vt.Row(j)
+			if cc != nil {
+				ks[t] = cc.vec(xs[j])
+			} else {
+				ks[t] = vs[t]
+				g.cross(ks[t], 0, xs[j])
+			}
+			g.means(m, ks[t])
+			for c, v := range m {
+				mu.Set(c, j, v)
+			}
 		}
-		mat.ForwardSolveTo(vt.Row(j), g.chol.L, kj)
-		g.means(m, kj)
-		for c, v := range m {
-			mu.Set(c, j, v)
-		}
+		mat.ForwardSolveRowsTo(vs[:k], g.chol.L, ks[:k])
 	}
 	cov = ws.Mat(q, q)
 	for a := 0; a < q; a++ {

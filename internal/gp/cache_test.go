@@ -1,6 +1,7 @@
 package gp
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 
@@ -132,4 +133,91 @@ func TestCrossCacheInvalidation(t *testing.T) {
 		t.Fatal("Fit did not bump generation")
 	}
 	checkMean("after hyperparameter refit")
+}
+
+// predictBatchOracle is PredictBatchWith as it was before the four-wide
+// kernels: one ForwardSolveTo per query and one running sum per covariance
+// entry.
+func predictBatchOracle(g *Multi, xs [][]float64) (mu, cov *mat.Matrix) {
+	n, q := g.N(), len(xs)
+	mu = mat.NewMatrix(len(g.cols), q)
+	vt := mat.NewMatrix(q, n)
+	m := make([]float64, len(g.cols))
+	for j, x := range xs {
+		kj := mat.NewVector(n)
+		g.cross(kj, 0, x)
+		mat.ForwardSolveTo(vt.Row(j), g.chol.L, kj)
+		g.means(m, kj)
+		for c, v := range m {
+			mu.Set(c, j, v)
+		}
+	}
+	cov = mat.NewMatrix(q, q)
+	for a := 0; a < q; a++ {
+		for b := a; b < q; b++ {
+			s := g.Kern.Eval(xs[a], xs[b])
+			for i := 0; i < n; i++ {
+				s -= vt.At(a, i) * vt.At(b, i)
+			}
+			cov.Set(a, b, s)
+			cov.Set(b, a, s)
+		}
+	}
+	return mu, cov
+}
+
+// TestFourWideKernelsMatchPerVectorOracle holds the k-column model's
+// four-wide paths to their one-vector-at-a-time forms, bit for bit: solve
+// against one SolveVecTo per column, and PredictBatchWith (with and without
+// a cross-covariance cache, at every remainder of four queries) against
+// predictBatchOracle.
+func TestFourWideKernelsMatchPerVectorOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(12, 34))
+	pt := func() []float64 { return []float64{rng.Float64(), rng.Float64(), rng.Float64()} }
+	xs := make([][]float64, 30)
+	ys := make([][]float64, 5)
+	for i := range xs {
+		xs[i] = pt()
+		for c := range ys {
+			ys[c] = append(ys[c], rng.NormFloat64())
+		}
+	}
+	g := NewMulti(kernel.NewMatern52(3), 1e-4, len(ys))
+	if err := g.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	for c := range g.cols {
+		r := g.cols[c].y.Clone()
+		for i := range r {
+			r[i] -= g.cols[c].mean
+		}
+		g.chol.SolveVecTo(r, r)
+		for i, want := range r {
+			if math.Float64bits(g.cols[c].alpha[i]) != math.Float64bits(want) {
+				t.Fatalf("column %d alpha[%d] = %v, SolveVecTo %v", c, i, g.cols[c].alpha[i], want)
+			}
+		}
+	}
+	cc := g.NewCrossCache()
+	for q := 1; q <= 9; q++ {
+		xs := make([][]float64, q)
+		for j := range xs {
+			xs[j] = pt()
+		}
+		wantMu, wantCov := predictBatchOracle(g, xs)
+		for _, c := range []*CrossCache{nil, cc} {
+			ws := mat.NewWorkspace()
+			mu, cov := g.PredictBatchWith(ws, c, xs)
+			for i := range wantMu.Data {
+				if math.Float64bits(mu.Data[i]) != math.Float64bits(wantMu.Data[i]) {
+					t.Fatalf("q=%d cache=%v: mu[%d] = %v, oracle %v", q, c != nil, i, mu.Data[i], wantMu.Data[i])
+				}
+			}
+			for i := range wantCov.Data {
+				if math.Float64bits(cov.Data[i]) != math.Float64bits(wantCov.Data[i]) {
+					t.Fatalf("q=%d cache=%v: cov[%d] = %v, oracle %v", q, c != nil, i, cov.Data[i], wantCov.Data[i])
+				}
+			}
+		}
+	}
 }

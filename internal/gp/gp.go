@@ -39,6 +39,8 @@ type Multi struct {
 	reserve int
 	// kcol is extend's scratch for one new point's cross-covariances.
 	kcol mat.Vector
+	// rhs is solve's scratch: one header per column's alpha.
+	rhs []mat.Vector
 
 	// fallbacks, when set, receives every joint-sampling MVN fallback of
 	// THIS model, so an owner (e.g. one pamo.Scheduler) can attribute
@@ -319,9 +321,12 @@ func (g *Multi) factor() error {
 	return nil
 }
 
-// solve re-centres every column on its constant mean and solves its alpha
-// against the current factor, in place in the column's alpha storage.
+// solve re-centres every column on its constant mean into the column's
+// alpha storage, then solves every alpha against the current factor in one
+// SolveColsTo call: four columns per pass over L, each bit-identical to its
+// own SolveVecTo.
 func (g *Multi) solve() {
+	g.rhs = g.rhs[:0]
 	for c := range g.cols {
 		col := &g.cols[c]
 		col.mean = col.y.Mean()
@@ -329,8 +334,10 @@ func (g *Multi) solve() {
 		for i, y := range col.y {
 			r[i] = y - col.mean
 		}
-		col.alpha = g.chol.SolveVecTo(r, r)
+		col.alpha = r
+		g.rhs = append(g.rhs, r)
 	}
+	g.chol.SolveColsTo(g.rhs)
 }
 
 // cross writes k(X_i, x) for the training inputs i = from, from+1, … into

@@ -1,10 +1,6 @@
 package gp
 
-import (
-	"math"
-
-	"repro/internal/mat"
-)
+import "math"
 
 // LeaveOneOut returns the leave-one-out predictive mean and variance for
 // every training point using the standard closed form (Rasmussen &
@@ -56,15 +52,3 @@ func (g *Multi) LOOLogLikelihood(col int) float64 {
 // LOOLogLikelihood returns the summed leave-one-out predictive log density;
 // see Multi.LOOLogLikelihood.
 func (g *GP) LOOLogLikelihood() float64 { return g.Multi.LOOLogLikelihood(0) }
-
-// StandardizedLOOResiduals returns (yᵢ − μᵢ)/σᵢ for every training point;
-// under a well-specified model these are approximately standard normal.
-func (g *GP) StandardizedLOOResiduals() mat.Vector {
-	mu, variance := g.LeaveOneOut()
-	y := g.Y()
-	out := mat.NewVector(len(mu))
-	for i := range mu {
-		out[i] = (y[i] - mu[i]) / math.Sqrt(variance[i])
-	}
-	return out
-}

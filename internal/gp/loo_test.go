@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/mat"
 	"repro/internal/stats"
 )
 
@@ -104,4 +105,19 @@ func TestLeaveOneOutUnfittedPanics(t *testing.T) {
 		}
 	}()
 	New(kernel.NewRBF(1), 1e-4).LeaveOneOut()
+}
+
+// Test-only API: no non-test code calls what follows (see
+// TestExportedMethodsHaveCallers in the repository root).
+
+// StandardizedLOOResiduals returns (yᵢ − μᵢ)/σᵢ for every training point;
+// under a well-specified model these are approximately standard normal.
+func (g *GP) StandardizedLOOResiduals() mat.Vector {
+	mu, variance := g.LeaveOneOut()
+	y := g.Y()
+	out := mat.NewVector(len(mu))
+	for i := range mu {
+		out[i] = (y[i] - mu[i]) / math.Sqrt(variance[i])
+	}
+	return out
 }

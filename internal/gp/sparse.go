@@ -115,29 +115,8 @@ func NewSparse(k kernel.Kernel, noiseVar float64, opt SparseOptions) *SparseGP {
 // model's joint posterior sampling degrades to the deterministic mean.
 func (s *SparseGP) SetFallbackCounter(c *atomic.Uint64) { s.fallbacks = c }
 
-// SetIncumbent records the input the forgetting rule should protect: the
-// observation whose removal least perturbs the posterior *at this point* is
-// the one dropped when the MaxObs budget is exceeded. A nil incumbent falls
-// back to each observation's self-impact (leverage-weighted LOO residual).
-func (s *SparseGP) SetIncumbent(x []float64) {
-	if x == nil {
-		s.incumbent = nil
-		return
-	}
-	s.incumbent = append(s.incumbent[:0], x...)
-}
-
-// Stats returns the cumulative lifecycle counters.
-func (s *SparseGP) Stats() SparseStats { return s.stats }
-
 // M returns the number of inducing points.
 func (s *SparseGP) M() int { return len(s.z) }
-
-// SelectionResidual returns the largest Nyström diagonal residual left after
-// the last greedy inducing selection — 0 when the inducing set reproduces
-// the training kernel exactly (m ≥ rank), larger as the approximation
-// coarsens. Differential tests scale their tolerances with it.
-func (s *SparseGP) SelectionResidual() float64 { return s.selResidual }
 
 // N returns the number of retained training points.
 func (s *SparseGP) N() int { return len(s.x) }
@@ -148,15 +127,8 @@ func (s *SparseGP) X() [][]float64 { return s.x }
 // Y returns the retained training targets (not a copy).
 func (s *SparseGP) Y() []float64 { return s.y }
 
-// Kernel returns the covariance kernel.
-func (s *SparseGP) Kernel() kernel.Kernel { return s.Kern }
-
 // Noise returns the observation noise variance.
 func (s *SparseGP) Noise() float64 { return s.NoiseVar }
-
-// SetNoise replaces the observation noise variance. Takes effect at the
-// next Fit/refit, like kernel hyperparameter edits.
-func (s *SparseGP) SetNoise(v float64) { s.NoiseVar = v }
 
 // Generation identifies the current factorization epoch; it advances on
 // every rebuild (Fit, hyperparameter refits, inducing promotion, forgetting)
@@ -593,29 +565,6 @@ func (s *SparseGP) SetTargets(ys []float64) error {
 		}
 	}
 	s.mean = s.sumY / float64(len(s.y))
-	s.refreshAlpha()
-	return nil
-}
-
-// ScaleTargets multiplies every retained target by f — the standardizing
-// wrapper's "same data, new scale" refit — in O(m²): the factors depend only
-// on inputs and hyperparameters, and the running moments scale linearly.
-func (s *SparseGP) ScaleTargets(f float64) error {
-	if s.lp == nil {
-		return ErrNotFitted
-	}
-	if f == 1 {
-		return nil
-	}
-	for i := range s.y {
-		s.y[i] *= f
-	}
-	for j := range s.sy {
-		s.sy[j] *= f
-	}
-	s.sumY *= f
-	s.sumY2 *= f * f
-	s.mean *= f
 	s.refreshAlpha()
 	return nil
 }

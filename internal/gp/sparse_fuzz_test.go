@@ -122,3 +122,12 @@ func FuzzSparseVsExactGP(f *testing.F) {
 		}
 	})
 }
+
+// Test-only API: no non-test code calls what follows (see
+// TestExportedMethodsHaveCallers in the repository root).
+
+// SelectionResidual returns the largest Nyström diagonal residual left after
+// the last greedy inducing selection — 0 when the inducing set reproduces
+// the training kernel exactly (m ≥ rank), larger as the approximation
+// coarsens. Differential tests scale their tolerances with it.
+func (s *SparseGP) SelectionResidual() float64 { return s.selResidual }

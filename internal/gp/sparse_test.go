@@ -274,3 +274,44 @@ func TestSparseSampleJointDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// Test-only API: no non-test code calls what follows (see
+// TestExportedMethodsHaveCallers in the repository root).
+
+// SetIncumbent records the input the forgetting rule should protect: the
+// observation whose removal least perturbs the posterior *at this point* is
+// the one dropped when the MaxObs budget is exceeded. A nil incumbent falls
+// back to each observation's self-impact (leverage-weighted LOO residual).
+func (s *SparseGP) SetIncumbent(x []float64) {
+	if x == nil {
+		s.incumbent = nil
+		return
+	}
+	s.incumbent = append(s.incumbent[:0], x...)
+}
+
+// Stats returns the cumulative lifecycle counters.
+func (s *SparseGP) Stats() SparseStats { return s.stats }
+
+// ScaleTargets multiplies every retained target by f — the standardizing
+// wrapper's "same data, new scale" refit — in O(m²): the factors depend only
+// on inputs and hyperparameters, and the running moments scale linearly.
+func (s *SparseGP) ScaleTargets(f float64) error {
+	if s.lp == nil {
+		return ErrNotFitted
+	}
+	if f == 1 {
+		return nil
+	}
+	for i := range s.y {
+		s.y[i] *= f
+	}
+	for j := range s.sy {
+		s.sy[j] *= f
+	}
+	s.sumY *= f
+	s.sumY2 *= f * f
+	s.mean *= f
+	s.refreshAlpha()
+	return nil
+}

@@ -71,3 +71,31 @@ func TestExtendWithinCapacityZeroAlloc(t *testing.T) {
 		t.Fatalf("factor has %d rows, want %d", c.L.Rows, final)
 	}
 }
+
+// TestSolveColsToZeroAlloc pins the multi-right-hand-side kernels at zero
+// allocations: SolveColsTo and ForwardSolveRowsTo on caller-owned vectors
+// (five of them, so the four-wide pass and the remainder both run) and
+// InverseTo into a caller-owned matrix.
+func TestSolveColsToZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewPCG(6, 1))
+	const n = 24
+	c, err := Chol(ipRandSPD(rng, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := make([]Vector, 5)
+	ys := make([]Vector, 5)
+	for j := range bs {
+		bs[j] = Vector(ipRandMatrix(rng, 1, n).Data)
+		ys[j] = NewVector(n)
+	}
+	inv := NewMatrix(n, n)
+	run := func() {
+		c.SolveColsTo(bs)
+		ForwardSolveRowsTo(ys, c.L, bs)
+		c.InverseTo(inv)
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("multi-right-hand-side solves allocate %v times per run, want 0", allocs)
+	}
+}

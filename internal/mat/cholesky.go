@@ -157,21 +157,29 @@ func (c *Cholesky) Inverse() *Matrix {
 }
 
 // InverseTo writes A⁻¹ into the caller-owned n×n matrix dst and returns
-// dst. Each column of the identity is solved in place (the arithmetic of
-// Solve against an identity matrix), so the only allocation is one
-// n-vector of scratch.
+// dst, without allocating. Row j of dst starts as the j-th unit vector and
+// is solved in place, four rows per pass over L (SolveColsTo); a final
+// in-place transpose puts solution j into column j. Every element is
+// bit-identical to solving the identity's columns one at a time.
 func (c *Cholesky) InverseTo(dst *Matrix) *Matrix {
 	n := c.L.Rows
 	if dst.Rows != n || dst.Cols != n {
 		panic(fmt.Sprintf("mat: InverseTo dst %dx%d, want %dx%d", dst.Rows, dst.Cols, n, n))
 	}
-	col := NewVector(n)
-	for j := 0; j < n; j++ {
-		clear(col)
-		col[j] = 1
-		c.SolveVecTo(col, col)
-		for i, x := range col {
-			dst.Data[i*n+j] = x
+	clear(dst.Data)
+	var rows [4]Vector
+	for j0 := 0; j0 < n; j0 += len(rows) {
+		k := min(len(rows), n-j0)
+		for t := range k {
+			j := j0 + t
+			rows[t] = dst.Row(j)
+			rows[t][j] = 1
+		}
+		c.SolveColsTo(rows[:k])
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			dst.Data[i*n+j], dst.Data[j*n+i] = dst.Data[j*n+i], dst.Data[i*n+j]
 		}
 	}
 	return dst
@@ -179,36 +187,11 @@ func (c *Cholesky) InverseTo(dst *Matrix) *Matrix {
 
 // ForwardSolve solves the lower-triangular system L·y = b.
 func ForwardSolve(l *Matrix, b Vector) Vector {
-	n := l.Rows
-	if len(b) != n {
-		panic(fmt.Sprintf("mat: ForwardSolve dims %d vs %d", n, len(b)))
-	}
-	y := NewVector(n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		row := l.Data[i*l.Cols : i*l.Cols+i]
-		for k, v := range row {
-			sum -= v * y[k]
-		}
-		y[i] = sum / l.At(i, i)
-	}
-	return y
+	return ForwardSolveTo(NewVector(l.Rows), l, b)
 }
 
 // BackSolveTrans solves the upper-triangular system Lᵀ·x = y where l is
 // lower triangular.
 func BackSolveTrans(l *Matrix, y Vector) Vector {
-	n := l.Rows
-	if len(y) != n {
-		panic(fmt.Sprintf("mat: BackSolveTrans dims %d vs %d", n, len(y)))
-	}
-	x := NewVector(n)
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
-		}
-		x[i] = sum / l.At(i, i)
-	}
-	return x
+	return BackSolveTransTo(NewVector(l.Rows), l, y)
 }

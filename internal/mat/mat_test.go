@@ -499,3 +499,39 @@ func TestCholeskyExtendDimMismatchPanics(t *testing.T) {
 	}()
 	_ = c.Extend(NewVector(2), 1)
 }
+
+// Test-only API: no non-test code calls what follows (see
+// TestExportedMethodsHaveCallers in the repository root).
+
+// Norm2 returns the Euclidean norm of v.
+func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
+
+// Scale multiplies every element of v by a in place and returns v.
+func (v Vector) Scale(a float64) Vector {
+	for i := range v {
+		v[i] *= a
+	}
+	return v
+}
+
+// ArgMax returns the index of the maximum element of v.
+func (v Vector) ArgMax() int {
+	if len(v) == 0 {
+		panic("mat: ArgMax of empty vector")
+	}
+	best := 0
+	for i, x := range v {
+		if x > v[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// Scale multiplies every element by a in place and returns m.
+func (m *Matrix) Scale(a float64) *Matrix {
+	for i := range m.Data {
+		m.Data[i] *= a
+	}
+	return m
+}

@@ -103,14 +103,6 @@ func (m *Matrix) Add(b *Matrix) *Matrix {
 	return m
 }
 
-// Scale multiplies every element by a in place and returns m.
-func (m *Matrix) Scale(a float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-	return m
-}
-
 // SymmetricMaxAbsOffDiag returns the largest |m[i][j]-m[j][i]| of a square
 // matrix — a cheap asymmetry diagnostic used by tests and the GP layer.
 func (m *Matrix) SymmetricMaxAbsOffDiag() float64 {

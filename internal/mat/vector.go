@@ -4,10 +4,7 @@
 // and allocation-conscious rather than a general BLAS replacement.
 package mat
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Vector is a dense column vector.
 type Vector []float64
@@ -34,9 +31,6 @@ func (v Vector) Dot(w Vector) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
-
 // AddScaled sets v = v + a*w in place and returns v.
 func (v Vector) AddScaled(a float64, w Vector) Vector {
 	if len(v) != len(w) {
@@ -44,14 +38,6 @@ func (v Vector) AddScaled(a float64, w Vector) Vector {
 	}
 	for i := range v {
 		v[i] += a * w[i]
-	}
-	return v
-}
-
-// Scale multiplies every element of v by a in place and returns v.
-func (v Vector) Scale(a float64) Vector {
-	for i := range v {
-		v[i] *= a
 	}
 	return v
 }
@@ -105,18 +91,4 @@ func (v Vector) Mean() float64 {
 		return 0
 	}
 	return v.Sum() / float64(len(v))
-}
-
-// ArgMax returns the index of the maximum element of v.
-func (v Vector) ArgMax() int {
-	if len(v) == 0 {
-		panic("mat: ArgMax of empty vector")
-	}
-	best := 0
-	for i, x := range v {
-		if x > v[best] {
-			best = i
-		}
-	}
-	return best
 }

@@ -140,8 +140,7 @@ func (r *Recorder) Event(name string, fields ...Field) {
 	})
 }
 
-// Span is an in-flight phase measurement started by StartSpan or
-// StartSpanCtx. End emits the span event; Field attaches numeric
+// Span is an in-flight phase measurement started by StartSpanCtx. End emits the span event; Field attaches numeric
 // annotations before that. All methods are no-ops on a nil receiver.
 type Span struct {
 	r      *Recorder
@@ -151,17 +150,6 @@ type Span struct {
 	trace  uint64 // trace ID shared with every span under one root
 	id     uint64 // this span's ID, unique within the recorder
 	parent uint64 // enclosing span's ID, 0 for roots
-}
-
-// StartSpan begins a named span on the monotonic clock. The span is the
-// root of a fresh trace; use StartSpanCtx to nest under an existing one.
-func (r *Recorder) StartSpan(name string, fields ...Field) *Span {
-	if r == nil {
-		return nil
-	}
-	sp := &Span{r: r, name: name, t0: time.Now(), id: r.ids.Add(1), trace: r.ids.Add(1)}
-	sp.fields = append(sp.fields, fields...)
-	return sp
 }
 
 // Field attaches one numeric annotation to the span.

@@ -175,3 +175,17 @@ func TestNilPathAllocatesZero(t *testing.T) {
 		t.Fatalf("nil telemetry path allocates %v per op, want 0", allocs)
 	}
 }
+
+// Test-only API: no non-test code calls what follows (see
+// TestExportedMethodsHaveCallers in the repository root).
+
+// StartSpan begins a named span on the monotonic clock. The span is the
+// root of a fresh trace; use StartSpanCtx to nest under an existing one.
+func (r *Recorder) StartSpan(name string, fields ...Field) *Span {
+	if r == nil {
+		return nil
+	}
+	sp := &Span{r: r, name: name, t0: time.Now(), id: r.ids.Add(1), trace: r.ids.Add(1)}
+	sp.fields = append(sp.fields, fields...)
+	return sp
+}

@@ -86,27 +86,3 @@ func (r *Recorder) Do(ctx context.Context, phase string, fn func(context.Context
 	}
 	pprof.Do(ctx, pprof.Labels("phase", phase), fn)
 }
-
-// TraceID returns the span's trace ID (0 on a nil receiver).
-func (sp *Span) TraceID() uint64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.trace
-}
-
-// ID returns the span's own ID (0 on a nil receiver).
-func (sp *Span) ID() uint64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.id
-}
-
-// ParentID returns the enclosing span's ID (0 for roots and nil receivers).
-func (sp *Span) ParentID() uint64 {
-	if sp == nil {
-		return 0
-	}
-	return sp.parent
-}

@@ -216,3 +216,30 @@ func TestQuantileInterpolation(t *testing.T) {
 		t.Fatalf("empty Quantile = %v, want NaN", got)
 	}
 }
+
+// Test-only API: no non-test code calls what follows (see
+// TestExportedMethodsHaveCallers in the repository root).
+
+// TraceID returns the span's trace ID (0 on a nil receiver).
+func (sp *Span) TraceID() uint64 {
+	if sp == nil {
+		return 0
+	}
+	return sp.trace
+}
+
+// ParentID returns the enclosing span's ID (0 for roots and nil receivers).
+func (sp *Span) ParentID() uint64 {
+	if sp == nil {
+		return 0
+	}
+	return sp.parent
+}
+
+// ID returns the span's own ID (0 on a nil receiver).
+func (sp *Span) ID() uint64 {
+	if sp == nil {
+		return 0
+	}
+	return sp.id
+}

@@ -7,7 +7,8 @@ import (
 )
 
 // TestBOLoopAllocationsFlatInObservations pins the BO inner loop's scratch
-// reuse: the number of heap allocations one observe and one selectBatch
+// reuse: the number of heap allocations one observation (observe plus the
+// refitClips that conditions the outcome models on it) and one selectBatch
 // round make must not grow with the number of observations. Per-point
 // buffers (candidate handles, encoded queries, normalized outcome vectors,
 // posterior intermediates, DES frame logs) would each add allocations per
@@ -27,6 +28,9 @@ func TestBOLoopAllocationsFlatInObservations(t *testing.T) {
 		i := 0
 		observe = testing.AllocsPerRun(3, func() {
 			if _, err := s.observe(cands[i%len(cands)]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.refitClips(); err != nil {
 				t.Fatal(err)
 			}
 			i++

@@ -72,7 +72,7 @@ type modelSinks struct {
 	cholInc  *obs.Counter
 	cholFull *obs.Counter
 	// chk, when non-nil, verifies the posterior after every incremental
-	// Cholesky extension (finite means, PSD covariance at the new inputs).
+	// refit (finite means, PSD covariance jointly at the inputs it added).
 	chk *check.Checker
 }
 
@@ -134,11 +134,12 @@ func (c *clipModels) addMeasurement(cfg videosim.Config, o videosim.Measurement)
 }
 
 // refit standardizes the targets and re-conditions the model. A model
-// already conditioned on a prefix of the data — the shape of every
-// per-observation refit, since a clip only ever appends measurements — is
+// already conditioned on a prefix of the data — the shape of every refit
+// after the first, since a clip only ever appends measurements — is
 // extended through the incremental fast path (O(n²) per new point) and then
 // handed the rescaled targets. Only the first fit, and an extension the
-// factor cannot absorb, pay the full refactorization.
+// factor cannot absorb, pay the full refactorization. Refits of different
+// clips may run concurrently.
 func (c *clipModels) refit() error {
 	err := c.refitData()
 	// gp_obs_total counts conditioned points once per metric column.

@@ -397,6 +397,10 @@ func (s *Scheduler) solutionLoop(ctx context.Context) (*Result, error) {
 				return nil, err
 			}
 		}
+		if err := s.refitClips(); err != nil {
+			iterSp.End()
+			return nil, err
+		}
 		s.refreshBenefits()
 		z := s.bestObservation().Benefit
 		if err := guard.Observe(z); err != nil {
@@ -504,14 +508,12 @@ func (s *Scheduler) profileInit() error {
 	s.rec.Do(s.ctx, "outcome_model", func(ctx context.Context) {
 		_, fit := s.rec.StartSpanCtx(ctx, "outcome_model")
 		defer fit.End()
-		for ci, c := range s.clips {
+		for _, c := range s.clips {
 			// Size each factor once for the whole solve: the profiles, the
 			// initial observations and one measurement per batch slot.
 			c.model.Reserve(len(c.xs) + s.opt.InitObs + s.opt.MaxIter*s.opt.Batch)
-			if err = s.clips[ci].refit(); err != nil {
-				return
-			}
 		}
+		err = s.refitClips()
 	})
 	return err
 }

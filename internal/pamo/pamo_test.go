@@ -2,6 +2,7 @@ package pamo
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -357,23 +358,45 @@ func TestROIGridExpandsSearchSpace(t *testing.T) {
 	}
 }
 
+// TestParallelSamplingDeterministicAcrossWorkerCounts runs one seed at
+// Workers 1, 2 and 8. Posterior sampling, the score scan and the outcome
+// refits all spread over the pool, and none may leak into the result: the
+// benefit history must match bit for bit, and so must the chosen decision,
+// its measured outcomes and the profiling and comparison budgets spent.
 func TestParallelSamplingDeterministicAcrossWorkerCounts(t *testing.T) {
 	sys := testSys(5, 4, 66)
 	truth := objective.UniformPreference()
-	run := func(workers int) []videosim.Config {
+	run := func(workers int) *Result {
 		opt := smallOpts(12)
 		opt.Workers = workers
 		res, err := New(sys, &pref.Oracle{Pref: truth}, opt).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Best.Decision.Configs
+		return res
 	}
 	serial := run(1)
-	parallel := run(8)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("worker count changed the decision: %+v vs %+v", serial, parallel)
+	for _, workers := range []int{2, 8} {
+		res := run(workers)
+		if len(res.History) != len(serial.History) {
+			t.Fatalf("workers=%d: %d history entries, serial %d", workers, len(res.History), len(serial.History))
+		}
+		for i, z := range serial.History {
+			if math.Float64bits(res.History[i]) != math.Float64bits(z) {
+				t.Fatalf("workers=%d: History[%d] = %v, serial %v", workers, i, res.History[i], z)
+			}
+		}
+		if !slices.Equal(res.Best.Decision.Configs, serial.Best.Decision.Configs) {
+			t.Fatalf("workers=%d changed the decision: %+v vs %+v", workers, res.Best.Decision.Configs, serial.Best.Decision.Configs)
+		}
+		for i, v := range serial.Best.Raw {
+			if math.Float64bits(res.Best.Raw[i]) != math.Float64bits(v) {
+				t.Fatalf("workers=%d: Best.Raw %v, serial %v", workers, res.Best.Raw, serial.Best.Raw)
+			}
+		}
+		if res.Profiles != serial.Profiles || res.PrefPairs != serial.PrefPairs || res.Iters != serial.Iters {
+			t.Fatalf("workers=%d: profiles/pref pairs/iters %d/%d/%d, serial %d/%d/%d", workers,
+				res.Profiles, res.PrefPairs, res.Iters, serial.Profiles, serial.PrefPairs, serial.Iters)
 		}
 	}
 }

@@ -99,11 +99,7 @@ func (d *drawScratch) size(m, nSamples, q, workers int) {
 func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
 	q := len(points)
 	m := bs.s.sys.M()
-	workers := bs.s.opt.Workers
-	if workers <= 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
-	prefWorkers := min(workers, nSamples)
+	prefWorkers := min(bs.s.workers(), nSamples)
 	sc := &bs.s.draw
 	sc.size(m, nSamples, q, prefWorkers)
 	idx := sc.idx
@@ -119,22 +115,13 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 	// goroutine scheduling and of how the metrics are grouped into tasks.
 	draws := sc.draws // [clip][metric][sample][point]
 	seedBase := rng.Uint64()
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for ci := 0; ci < m; ci++ {
+	bs.s.parallel(m, func(ci int) {
 		cfgs := sc.cfgs[ci*q : (ci+1)*q]
 		for j, cand := range idx {
 			cfgs[j] = bs.cands[cand].cfgs[ci]
 		}
-		wg.Add(1)
-		go func(ci int, cfgs []videosim.Config) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			bs.s.clips[ci].sampleJoint(cfgs, draws[ci], seedBase, uint64(ci)*uint64(numMetrics)+1)
-		}(ci, cfgs)
-	}
-	wg.Wait()
+		bs.s.clips[ci].sampleJoint(cfgs, draws[ci], seedBase, uint64(ci)*uint64(numMetrics)+1)
+	})
 	// Compose raw outcome vectors per sample per point.
 	samples := sc.samples // [sample·q + point]raw outcome
 	for si := 0; si < nSamples; si++ {
@@ -176,6 +163,7 @@ func (bs *benefitSampler) SampleBenefit(points [][]float64, nSamples int, rng *r
 		out[si] = block[si*q : (si+1)*q : (si+1)*q]
 	}
 	prefSeed := rng.Uint64()
+	var wg sync.WaitGroup
 	for w := 0; w < prefWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -302,19 +290,38 @@ func (s *Scheduler) selectBatch(cands []candidate) []candidate {
 // function must be deterministic per candidate and safe for concurrent use;
 // the scan result is then identical for every worker count.
 func (s *Scheduler) scanScores(scores []float64, inBatch []bool, score func(ci int) float64) {
-	workers := s.opt.Workers
-	if workers <= 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
-	if workers > len(scores) {
-		workers = len(scores)
-	}
-	if workers <= 1 {
-		for ci := range scores {
-			if !inBatch[ci] {
-				scores[ci] = score(ci)
-			}
+	s.parallel(len(scores), func(ci int) {
+		if !inBatch[ci] {
+			scores[ci] = score(ci)
 		}
+	})
+}
+
+// workers is the size of the scheduler's worker pool: Options.Workers, or
+// GOMAXPROCS when that is zero.
+func (s *Scheduler) workers() int {
+	if s.opt.Workers > 0 {
+		return s.opt.Workers
+	}
+	return goruntime.GOMAXPROCS(0)
+}
+
+// parallel runs f(0), …, f(n-1) over the worker pool, worker w taking w,
+// w+workers, …; one worker runs them in order on the calling goroutine.
+// The calls must touch disjoint state, so the outcome does not depend on
+// the worker count. With several workers the caller only waits: running
+// worker 0's share on it instead left the other worker's goroutine queued
+// behind it and made dense_day's replan_p50_ms 14 % slower on a 2-core
+// host.
+func (s *Scheduler) parallel(n int, f func(i int)) {
+	workers := max(1, min(s.workers(), n))
+	run := func(w int) {
+		for i := w; i < n; i += workers {
+			f(i)
+		}
+	}
+	if workers == 1 {
+		run(0)
 		return
 	}
 	var wg sync.WaitGroup
@@ -322,11 +329,7 @@ func (s *Scheduler) scanScores(scores []float64, inBatch []bool, score func(ci i
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for ci := w; ci < len(scores); ci += workers {
-				if !inBatch[ci] {
-					scores[ci] = score(ci)
-				}
-			}
+			run(w)
 		}(w)
 	}
 	wg.Wait()
@@ -359,7 +362,9 @@ func (s *Scheduler) observationCandidate(o Observation) candidate {
 
 // observe deploys a candidate: physics (ground truth + DES latency)
 // happens, the profiler records fresh per-clip samples, and the preference
-// model gains one comparison against the incumbent.
+// model gains one comparison against the incumbent. The outcome models are
+// not re-conditioned here: the caller runs refitClips before anything
+// reads them again.
 func (s *Scheduler) observe(c candidate) (Observation, error) {
 	// Every decision the scheduler emits must satisfy the exact feasibility
 	// constraints under the processing times it was PLANNED with; a failure
@@ -382,13 +387,10 @@ func (s *Scheduler) observe(c candidate) (Observation, error) {
 	}
 	ob := Observation{Decision: dec, Raw: raw, Norm: norm}
 
-	// Update outcome models with fresh profiling at the deployed configs.
+	// Record fresh profiling at the deployed configs.
 	for i, clip := range s.sys.Clips {
 		s.clips[i].addMeasurement(c.cfgs[i], s.prof.Measure(clip, c.cfgs[i]))
 		s.countProfile()
-		if err := s.clips[i].refit(); err != nil {
-			return ob, err
-		}
 	}
 
 	// Update the preference model with one more comparison (line 19).
@@ -419,6 +421,24 @@ func (s *Scheduler) observe(c candidate) (Observation, error) {
 	s.obs = append(s.obs, ob)
 	s.met.observations.Inc()
 	return ob, nil
+}
+
+// refitClips re-conditions every clip's outcome models on the measurements
+// recorded since their last refit, the clips spread over the worker pool,
+// and returns the first error in clip order. Conditioning once per batch
+// leaves every model exactly as a refit after each observation would:
+// Append of k points is k extensions (or refactorizations) followed by one
+// solve, solve reads only the factor and the targets, and nothing between
+// two observations of a batch reads an outcome model.
+func (s *Scheduler) refitClips() error {
+	errs := make([]error, len(s.clips))
+	s.parallel(len(s.clips), func(ci int) { errs[ci] = s.clips[ci].refit() })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // believedBenefit scores a normalized outcome under the scheduler's
@@ -463,6 +483,10 @@ func (s *Scheduler) initialObservations() error {
 			continue
 		}
 		if _, err := s.observe(c); err != nil {
+			return err
+		}
+		// The next plan reads the model means.
+		if err := s.refitClips(); err != nil {
 			return err
 		}
 	}

@@ -1,12 +1,15 @@
 package pamo
 
 import (
+	"context"
 	"math"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/acq"
 	"repro/internal/objective"
+	"repro/internal/obs"
 	"repro/internal/pref"
 	"repro/internal/videosim"
 )
@@ -18,6 +21,7 @@ func readyScheduler(tb testing.TB, m, n int, opt Options) *Scheduler {
 	tb.Helper()
 	sys := testSys(m, n, 7)
 	s := New(sys, &pref.Oracle{Pref: objective.UniformPreference()}, opt)
+	s.ctx, s.evctx = context.Background(), context.Background()
 	if err := s.profileInit(); err != nil {
 		tb.Fatal(err)
 	}
@@ -192,5 +196,79 @@ func TestSamplingFallbacksVisible(t *testing.T) {
 	}
 	if res.MVNFallbacks != s.SamplingFallbacks() {
 		t.Fatalf("Result.MVNFallbacks %d vs scheduler %d", res.MVNFallbacks, s.SamplingFallbacks())
+	}
+}
+
+// TestBatchRefitMatchesPerObservationRefit pins the one-refit-per-batch
+// schedule: a scheduler that observes a whole batch and then runs
+// refitClips once must hold every clip's outcome model exactly as a twin
+// that refits after every observe. The models are compared whole
+// (reflect.DeepEqual reaches the targets, means, alphas, the factor and
+// its generation), their means and variances on a probe grid bit for bit,
+// and so are the refit counters.
+func TestBatchRefitMatchesPerObservationRefit(t *testing.T) {
+	twin := func() (*Scheduler, *obs.Recorder) {
+		opt := smallOpts(17)
+		opt.Batch = 4
+		opt.Obs = obs.NewRecorder(nil)
+		return readyScheduler(t, 4, 3, opt), opt.Obs
+	}
+	batched, recB := twin()
+	single, recS := twin()
+	for round := 0; round < 3; round++ {
+		cb, cs := batched.generateCandidates(), single.generateCandidates()
+		if len(cb) == 0 {
+			t.Skip("no candidates")
+		}
+		bb, bs := batched.selectBatch(cb), single.selectBatch(cs)
+		if len(bb) != len(bs) || len(bb) < 2 {
+			t.Fatalf("round %d: batches of %d and %d candidates", round, len(bb), len(bs))
+		}
+		for i := range bb {
+			if _, err := batched.observe(bb[i]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := single.observe(bs[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := single.refitClips(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := batched.refitClips(); err != nil {
+			t.Fatal(err)
+		}
+		for ci := range batched.clips {
+			a, b := batched.clips[ci], single.clips[ci]
+			if !reflect.DeepEqual(a.model, b.model) || a.scale != b.scale {
+				t.Fatalf("round %d clip %d: batch-refit model differs from the per-observation twin", round, ci)
+			}
+			var ma, mb [numMetrics]float64
+			for _, r := range videosim.Resolutions {
+				for _, f := range videosim.FrameRates {
+					cfg := videosim.Config{Resolution: r, FPS: f}
+					x := encodeCfg(cfg)
+					va, vb := a.model.Predict(x, ma[:]), b.model.Predict(x, mb[:])
+					if math.Float64bits(va) != math.Float64bits(vb) {
+						t.Fatalf("round %d clip %d %+v: variance %v vs %v", round, ci, cfg, va, vb)
+					}
+					pa, pb := a.means(cfg), b.means(cfg)
+					for mi := range pa {
+						if math.Float64bits(pa[mi]) != math.Float64bits(pb[mi]) || math.Float64bits(ma[mi]) != math.Float64bits(mb[mi]) {
+							t.Fatalf("round %d clip %d %+v metric %d: means %v/%v vs %v/%v", round, ci, cfg, mi, pa[mi], ma[mi], pb[mi], mb[mi])
+						}
+					}
+				}
+			}
+		}
+	}
+	cb, cs := recB.Registry().Snapshot().Counters, recS.Registry().Snapshot().Counters
+	for _, name := range []string{"gp_obs_total", "pamo_chol_incremental_total", "pamo_chol_refactorize_total", "pamo_profiles_total"} {
+		if cb[name] != cs[name] {
+			t.Errorf("%s: batched %d, per observation %d", name, cb[name], cs[name])
+		}
+	}
+	if cb["pamo_chol_incremental_total"] == 0 {
+		t.Error("no incremental extension ran")
 	}
 }

@@ -106,20 +106,13 @@ func (m *Model) AddComparison(winner, loser int) error {
 	return nil
 }
 
-// NumPoints returns the number of registered outcome vectors.
-func (m *Model) NumPoints() int { return len(m.points) }
-
 // NumComparisons returns the number of recorded comparisons.
 func (m *Model) NumComparisons() int { return len(m.comps) }
-
-// Points returns the registered outcome vectors (not a copy).
-func (m *Model) Points() [][]float64 { return m.points }
 
 // Fit computes the Laplace approximation of the posterior over latent
 // utilities. It must be called after adding points/comparisons and before
 // prediction. Its scratch lives in the model and is reused by the next
-// Fit, so a refit at an unchanged point count allocates only the inverse
-// solves' column vectors.
+// Fit, so a refit at an unchanged point count allocates nothing.
 func (m *Model) Fit() error {
 	n := len(m.points)
 	if n == 0 {
@@ -223,16 +216,6 @@ func reshape(a *mat.Matrix, n int) *mat.Matrix {
 	}
 	a.Rows, a.Cols, a.Data = n, n, a.Data[:n*n]
 	return a
-}
-
-// LogEvidence returns the Laplace approximation of the log marginal
-// likelihood of the comparison data under the current hyperparameters.
-// Valid after Fit.
-func (m *Model) LogEvidence() float64 {
-	if m.ainv == nil {
-		panic(ErrNotFitted)
-	}
-	return m.evidence
 }
 
 // nllGradHess overwrites grad and w with the gradient and Hessian (W) of
@@ -342,20 +325,6 @@ func (m *Model) PredictOne(y []float64) (mu, variance float64) {
 	return mv[0], v
 }
 
-// Sample draws nSamples joint samples of the latent utility at ys. Only the
-// returned rows are allocated; see SampleWith.
-func (m *Model) Sample(ys [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
-	block := make([]float64, nSamples*len(ys))
-	rows := make([][]float64, nSamples)
-	for s := range rows {
-		rows[s] = block[s*len(ys) : (s+1)*len(ys) : (s+1)*len(ys)]
-	}
-	ws := mat.GetWorkspace()
-	defer mat.PutWorkspace(ws)
-	m.SampleWith(ws, ys, rows, rng)
-	return rows
-}
-
 // SampleWith draws len(rows) joint samples of the latent utility at ys into
 // the caller-owned rows (each len(ys) long): the posterior of PredictWith,
 // factored and drawn by gp.DrawMVN on the same workspace, so a warm
@@ -364,18 +333,4 @@ func (m *Model) Sample(ys [][]float64, nSamples int, rng *rand.Rand) [][]float64
 func (m *Model) SampleWith(ws *mat.Workspace, ys [][]float64, rows [][]float64, rng *rand.Rand) {
 	mu, cov := m.PredictWith(ws, ys)
 	gp.DrawMVN(ws, rows, mu, cov, rng, m.fallbacks)
-}
-
-// ProbPrefer returns the posterior predictive probability that y1 ≻ y2,
-// integrating the probit likelihood over the joint posterior of
-// (g(y1), g(y2)).
-func (m *Model) ProbPrefer(y1, y2 []float64) float64 {
-	mu, cov := m.Predict([][]float64{y1, y2})
-	dmu := mu[0] - mu[1]
-	dvar := cov.At(0, 0) + cov.At(1, 1) - 2*cov.At(0, 1)
-	if dvar < 0 {
-		dvar = 0
-	}
-	den := math.Sqrt(2*m.Lambda*m.Lambda + dvar)
-	return stats.NormCDF(dmu / den)
 }

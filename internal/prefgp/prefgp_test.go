@@ -2,9 +2,11 @@ package prefgp
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/mat"
 	"repro/internal/stats"
 )
 
@@ -247,4 +249,48 @@ func BenchmarkPrefFit20Pairs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buildModel(b, 20, 42)
 	}
+}
+
+// Test-only API: no non-test code calls what follows (see
+// TestExportedMethodsHaveCallers in the repository root).
+
+// NumPoints returns the number of registered outcome vectors.
+func (m *Model) NumPoints() int { return len(m.points) }
+
+// LogEvidence returns the Laplace approximation of the log marginal
+// likelihood of the comparison data under the current hyperparameters.
+// Valid after Fit.
+func (m *Model) LogEvidence() float64 {
+	if m.ainv == nil {
+		panic(ErrNotFitted)
+	}
+	return m.evidence
+}
+
+// Sample draws nSamples joint samples of the latent utility at ys. Only the
+// returned rows are allocated; see SampleWith.
+func (m *Model) Sample(ys [][]float64, nSamples int, rng *rand.Rand) [][]float64 {
+	block := make([]float64, nSamples*len(ys))
+	rows := make([][]float64, nSamples)
+	for s := range rows {
+		rows[s] = block[s*len(ys) : (s+1)*len(ys) : (s+1)*len(ys)]
+	}
+	ws := mat.GetWorkspace()
+	defer mat.PutWorkspace(ws)
+	m.SampleWith(ws, ys, rows, rng)
+	return rows
+}
+
+// ProbPrefer returns the posterior predictive probability that y1 ≻ y2,
+// integrating the probit likelihood over the joint posterior of
+// (g(y1), g(y2)).
+func (m *Model) ProbPrefer(y1, y2 []float64) float64 {
+	mu, cov := m.Predict([][]float64{y1, y2})
+	dmu := mu[0] - mu[1]
+	dvar := cov.At(0, 0) + cov.At(1, 1) - 2*cov.At(0, 1)
+	if dvar < 0 {
+		dvar = 0
+	}
+	den := math.Sqrt(2*m.Lambda*m.Lambda + dvar)
+	return stats.NormCDF(dmu / den)
 }

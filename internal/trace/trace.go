@@ -171,12 +171,3 @@ func (r *Replayer) Measure(c *videosim.Clip, cfg videosim.Config) videosim.Measu
 	r.cursor[k] = i + 1
 	return samples[i]
 }
-
-// Has reports whether the trace recorded the clip/configuration pair.
-func (r *Replayer) Has(clipName string, cfg videosim.Config) bool {
-	ci, ok := r.names[clipName]
-	if !ok {
-		return false
-	}
-	return len(r.byKey[key(ci, cfg.Resolution, cfg.FPS)]) > 0
-}

@@ -152,3 +152,15 @@ func TestPaMOFromTraceIsReproducible(t *testing.T) {
 		}
 	}
 }
+
+// Test-only API: no non-test code calls what follows (see
+// TestExportedMethodsHaveCallers in the repository root).
+
+// Has reports whether the trace recorded the clip/configuration pair.
+func (r *Replayer) Has(clipName string, cfg videosim.Config) bool {
+	ci, ok := r.names[clipName]
+	if !ok {
+		return false
+	}
+	return len(r.byKey[key(ci, cfg.Resolution, cfg.FPS)]) > 0
+}
