@@ -2,20 +2,19 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/cluster"
 )
 
 // FuzzScheduleMaskedVsSchedule differentially fuzzes the fault-path
 // scheduler against the plain one: with every server healthy, ScheduleMasked
 // must be *exactly* Schedule — same feasibility verdict and a byte-identical
 // plan (groups, server maps, communication latency). The masked path
-// compacts to the survivor subset and remaps indices back to physical ones;
-// with an all-true mask that remap must be the identity, and any drift here
-// means degraded-mode replans silently disagree with normal operation.
+// matches over the list of healthy physical columns; with an all-true mask
+// that list must be the identity, and any drift here means degraded-mode
+// replans silently disagree with normal operation. The
+// servers mix speeds and draw the occasional zero uplink, so the speed and
+// uplink masks of the match are exercised on both paths.
 func FuzzScheduleMaskedVsSchedule(f *testing.F) {
 	f.Add(uint64(1), 4, 3)
 	f.Add(uint64(42), 8, 5)
@@ -24,26 +23,9 @@ func FuzzScheduleMaskedVsSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, m, n int) {
 		m = 1 + abs(m)%8
 		n = 1 + abs(n)%5
-		fps := []int64{5, 6, 10, 15, 25, 30}
-		rng := seed
-		next := func(k int) int {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			return int((rng >> 33) % uint64(k))
-		}
-		streams := make([]Stream, m)
-		for i := range streams {
-			p := RatFromFPS(fps[next(len(fps))])
-			streams[i] = Stream{
-				Video:  i,
-				Period: p,
-				Proc:   p.Float() * (0.05 + 0.9*float64(next(100))/100),
-				Bits:   1e6 * (1 + float64(next(20))),
-			}
-		}
-		servers := make([]cluster.Server, n)
-		for j := range servers {
-			servers[j] = cluster.Server{Name: fmt.Sprintf("s%d", j), Uplink: 10e6 * float64(1+next(5))}
-		}
+		next := lcgNext(seed)
+		streams := fuzzStreams(m, next)
+		servers := fuzzServers(n, next)
 		healthy := make([]bool, n)
 		for j := range healthy {
 			healthy[j] = true

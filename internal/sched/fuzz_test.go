@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -93,7 +94,9 @@ func FuzzGroupStreams(f *testing.F) {
 // FuzzScheduleMasked checks the shrinking-capacity path: with a random
 // subset of servers removed, Algorithm 1 must either produce a feasible
 // plan on the survivors or return a clean ErrInfeasible — never panic and
-// never reference a dead server.
+// never reference a dead server. The healthy physical indices are the
+// match's columns, and the plan must equal scheduleMaskedCompact's
+// (compact the survivors, solve, remap) bit for bit, error text included.
 func FuzzScheduleMasked(f *testing.F) {
 	f.Add(uint64(1), 4, 3, uint64(0b101))
 	f.Add(uint64(42), 8, 5, uint64(0b00000))
@@ -101,36 +104,26 @@ func FuzzScheduleMasked(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, m, n int, maskBits uint64) {
 		m = 1 + abs(m)%8
 		n = 1 + abs(n)%5
-		fps := []int64{5, 6, 10, 15, 25, 30}
-		rng := seed
-		next := func(k int) int {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			return int((rng >> 33) % uint64(k))
-		}
-		streams := make([]Stream, m)
-		for i := range streams {
-			p := RatFromFPS(fps[next(len(fps))])
-			streams[i] = Stream{
-				Video:  i,
-				Period: p,
-				Proc:   p.Float() * (0.05 + 0.9*float64(next(100))/100),
-				Bits:   1e6 * (1 + float64(next(20))),
-			}
-		}
-		servers := make([]cluster.Server, n)
-		for j := range servers {
-			servers[j] = cluster.Server{Name: fmt.Sprintf("s%d", j), Uplink: 10e6 * float64(1+next(5))}
-		}
+		next := lcgNext(seed)
+		streams := fuzzStreams(m, next)
+		servers := fuzzServers(n, next)
 		healthy := make([]bool, n)
 		for j := range healthy {
 			healthy[j] = maskBits&(1<<uint(j)) != 0
 		}
 		plan, err := ScheduleMasked(streams, servers, healthy)
+		want, wantErr := scheduleMaskedCompact(streams, servers, healthy)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("ScheduleMasked err %v, compact-and-remap err %v", err, wantErr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("non-infeasible error: %v", err)
 			}
 			return
+		}
+		if !reflect.DeepEqual(plan, want) {
+			t.Fatalf("column-list plan diverged from compact-and-remap:\n%+v\n%+v", plan, want)
 		}
 		for i, j := range plan.StreamServer {
 			if j < 0 || j >= n {
@@ -145,13 +138,91 @@ func FuzzScheduleMasked(f *testing.F) {
 				t.Fatalf("group %d mapped to dead/out-of-range server %d", g, j)
 			}
 		}
-		if !CheckConst2Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
+		if !CheckConst2Servers(streams, plan.StreamServer, servers) {
 			t.Fatal("masked plan violates Const2")
 		}
-		if !CheckConst1Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
+		if !CheckConst1Servers(streams, plan.StreamServer, servers) {
 			t.Fatal("masked plan violates Const1")
 		}
 	})
+}
+
+// scheduleMaskedCompact is the compact-and-remap form of ScheduleMasked:
+// copy the healthy servers into a compact slice, run Algorithm 1 on it, and
+// map the compact server indices back to physical ones.
+func scheduleMaskedCompact(streams []Stream, servers []cluster.Server, healthy []bool) (Plan, error) {
+	var idx []int
+	for j, ok := range healthy {
+		if ok {
+			idx = append(idx, j)
+		}
+	}
+	if len(idx) == 0 {
+		return Plan{}, fmt.Errorf("%w: no healthy servers", ErrInfeasible)
+	}
+	sub := make([]cluster.Server, len(idx))
+	for k, j := range idx {
+		sub[k] = servers[j]
+	}
+	groups, err := GroupStreams(streams, len(sub))
+	if err != nil {
+		return Plan{}, err
+	}
+	plan, err := MapGroups(groups, streams, sub)
+	if err != nil {
+		return Plan{}, err
+	}
+	for g := range plan.GroupServer {
+		plan.GroupServer[g] = idx[plan.GroupServer[g]]
+	}
+	for i, j := range plan.StreamServer {
+		if j >= 0 {
+			plan.StreamServer[i] = idx[j]
+		}
+	}
+	return plan, nil
+}
+
+// lcgNext returns the deterministic draw the scheduling fuzzers share:
+// next(k) is uniform-ish in [0, k).
+func lcgNext(seed uint64) func(k int) int {
+	rng := seed
+	return func(k int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int((rng >> 33) % uint64(k))
+	}
+}
+
+// fuzzStreams draws m streams at commensurate and incommensurate frame
+// rates, each using 5–95 % of its own period.
+func fuzzStreams(m int, next func(int) int) []Stream {
+	fps := []int64{5, 6, 10, 15, 25, 30}
+	streams := make([]Stream, m)
+	for i := range streams {
+		p := RatFromFPS(fps[next(len(fps))])
+		streams[i] = Stream{
+			Video:  i,
+			Period: p,
+			Proc:   p.Float() * (0.05 + 0.9*float64(next(100))/100),
+			Bits:   1e6 * (1 + float64(next(20))),
+		}
+	}
+	return streams
+}
+
+// fuzzServers draws n servers with 10–50 Mbps uplinks, one in eight of them
+// a zero uplink, and a SpeedFactor from {0, 0.5, 1, 2} (0 means speed 1).
+func fuzzServers(n int, next func(int) int) []cluster.Server {
+	speeds := []float64{0, 0.5, 1, 2}
+	servers := make([]cluster.Server, n)
+	for j := range servers {
+		up := 10e6 * float64(1+next(5))
+		if next(8) == 0 {
+			up = 0
+		}
+		servers[j] = cluster.Server{Name: fmt.Sprintf("s%d", j), Uplink: up, SpeedFactor: speeds[next(len(speeds))]}
+	}
+	return servers
 }
 
 func abs(x int) int {

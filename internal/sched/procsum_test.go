@@ -330,11 +330,13 @@ func FuzzExactVsRat(f *testing.F) {
 			t.Fatalf("GroupStreams = %v, %v; oracle %v, %v", groups, err, wantGroups, wantErr)
 		}
 		if err == nil {
-			cost := make([][]float64, len(groups))
-			for g := range cost {
-				cost[g] = make([]float64, len(servers))
+			cols := make([]int, len(servers))
+			for j := range cols {
+				cols[j] = j
 			}
-			maskSpeedInfeasible(cost, groups, streams, servers)
+			var m Matcher
+			cost := m.Build(len(groups), func(int) float64 { return 0 }, cols, servers)
+			m.maskSpeedInfeasible(groups, streams, servers, cols)
 			want := ratMask(groups, streams, servers)
 			for g := range cost {
 				for j := range cost[g] {

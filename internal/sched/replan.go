@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/cluster"
-	"repro/internal/hungarian"
 	"repro/internal/obs"
 )
 
@@ -34,15 +33,13 @@ type Replanner struct {
 	groups  [][]int    // adopted grouping (deep copy)
 	ratGcds []Rational // per-group exact gcd of member periods (zero when empty)
 
-	solver hungarian.Solver
-	sum    ProcSum // exact Σ proc of the group under test
-	cost   [][]float64
-	flat   []float64
-	rows   []int  // group indices entering the assignment problem
-	cols   []int  // physical indices of healthy servers
-	seen   []bool // Adopt's membership-coverage scratch
-	remap  []int  // Evict's old→new index scratch
-	mtmp   []int  // Admit's trial-membership scratch
+	match Matcher
+	sum   ProcSum // exact Σ proc of the group under test
+	rows  []int   // group indices entering the assignment problem
+	cols  []int   // physical indices of healthy servers
+	seen  []bool  // Adopt's membership-coverage scratch
+	remap []int   // Evict's old→new index scratch
+	mtmp  []int   // Admit's trial-membership scratch
 }
 
 // NewReplanner returns an empty replanner; the first Replan always runs a
@@ -177,31 +174,7 @@ func (r *Replanner) Incremental(streams []Stream, servers []cluster.Server, heal
 			return Plan{}, false
 		}
 	}
-	// Const2 with drifted processing times, exactly: per group,
-	// Σ proc ≤ gcd(periods). Since the gcd divides every member period this
-	// also implies Const1 (Σ p_i/T_i ≤ Σ p_i/gcd ≤ 1). On a heterogeneous
-	// cluster the budget is per server class (gcd·speed_j), so the global
-	// pre-check is skipped and each (group, server) cell is checked exactly
-	// while the cost matrix is built below.
-	het := hetero(servers)
-	if !het {
-		for g, members := range r.groups {
-			if len(members) == 0 {
-				continue
-			}
-			if !r.sumProcs(streams, members) || !r.sum.Within(r.ratGcds[g], 1) {
-				return Plan{}, false
-			}
-		}
-	}
-	// Healthy columns in physical index order — the same order a masked full
-	// solve uses, so the Hungarian tie-breaking matches it.
-	r.cols = r.cols[:0]
-	for j := range servers {
-		if healthy == nil || healthy[j] {
-			r.cols = append(r.cols, j)
-		}
-	}
+	r.cols = healthyCols(r.cols[:0], len(servers), healthy)
 	if len(r.cols) == 0 {
 		return Plan{}, false
 	}
@@ -224,88 +197,32 @@ func (r *Replanner) Incremental(streams []Stream, servers []cluster.Server, heal
 		}
 	}
 
-	// The cost matrix is padded square with zero-bit dummy rows, exactly as
-	// MapGroups pads missing groups: dummy rows influence Hungarian
-	// tie-breaking among equal-cost columns, so matching the full solve's
-	// shape keeps the incremental assignment bit-identical to MapGroups on
-	// the same grouping.
-	nr, nc := len(r.rows), len(r.cols)
-	if cap(r.flat) < nc*nc {
-		r.flat = make([]float64, nc*nc)
-	}
-	r.flat = r.flat[:nc*nc]
-	if cap(r.cost) < nc {
-		r.cost = make([][]float64, nc)
-	}
-	r.cost = r.cost[:nc]
-	for ri := 0; ri < nc; ri++ {
-		row := r.flat[ri*nc : (ri+1)*nc]
-		r.cost[ri] = row
-		var bits float64
-		mask := false // per-column exact Const2 masking (hetero only)
-		if ri < nr {
-			members := r.groups[r.rows[ri]]
-			for _, si := range members {
-				bits += streams[si].Bits
-			}
-			if het && len(members) > 0 {
-				if !r.sumProcs(streams, members) {
-					return Plan{}, false
-				}
-				for ci, j := range r.cols {
-					row[ci] = 0
-					if !r.sum.Within(r.ratGcds[r.rows[ri]], servers[j].Speed()) {
-						row[ci] = math.Inf(1)
-					}
-				}
-				mask = true
-			}
-		}
-		for ci, j := range r.cols {
-			switch {
-			case mask && math.IsInf(row[ci], 1):
-				// speed-infeasible (group, server) pair stays masked
-			case servers[j].Uplink > 0:
-				row[ci] = bits / servers[j].Uplink
-			case bits > 0:
-				row[ci] = math.Inf(1)
-			default:
-				row[ci] = 0
-			}
-		}
-	}
-	assign, total := r.solver.Solve(r.cost)
-	if het {
-		// A forced Inf assignment means no server class fits some group:
-		// decline so the caller falls back to a full (re-grouping) solve.
-		for ri := 0; ri < nr; ri++ {
-			if math.IsInf(r.cost[ri][assign[ri]], 1) {
-				return Plan{}, false
-			}
-		}
-	}
-
-	plan := Plan{
-		Groups:       make([][]int, nr),
-		GroupServer:  make([]int, nc),
-		StreamServer: make([]int, len(streams)),
-		CommLatency:  total,
-	}
-	for i := range plan.StreamServer {
-		plan.StreamServer[i] = -1
-	}
-	for ri := 0; ri < nc; ri++ {
-		srv := r.cols[assign[ri]]
-		plan.GroupServer[ri] = srv
-		if ri >= nr {
+	// Const2 with drifted processing times, exactly: per (group, server),
+	// Σ proc ≤ gcd(periods)·speed, as a mask on the match. Since the gcd
+	// divides every member period this also implies Const1
+	// (Σ p_i/T_i ≤ Σ p_i/gcd ≤ speed). A forced +Inf assignment (a zero
+	// uplink for a group's bits, or no server class fitting a group)
+	// declines, leaving the decision to the caller's full, re-grouping solve.
+	cost := r.match.Build(len(r.rows), func(ri int) float64 { return groupBits(r.groups[r.rows[ri]], streams) }, r.cols, servers)
+	for ri, g := range r.rows {
+		if len(r.groups[g]) == 0 {
 			continue
 		}
-		plan.Groups[ri] = append([]int(nil), r.groups[r.rows[ri]]...)
-		for _, si := range r.groups[r.rows[ri]] {
-			plan.StreamServer[si] = srv
+		if !r.sumProcs(streams, r.groups[g]) {
+			return Plan{}, false
 		}
+		maskSlow(cost[ri], &r.sum, r.ratGcds[g], r.sum.Within(r.ratGcds[g], 1), r.cols, servers)
 	}
-	return plan, true
+	assign, total, ok := r.match.Solve()
+	if !ok {
+		return Plan{}, false
+	}
+
+	groups := make([][]int, len(r.rows))
+	for ri, g := range r.rows {
+		groups[ri] = append([]int(nil), r.groups[g]...)
+	}
+	return place(groups, assign, r.cols, len(streams), total), true
 }
 
 // Evict removes every stream i with remove[i] from the adopted baseline

@@ -2,21 +2,23 @@ package sched
 
 import (
 	"errors"
-	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
-	"repro/internal/cluster"
+	"repro/internal/hungarian"
 )
 
 // FuzzReplanVsSchedule differentially fuzzes the incremental replanner
 // against the full Algorithm 1 solve. Epoch 0 must reproduce ScheduleMasked
 // byte-exactly (it IS a full solve plus adoption); drifted epochs taking the
-// incremental path must (a) match the MapGroups oracle — a one-shot
-// Hungarian re-map of the frozen grouping onto the healthy survivors —
-// and (b) still pass the exact Const1/Const2 verifiers, so "incremental"
-// never means "less feasible". Epochs where the fast path declines must
-// fall back to a plan byte-identical to a cold ScheduleMasked.
+// incremental path must (a) match the oracle — a one-shot Hungarian re-map
+// of the frozen grouping onto the healthy survivors, its cost matrix and
+// speed masks built independently — and (b) still pass the exact
+// speed-aware Const1/Const2 verifiers, so "incremental" never means "less
+// feasible". Epochs where the fast path declines must fall back to a plan
+// byte-identical to a cold ScheduleMasked. The servers mix speeds and draw
+// the occasional zero uplink.
 func FuzzReplanVsSchedule(f *testing.F) {
 	f.Add(uint64(1), 4, 3, uint8(0))
 	f.Add(uint64(42), 8, 5, uint8(2))
@@ -41,10 +43,7 @@ func FuzzReplanVsSchedule(f *testing.F) {
 				Bits:   1e6 * (1 + float64(next(20))),
 			}
 		}
-		servers := make([]cluster.Server, n)
-		for j := range servers {
-			servers[j] = cluster.Server{Name: fmt.Sprintf("s%d", j), Uplink: 10e6 * float64(1+next(5))}
-		}
+		servers := fuzzServers(n, next)
 
 		rp := NewReplanner()
 		first, inc, err := rp.Replan(base, servers, nil)
@@ -112,10 +111,10 @@ func FuzzReplanVsSchedule(f *testing.F) {
 		if live != m {
 			t.Fatalf("replan placed %d of %d streams", live, m)
 		}
-		if !CheckConst1Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
+		if !CheckConst1Servers(streams, plan.StreamServer, servers) {
 			t.Fatalf("replanned plan violates Const1 (incremental=%v): %+v", inc, plan)
 		}
-		if !CheckConst2Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
+		if !CheckConst2Servers(streams, plan.StreamServer, servers) {
 			t.Fatalf("replanned plan violates Const2 (incremental=%v): %+v", inc, plan)
 		}
 
@@ -132,8 +131,11 @@ func FuzzReplanVsSchedule(f *testing.F) {
 		}
 
 		// Oracle for the incremental path: the frozen grouping re-mapped by a
-		// one-shot Hungarian solve over the healthy survivors. Rebuild it
-		// from entirely independent code (MapGroups + compact remap).
+		// one-shot Hungarian solve over the healthy survivors, on a cost
+		// matrix built here from independent code — Σ bits / uplink (+Inf on
+		// a zero uplink for a group with bits), zero padding rows, and every
+		// (group, server) pair over its exact gcd·speed budget masked by the
+		// big.Rat oracle.
 		cols := make([]int, 0, n)
 		for j := 0; j < n; j++ {
 			if healthy == nil || healthy[j] {
@@ -149,25 +151,49 @@ func FuzzReplanVsSchedule(f *testing.F) {
 				}
 			}
 		}
-		sub := make([]cluster.Server, len(cols))
-		for k, j := range cols {
-			sub[k] = servers[j]
+		cost := make([][]float64, len(cols))
+		for r := range cost {
+			cost[r] = make([]float64, len(cols))
+			if r >= len(rows) {
+				continue
+			}
+			var bits float64
+			var procs []float64
+			var gcd Rational
+			for _, si := range rows[r] {
+				bits += streams[si].Bits
+				procs = append(procs, streams[si].Proc)
+				gcd = RatGCD(gcd, streams[si].Period)
+			}
+			sum := ratSum(procs)
+			for c, j := range cols {
+				switch {
+				case len(rows[r]) > 0 && (sum == nil || !ratWithin(sum, gcd, servers[j].Speed())):
+					cost[r][c] = math.Inf(1)
+				case servers[j].Uplink > 0:
+					cost[r][c] = bits / servers[j].Uplink
+				case bits > 0:
+					cost[r][c] = math.Inf(1)
+				}
+			}
 		}
-		oracle, err := MapGroups(rows, streams, sub)
-		if err != nil {
-			t.Fatalf("oracle MapGroups: %v", err)
+		assign, total := hungarian.Solve(cost)
+		for r := range rows {
+			if math.IsInf(cost[r][assign[r]], 1) {
+				t.Fatalf("incremental plan taken where the oracle match is infeasible (group %d): %+v", r, plan)
+			}
 		}
 		if len(plan.Groups) != len(rows) || len(plan.GroupServer) != len(cols) {
 			t.Fatalf("incremental plan shape %d groups/%d assignments, oracle %d/%d",
 				len(plan.Groups), len(plan.GroupServer), len(rows), len(cols))
 		}
 		for g := range plan.GroupServer {
-			if got, want := plan.GroupServer[g], cols[oracle.GroupServer[g]]; got != want {
+			if got, want := plan.GroupServer[g], cols[assign[g]]; got != want {
 				t.Fatalf("group %d on server %d, oracle says %d", g, got, want)
 			}
 		}
-		if plan.CommLatency != oracle.CommLatency {
-			t.Fatalf("incremental comm latency %v, oracle %v", plan.CommLatency, oracle.CommLatency)
+		if plan.CommLatency != total {
+			t.Fatalf("incremental comm latency %v, oracle %v", plan.CommLatency, total)
 		}
 	})
 }

@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	goruntime "runtime"
 	"slices"
-	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/hungarian"
 )
 
 // Stream is one periodic stream as Algorithm 1 sees it: an exact period,
@@ -185,233 +182,85 @@ func GroupStreams(streams []Stream, n int) ([][]int, error) {
 	return groups, nil
 }
 
-// mapScratch bundles the reusable state of one MapGroups call: the cost
-// matrix (row headers into one flat backing slice) and a buffer-reusing
-// Hungarian solver. Pooled so concurrent schedulers each grab their own.
-type mapScratch struct {
-	solver hungarian.Solver
-	cost   [][]float64
-	flat   []float64
-}
-
-var mapPool = sync.Pool{New: func() any { return new(mapScratch) }}
-
-// matrix returns a rows×cols cost matrix backed by the scratch buffers,
-// growing them as needed. Contents are stale; every cell is overwritten by
-// the cost build.
-func (sc *mapScratch) matrix(rows, cols int) [][]float64 {
-	if cap(sc.flat) < rows*cols {
-		sc.flat = make([]float64, rows*cols)
-	}
-	sc.flat = sc.flat[:rows*cols]
-	if cap(sc.cost) < rows {
-		sc.cost = make([][]float64, rows)
-	}
-	sc.cost = sc.cost[:rows]
-	for g := range sc.cost {
-		sc.cost[g] = sc.flat[g*cols : (g+1)*cols]
-	}
-	return sc.cost
-}
-
-// parallelCostMin is the matrix size (rows×cols) below which the cost build
-// stays single-threaded: goroutine fan-out costs more than it saves on the
-// few-group instances of the paper's testbed.
-const parallelCostMin = 4096
-
-// costRows fills cost rows [lo, hi): row g is the transmission latency of
-// group g's total bits on each server. Rows are disjoint, so parallel
-// workers produce bit-identical matrices in any interleaving.
-func costRows(cost [][]float64, lo, hi int, groups [][]int, streams []Stream, servers []cluster.Server) {
-	for g := lo; g < hi; g++ {
-		var bits float64
-		if g < len(groups) {
-			for _, si := range groups[g] {
-				bits += streams[si].Bits
-			}
-		}
-		for j, srv := range servers {
-			switch {
-			case srv.Uplink > 0:
-				cost[g][j] = bits / srv.Uplink
-			case bits > 0:
-				cost[g][j] = math.Inf(1)
-			default:
-				cost[g][j] = 0
-			}
-		}
-	}
-}
-
-// buildCosts fills the whole cost matrix, fanning out across GOMAXPROCS
-// workers on fleet-sized instances. Each worker owns a contiguous row range
-// so the result is deterministic.
-func buildCosts(cost [][]float64, groups [][]int, streams []Stream, servers []cluster.Server) {
-	rows := len(cost)
-	workers := goruntime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 || rows*len(servers) < parallelCostMin {
-		costRows(cost, 0, rows, groups, streams, servers)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			costRows(cost, lo, hi, groups, streams, servers)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// hetero reports whether any server runs at an effective speed other than
-// 1 — the case where the shared-gcd group budget must be re-checked per
-// server class.
-func hetero(servers []cluster.Server) bool {
-	for _, s := range servers {
-		if s.Speed() != 1 {
-			return true
-		}
-	}
-	return false
-}
-
-// maskSpeedInfeasible overwrites cost cells whose (group, server) pair
-// violates the speed-scaled Const2 — Σ_{i∈G} pᵢ ≤ gcd(T_G) · speed_j,
-// checked exactly (procs are dyadic rationals, speeds are dyadic floats) —
-// with +Inf so the Hungarian matching can never land a group on a server
-// class too slow to run it without self-queueing. Servers at speed 1 are
-// skipped: the grouping phase already enforced Σp ≤ gcd there.
-func maskSpeedInfeasible(cost [][]float64, groups [][]int, streams []Stream, servers []cluster.Server) {
-	var sum ProcSum
-	for g, members := range groups {
-		if len(members) == 0 {
-			continue
-		}
-		sum.Reset()
-		var gcd Rational
-		finite := true
-		for _, si := range members {
-			finite = finite && sum.Add(streams[si].Proc)
-			gcd = RatGCD(gcd, streams[si].Period)
-		}
-		if !finite {
-			continue
-		}
-		for j, srv := range servers {
-			if spd := srv.Speed(); spd != 1 && !sum.Within(gcd, spd) {
-				cost[g][j] = math.Inf(1)
-			}
-		}
-	}
-}
-
 // MapGroups runs line 20 of Algorithm 1: assign groups to servers with the
 // Hungarian algorithm, minimizing the total transmission latency
 // Σ_{i∈G_j} bits_i/B_{q_j}. On heterogeneous clusters, (group, server)
 // pairs violating the speed-scaled Const2 are masked out of the matching;
-// when no complete matching avoids the masked cells the result is a
-// wrapped ErrInfeasible.
+// when no complete matching avoids the masked cells and the zero-uplink
+// servers, the result is a wrapped ErrInfeasible.
 func MapGroups(groups [][]int, streams []Stream, servers []cluster.Server) (Plan, error) {
-	n := len(servers)
-	sc := mapPool.Get().(*mapScratch)
-	cost := sc.matrix(n, n)
-	buildCosts(cost, groups, streams, servers)
+	m := matchPool.Get().(*Matcher)
+	defer matchPool.Put(m)
+	m.cols = healthyCols(m.cols[:0], len(servers), nil)
+	return m.mapGroups(groups, streams, servers, m.cols)
+}
+
+// mapGroups is MapGroups over the physical server columns cols: the plan's
+// GroupServer and StreamServer name servers[cols[c]].
+func (m *Matcher) mapGroups(groups [][]int, streams []Stream, servers []cluster.Server, cols []int) (Plan, error) {
+	m.Build(len(groups), func(g int) float64 { return groupBits(groups[g], streams) }, cols, servers)
 	if hetero(servers) {
-		maskSpeedInfeasible(cost, groups, streams, servers)
+		m.maskSpeedInfeasible(groups, streams, servers, cols)
 	}
-	assign, total := sc.solver.Solve(cost)
-	var infeasible int
-	for g, members := range groups {
-		if len(members) > 0 && math.IsInf(cost[g][assign[g]], 1) {
-			infeasible = len(members)
-			break
-		}
+	assign, total, ok := m.Solve()
+	if !ok {
+		return Plan{}, fmt.Errorf("%w: some group fits no server (a zero uplink for its bits, or Σp over its gcd·speed budget)", ErrInfeasible)
 	}
+	return place(groups, assign, cols, len(streams), total), nil
+}
+
+// place assembles the plan of a solved match: row g (group g, or a dummy
+// row past the groups) runs on server cols[assign[g]], and streams in no
+// group keep StreamServer −1.
+func place(groups [][]int, assign, cols []int, nStreams int, total float64) Plan {
 	plan := Plan{
 		Groups:       groups,
-		GroupServer:  append([]int(nil), assign...),
-		StreamServer: make([]int, len(streams)),
+		GroupServer:  make([]int, len(assign)),
+		StreamServer: make([]int, nStreams),
 		CommLatency:  total,
 	}
-	mapPool.Put(sc)
-	if infeasible > 0 {
-		return Plan{}, fmt.Errorf("%w: no server class fits every group under the speed-scaled gcd budget", ErrInfeasible)
+	for g, c := range assign {
+		plan.GroupServer[g] = cols[c]
 	}
-	assign = plan.GroupServer
 	for i := range plan.StreamServer {
 		plan.StreamServer[i] = -1
 	}
 	for g, members := range groups {
 		for _, si := range members {
-			plan.StreamServer[si] = assign[g]
+			plan.StreamServer[si] = plan.GroupServer[g]
 		}
 	}
-	return plan, nil
+	return plan
 }
 
 // Schedule runs the complete Algorithm 1 on pre-split streams.
 func Schedule(streams []Stream, servers []cluster.Server) (Plan, error) {
-	groups, err := GroupStreams(streams, len(servers))
-	if err != nil {
-		return Plan{}, err
-	}
-	return MapGroups(groups, streams, servers)
+	return ScheduleMasked(streams, servers, nil)
 }
 
 // ScheduleMasked runs Algorithm 1 on the healthy subset of the servers —
-// the shrunken-capacity case when faults take servers down — and returns
-// a plan whose GroupServer/StreamServer indices refer to the FULL servers
-// slice, so callers keep one physical index space across fault states.
-// A nil mask means all servers are healthy. With zero healthy servers, or
-// when no zero-jitter grouping fits the survivors, it returns a wrapped
+// the shrunken-capacity case when faults take servers down. The healthy
+// physical indices are the match's columns, so the plan's
+// GroupServer/StreamServer indices refer to the FULL servers slice and
+// callers keep one physical index space across fault states. A nil mask
+// means all servers are healthy. With zero healthy servers, or when no
+// zero-jitter grouping fits the survivors, it returns a wrapped
 // ErrInfeasible.
 func ScheduleMasked(streams []Stream, servers []cluster.Server, healthy []bool) (Plan, error) {
-	if healthy == nil {
-		return Schedule(streams, servers)
-	}
-	if len(healthy) != len(servers) {
+	if healthy != nil && len(healthy) != len(servers) {
 		return Plan{}, fmt.Errorf("sched: mask length %d for %d servers", len(healthy), len(servers))
 	}
-	idx := make([]int, 0, len(servers))
-	for j, ok := range healthy {
-		if ok {
-			idx = append(idx, j)
-		}
-	}
-	if len(idx) == 0 {
+	m := matchPool.Get().(*Matcher)
+	defer matchPool.Put(m)
+	m.cols = healthyCols(m.cols[:0], len(servers), healthy)
+	if len(m.cols) == 0 && healthy != nil {
 		return Plan{}, fmt.Errorf("%w: no healthy servers", ErrInfeasible)
 	}
-	sub := make([]cluster.Server, len(idx))
-	for k, j := range idx {
-		sub[k] = servers[j]
-	}
-	groups, err := GroupStreams(streams, len(sub))
+	groups, err := GroupStreams(streams, len(m.cols))
 	if err != nil {
 		return Plan{}, err
 	}
-	plan, err := MapGroups(groups, streams, sub)
-	if err != nil {
-		return Plan{}, err
-	}
-	// Remap the compact survivor indices back to physical ones.
-	for g := range plan.GroupServer {
-		plan.GroupServer[g] = idx[plan.GroupServer[g]]
-	}
-	for i, j := range plan.StreamServer {
-		if j >= 0 {
-			plan.StreamServer[i] = idx[j]
-		}
-	}
-	return plan, nil
+	return m.mapGroups(groups, streams, servers, m.cols)
 }
 
 // Utilizations returns each server's compute utilization Σ pᵢ·sᵢ under the

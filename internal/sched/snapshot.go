@@ -50,16 +50,8 @@ func (s *Snapshot) NumServers() int { return len(s.servers) }
 // Servers returns the snapshot's server table. Read-only.
 func (s *Snapshot) Servers() []cluster.Server { return s.servers }
 
-// Server returns server j's capacity record.
-func (s *Snapshot) Server(j int) cluster.Server { return s.servers[j] }
-
 // Healthy returns the liveness mask (nil = all up). Read-only.
 func (s *Snapshot) Healthy() []bool { return s.healthy }
-
-// IsHealthy reports whether server j is up.
-func (s *Snapshot) IsHealthy(j int) bool {
-	return s.healthy == nil || s.healthy[j]
-}
 
 // NumHealthy counts the servers that are up.
 func (s *Snapshot) NumHealthy() int {
@@ -79,10 +71,5 @@ func (s *Snapshot) NumHealthy() int {
 // ascending order, to dst — the column order every masked solve uses, so
 // Hungarian tie-breaking is identical across the serial and sharded paths.
 func (s *Snapshot) HealthyIndices(dst []int) []int {
-	for j := range s.servers {
-		if s.IsHealthy(j) {
-			dst = append(dst, j)
-		}
-	}
-	return dst
+	return healthyCols(dst, len(s.servers), s.healthy)
 }

@@ -1,8 +1,7 @@
 package shard
 
 import (
-	"math"
-
+	"repro/internal/cluster"
 	"repro/internal/sched"
 )
 
@@ -48,24 +47,26 @@ type serverState struct {
 type Arbiter struct {
 	version uint64
 	states  []serverState
-	uplinks []float64
-	speeds  []float64
+	servers []cluster.Server // the snapshot's, read-only
 	commits int
 	comm    float64 // Σ bits/uplink over committed claims
 
 	trial sched.ProcSum // scratch for the serial commit path only
 }
 
-// NewArbiter returns an arbiter over n servers at the snapshot's version.
-func NewArbiter(n int, version uint64) *Arbiter {
+// NewArbiter returns an arbiter over the snapshot's servers at its version.
+func NewArbiter(snap *sched.Snapshot) *Arbiter {
 	a := &Arbiter{}
-	a.Reset(n, version)
+	a.Reset(snap)
 	return a
 }
 
 // Reset clears all commitments and re-bases the arbiter on a fresh
-// snapshot version, reusing the per-server state slices.
-func (a *Arbiter) Reset(n int, version uint64) {
+// snapshot, reusing the per-server state slices. Uplinks (for the committed
+// communication latency) and speeds (for the Const2 budgets) are read from
+// the snapshot's servers.
+func (a *Arbiter) Reset(snap *sched.Snapshot) {
+	n := snap.NumServers()
 	if cap(a.states) < n {
 		a.states = make([]serverState, n)
 	}
@@ -76,7 +77,8 @@ func (a *Arbiter) Reset(n int, version uint64) {
 		a.states[j].members = a.states[j].members[:0]
 		a.states[j].claims = 0
 	}
-	a.version = version
+	a.servers = snap.Servers()
+	a.version = snap.Version()
 	a.commits = 0
 	a.comm = 0
 }
@@ -93,25 +95,20 @@ func (a *Arbiter) Commits() int { return a.commits }
 // claims (Σ group bits / server uplink).
 func (a *Arbiter) CommLatency() float64 { return a.comm }
 
-// Fits reports whether adding a group with the given period gcd and exact
-// proc sum to server j keeps the union within Const2: Σ proc over every
-// stream on j, claimed and committed, at most the gcd of all their periods.
-// Since that gcd divides every member period, Const2 implies Const1
-// (Σ pᵢ/Tᵢ ≤ Σ pᵢ/gcd ≤ 1), so one exact check settles both. Proposers
-// call it read-only during the propose phase; Commit re-runs it against
-// the live state, which is what makes the concurrency optimistic.
-func (a *Arbiter) Fits(j int, gcd sched.Rational, sum *sched.ProcSum) bool {
-	return a.fits(j, gcd, sum, &a.trial)
-}
-
-// fits is Fits against a caller-owned trial sum — the form propose
-// goroutines use so the concurrent propose phase stays free of shared
-// mutable state.
+// fits reports whether adding a group with the given period gcd and exact
+// proc sum to server j keeps the union within Const2 at the server's speed:
+// Σ proc over every stream on j, claimed and committed, at most the gcd of
+// all their periods times speed_j. Since that gcd divides every member
+// period, Const2 implies Const1 (Σ pᵢ/Tᵢ ≤ Σ pᵢ/gcd ≤ speed_j), so one exact
+// check settles both. Proposers call it read-only during the propose phase,
+// each with its own trial sum so the concurrent phase shares no mutable
+// state; Commit re-runs it against the live state, which is what makes the
+// concurrency optimistic.
 func (a *Arbiter) fits(j int, gcd sched.Rational, sum, trial *sched.ProcSum) bool {
 	st := &a.states[j]
 	trial.Set(&st.sum)
 	trial.AddSum(sum)
-	return trial.Within(sched.RatGCD(st.gcd, gcd), a.speed(j))
+	return trial.Within(sched.RatGCD(st.gcd, gcd), a.servers[j].Speed())
 }
 
 // Commit validates every claim of the proposal against the LIVE state and,
@@ -130,7 +127,7 @@ func (a *Arbiter) Commit(p *Proposal) (ok bool, conflict int) {
 				return false, c.Server
 			}
 		}
-		if !a.Fits(c.Server, c.GCD, &c.Sum) {
+		if !a.fits(c.Server, c.GCD, &c.Sum, &a.trial) {
 			return false, c.Server
 		}
 	}
@@ -141,39 +138,12 @@ func (a *Arbiter) Commit(p *Proposal) (ok bool, conflict int) {
 		st.sum.AddSum(&c.Sum)
 		st.members = append(st.members, c.Members...)
 		st.claims++
-		a.comm += c.Bits / a.uplink(c.Server)
+		a.comm += c.Bits / a.servers[c.Server].Uplink
 	}
 	a.version++
 	a.commits++
 	return true, -1
 }
-
-// uplinks are threaded in at Reset time by the planner; stored separately
-// so Reset can keep the slice without re-copying server records.
-func (a *Arbiter) uplink(j int) float64 { return a.uplinks[j] }
-
-// SetUplinks installs the per-server uplink capacities used for the
-// committed communication-latency accounting. Must be called after Reset
-// and before the first Commit.
-func (a *Arbiter) SetUplinks(uplinks []float64) { a.uplinks = uplinks }
-
-// speed returns server j's effective processing-rate factor; a nil slice
-// (homogeneous cluster) means 1 everywhere.
-func (a *Arbiter) speed(j int) float64 {
-	if a.speeds == nil {
-		return 1
-	}
-	if s := a.speeds[j]; s > 0 && !math.IsInf(s, 1) {
-		return s
-	}
-	return 1
-}
-
-// SetSpeeds installs per-server speed factors so the exact admission check
-// scales every server's Const2 budget to gcd·speed (cluster.Server.Speed
-// semantics: non-positive entries mean 1). Must be called after Reset and
-// before the first Fits/Commit; nil restores the homogeneous default.
-func (a *Arbiter) SetSpeeds(speeds []float64) { a.speeds = speeds }
 
 // Plan assembles the committed state into a sched.Plan over nStreams
 // streams: one merged group per occupied server in ascending server order

@@ -24,6 +24,10 @@ import (
 //   - With uniform uplinks the committed communication latency equals the
 //     serial scheduler's (it is placement-independent), so conflict-free
 //     partitions are decision-equivalent in the objective.
+//
+// Every server draws a SpeedFactor from {0, 0.5, 1, 2}, and non-uniform
+// uplinks are occasionally zero, so both planners' speed and uplink masks
+// are exercised.
 func FuzzShardedVsSerial(f *testing.F) {
 	f.Add(uint64(1), 6, 3, uint8(2), uint8(0))
 	f.Add(uint64(42), 16, 5, uint8(3), uint8(5))
@@ -52,12 +56,16 @@ func FuzzShardedVsSerial(f *testing.F) {
 		streams := sched.SplitHighRate(raw)
 		servers := make([]cluster.Server, n)
 		uniform := next(2) == 0
+		speeds := []float64{0, 0.5, 1, 2}
 		for j := range servers {
 			up := 20e6
 			if !uniform {
 				up = 10e6 * float64(1+next(5))
+				if next(8) == 0 {
+					up = 0
+				}
 			}
-			servers[j] = cluster.Server{Name: fmt.Sprintf("s%d", j), Uplink: up}
+			servers[j] = cluster.Server{Name: fmt.Sprintf("s%d", j), Uplink: up, SpeedFactor: speeds[next(len(speeds))]}
 		}
 		var healthy []bool
 		if downBits != 0 {
@@ -102,10 +110,10 @@ func FuzzShardedVsSerial(f *testing.F) {
 				t.Fatalf("shards=%d: stream %d on down server %d", shards, i, j)
 			}
 		}
-		if !sched.CheckConst1Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
+		if !sched.CheckConst1Servers(streams, plan.StreamServer, servers) {
 			t.Fatalf("shards=%d: exact Const1 violated", shards)
 		}
-		if !sched.CheckConst2Servers(streams, plan.StreamServer, make([]cluster.Server, n)) {
+		if !sched.CheckConst2Servers(streams, plan.StreamServer, servers) {
 			t.Fatalf("shards=%d: exact Const2 violated", shards)
 		}
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/check"
-	"repro/internal/hungarian"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
@@ -99,10 +98,6 @@ type Planner struct {
 	opt   Options
 	arb   Arbiter
 	cells []cellScratch
-
-	uplinks []float64
-	speeds  []float64
-	colBuf  []int
 }
 
 // cellScratch is the per-cell reusable state. Cell c is touched only by
@@ -118,9 +113,7 @@ type cellScratch struct {
 	retries int
 	pending bool
 	stuck   bool
-	solver  hungarian.Solver
-	cost    [][]float64
-	flat    []float64
+	match   sched.Matcher
 	cols    []int
 }
 
@@ -176,24 +169,7 @@ func (p *Planner) PlanCtx(ctx context.Context, streams []sched.Stream, snap *sch
 		p.cells = make([]cellScratch, len(parts))
 	}
 	p.cells = p.cells[:len(parts)]
-	p.uplinks = p.uplinks[:0]
-	p.speeds = p.speeds[:0]
-	heteroSpeeds := false
-	for _, srv := range snap.Servers() {
-		p.uplinks = append(p.uplinks, srv.Uplink)
-		spd := srv.Speed()
-		p.speeds = append(p.speeds, spd)
-		if spd != 1 {
-			heteroSpeeds = true
-		}
-	}
-	p.arb.Reset(snap.NumServers(), snap.Version())
-	p.arb.SetUplinks(p.uplinks)
-	if heteroSpeeds {
-		p.arb.SetSpeeds(p.speeds)
-	} else {
-		p.arb.SetSpeeds(nil)
-	}
+	p.arb.Reset(snap)
 	nPending := 0
 	for c := range p.cells {
 		cell := &p.cells[c]
@@ -422,29 +398,14 @@ func (p *Planner) propose(cell *cellScratch, streams []sched.Stream, snap *sched
 // when no finite-cost perfect assignment of the real rows exists.
 func (p *Planner) assign(cell *cellScratch, cols []int, snap *sched.Snapshot) bool {
 	rows := len(cell.prop.Claims)
-	n := len(cols)
-	if rows > n {
+	if rows > len(cols) {
 		return false
 	}
-	if cap(cell.flat) < n*n {
-		cell.flat = make([]float64, n*n)
-	}
-	cell.flat = cell.flat[:n*n]
-	if cap(cell.cost) < n {
-		cell.cost = make([][]float64, n)
-	}
-	cell.cost = cell.cost[:n]
-	for r := 0; r < n; r++ {
-		row := cell.flat[r*n : (r+1)*n]
-		cell.cost[r] = row
-		if r >= rows {
-			for ci := range row {
-				row[ci] = 0 // dummy row, as MapGroups pads empty groups
-			}
-			continue
-		}
+	servers := snap.Servers()
+	cost := cell.match.Build(rows, func(r int) float64 { return cell.prop.Claims[r].Bits }, cols, servers)
+	for r := range cell.prop.Claims {
 		cl := &cell.prop.Claims[r]
-		for ci, j := range cols {
+		for c, j := range cols {
 			// Empty full-speed servers are feasible without the exact
 			// check: a GroupStreams group satisfies Σ proc ≤ min period =
 			// its own gcd by construction, and commit re-validates exactly
@@ -453,24 +414,15 @@ func (p *Planner) assign(cell *cellScratch, cols []int, snap *sched.Snapshot) bo
 			// construction guarantee, so they always take the exact check —
 			// a shortcut there could propose a claim that can NEVER commit,
 			// breaking the termination argument.
-			occupied := p.arb.states[j].claims > 0 || p.arb.speed(j) < 1
-			switch {
-			case occupied && !p.arb.fits(j, cl.GCD, &cl.Sum, &cell.trial):
-				row[ci] = math.Inf(1)
-			case p.uplinks[j] > 0:
-				row[ci] = cl.Bits / p.uplinks[j]
-			case cl.Bits > 0:
-				row[ci] = math.Inf(1)
-			default:
-				row[ci] = 0
+			occupied := p.arb.states[j].claims > 0 || servers[j].Speed() < 1
+			if occupied && !p.arb.fits(j, cl.GCD, &cl.Sum, &cell.trial) {
+				cost[r][c] = math.Inf(1)
 			}
 		}
 	}
-	assign, _ := cell.solver.Solve(cell.cost)
-	for r := 0; r < rows; r++ {
-		if math.IsInf(cell.cost[r][assign[r]], 1) {
-			return false
-		}
+	assign, _, ok := cell.match.Solve()
+	if !ok {
+		return false
 	}
 	for r := 0; r < rows; r++ {
 		cell.prop.Claims[r].Server = cols[assign[r]]

@@ -133,8 +133,7 @@ func TestArbiterCommitAndConflict(t *testing.T) {
 		{Video: 0, Period: p, Proc: 0.06, Bits: 1e6},
 		{Video: 1, Period: p, Proc: 0.06, Bits: 2e6},
 	}
-	a := NewArbiter(2, 100)
-	a.SetUplinks([]float64{10e6, 10e6})
+	a := NewArbiter(sched.NewSnapshot(100, []cluster.Server{{Uplink: 10e6}, {Uplink: 10e6}}, nil))
 
 	first := Proposal{Cell: 0, Version: a.Version(), Claims: []Claim{claimOf(t, streams, []int{0}, 0)}}
 	if ok, _ := a.Commit(&first); !ok {
@@ -183,8 +182,7 @@ func TestArbiterMergesAcrossCells(t *testing.T) {
 		{Video: 0, Period: p30, Proc: 0.012},
 		{Video: 1, Period: p15, Proc: 0.014},
 	}
-	a := NewArbiter(1, 0)
-	a.SetUplinks([]float64{10e6})
+	a := NewArbiter(sched.NewSnapshot(0, []cluster.Server{{Uplink: 10e6}}, nil))
 	for cell := range streams {
 		prop := Proposal{Cell: cell, Version: a.Version(), Claims: []Claim{claimOf(t, streams, []int{cell}, 0)}}
 		if ok, _ := a.Commit(&prop); !ok {
