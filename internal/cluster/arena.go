@@ -4,16 +4,18 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/obs"
 )
 
 // Arena holds the reusable buffers of one server's discrete-event run: a
-// merge cursor per stream (its next frame's sequence number, capture and
-// arrival instants, transmission delay and service time) and the
-// per-stream summary slots. The arena path keeps no frame log: frames are
-// served and summarized in the same pass that merges them, so a warm arena
-// simulates without touching the heap.
+// merge cursor per stream (its next frame's sequence number, capture
+// instant, transmission delay and service time), the merge ring that orders
+// the streams by their next arrival, and the per-stream summary slots. The
+// arena path keeps no frame log: frames are served and summarized in the
+// same pass that merges them, so a warm arena simulates without touching
+// the heap.
 //
 // Ownership rules (see DESIGN.md "Scaling"): an Arena is single-goroutine —
 // the fault-tolerant runtime keeps one per server worker. The Result
@@ -23,8 +25,8 @@ import (
 // them out. Frame logs come only from the package-level SimulateServer and
 // SimulateCluster.
 type Arena struct {
-	arrive    []float64 // next frame's arrival; +Inf once past the horizon
 	cur       []cursor
+	ring      []next // power-of-two length, at least one slot per stream
 	per       []StreamStats
 	completed []int
 	sub       []StreamSpec // MeanLatency's per-server stream subset
@@ -38,20 +40,32 @@ type cursor struct {
 	proc    float64 // service time on this server, Proc/speed
 }
 
+// next is one merge-ring entry: a stream and its next frame's arrival.
+type next struct {
+	arrive float64
+	si     int
+}
+
 // NewArena returns an empty arena; buffers grow on first use.
 func NewArena() *Arena { return &Arena{} }
 
 func (a *Arena) growStreams(n int) {
-	if cap(a.arrive) < n {
-		a.arrive = make([]float64, n)
+	if cap(a.cur) < n {
 		a.cur = make([]cursor, n)
 		a.per = make([]StreamStats, n)
 		a.completed = make([]int, n)
 	}
-	a.arrive = a.arrive[:n]
 	a.cur = a.cur[:n]
 	a.per = a.per[:n]
 	a.completed = a.completed[:n]
+	size := 1
+	if n > 1 {
+		size = 1 << bits.Len(uint(n-1))
+	}
+	if cap(a.ring) < size {
+		a.ring = make([]next, size)
+	}
+	a.ring = a.ring[:size]
 }
 
 // SimulateServer simulates one server into the arena's buffers (see the
@@ -97,6 +111,15 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 		panic(fmt.Sprintf("cluster: non-positive horizon %v", horizon))
 	}
 	a.growStreams(len(streams))
+	// Each stream emits frames in increasing arrival order (its uplink delay
+	// is constant), so a k-way merge over the streams' next arrivals
+	// produces the global FIFO arrival order directly, with no sort. The
+	// ring holds the streams still to serve, sorted by (arrival, stream
+	// index): arrival ties break toward the lower stream index, matching a
+	// deterministic NIC delivering interleaved packets. A stream whose next
+	// arrival is +Inf (past the horizon) or NaN leaves the ring for good.
+	ring, mask := a.ring, len(a.ring)-1
+	head, n := 0, 0
 	// Service time scales with the server's speed class. At the
 	// homogeneous default (speed 1) the division is an exact identity, so
 	// golden traces are bit-identical.
@@ -111,7 +134,9 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 		if srv.Uplink > 0 {
 			c.tx = s.Bits / srv.Uplink
 		}
-		a.aim(si, &streams[si], horizon)
+		if t := a.aim(si, &streams[si], horizon); t < posInf() {
+			n = push(ring, mask, head, n, next{t, si})
+		}
 		a.per[si] = StreamStats{MinLat: math.Inf(1)}
 		a.completed[si] = 0
 		if !record {
@@ -126,24 +151,11 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 		frames = make([]FrameRecord, 0, total)
 	}
 
-	// Each stream emits frames in increasing arrival order (its uplink delay
-	// is constant), so a k-way merge over the cursors' cached arrivals
-	// produces the global FIFO arrival order directly, with no sort.
-	// Arrival ties break toward the lower stream index (strict <), matching
-	// a deterministic NIC delivering interleaved packets. A stream past the
-	// horizon holds +Inf, which never wins.
-	arrive, per := a.arrive, a.per
+	per := a.per
 	free, busy, count := 0.0, 0.0, 0
-	for {
-		best, arr := -1, math.Inf(1)
-		for si, t := range arrive {
-			if t < arr {
-				best, arr = si, t
-			}
-		}
-		if best < 0 {
-			break
-		}
+	for n > 0 {
+		best, arr := ring[head].si, ring[head].arrive
+		head, n = (head+1)&mask, n-1
 		c := &a.cur[best]
 		start := fmax(arr, free)
 		finish := start + c.proc
@@ -167,7 +179,9 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 			})
 		}
 		c.seq++
-		a.aim(best, &streams[best], horizon)
+		if t := a.aim(best, &streams[best], horizon); t < posInf() {
+			n = push(ring, mask, head, n, next{t, best})
+		}
 	}
 
 	res := Result{Frames: frames, PerStream: per, LatSum: latSum, FrameCount: count}
@@ -187,17 +201,34 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 	return res
 }
 
-// aim points stream si's cursor at its frame number seq: capture at
-// Offset + seq·Period, arrival one transmission delay later, or the +Inf
-// sentinel once the capture reaches the horizon.
-func (a *Arena) aim(si int, s *StreamSpec, horizon float64) {
+// push inserts e into the run of n ring entries that starts at head, sorted
+// by (arrival, stream index), walking from the tail, and returns the new
+// length. A stream re-aimed one period on arrives after every other stream
+// on an equal-period server, so there the walk stops at its first
+// comparison; at worst it shifts n entries.
+func push(ring []next, mask, head, n int, e next) int {
+	i := n
+	for ; i > 0; i-- {
+		p := ring[(head+i-1)&mask]
+		if p.arrive < e.arrive || p.arrive == e.arrive && p.si < e.si {
+			break
+		}
+		ring[(head+i)&mask] = p
+	}
+	ring[(head+i)&mask] = e
+	return n + 1
+}
+
+// aim points stream si's cursor at its frame number seq, capture at
+// Offset + seq·Period, and returns the frame's arrival one transmission
+// delay later, or +Inf once the capture reaches the horizon.
+func (a *Arena) aim(si int, s *StreamSpec, horizon float64) float64 {
 	c := &a.cur[si]
 	c.capture = s.Offset + float64(c.seq)*s.Period
 	if c.capture >= horizon {
-		a.arrive[si] = math.Inf(1)
-		return
+		return posInf()
 	}
-	a.arrive[si] = c.capture + c.tx
+	return c.capture + c.tx
 }
 
 // fmax is math.Max, bit for bit, written so the compiler inlines it

@@ -236,23 +236,30 @@ func checkFmaxFmin(t *testing.T, x, y float64) {
 // oracle above, bit for bit: the arena path's summary, LatSum and
 // FrameCount, and the package-level path's frame log as well. It also
 // holds fmax/fmin to math.Max/math.Min on the raw fuzzed floats. Inputs mix
-// 0–16 streams; exact arrival ties (duplicated streams, dyadic periods and
-// offsets, zero uplink); offsets at, one ULP either side of, and beyond the
-// horizon, plus +Inf and NaN; overloaded servers; NaN, ±Inf and negative
-// per-frame costs and sizes from the fuzzer; and non-unit speed factors.
-// Periods stay at or above 1/240 s so every input terminates quickly. One
+// 0–64 streams, so the merge ring runs at every power-of-two size up to 64
+// and wraps past its mask; exact arrival ties (duplicated streams, dyadic
+// periods and offsets, zero uplink); offsets at, one ULP either side of,
+// and beyond the horizon, plus +Inf and NaN; overloaded servers; NaN, ±Inf
+// and negative per-frame costs and sizes from the fuzzer; and non-unit
+// speed factors. With train set, every stream takes one period and its
+// offset on the server's zero-jitter slot train (ZeroJitterOffsetsInPlaceOn),
+// the shape of a fleet-placement server. Periods stay at or above 1/240 s
+// and offsets at or above -horizon, so every input terminates quickly. One
 // arena serves every input and, within an input, a shrinking series of
-// stream prefixes, so cursor or summary state left over from a larger run
-// would show.
+// stream prefixes, so cursor, ring or summary state left over from a
+// larger run would show.
 func FuzzArenaVsOracle(f *testing.F) {
-	f.Add(uint64(1), uint8(6), 0.01, 1e5, 1.0, 40e6, 0.05)
-	f.Add(uint64(2), uint8(16), 0.3, 0.0, 0.5, 0.0, 0.25) // overload, ties at zero uplink
-	f.Add(uint64(3), uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0)   // empty server
-	f.Add(uint64(4), uint8(9), math.NaN(), math.Inf(1), 2.0, 1e7, math.Inf(1))
-	f.Add(uint64(5), uint8(12), -0.0, -1e5, 1.1, 5e-324, 1e300)
-	f.Add(uint64(6), uint8(16), 1.0/3, 2.5e5, 0.3, 15e6, 0.125)
+	f.Add(uint64(1), uint8(6), 0.01, 1e5, 1.0, 40e6, 0.05, false)
+	f.Add(uint64(2), uint8(16), 0.3, 0.0, 0.5, 0.0, 0.25, false) // overload, ties at zero uplink
+	f.Add(uint64(3), uint8(0), 0.0, 0.0, 0.0, 0.0, 0.0, false)   // empty server
+	f.Add(uint64(4), uint8(9), math.NaN(), math.Inf(1), 2.0, 1e7, math.Inf(1), false)
+	f.Add(uint64(5), uint8(12), -0.0, -1e5, 1.1, 5e-324, 1e300, false)
+	f.Add(uint64(6), uint8(16), 1.0/3, 2.5e5, 0.3, 15e6, 0.125, false)
+	f.Add(uint64(7), uint8(8), 0.02, 2e5, 1.0, 40e6, 0.2, true) // a fleet-placement server: 8 streams at 5 fps
+	f.Add(uint64(8), uint8(33), 0.001, 1e5, 1.0, 40e6, 0.1, false)
+	f.Add(uint64(9), uint8(64), 0.003, 8e4, 2.0, 25e6, 0.2, true)
 	a := NewArena()
-	f.Fuzz(func(t *testing.T, seed uint64, n uint8, proc, bits, speed, uplink, period float64) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint8, proc, bits, speed, uplink, period float64, train bool) {
 		raw := []float64{proc, bits, speed, uplink, period}
 		for _, x := range raw {
 			for _, y := range append(raw, specialFloats...) {
@@ -262,15 +269,21 @@ func FuzzArenaVsOracle(f *testing.F) {
 		}
 		rng := newRng(seed)
 		horizon := []float64{0.5, 1, 2, 3.3}[rng.IntN(4)]
-		periods := []float64{1.0 / 30, 1.0 / 15, 0.1, 0.125, 0.25, 0.5, 1.0 / 3, horizon, math.Inf(1)}
+		periods := []float64{1.0 / 30, 1.0 / 15, 0.1, 0.125, 0.2, 0.25, 0.5, 1.0 / 3, horizon, math.Inf(1)}
+		trainPeriod := periods[rng.IntN(len(periods))] // unless the fuzzed period is finite
 		if !math.IsNaN(period) && !math.IsInf(period, 0) {
-			periods = append(periods, 1.0/240+math.Mod(math.Abs(period), 1))
+			trainPeriod = math.Max(1.0/240, math.Mod(math.Abs(period), 1))
+			periods = append(periods, trainPeriod)
 		}
 		offsets := []float64{0, math.Copysign(0, -1), 0.01, 0.125, 0.25, -0.3, horizon,
 			math.Nextafter(horizon, 0), math.Nextafter(horizon, 2*horizon), 2 * horizon, math.Inf(1), math.NaN()}
 		procs := []float64{0, 0.001, 0.01, 0.05, 0.3, 1.25, proc, -proc}
 		sizes := []float64{0, 8e4, 1e5, 2.5e5, bits}
-		streams := make([]StreamSpec, int(n)%17)
+		srv := Server{
+			Uplink:      []float64{0, 1e7, 40e6, uplink}[rng.IntN(4)],
+			SpeedFactor: []float64{0, 1, 0.5, 0.75, 2, 0.3, 1.1, speed}[rng.IntN(8)],
+		}
+		streams := make([]StreamSpec, int(n)%65)
 		for i := range streams {
 			if i > 0 && rng.IntN(4) == 0 {
 				streams[i] = streams[rng.IntN(i)] // an exact twin: every arrival ties
@@ -283,9 +296,16 @@ func FuzzArenaVsOracle(f *testing.F) {
 				Bits:   sizes[rng.IntN(len(sizes))],
 			}
 		}
-		srv := Server{
-			Uplink:      []float64{0, 1e7, 40e6, uplink}[rng.IntN(4)],
-			SpeedFactor: []float64{0, 1, 0.5, 0.75, 2, 0.3, 1.1, speed}[rng.IntN(8)],
+		if train {
+			for i := range streams {
+				streams[i].Period = trainPeriod
+			}
+			ZeroJitterOffsetsInPlaceOn(streams, srv)
+			for i := range streams {
+				// Negative fuzzed service times run the slot train back
+				// before zero; stopping it at -horizon bounds the frames.
+				streams[i].Offset = math.Max(streams[i].Offset, -horizon)
+			}
 		}
 		for k := len(streams); ; k /= 2 {
 			sub := streams[:k]

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"time"
 
@@ -198,6 +199,7 @@ func (a *Agent) Run(ctx context.Context) error {
 	reg := a.Obs.Registry()
 	evals := reg.Counter("ctlplane_agent_evals_total")
 	staleWork := reg.Counter("ctlplane_agent_stale_work_total")
+	badWork := reg.Counter("ctlplane_agent_bad_work_total")
 	a.arena = cluster.NewArena()
 
 	var rr RegisterResponse
@@ -250,6 +252,12 @@ func (a *Agent) Run(ctx context.Context) error {
 			if a.haveResult && pr.Version == a.lastResult.Version {
 				_ = a.sendResult(ctx, a.lastResult)
 			}
+		case !validWork(pr):
+			// Send no result: the controller's EvalTimeout scores the server
+			// as failed, as it does for a crashed agent. Re-dispatches of
+			// the item count as stale work.
+			badWork.Inc()
+			a.lastVersion = pr.Version
 		default:
 			res := a.evaluate(pr)
 			evals.Inc()
@@ -283,6 +291,22 @@ func (a *Agent) evaluate(pr PollResponse) runtime.ServerEvalResult {
 	a.lastUtil = res.Utilization
 	a.lastJitter = res.MaxJitter
 	return out
+}
+
+// validWork reports whether the simulator can run a dispatched item: it
+// panics on a horizon or a stream period that is not positive, and never
+// ends on an infinite horizon. The item comes off the wire, so a malformed
+// one is bad input to reject, not a reason to take the agent down.
+func validWork(pr PollResponse) bool {
+	if !(pr.Horizon > 0) || math.IsInf(pr.Horizon, 1) {
+		return false
+	}
+	for _, s := range pr.Specs {
+		if !(s.Period > 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // sendResult reports a fenced result. A fenced rejection is success from

@@ -536,3 +536,67 @@ func TestWireChurnIncrementalFastPath(t *testing.T) {
 		t.Fatal("no incremental replans on the wire churn path")
 	}
 }
+
+// TestAgentRejectsMalformedWork feeds an agent, through a scripted
+// controller, work items the simulator would panic on — horizon 0, a
+// period of 0, a period of −1 — then a re-dispatch of the last one and a
+// valid item. The agent must survive, count each malformed item once as
+// bad work (the re-dispatch as stale work), send no result for any of
+// them, and evaluate the valid item as a fresh arena would.
+func TestAgentRejectsMalformedWork(t *testing.T) {
+	good := []cluster.StreamSpec{{Period: 0.1, Proc: 0.01, Bits: 1e5}, {Period: 0.2, Proc: 0.02, Bits: 2e5, Offset: 0.03}}
+	srv := cluster.Server{Uplink: 1e7}
+	items := []PollResponse{
+		{Version: 1, Specs: good, Server: srv, Horizon: 0},
+		{Version: 2, Specs: []cluster.StreamSpec{good[0], {Proc: 0.01}}, Server: srv, Horizon: 5},
+		{Version: 3, Specs: []cluster.StreamSpec{{Period: -1, Proc: 0.01}}, Server: srv, Horizon: 5},
+		{Version: 3, Specs: []cluster.StreamSpec{{Period: -1, Proc: 0.01}}, Server: srv, Horizon: 5},
+		{Version: 4, Specs: good, Server: srv, Horizon: 5},
+		{Shutdown: true},
+	}
+	var results []ResultRequest
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/register":
+			writeJSON(w, RegisterResponse{Incarnation: 1})
+		case "/v1/poll":
+			writeJSON(w, items[0])
+			if len(items) > 1 {
+				items = items[1:]
+			}
+		case "/v1/result":
+			var rr ResultRequest
+			if !readJSON(w, r, &rr) {
+				return
+			}
+			results = append(results, rr)
+			writeJSON(w, ResultResponse{OK: true})
+		default:
+			http.NotFound(w, r)
+		}
+	})
+	rec := obs.NewRecorder(nil)
+	agent := &Agent{
+		Server: 0,
+		Client: &Client{BaseURL: "http://test.local", HTTP: &http.Client{Transport: &loopbackTransport{h: h}}},
+		Obs:    rec,
+	}
+	if err := agent.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	reg := rec.Registry()
+	for name, want := range map[string]uint64{
+		"ctlplane_agent_bad_work_total":   3,
+		"ctlplane_agent_stale_work_total": 1,
+		"ctlplane_agent_evals_total":      1,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	sim := cluster.NewArena().SimulateServer(good, srv, 5)
+	want := runtime.ServerEvalResult{LatSum: sim.LatSum, Frames: sim.FrameCount, MaxJitter: sim.MaxJitter}
+	if len(results) != 1 || results[0].Version != 4 || !reflect.DeepEqual(results[0].Result, want) {
+		t.Fatalf("results %+v, want one for version 4 carrying %+v", results, want)
+	}
+}
