@@ -1,8 +1,9 @@
 // Command pamo-agent runs one or more edge-server agents against a
 // pamo-controller daemon. Each agent registers its server index, long-polls
 // for evaluation work, runs the discrete-event simulation locally, and
-// reports fenced results; carrying work is its heartbeat, so an agent that
-// dies is inferred down by the controller without any deregistration.
+// reports each fenced result on its next poll; carrying work is its
+// heartbeat, so an agent that dies is inferred down by the controller
+// without any deregistration.
 //
 // One process can host a contiguous block of agents (-server, -count), so
 // a small fleet needs no supervisor:

@@ -9,18 +9,20 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/eva"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/stats"
+	"repro/internal/videosim"
 )
 
-// ErrFenced marks a request the controller rejected as stale — an older
-// incarnation, or a result whose (epoch, version) no longer matches the
-// pending work. Fenced requests must not be retried: the state they were
-// about no longer exists.
+// ErrFenced marks a request the controller rejected as stale: one from an
+// older incarnation. Fenced requests must not be retried: the agent they
+// came from has been superseded.
 var ErrFenced = errors.New("ctlplane: fenced")
 
 // ErrShutdown is returned by Agent.Run when the controller announced the
@@ -97,69 +99,84 @@ func (cl *Client) timeout() time.Duration {
 	return 5 * time.Second
 }
 
-// call POSTs in as JSON to path and decodes the response into out,
-// retrying transport errors and 5xx under the backoff. extra widens the
-// per-attempt timeout (poll park time).
+// call POSTs in as JSON to path and decodes the response into out (nil:
+// discard it), under exchange's retries.
 func (cl *Client) call(ctx context.Context, path string, in, out any, extra time.Duration) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("ctlplane: encoding %s request: %w", path, err)
 	}
+	_, err = cl.exchange(ctx, path, body, nil, extra, func(b []byte) error {
+		if out == nil {
+			return nil
+		}
+		return json.Unmarshal(b, out)
+	})
+	return err
+}
+
+// exchange POSTs body to path, reads the response into buf (returned,
+// grown) and hands it to decode, retrying transport errors, 5xx and
+// undecodable responses under the backoff. extra widens the per-attempt
+// timeout (poll park time).
+func (cl *Client) exchange(ctx context.Context, path string, body, buf []byte, extra time.Duration, decode func([]byte) error) ([]byte, error) {
 	retries := cl.Retries
 	if retries == 0 {
 		retries = 3
 	} else if retries < 0 {
 		retries = 0
 	}
-	var lastErr error
+	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(cl.Backoff.Delay(attempt - 1)):
 			case <-ctx.Done():
-				return ctx.Err()
+				return buf, ctx.Err()
 			}
 		}
-		lastErr = cl.once(ctx, path, body, out, extra)
-		if lastErr == nil || errors.Is(lastErr, ErrFenced) || ctx.Err() != nil {
-			return lastErr
+		buf, err = cl.once(ctx, path, body, buf, extra)
+		if err == nil {
+			if err = decode(buf); err != nil {
+				err = fmt.Errorf("ctlplane: %s: decoding response: %w", path, err)
+			}
+		}
+		if err == nil || errors.Is(err, ErrFenced) || ctx.Err() != nil {
+			return buf, err
 		}
 	}
-	return lastErr
+	return buf, err
 }
 
-func (cl *Client) once(ctx context.Context, path string, body []byte, out any, extra time.Duration) error {
+func (cl *Client) once(ctx context.Context, path string, body, buf []byte, extra time.Duration) ([]byte, error) {
 	actx, cancel := context.WithTimeout(ctx, cl.timeout()+extra)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, cl.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return buf, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := cl.httpClient().Do(req)
 	if err != nil {
-		return err
+		return buf, err
 	}
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode == http.StatusConflict:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return fmt.Errorf("%w: %s: %s", ErrFenced, path, bytes.TrimSpace(msg))
+		return buf, fmt.Errorf("%w: %s: %s", ErrFenced, path, bytes.TrimSpace(msg))
 	case resp.StatusCode != http.StatusOK:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return fmt.Errorf("ctlplane: %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
+		return buf, fmt.Errorf("ctlplane: %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	if out == nil {
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return readBody(resp.Body, buf)
 }
 
 // Agent is one edge server's worker: it registers, long-polls for
-// dispatched evaluations, runs them on its own DES arena, and reports
-// fenced results. Version fencing makes it idempotent — work at or below
-// its last completed version re-acks the cached result instead of
-// re-executing.
+// dispatched evaluations, runs them on its own DES arena, and reports each
+// fenced outcome on its next poll. Version fencing makes it idempotent —
+// work at or below its last completed version re-acks the cached outcome
+// instead of re-executing.
 type Agent struct {
 	Server int
 	Name   string
@@ -168,8 +185,8 @@ type Agent struct {
 	// capped by the controller).
 	PollWaitMS int
 	// HeartbeatEvery, when positive, sends explicit telemetry heartbeats
-	// between work items (daemon mode). Zero relies on polls and results
-	// as beats, which is what the lock-step hollow harness wants.
+	// between work items (daemon mode). Zero relies on polls as beats,
+	// which is what the lock-step hollow harness wants.
 	HeartbeatEvery time.Duration
 	// GiveUpAfter bounds how long the poll loop tolerates nothing but
 	// transport errors before Run returns the last one. Zero retries
@@ -185,11 +202,12 @@ type Agent struct {
 
 	arena       *cluster.Arena
 	incarnation uint64
-	lastVersion uint64
 	lastUtil    float64
 	lastJitter  float64
-	lastResult  ResultRequest
-	haveResult  bool
+	last        Outcome      // the outcome of the newest work item seen
+	dec         decoder      // parses poll responses into work
+	work        PollResponse // the last poll's response; Specs alias dec
+	resp        []byte       // response read buffer
 }
 
 // Run drives the agent loop until ctx ends, the controller shuts down
@@ -217,17 +235,16 @@ func (a *Agent) Run(ctx context.Context) error {
 	}
 	lastBeat := time.Now()
 	lastOK := time.Now()
+	var carry *Outcome // rides the next poll; nil once a poll carrying it was answered
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		var pr PollResponse
-		err := a.Client.call(ctx, "/v1/poll",
-			PollRequest{Server: a.Server, Incarnation: a.incarnation, WaitMS: wait},
-			&pr, time.Duration(wait)*time.Millisecond)
+		pr, err := a.poll(ctx, carry, wait)
 		switch {
 		case err == nil:
 			lastOK = time.Now()
+			carry = nil
 		case errors.Is(err, ErrFenced):
 			// A newer incarnation registered for this server: a successor
 			// owns the index now, and acting on its behalf is exactly what
@@ -239,37 +256,31 @@ func (a *Agent) Run(ctx context.Context) error {
 			if a.GiveUpAfter > 0 && time.Since(lastOK) > a.GiveUpAfter {
 				return fmt.Errorf("ctlplane: agent %d gave up after %v without a reachable controller: %w", a.Server, a.GiveUpAfter, err)
 			}
-			continue // transport trouble: call already backed off; poll again
+			continue // transport trouble: the call already backed off; poll again, outcome and all
 		}
 		switch {
 		case pr.Shutdown:
 			return nil
 		case pr.NoWork:
-		case pr.Version <= a.lastVersion:
-			// Duplicate dispatch of completed work (a lost result ack):
-			// re-ack the cached result instead of re-executing.
+		case pr.Version <= a.last.Version:
+			// A duplicated or retried delivery of answered work: re-ack
+			// the cached outcome instead of re-executing.
 			staleWork.Inc()
-			if a.haveResult && pr.Version == a.lastResult.Version {
-				_ = a.sendResult(ctx, a.lastResult)
+			if pr.Version == a.last.Version {
+				carry = &a.last
 			}
-		case !validWork(pr):
-			// Send no result: the controller's EvalTimeout scores the server
-			// as failed, as it does for a crashed agent. Re-dispatches of
-			// the item count as stale work.
-			badWork.Inc()
-			a.lastVersion = pr.Version
 		default:
-			res := a.evaluate(pr)
-			evals.Inc()
-			a.lastVersion = pr.Version
-			a.lastResult = ResultRequest{
-				Server: a.Server, Incarnation: a.incarnation,
-				Epoch: pr.Epoch, Version: pr.Version, Result: res,
+			a.last = Outcome{Epoch: pr.Epoch, Version: pr.Version}
+			if err := checkWork(pr); err != nil {
+				// The refusal rides the next poll, and the controller fails
+				// the dispatch at once instead of handing the item back.
+				badWork.Inc()
+				a.last.Reject = err.Error()
+			} else {
+				a.last.Result = a.evaluate(pr)
+				evals.Inc()
 			}
-			a.haveResult = true
-			if err := a.sendResult(ctx, a.lastResult); err != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
+			carry = &a.last
 		}
 		if a.HeartbeatEvery > 0 && time.Since(lastBeat) >= a.HeartbeatEvery {
 			lastBeat = time.Now()
@@ -281,11 +292,30 @@ func (a *Agent) Run(ctx context.Context) error {
 	}
 }
 
+// poll sends one poll carrying done (nil: nothing to report) and returns
+// the controller's answer, parsed into the agent's reused work buffer.
+func (a *Agent) poll(ctx context.Context, done *Outcome, wait int) (*PollResponse, error) {
+	req := PollRequest{Server: a.Server, Incarnation: a.incarnation, WaitMS: wait, Done: done}
+	// A fresh request buffer per poll: the transport may still hold the
+	// last one's body after Do returns.
+	body, err := appendPollRequest(make([]byte, 0, 192), &req)
+	if err != nil {
+		// A result JSON cannot carry still answers the item, as a refusal.
+		*done = Outcome{Epoch: done.Epoch, Version: done.Version, Reject: "result not encodable: " + err.Error()}
+		if body, err = appendPollRequest(body[:0], &req); err != nil {
+			return nil, err
+		}
+	}
+	a.resp, err = a.Client.exchange(ctx, "/v1/poll", body, a.resp, time.Duration(wait)*time.Millisecond,
+		func(b []byte) error { return a.dec.pollResponse(b, &a.work) })
+	return &a.work, err
+}
+
 // evaluate runs the dispatched specs on the agent's DES arena and reports
 // the simulator's own LatSum and FrameCount. The controller's in-process
 // evaluation reads the same summary fields off the same simulator, so a
 // wire-driven run merges to bit-identical epoch outcomes.
-func (a *Agent) evaluate(pr PollResponse) runtime.ServerEvalResult {
+func (a *Agent) evaluate(pr *PollResponse) runtime.ServerEvalResult {
 	res := a.arena.SimulateServer(pr.Specs, pr.Server, pr.Horizon)
 	out := runtime.ServerEvalResult{LatSum: res.LatSum, Frames: res.FrameCount, MaxJitter: res.MaxJitter}
 	a.lastUtil = res.Utilization
@@ -293,29 +323,37 @@ func (a *Agent) evaluate(pr PollResponse) runtime.ServerEvalResult {
 	return out
 }
 
-// validWork reports whether the simulator can run a dispatched item: it
-// panics on a horizon or a stream period that is not positive, and never
-// ends on an infinite horizon. The item comes off the wire, so a malformed
-// one is bad input to reject, not a reason to take the agent down.
-func validWork(pr PollResponse) bool {
+// maxStreamsPerServer is the most streams a work item may reasonably
+// carry. Const2 (Σ proc/period ≤ 1) admits about 80 streams on a unit-speed
+// server at the cheapest configuration the knob grids offer, so 1024 leaves
+// room for fast servers and for costs far below the calibration.
+const maxStreamsPerServer = 1024
+
+// maxWorkFrames bounds the frames one work item may ask the DES for,
+// Σ horizon/period over its streams: a full eva.EvalHorizon (30 s) of
+// maxStreamsPerServer streams at the fastest videosim.FrameRates entry
+// (30 fps), 921,600 frames, some 20 ms of simulation at ~20 ns a frame.
+var maxWorkFrames = eva.EvalHorizon * slices.Max(videosim.FrameRates) * maxStreamsPerServer
+
+// checkWork refuses an item the simulator cannot run or should not: it
+// panics on a horizon or a stream period that is not positive, never ends
+// on an infinite horizon, and would hold the agent far past any eval
+// timeout on an item of more than maxWorkFrames frames. The item comes off
+// the wire, so a malformed one is bad input to refuse, not a reason to take
+// the agent down.
+func checkWork(pr *PollResponse) error {
 	if !(pr.Horizon > 0) || math.IsInf(pr.Horizon, 1) {
-		return false
+		return fmt.Errorf("horizon %g is not finite and positive", pr.Horizon)
 	}
+	frames := 0.0
 	for _, s := range pr.Specs {
 		if !(s.Period > 0) {
-			return false
+			return fmt.Errorf("stream %q: period %g is not positive", s.Name, s.Period)
 		}
+		frames += pr.Horizon / s.Period
 	}
-	return true
-}
-
-// sendResult reports a fenced result. A fenced rejection is success from
-// the agent's point of view: the controller either already has this result
-// or has moved past it.
-func (a *Agent) sendResult(ctx context.Context, rr ResultRequest) error {
-	err := a.Client.call(ctx, "/v1/result", rr, &ResultResponse{}, 0)
-	if errors.Is(err, ErrFenced) {
-		return nil
+	if frames > maxWorkFrames {
+		return fmt.Errorf("%.3g frames exceed the %g-frame bound on one work item", frames, maxWorkFrames)
 	}
-	return err
+	return nil
 }

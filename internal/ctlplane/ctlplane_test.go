@@ -1,10 +1,13 @@
 package ctlplane
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -236,24 +239,27 @@ func TestIncarnationFencing(t *testing.T) {
 		t.Fatalf("incarnation did not advance: %d then %d", r1.Incarnation, r2.Incarnation)
 	}
 
-	// The predecessor is fenced out of every endpoint.
-	for _, path := range []string{"/v1/poll", "/v1/result", "/v1/heartbeat"} {
-		var req any
-		switch path {
-		case "/v1/poll":
-			req = PollRequest{Server: 0, Incarnation: r1.Incarnation, WaitMS: 1}
-		case "/v1/result":
-			req = ResultRequest{Server: 0, Incarnation: r1.Incarnation, Epoch: 0, Version: 1}
-		case "/v1/heartbeat":
-			req = HeartbeatRequest{Server: 0, Incarnation: r1.Incarnation}
-		}
-		err := cl.call(ctx, path, req, nil, 0)
+	// The predecessor is fenced out of every endpoint, and a poll carrying
+	// an outcome is refused whole: the outcome is never applied.
+	for _, stale := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/poll", PollRequest{Server: 0, Incarnation: r1.Incarnation, WaitMS: 1}},
+		{"/v1/poll", PollRequest{Server: 0, Incarnation: r1.Incarnation, WaitMS: 1, Done: &Outcome{Epoch: 0, Version: 1}}},
+		{"/v1/heartbeat", HeartbeatRequest{Server: 0, Incarnation: r1.Incarnation}},
+	} {
+		err := cl.call(ctx, stale.path, stale.req, nil, 0)
 		if !strings.Contains(fmt.Sprint(err), "fenced") {
-			t.Fatalf("%s with stale incarnation: err = %v, want fenced", path, err)
+			t.Fatalf("%s %+v with stale incarnation: err = %v, want fenced", stale.path, stale.req, err)
 		}
 	}
-	if v := ctl.rec.Registry().Counter("ctlplane_stale_incarnations_total").Value(); v != 3 {
+	reg := ctl.rec.Registry()
+	if v := reg.Counter("ctlplane_stale_incarnations_total").Value(); v != 3 {
 		t.Fatalf("stale_incarnations_total = %d, want 3", v)
+	}
+	if v := reg.Counter("ctlplane_stale_results_total").Value() + reg.Counter("ctlplane_results_total").Value(); v != 0 {
+		t.Fatalf("a fenced poll's outcome reached the result fencing (%d outcomes counted)", v)
 	}
 	// The successor is not.
 	if err := cl.call(ctx, "/v1/heartbeat", HeartbeatRequest{Server: 0, Incarnation: r2.Incarnation}, &HeartbeatResponse{}, 0); err != nil {
@@ -261,9 +267,10 @@ func TestIncarnationFencing(t *testing.T) {
 	}
 }
 
-// TestResultVersionFencing pins duplicate/stale result rejection: only the
-// result matching the pending item's (epoch, version) is accepted; a
-// replayed or mismatched one bounces with 409 and a metric.
+// TestResultVersionFencing pins duplicate/stale outcome handling on the
+// poll that carries it: only the outcome matching the pending item's
+// (epoch, version) is applied; a replayed or mismatched one is counted and
+// dropped, and the poll itself goes on — it is not refused.
 func TestResultVersionFencing(t *testing.T) {
 	rt := newRuntime(testSystem(2, 2), obs.NewRecorder(nil), false)
 	ctl := New(rt, Options{EvalTimeout: 5 * time.Second})
@@ -286,30 +293,34 @@ func TestResultVersionFencing(t *testing.T) {
 		done <- evalOut{res, err}
 	}()
 
-	var pr PollResponse
-	for {
-		if err := cl.call(ctx, "/v1/poll", PollRequest{Server: 1, Incarnation: rr.Incarnation, WaitMS: 200}, &pr, time.Second); err != nil {
+	poll := func(o *Outcome) PollResponse {
+		t.Helper()
+		var pr PollResponse
+		req := PollRequest{Server: 1, Incarnation: rr.Incarnation, WaitMS: 20, Done: o}
+		if err := cl.call(ctx, "/v1/poll", req, &pr, time.Second); err != nil {
 			t.Fatal(err)
 		}
-		if !pr.NoWork {
-			break
-		}
+		return pr
+	}
+	pr := poll(nil)
+	for pr.NoWork {
+		pr = poll(nil)
 	}
 	if pr.Version == 0 || len(pr.Specs) != 1 {
 		t.Fatalf("poll returned %+v", pr)
 	}
 
-	// Wrong version first: fenced, pending work untouched.
-	bad := ResultRequest{Server: 1, Incarnation: rr.Incarnation, Epoch: pr.Epoch, Version: pr.Version + 7,
-		Result: runtime.ServerEvalResult{Frames: 1}}
-	if err := cl.call(ctx, "/v1/result", bad, nil, 0); !strings.Contains(fmt.Sprint(err), "fenced") {
-		t.Fatalf("mismatched version accepted: %v", err)
+	// Wrong version first: dropped, and the poll hands the untouched
+	// pending item back.
+	bad := &Outcome{Epoch: pr.Epoch, Version: pr.Version + 7, Result: runtime.ServerEvalResult{Frames: 1}}
+	if again := poll(bad); again.NoWork || again.Version != pr.Version {
+		t.Fatalf("after a mismatched outcome the poll returned %+v, want version %d again", again, pr.Version)
 	}
 
-	good := ResultRequest{Server: 1, Incarnation: rr.Incarnation, Epoch: pr.Epoch, Version: pr.Version,
+	good := &Outcome{Epoch: pr.Epoch, Version: pr.Version,
 		Result: runtime.ServerEvalResult{LatSum: 1.5, Frames: 3, MaxJitter: 0.25}}
-	if err := cl.call(ctx, "/v1/result", good, &ResultResponse{}, 0); err != nil {
-		t.Fatal(err)
+	if after := poll(good); !after.NoWork {
+		t.Fatalf("after the matching outcome the poll returned %+v, want no work", after)
 	}
 	out := <-done
 	if out.err != nil {
@@ -319,12 +330,73 @@ func TestResultVersionFencing(t *testing.T) {
 		t.Fatalf("evaluator got %+v, want %+v", out.res, good.Result)
 	}
 
-	// Replay after acceptance: fenced again (idempotent duplicate).
-	if err := cl.call(ctx, "/v1/result", good, nil, 0); !strings.Contains(fmt.Sprint(err), "fenced") {
-		t.Fatalf("duplicate result accepted: %v", err)
+	// Replay after acceptance: dropped again (an idempotent duplicate).
+	if after := poll(good); !after.NoWork {
+		t.Fatalf("replayed outcome's poll returned %+v, want no work", after)
 	}
-	if v := ctl.rec.Registry().Counter("ctlplane_stale_results_total").Value(); v != 2 {
+	reg := ctl.rec.Registry()
+	if v := reg.Counter("ctlplane_stale_results_total").Value(); v != 2 {
 		t.Fatalf("stale_results_total = %d, want 2", v)
+	}
+	if v := reg.Counter("ctlplane_results_total").Value(); v != 1 {
+		t.Fatalf("results_total = %d, want 1", v)
+	}
+}
+
+// TestRefusedWorkFailsFast pins the fate of a work item the agent refuses:
+// the refusal rides the agent's next poll, the dispatch fails at once
+// instead of at the eval timeout, and the pending item is cleared so the
+// agent's polls park instead of being handed the item over and over.
+func TestRefusedWorkFailsFast(t *testing.T) {
+	rt := newRuntime(testSystem(2, 2), obs.NewRecorder(nil), false)
+	ctl := New(rt, Options{EvalTimeout: 300 * time.Millisecond})
+	agentRec := obs.NewRecorder(nil)
+	registered := make(chan struct{})
+	agent := &Agent{
+		Server: 0, Client: LoopbackClient(ctl, 1), Obs: agentRec,
+		OnRegistered: func(uint64) { close(registered) },
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	exited := make(chan error, 1)
+	go func() { exited <- agent.Run(ctx) }()
+	defer func() {
+		cancel()
+		<-exited
+	}()
+	<-registered
+
+	start := time.Now()
+	_, err := ctl.EvaluateServer(context.Background(), 0, 0,
+		[]cluster.StreamSpec{{Period: 0, Proc: 0.01}}, cluster.Server{Uplink: 1e7}, 5)
+	elapsed := time.Since(start)
+	reg := ctl.rec.Registry()
+	polls := reg.Counter("ctlplane_polls_total").Value()
+	if err == nil || !strings.Contains(err.Error(), "refused") {
+		t.Fatalf("refused dispatch returned err = %v", err)
+	}
+	if elapsed > 150*time.Millisecond {
+		t.Fatalf("refused dispatch took %v, want well under the 300 ms eval timeout", elapsed)
+	}
+	if polls > 3 {
+		t.Fatalf("%d polls before the refusal landed, want at most 3", polls)
+	}
+	for name, want := range map[string]uint64{
+		"ctlplane_rejected_work_total": 1,
+		"ctlplane_eval_timeouts_total": 0,
+		"ctlplane_results_total":       0,
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	ctl.mu.Lock()
+	pending := ctl.agents[0].pending
+	ctl.mu.Unlock()
+	if pending != nil {
+		t.Fatal("refused work item left pending")
+	}
+	if v := agentRec.Registry().Counter("ctlplane_agent_stale_work_total").Value(); v != 0 {
+		t.Fatalf("agent was handed the refused item again %d times", v)
 	}
 }
 
@@ -539,10 +611,12 @@ func TestWireChurnIncrementalFastPath(t *testing.T) {
 
 // TestAgentRejectsMalformedWork feeds an agent, through a scripted
 // controller, work items the simulator would panic on — horizon 0, a
-// period of 0, a period of −1 — then a re-dispatch of the last one and a
-// valid item. The agent must survive, count each malformed item once as
-// bad work (the re-dispatch as stale work), send no result for any of
-// them, and evaluate the valid item as a fresh arena would.
+// period of 0, a period of −1 — then a re-dispatch of the last one, an
+// item of 5,000,000 frames (period 1 µs over 5 s) and a valid item. The
+// agent must survive, count each malformed item once as bad work without
+// simulating it (the re-dispatch as stale work), carry a refusal for each
+// on its next poll (the re-dispatch re-acked from cache), and evaluate the
+// valid item as a fresh arena would.
 func TestAgentRejectsMalformedWork(t *testing.T) {
 	good := []cluster.StreamSpec{{Period: 0.1, Proc: 0.01, Bits: 1e5}, {Period: 0.2, Proc: 0.02, Bits: 2e5, Offset: 0.03}}
 	srv := cluster.Server{Uplink: 1e7}
@@ -551,26 +625,27 @@ func TestAgentRejectsMalformedWork(t *testing.T) {
 		{Version: 2, Specs: []cluster.StreamSpec{good[0], {Proc: 0.01}}, Server: srv, Horizon: 5},
 		{Version: 3, Specs: []cluster.StreamSpec{{Period: -1, Proc: 0.01}}, Server: srv, Horizon: 5},
 		{Version: 3, Specs: []cluster.StreamSpec{{Period: -1, Proc: 0.01}}, Server: srv, Horizon: 5},
-		{Version: 4, Specs: good, Server: srv, Horizon: 5},
+		{Version: 4, Specs: []cluster.StreamSpec{{Period: 1e-6, Proc: 1e-7, Bits: 1}}, Server: srv, Horizon: 5},
+		{Version: 5, Specs: good, Server: srv, Horizon: 5},
 		{Shutdown: true},
 	}
-	var results []ResultRequest
+	var carried []Outcome
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/register":
 			writeJSON(w, RegisterResponse{Incarnation: 1})
 		case "/v1/poll":
+			var req PollRequest
+			if !readJSON(w, r, &req) {
+				return
+			}
+			if req.Done != nil {
+				carried = append(carried, *req.Done)
+			}
 			writeJSON(w, items[0])
 			if len(items) > 1 {
 				items = items[1:]
 			}
-		case "/v1/result":
-			var rr ResultRequest
-			if !readJSON(w, r, &rr) {
-				return
-			}
-			results = append(results, rr)
-			writeJSON(w, ResultResponse{OK: true})
 		default:
 			http.NotFound(w, r)
 		}
@@ -586,7 +661,7 @@ func TestAgentRejectsMalformedWork(t *testing.T) {
 	}
 	reg := rec.Registry()
 	for name, want := range map[string]uint64{
-		"ctlplane_agent_bad_work_total":   3,
+		"ctlplane_agent_bad_work_total":   4,
 		"ctlplane_agent_stale_work_total": 1,
 		"ctlplane_agent_evals_total":      1,
 	} {
@@ -594,9 +669,62 @@ func TestAgentRejectsMalformedWork(t *testing.T) {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
+	refused := []uint64{1, 2, 3, 3, 4}
+	if len(carried) != len(refused)+1 {
+		t.Fatalf("polls carried %d outcomes %+v, want %d", len(carried), carried, len(refused)+1)
+	}
+	for i, v := range refused {
+		if o := carried[i]; o.Version != v || o.Reject == "" {
+			t.Errorf("outcome %d = %+v, want a refusal of version %d", i, o, v)
+		}
+	}
 	sim := cluster.NewArena().SimulateServer(good, srv, 5)
-	want := runtime.ServerEvalResult{LatSum: sim.LatSum, Frames: sim.FrameCount, MaxJitter: sim.MaxJitter}
-	if len(results) != 1 || results[0].Version != 4 || !reflect.DeepEqual(results[0].Result, want) {
-		t.Fatalf("results %+v, want one for version 4 carrying %+v", results, want)
+	want := Outcome{Version: 5, Result: runtime.ServerEvalResult{LatSum: sim.LatSum, Frames: sim.FrameCount, MaxJitter: sim.MaxJitter}}
+	if got := carried[len(refused)]; got != want {
+		t.Fatalf("last outcome %+v, want %+v", got, want)
+	}
+}
+
+// TestStreamRegisterValidation pins /v1/streams/register's input checks: a
+// clip needs a name, finite positive factors, and costs that stay finite at
+// the largest resolution; the clips churn mints (factors 1 ± 0.12) pass.
+func TestStreamRegisterValidation(t *testing.T) {
+	base := ClipSpec{Name: "cam", AccBase: 0.9, AccFactor: 1, ComputeFac: 1, BitFac: 1, EnergyFac: 1}
+	with := func(f func(*ClipSpec)) ClipSpec {
+		cs := base
+		f(&cs)
+		return cs
+	}
+	cases := []struct {
+		name string
+		clip ClipSpec
+		ok   bool
+	}{
+		{"reference", base, true},
+		{"minted", ClipSpecOf(runtime.MintClip("cam-minted", 42)), true},
+		{"minted other seed", ClipSpecOf(runtime.MintClip("cam-7", 7)), true},
+		{"no name", with(func(c *ClipSpec) { c.Name = "" }), false},
+		{"zero acc base", with(func(c *ClipSpec) { c.AccBase = 0 }), false},
+		{"zero acc factor", with(func(c *ClipSpec) { c.AccFactor = 0 }), false},
+		{"negative compute", with(func(c *ClipSpec) { c.ComputeFac = -1 }), false},
+		{"NaN bits", with(func(c *ClipSpec) { c.BitFac = math.NaN() }), false},
+		{"infinite energy", with(func(c *ClipSpec) { c.EnergyFac = math.Inf(1) }), false},
+		{"bits overflow", with(func(c *ClipSpec) { c.BitFac = 1e308 }), false},
+	}
+	rt := newRuntime(testSystem(2, 2), obs.NewRecorder(nil), false)
+	h := New(rt, Options{}).Handler()
+	for _, tc := range cases {
+		if err := validClip(tc.clip); (err == nil) != tc.ok {
+			t.Errorf("%s: validClip = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		body, err := json.Marshal(StreamRegisterRequest{Clip: tc.clip})
+		if err != nil {
+			continue // not expressible in JSON: only validClip sees it
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/streams/register", bytes.NewReader(body)))
+		if want := map[bool]int{true: http.StatusOK, false: http.StatusBadRequest}[tc.ok]; w.Code != want {
+			t.Errorf("%s: HTTP %d, want %d (%s)", tc.name, w.Code, want, w.Body.Bytes())
+		}
 	}
 }

@@ -1,18 +1,24 @@
 package ctlplane
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/runtime"
+	"repro/internal/videosim"
 )
 
 // Options tunes the controller daemon.
@@ -65,14 +71,14 @@ func (o Options) withDefaults() Options {
 // pollWait caps how long a poll may park waiting for work.
 const pollWait = time.Second
 
-// workItem is one dispatched evaluation, fenced by (epoch, version).
+// workItem is one dispatched evaluation, fenced by (epoch, version). body
+// is its PollResponse, encoded once at dispatch and written as is by every
+// poll that hands the item out.
 type workItem struct {
 	epoch   int
 	version uint64
-	specs   []cluster.StreamSpec
-	srv     cluster.Server
-	horizon float64
-	done    chan runtime.ServerEvalResult
+	body    []byte
+	done    chan Outcome
 }
 
 // agentState is the controller's book on one physical server's agent.
@@ -93,9 +99,10 @@ type Controller struct {
 	opt Options
 	rec *obs.Recorder
 
+	version atomic.Uint64 // last dispatched work version
+
 	mu       sync.Mutex
 	epoch    int
-	version  uint64
 	shutdown bool
 	agents   []agentState
 	ops      []runtime.StreamOp
@@ -104,6 +111,7 @@ type Controller struct {
 	pollsTotal        *obs.Counter
 	dispatchesTotal   *obs.Counter
 	resultsTotal      *obs.Counter
+	rejectedTotal     *obs.Counter
 	staleResultsTotal *obs.Counter
 	staleIncTotal     *obs.Counter
 	heartbeatsTotal   *obs.Counter
@@ -131,6 +139,7 @@ func New(rt *runtime.Controller, opt Options) *Controller {
 	c.pollsTotal = reg.Counter("ctlplane_polls_total")
 	c.dispatchesTotal = reg.Counter("ctlplane_dispatches_total")
 	c.resultsTotal = reg.Counter("ctlplane_results_total")
+	c.rejectedTotal = reg.Counter("ctlplane_rejected_work_total")
 	c.staleResultsTotal = reg.Counter("ctlplane_stale_results_total")
 	c.staleIncTotal = reg.Counter("ctlplane_stale_incarnations_total")
 	c.heartbeatsTotal = reg.Counter("ctlplane_heartbeats_total")
@@ -287,21 +296,23 @@ func (c *Controller) State() fault.State {
 
 // EvaluateServer implements runtime.ServerEvaluator: publish the work item
 // for the server's agent, wake its parked poll, and wait for the fenced
-// result under the eval timeout.
+// outcome under the eval timeout. An item the agent refuses fails at once,
+// scored like a timeout.
 func (c *Controller) EvaluateServer(ctx context.Context, epoch, server int, specs []cluster.StreamSpec, srv cluster.Server, horizon float64) (runtime.ServerEvalResult, error) {
 	if server < 0 || server >= len(c.agents) {
 		return runtime.ServerEvalResult{}, fmt.Errorf("ctlplane: server %d out of range", server)
 	}
-	item := &workItem{
-		epoch:   epoch,
-		specs:   append([]cluster.StreamSpec(nil), specs...), // evaluator contract: specs alias the caller's buffer
-		srv:     srv,
-		horizon: horizon,
-		done:    make(chan runtime.ServerEvalResult, 1),
+	item := &workItem{epoch: epoch, version: c.version.Add(1), done: make(chan Outcome, 1)}
+	// Encoding here is also the copy the evaluator contract asks for: specs
+	// alias the caller's buffer, the body does not.
+	body, err := appendPollResponse(make([]byte, 0, 256+128*len(specs)), &PollResponse{
+		Epoch: epoch, Version: item.version, Specs: specs, Server: srv, Horizon: horizon,
+	})
+	if err != nil {
+		return runtime.ServerEvalResult{}, fmt.Errorf("ctlplane: server %d epoch %d work item: %w", server, epoch, err)
 	}
+	item.body = body
 	c.mu.Lock()
-	c.version++
-	item.version = c.version
 	a := &c.agents[server]
 	a.pending = item
 	notify := a.notify
@@ -313,8 +324,11 @@ func (c *Controller) EvaluateServer(ctx context.Context, epoch, server int, spec
 	tctx, cancel := context.WithTimeout(ctx, c.opt.EvalTimeout)
 	defer cancel()
 	select {
-	case r := <-item.done:
-		return r, nil
+	case o := <-item.done:
+		if o.Reject != "" {
+			return runtime.ServerEvalResult{}, fmt.Errorf("ctlplane: server %d epoch %d evaluation: agent refused the work item: %s", server, epoch, o.Reject)
+		}
+		return o.Result, nil
 	case <-tctx.Done():
 		c.mu.Lock()
 		if a.pending == item {
@@ -342,7 +356,6 @@ func (c *Controller) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/register", c.handleRegister)
 	mux.HandleFunc("/v1/poll", c.handlePoll)
-	mux.HandleFunc("/v1/result", c.handleResult)
 	mux.HandleFunc("/v1/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("/v1/streams/register", c.handleStreamRegister)
 	mux.HandleFunc("/v1/streams/deregister", c.handleStreamDeregister)
@@ -372,7 +385,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(v); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return false
@@ -380,9 +393,22 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// writeJSON writes v with encoding/json, or a 500 when v cannot be encoded
+// (a non-finite float): the client must not read an empty 200 as success.
 func writeJSON(w http.ResponseWriter, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, body.Bytes())
+}
+
+// writeBody writes an encoded JSON body. A failed write is the client's
+// loss: it sees a transport error and retries.
+func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }
 
 // fence validates the server index and incarnation under c.mu and records
@@ -424,9 +450,38 @@ func (c *Controller) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
+// Poll bodies that carry no work item: encoded once, written as is.
+var (
+	noWorkBody   = mustEncode(PollResponse{NoWork: true})
+	shutdownBody = mustEncode(PollResponse{Shutdown: true})
+)
+
+func mustEncode(m PollResponse) []byte {
+	b, err := appendPollResponse(nil, &m)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// handlePoll fences the poll's incarnation (a stale one gets 409 for the
+// whole poll, outcome included), applies the outcome it carries, then hands
+// out the pending work item or parks until one arrives.
 func (c *Controller) handlePoll(w http.ResponseWriter, r *http.Request) {
-	var req PollRequest
-	if !readJSON(w, r, &req) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return
+	}
+	var (
+		req PollRequest
+		dec decoder
+	)
+	body, err := readBody(r.Body, make([]byte, 0, 512))
+	if err == nil {
+		err = dec.pollRequest(body, &req)
+	}
+	if err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	wait := time.Duration(req.WaitMS) * time.Millisecond
@@ -435,32 +490,27 @@ func (c *Controller) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	deadline := time.Now().Add(wait)
 	c.pollsTotal.Inc()
-	for {
-		c.mu.Lock()
-		a := c.fence(w, req.Server, req.Incarnation)
-		if a == nil {
-			c.mu.Unlock()
-			return
-		}
+	c.mu.Lock()
+	a := c.fence(w, req.Server, req.Incarnation)
+	if a != nil && req.Done != nil {
+		c.settle(a, req.Done)
+	}
+	for a != nil {
 		if c.shutdown {
 			c.mu.Unlock()
-			writeJSON(w, PollResponse{Shutdown: true})
+			writeBody(w, shutdownBody)
 			return
 		}
 		if item := a.pending; item != nil {
-			resp := PollResponse{
-				Epoch: item.epoch, Version: item.version,
-				Specs: item.specs, Server: item.srv, Horizon: item.horizon,
-			}
 			c.mu.Unlock()
-			writeJSON(w, resp)
+			writeBody(w, item.body)
 			return
 		}
 		notify := a.notify
 		c.mu.Unlock()
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			writeJSON(w, PollResponse{NoWork: true})
+			writeBody(w, noWorkBody)
 			return
 		}
 		timer := time.NewTimer(remaining)
@@ -468,38 +518,34 @@ func (c *Controller) handlePoll(w http.ResponseWriter, r *http.Request) {
 		case <-notify:
 			timer.Stop()
 		case <-timer.C:
-			writeJSON(w, PollResponse{NoWork: true})
+			writeBody(w, noWorkBody)
 			return
 		case <-r.Context().Done():
 			timer.Stop()
 			return
 		}
+		c.mu.Lock()
+		a = c.fence(w, req.Server, req.Incarnation)
 	}
+	c.mu.Unlock()
 }
 
-func (c *Controller) handleResult(w http.ResponseWriter, r *http.Request) {
-	var req ResultRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	c.mu.Lock()
-	a := c.fence(w, req.Server, req.Incarnation)
-	if a == nil {
-		c.mu.Unlock()
-		return
-	}
+// settle applies an outcome carried on a poll to the agent's pending item;
+// c.mu is held. An outcome for anything but the pending (epoch, version) is
+// a duplicate or a straggler, counted and dropped.
+func (c *Controller) settle(a *agentState, o *Outcome) {
 	item := a.pending
-	if item == nil || item.epoch != req.Epoch || item.version != req.Version {
-		c.mu.Unlock()
+	if item == nil || item.epoch != o.Epoch || item.version != o.Version {
 		c.staleResultsTotal.Inc()
-		http.Error(w, "no matching pending work (stale or duplicate result)", http.StatusConflict)
 		return
 	}
 	a.pending = nil
-	c.mu.Unlock()
-	c.resultsTotal.Inc() // before the hand-off: the waiter may read the counter as soon as it wakes
-	item.done <- req.Result
-	writeJSON(w, ResultResponse{OK: true})
+	if o.Reject != "" {
+		c.rejectedTotal.Inc()
+	} else {
+		c.resultsTotal.Inc() // before the hand-off: the waiter may read the counter as soon as it wakes
+	}
+	item.done <- *o // cannot block: the buffer holds one and only the pending item's settle sends
 }
 
 func (c *Controller) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -525,8 +571,8 @@ func (c *Controller) handleStreamRegister(w http.ResponseWriter, r *http.Request
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if req.Clip.Name == "" {
-		http.Error(w, "clip name required", http.StatusBadRequest)
+	if err := validClip(req.Clip); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	c.mu.Lock()
@@ -535,6 +581,26 @@ func (c *Controller) handleStreamRegister(w http.ResponseWriter, r *http.Request
 	c.mu.Unlock()
 	c.streamOpsTotal.Inc()
 	writeJSON(w, StreamOpResponse{OK: true, Pending: pending})
+}
+
+// validClip refuses a clip the scheduler could not cost: a missing name, a
+// factor that is not finite and positive, or one whose per-frame compute
+// time or frame size overflows at the largest resolution.
+func validClip(cs ClipSpec) error {
+	if cs.Name == "" {
+		return errors.New("clip name required")
+	}
+	for _, f := range [...]float64{cs.AccBase, cs.AccFactor, cs.ComputeFac, cs.BitFac, cs.EnergyFac} {
+		if !(f > 0) || math.IsInf(f, 1) {
+			return fmt.Errorf("clip %q: factors must be finite and positive", cs.Name)
+		}
+	}
+	clip := cs.Clip()
+	top := videosim.Config{Resolution: slices.Max(videosim.Resolutions)}
+	if p, b := clip.ProcTimeOf(top), clip.BitsOf(top); math.IsInf(p, 0) || math.IsInf(b, 0) {
+		return fmt.Errorf("clip %q: cost at resolution %g is not finite", cs.Name, top.Resolution)
+	}
+	return nil
 }
 
 func (c *Controller) handleStreamDeregister(w http.ResponseWriter, r *http.Request) {

@@ -7,9 +7,10 @@
 // the loop's HealthSource (heartbeat-inferred liveness instead of the
 // scripted injector oracle), its ServerEvaluator (per-server epoch
 // evaluations dispatched to agents over the wire), and its OpSource
-// (stream register/deregister arriving over HTTP). Because Go's
-// encoding/json round-trips float64 exactly, a wire-driven run with
-// healthy agents reproduces the in-process golden traces byte-exactly.
+// (stream register/deregister arriving over HTTP). Because the wire's JSON
+// numbers are shortest round-trip decimals parsed back by strconv, float64
+// values cross exactly, and a wire-driven run with healthy agents
+// reproduces the in-process golden traces byte-exactly.
 //
 // Robustness is the point: liveness is *inferred* from missed beats (the
 // controller never sees the fault injector), every dispatch is fenced by a
@@ -27,17 +28,26 @@ import (
 	"repro/internal/videosim"
 )
 
-// Wire protocol. All endpoints are POST with JSON bodies under /v1/.
+// Wire protocol. All endpoints are POST with JSON bodies under /v1/. One
+// evaluation is one exchange: a work item leaves on a poll's response, and
+// its outcome — the result, or the agent's refusal to run the item — rides
+// the agent's next poll (PollRequest.Done). The two poll messages go
+// through codec.go's hand-written codec, byte for byte what encoding/json
+// writes; the cold endpoints use encoding/json itself.
+//
 // Fencing rules:
 //
 //   - Every register bumps the server's incarnation; any later message
 //     carrying an older incarnation is rejected with 409 (a restarted
-//     agent's predecessor can never act on its behalf).
+//     agent's predecessor can never act on its behalf). A poll from a stale
+//     incarnation is refused whole, outcome included.
 //   - Every dispatched work item carries a globally monotone version; an
 //     agent that sees version <= its last completed version re-acks its
-//     cached result instead of re-executing, and the controller rejects a
-//     result whose (epoch, version) does not match the server's pending
-//     item. Both sides are idempotent under duplicates and reorders.
+//     cached outcome on its next poll instead of re-executing, and the
+//     controller drops (and counts) an outcome whose (epoch, version) does
+//     not match the server's pending item, then serves the poll as usual.
+//     Both sides are idempotent under duplicates, reorders and a transport
+//     retry resending the same poll.
 
 // RegisterRequest announces an agent for one physical server index.
 type RegisterRequest struct {
@@ -54,10 +64,23 @@ type RegisterResponse struct {
 
 // PollRequest asks for the server's pending work item, parking up to
 // WaitMS milliseconds (capped by the controller) when none is pending.
+// Done carries the outcome of the agent's last work item until a poll
+// carrying it has been answered.
 type PollRequest struct {
-	Server      int    `json:"server"`
-	Incarnation uint64 `json:"incarnation"`
-	WaitMS      int    `json:"wait_ms,omitempty"`
+	Server      int      `json:"server"`
+	Incarnation uint64   `json:"incarnation"`
+	WaitMS      int      `json:"wait_ms,omitempty"`
+	Done        *Outcome `json:"done,omitempty"`
+}
+
+// Outcome is an agent's answer to one work item, fenced by the item's
+// (epoch, version): the evaluation's Result, or, when Reject is set, why
+// the agent refused to run the item.
+type Outcome struct {
+	Epoch   int                      `json:"epoch"`
+	Version uint64                   `json:"version"`
+	Reject  string                   `json:"reject,omitempty"`
+	Result  runtime.ServerEvalResult `json:"result"`
 }
 
 // PollResponse carries one work item (an epoch evaluation of the server's
@@ -71,21 +94,6 @@ type PollResponse struct {
 	Specs    []cluster.StreamSpec `json:"specs"`
 	Server   cluster.Server       `json:"server_spec"`
 	Horizon  float64              `json:"horizon"`
-}
-
-// ResultRequest returns a completed evaluation, fenced by the work item's
-// (epoch, version) and the agent's incarnation.
-type ResultRequest struct {
-	Server      int                      `json:"server"`
-	Incarnation uint64                   `json:"incarnation"`
-	Epoch       int                      `json:"epoch"`
-	Version     uint64                   `json:"version"`
-	Result      runtime.ServerEvalResult `json:"result"`
-}
-
-// ResultResponse acknowledges a result.
-type ResultResponse struct {
-	OK bool `json:"ok"`
 }
 
 // HeartbeatRequest reports agent telemetry between work items. Any
