@@ -156,11 +156,3 @@ func BenchmarkSensitivityNoise(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkExtensionROI(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		exp.ROI(io.Discard, exp.ROIConfig{
-			Videos: 5, Servers: 4, Reps: 1, Seed: 2024, PaMOOpt: fastOpts(),
-		})
-	}
-}

@@ -9,7 +9,7 @@
 //	pamo-bench -fig ablation       # the DESIGN.md ablation suite
 //
 // Figures: 2, 3, 4, 6, 7, 8, 9, 10a, 10b, ablation, pricing, feasibility,
-// roi, noise, all.
+// noise, all. Any other name exits with status 2.
 package main
 
 import (
@@ -20,6 +20,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/check"
@@ -29,8 +31,11 @@ import (
 	"repro/internal/plot"
 )
 
+// figures are the names -fig accepts.
+var figures = []string{"2", "3", "4", "6", "7", "8", "9", "10a", "10b", "ablation", "pricing", "feasibility", "noise", "all"}
+
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2|3|4|6|7|8|9|10a|10b|ablation|pricing|feasibility|roi|noise|all")
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, "|"))
 	reps := flag.Int("reps", 0, "repetitions per data point (0 = paper default)")
 	seed := flag.Uint64("seed", 2024, "base random seed")
 	fast := flag.Bool("fast", false, "shrink PaMO budgets for a quick pass")
@@ -42,6 +47,10 @@ func main() {
 	jsonOut := flag.String("json", "", "write a machine-readable run report (figure wall times + per-phase breakdown) to this file")
 	strict := flag.Bool("strict", false, "run every PaMO invocation under the exact invariant checker in strict mode: feasibility or GP-guard violations abort the figure")
 	flag.Parse()
+	if !slices.Contains(figures, *fig) {
+		fmt.Fprintf(os.Stderr, "unknown -fig %q; valid: %s\n", *fig, strings.Join(figures, " "))
+		os.Exit(2)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -214,11 +223,6 @@ func main() {
 	if want("feasibility") {
 		run("feasibility", func() {
 			exp.Feasibility(w, exp.FeasibilityConfig{Seed: *seed})
-		})
-	}
-	if want("roi") {
-		run("roi", func() {
-			exp.ROI(w, exp.ROIConfig{Reps: *reps, Seed: *seed, PaMOOpt: po})
 		})
 	}
 	if want("noise") {

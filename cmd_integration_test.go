@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -157,11 +158,24 @@ func TestCmdPamoControllerInProcessFaults(t *testing.T) {
 	}
 }
 
+// TestCmdPamoBenchSingleFigure runs one figure, and pins that a -fig name
+// no figure answers to ("roi" names the deleted ROI extension) exits 2 and
+// lists the valid names instead of running nothing and exiting 0.
 func TestCmdPamoBenchSingleFigure(t *testing.T) {
 	bin := buildCmd(t, "pamo-bench")
 	out := run(t, bin, "-fig", "4")
 	if !strings.Contains(out, "Figure 4") || !strings.Contains(out, "harmonic") {
 		t.Fatalf("unexpected output:\n%s", out)
+	}
+	for _, name := range []string{"roi", "bogus"} {
+		out, err := exec.Command(bin, "-fig", name).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("-fig %s: err = %v, want exit status 2:\n%s", name, err, out)
+		}
+		if !strings.Contains(string(out), "feasibility") || strings.Contains(string(out), "total:") {
+			t.Fatalf("-fig %s: output does not list the figures, or ran some:\n%s", name, out)
+		}
 	}
 }
 

@@ -66,7 +66,7 @@ func FACT(ctx context.Context, sys *objective.System, opt FACTOptions) (eva.Deci
 			if i == skip || assign[i] != j {
 				continue
 			}
-			u += sys.Clips[i].ProcTimeOf(cfg(i)) * cfg(i).FPS
+			u += sys.Clips[i].ProcTime(cfg(i).Resolution) * cfg(i).FPS
 		}
 		return u
 	}

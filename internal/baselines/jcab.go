@@ -133,7 +133,7 @@ func JCAB(ctx context.Context, sys *objective.System, opt JCABOptions) (eva.Deci
 		if !downgrade(&cfgs[video]) {
 			heaviest, load := -1, 0.0
 			for i, clip := range sys.Clips {
-				u := clip.ProcTimeOf(cfgs[i]) * cfgs[i].FPS
+				u := clip.ProcTime(cfgs[i].Resolution) * cfgs[i].FPS
 				if u > load && downgradable(cfgs[i]) {
 					heaviest, load = i, u
 				}

@@ -69,8 +69,9 @@ func (b Backoff) Delay(attempt int) time.Duration {
 
 // Client is the agent side of the wire protocol: every call runs under an
 // explicit timeout, transport errors and 5xx responses are retried with
-// the capped jittered backoff, and 409s surface as ErrFenced (never
-// retried — fencing is a verdict, not a glitch).
+// the capped jittered backoff, and 4xx responses are not: 409s surface as
+// ErrFenced (fencing is a verdict, not a glitch), and any other 4xx names
+// a request that resending cannot fix.
 type Client struct {
 	BaseURL string
 	// HTTP is the underlying client (default http.DefaultClient; the
@@ -117,8 +118,8 @@ func (cl *Client) call(ctx context.Context, path string, in, out any, extra time
 
 // exchange POSTs body to path, reads the response into buf (returned,
 // grown) and hands it to decode, retrying transport errors, 5xx and
-// undecodable responses under the backoff. extra widens the per-attempt
-// timeout (poll park time).
+// undecodable responses under the backoff; a 4xx returns at once. extra
+// widens the per-attempt timeout (poll park time).
 func (cl *Client) exchange(ctx context.Context, path string, body, buf []byte, extra time.Duration, decode func([]byte) error) ([]byte, error) {
 	retries := cl.Retries
 	if retries == 0 {
@@ -141,7 +142,8 @@ func (cl *Client) exchange(ctx context.Context, path string, body, buf []byte, e
 				err = fmt.Errorf("ctlplane: %s: decoding response: %w", path, err)
 			}
 		}
-		if err == nil || errors.Is(err, ErrFenced) || ctx.Err() != nil {
+		var se *statusError
+		if err == nil || errors.Is(err, ErrFenced) || (errors.As(err, &se) && se.code < 500) || ctx.Err() != nil {
 			return buf, err
 		}
 	}
@@ -167,9 +169,20 @@ func (cl *Client) once(ctx context.Context, path string, body, buf []byte, extra
 		return buf, fmt.Errorf("%w: %s: %s", ErrFenced, path, bytes.TrimSpace(msg))
 	case resp.StatusCode != http.StatusOK:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return buf, fmt.Errorf("ctlplane: %s: HTTP %d: %s", path, resp.StatusCode, bytes.TrimSpace(msg))
+		return buf, &statusError{path: path, code: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
 	}
 	return readBody(resp.Body, buf)
+}
+
+// statusError is a non-200 answer other than 409.
+type statusError struct {
+	path string
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("ctlplane: %s: HTTP %d: %s", e.path, e.code, e.msg)
 }
 
 // Agent is one edge server's worker: it registers, long-polls for

@@ -549,6 +549,29 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 	}
 }
 
+// TestClientDoesNotRetryClientErrors pins that a 4xx other than 409 is the
+// request's fault: the client sends it once and returns an error naming
+// the status, instead of resending it under backoff.
+func TestClientDoesNotRetryClientErrors(t *testing.T) {
+	calls := 0
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls++
+		http.Error(w, "stream name required", http.StatusBadRequest)
+	})
+	cl := &Client{
+		BaseURL: "http://test.local",
+		HTTP:    &http.Client{Transport: &loopbackTransport{h: h}},
+		Backoff: Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Seed: 1},
+	}
+	err := cl.call(context.Background(), "/v1/streams", struct{}{}, nil, 0)
+	if calls != 1 {
+		t.Fatalf("400 sent %d times, want once", calls)
+	}
+	if msg := fmt.Sprint(err); !strings.Contains(msg, "HTTP 400") || !strings.Contains(msg, "stream name required") {
+		t.Fatalf("err = %v, want it to name HTTP 400 and the server's message", err)
+	}
+}
+
 // TestWireChurnIncrementalFastPath drives scripted stream churn through
 // the wire API with the incremental fast path on: a ChurnDriver posts the
 // script's register/deregister ops from the epoch hook, the hollow fleet

@@ -597,7 +597,7 @@ func validClip(cs ClipSpec) error {
 	}
 	clip := cs.Clip()
 	top := videosim.Config{Resolution: slices.Max(videosim.Resolutions)}
-	if p, b := clip.ProcTimeOf(top), clip.BitsOf(top); math.IsInf(p, 0) || math.IsInf(b, 0) {
+	if p, b := clip.ProcTime(top.Resolution), clip.BitsPerFrame(top.Resolution); math.IsInf(p, 0) || math.IsInf(b, 0) {
 		return fmt.Errorf("clip %q: cost at resolution %g is not finite", cs.Name, top.Resolution)
 	}
 	return nil

@@ -78,7 +78,7 @@ func NewStream(v int, cfg videosim.Config, proc, bits float64) sched.Stream {
 
 // TrueStream is NewStream at the clip's ground-truth per-frame cost.
 func TrueStream(clip *videosim.Clip, v int, cfg videosim.Config) sched.Stream {
-	return NewStream(v, cfg, clip.ProcTimeOf(cfg), clip.BitsOf(cfg))
+	return NewStream(v, cfg, clip.ProcTime(cfg.Resolution), clip.BitsPerFrame(cfg.Resolution))
 }
 
 // BuildStreams converts per-video configurations into post-split periodic
@@ -105,8 +105,8 @@ func Recost(dst []sched.Stream, sys *objective.System, streams []sched.Stream, c
 	for i := range dst {
 		clip := sys.Clips[dst[i].Video]
 		cfg := cfgs[dst[i].Video]
-		dst[i].Proc = clip.ProcTimeOf(cfg)
-		dst[i].Bits = clip.BitsOf(cfg)
+		dst[i].Proc = clip.ProcTime(cfg.Resolution)
+		dst[i].Bits = clip.BitsPerFrame(cfg.Resolution)
 	}
 	return dst
 }

@@ -141,7 +141,7 @@ func TestRecostPricesAtTruth(t *testing.T) {
 	truth := BuildStreams(s, cfgs)
 	model := make([]sched.Stream, s.M())
 	for i := range model {
-		model[i] = NewStream(i, cfgs[i], 0.5*s.Clips[i].ProcTimeOf(cfgs[i]), 1)
+		model[i] = NewStream(i, cfgs[i], 0.5*s.Clips[i].ProcTime(cfgs[i].Resolution), 1)
 	}
 	planned := sched.SplitHighRate(model)
 	dst := make([]sched.Stream, 0, 16)
@@ -155,7 +155,7 @@ func TestRecostPricesAtTruth(t *testing.T) {
 			t.Fatalf("stream %d: %+v lost its planned shape %+v", i, st, p)
 		}
 		clip, cfg := s.Clips[st.Video], cfgs[st.Video]
-		if st.Proc != clip.ProcTimeOf(cfg) || st.Bits != clip.BitsOf(cfg) {
+		if st.Proc != clip.ProcTime(cfg.Resolution) || st.Bits != clip.BitsPerFrame(cfg.Resolution) {
 			t.Fatalf("stream %d: cost (%v, %v) is not the truth", i, st.Proc, st.Bits)
 		}
 	}

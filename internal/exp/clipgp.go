@@ -1,33 +1,21 @@
 package exp
 
 import (
-	"math"
 	"math/rand/v2"
 
 	"repro/internal/gp"
-	"repro/internal/kernel"
+	"repro/internal/pamo"
 	"repro/internal/stats"
 	"repro/internal/videosim"
 )
 
-// clipGPs are the five per-clip outcome GPs used by the Figure 8
-// experiment, trained on noisy profiling data with standardized targets:
-// the five target columns of one multi-target GP, since every metric is
+// clipGPs are the five per-clip outcome GPs used by the Figure 2 and 8
+// experiments, trained on noisy profiling data with standardized targets:
+// five target columns of PaMO's outcome model, since every metric is
 // measured at the same configurations.
 type clipGPs struct {
 	g      *gp.Multi
 	scales [5]float64
-}
-
-func encodeCfg(c videosim.Config) []float64 {
-	rLo := videosim.Resolutions[0]
-	rHi := videosim.Resolutions[len(videosim.Resolutions)-1]
-	sLo := videosim.FrameRates[0]
-	sHi := videosim.FrameRates[len(videosim.FrameRates)-1]
-	return []float64{
-		(c.Resolution - rLo) / (rHi - rLo),
-		(c.FPS - sLo) / (sHi - sLo),
-	}
 }
 
 // newTrainedClipGPs profiles the clip at n random grid configurations and
@@ -42,7 +30,7 @@ func newTrainedClipGPs(clip *videosim.Clip, prof *videosim.Profiler, n int, rng 
 			FPS:        videosim.FrameRates[rng.IntN(len(videosim.FrameRates))],
 		}
 		m := prof.Measure(clip, cfg)
-		xs = append(xs, encodeCfg(cfg))
+		xs = append(xs, pamo.EncodeConfig(cfg))
 		vals := []float64{m.ProcTime, m.Acc, m.Bandwidth, m.Compute, m.Power}
 		for k := range ys {
 			ys[k] = append(ys[k], vals[k])
@@ -61,11 +49,7 @@ func newTrainedClipGPs(clip *videosim.Clip, prof *videosim.Profiler, n int, rng 
 			scaled[k][i] = y / sd
 		}
 	}
-	kn := kernel.NewMatern52(2)
-	p := kn.LogParams()
-	p[1], p[2] = math.Log(0.4), math.Log(0.4)
-	kn.SetLogParams(p)
-	out.g = gp.NewMulti(kn, 1e-3, 5)
+	out.g = pamo.NewOutcomeGP(5)
 	if err := out.g.Fit(xs, scaled); err != nil {
 		panic(err)
 	}
@@ -75,7 +59,7 @@ func newTrainedClipGPs(clip *videosim.Clip, prof *videosim.Profiler, n int, rng 
 // predict returns the five posterior means (physical units) at cfg.
 func (c *clipGPs) predict(cfg videosim.Config) [5]float64 {
 	var out [5]float64
-	c.g.PredictMean(encodeCfg(cfg), out[:])
+	c.g.PredictMean(pamo.EncodeConfig(cfg), out[:])
 	for k := range out {
 		out[k] *= c.scales[k]
 	}

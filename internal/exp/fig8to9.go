@@ -95,7 +95,7 @@ func fig8Rep(trainSize, testSize int, noise float64, seed uint64) [5]float64 {
 	for i := 0; i < testSize; i++ {
 		cfg := randCfg()
 		truth := []float64{
-			clip.ProcTimeOf(cfg),
+			clip.ProcTime(cfg.Resolution),
 			clip.Accuracy(cfg),
 			clip.Bandwidth(cfg),
 			clip.Compute(cfg),

@@ -69,9 +69,9 @@ func (s *System) Outcomes(cfgs []videosim.Config, assign []int) Vector {
 		b := s.Servers[j].Uplink
 		tx := 0.0
 		if b > 0 {
-			tx = c.BitsOf(cfg) / b
+			tx = c.BitsPerFrame(cfg.Resolution) / b
 		}
-		v[Latency] += (c.ProcTimeOf(cfg) + tx) / m
+		v[Latency] += (c.ProcTime(cfg.Resolution) + tx) / m
 	}
 	return v
 }

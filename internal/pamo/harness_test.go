@@ -22,7 +22,6 @@ func TestValidateDeterministicMessage(t *testing.T) {
 		Workers:      -9,
 		Delta:        -0.5,
 		Acq:          "bogus",
-		ROIGrid:      []float64{0.5, 1.5},
 	}
 	first := o.Validate()
 	if first == nil {
@@ -31,7 +30,7 @@ func TestValidateDeterministicMessage(t *testing.T) {
 	msg := first.Error()
 	for _, want := range []string{
 		"InitProfiles", "PrefPairs", "MCSamples", "Workers",
-		"Delta", `"bogus"`, "ROIGrid[1]",
+		"Delta", `"bogus"`,
 	} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("message %q does not mention %s", msg, want)

@@ -33,26 +33,20 @@ const (
 	numMetrics
 )
 
-// encodeCfg maps a configuration onto the GP input space [0,1]³
-// (resolution, fps, ROI fraction — the last constant at 1 unless the ROI
-// extension is enabled).
-func encodeCfg(c videosim.Config) []float64 {
-	return encodeCfgTo(make([]float64, 3), c)
+// EncodeConfig maps a configuration onto the outcome models' input space
+// [0,1]² (resolution, fps), each knob scaled over its grid's range.
+func EncodeConfig(c videosim.Config) []float64 {
+	return encodeCfgTo(make([]float64, 2), c)
 }
 
-// encodeCfgTo is encodeCfg into the caller's 3-vector dst.
+// encodeCfgTo is EncodeConfig into the caller's 2-vector dst.
 func encodeCfgTo(dst []float64, c videosim.Config) []float64 {
 	rLo := videosim.Resolutions[0]
 	rHi := videosim.Resolutions[len(videosim.Resolutions)-1]
 	sLo := videosim.FrameRates[0]
 	sHi := videosim.FrameRates[len(videosim.FrameRates)-1]
-	roi := c.ROI
-	if roi <= 0 || roi > 1 {
-		roi = 1
-	}
 	dst[0] = (c.Resolution - rLo) / (rHi - rLo)
 	dst[1] = (c.FPS - sLo) / (sHi - sLo)
-	dst[2] = roi
 	return dst
 }
 
@@ -102,20 +96,22 @@ type clipModels struct {
 	rngs [numMetrics]*rand.Rand
 }
 
-// outcomeKernel is every outcome model's kernel. Its hyperparameters are
+// NewOutcomeGP returns an unconditioned outcome model with one target
+// column per measured metric, over EncodeConfig's input space: a Matérn-5/2
+// kernel with lengthscales 0.4 and noise 1e-3. The hyperparameters are
 // fixed: models live for one solve and nothing re-tunes them.
-func outcomeKernel() kernel.Kernel {
-	k := kernel.NewMatern52(3)
+func NewOutcomeGP(targets int) *gp.Multi {
+	k := kernel.NewMatern52(2)
 	p := k.LogParams()
-	p[1], p[2], p[3] = math.Log(0.4), math.Log(0.4), math.Log(0.5)
+	p[1], p[2] = math.Log(0.4), math.Log(0.4)
 	k.SetLogParams(p)
-	return k
+	return gp.NewMulti(k, 1e-3, targets)
 }
 
 // newClipModels builds one clip's unconditioned outcome models reporting to
 // sinks.
 func newClipModels(sinks modelSinks) *clipModels {
-	c := &clipModels{model: gp.NewMulti(outcomeKernel(), 1e-3, int(numMetrics)), modelSinks: sinks}
+	c := &clipModels{model: NewOutcomeGP(int(numMetrics)), modelSinks: sinks}
 	c.model.SetFallbackCounter(sinks.mvn)
 	c.cache = c.model.NewCrossCache()
 	for mi := range c.scale {
@@ -127,7 +123,7 @@ func newClipModels(sinks modelSinks) *clipModels {
 
 // addMeasurement records one profiling measurement at cfg.
 func (c *clipModels) addMeasurement(cfg videosim.Config, o videosim.Measurement) {
-	c.xs = append(c.xs, encodeCfg(cfg))
+	c.xs = append(c.xs, EncodeConfig(cfg))
 	for mi, y := range [numMetrics]float64{mAcc: o.Acc, mProc: o.ProcTime, mBits: o.Bits, mComp: o.Compute, mPow: o.Power} {
 		c.ys[mi] = append(c.ys[mi], y)
 	}
@@ -212,7 +208,7 @@ func (c *clipModels) verifyPosterior(mu []float64, cov *mat.Matrix) error {
 // the variance solve of a full Predict is pure waste there.
 func (c *clipModels) means(cfg videosim.Config) [numMetrics]float64 {
 	var mu [numMetrics]float64
-	c.cache.PredictMean(encodeCfg(cfg), mu[:])
+	c.cache.PredictMean(EncodeConfig(cfg), mu[:])
 	for mi := range mu {
 		mu[mi] *= c.scale[mi]
 	}
@@ -227,10 +223,10 @@ func (c *clipModels) means(cfg videosim.Config) [numMetrics]float64 {
 // one goroutine at a time may sample a clip.
 func (c *clipModels) sampleJoint(cfgs []videosim.Config, rows [numMetrics][][]float64, seed, stream uint64) {
 	q := len(cfgs)
-	c.enc = grow(c.enc, 3*q)
+	c.enc = grow(c.enc, 2*q)
 	c.pts = grow(c.pts, q)
 	for j, cf := range cfgs {
-		c.pts[j] = encodeCfgTo(c.enc[3*j:3*j+3:3*j+3], cf)
+		c.pts[j] = encodeCfgTo(c.enc[2*j:2*j+2:2*j+2], cf)
 	}
 	for mi := range c.pcg {
 		c.pcg[mi].Seed(seed, stream+uint64(mi))

@@ -71,10 +71,6 @@ type Options struct {
 	// acquisition function (0 = GOMAXPROCS). Results are deterministic for
 	// a given Seed regardless of the worker count.
 	Workers int
-	// ROIGrid enables the adaptive-encoding/segmented-inference extension:
-	// the ROI fraction becomes a third per-stream knob drawn from this
-	// grid. Empty means full-frame only (the paper's configuration space).
-	ROIGrid []float64
 	// Obs, when non-nil, receives phase spans ("profiling",
 	// "outcome_model", "preference", "solution", plus one "iteration" span
 	// per BO round), per-iteration acquisition events, and the pamo_*
@@ -137,11 +133,6 @@ func (o Options) Validate() error {
 	case "", QNEI, QEI, QUCB, QSR:
 	default:
 		bad = append(bad, fmt.Sprintf("unknown acquisition %q", o.Acq))
-	}
-	for i, r := range o.ROIGrid {
-		if r <= 0 || r > 1 {
-			bad = append(bad, fmt.Sprintf("ROIGrid[%d] = %v outside (0, 1]", i, r))
-		}
 	}
 	if len(bad) == 0 {
 		return nil
@@ -476,19 +467,17 @@ func (s *Scheduler) finalTournament(k int) Observation {
 
 func (s *Scheduler) profileInit() error {
 	grid := eva.ConfigGrid()
-	rois := s.roiGrid()
 	// Phase 1a: take every initial profiling measurement. Measurement and
 	// fitting are split so each phase gets its own span and pprof label.
 	s.rec.Do(s.ctx, "profiling", func(ctx context.Context) {
 		_, sp := s.rec.StartSpanCtx(ctx, "profiling", obs.F("clips", float64(s.sys.M())))
 		for ci, clip := range s.sys.Clips {
 			// Latin-hypercube over the knob grid, snapped to grid points.
-			pts := stats.LatinHypercube(s.opt.InitProfiles, 3, s.rng)
+			pts := stats.LatinHypercube(s.opt.InitProfiles, 2, s.rng)
 			for _, p := range pts {
 				cfg := videosim.Config{
 					Resolution: snap(videosim.Resolutions, p[0]),
 					FPS:        snap(videosim.FrameRates, p[1]),
-					ROI:        snap(rois, p[2]),
 				}
 				s.clips[ci].addMeasurement(cfg, s.prof.Measure(clip, cfg))
 				s.countProfile()
@@ -635,44 +624,27 @@ func (s *Scheduler) plan(cfgs []videosim.Config) (candidate, bool) {
 	return candidate{cfgs: cfgs, streams: split, plan: plan}, true
 }
 
-// roiGrid returns the ROI knob values (full frame only by default).
-func (s *Scheduler) roiGrid() []float64 {
-	if len(s.opt.ROIGrid) == 0 {
-		return []float64{1}
-	}
-	return s.opt.ROIGrid
-}
-
 func (s *Scheduler) randomConfigs() []videosim.Config {
-	rois := s.roiGrid()
 	cfgs := make([]videosim.Config, s.sys.M())
 	for i := range cfgs {
 		cfgs[i] = videosim.Config{
 			Resolution: videosim.Resolutions[s.rng.IntN(len(videosim.Resolutions))],
 			FPS:        videosim.FrameRates[s.rng.IntN(len(videosim.FrameRates))],
-			ROI:        rois[s.rng.IntN(len(rois))],
 		}
 	}
 	return cfgs
 }
 
-// mutateConfigs perturbs 1–2 stream knobs of base by one grid step each.
+// mutateConfigs perturbs 1–2 stream knobs of base by one grid step each:
+// the frame rate one time in three, the resolution otherwise.
 func (s *Scheduler) mutateConfigs(base []videosim.Config) []videosim.Config {
 	cfgs := append([]videosim.Config(nil), base...)
-	rois := s.roiGrid()
 	for k := 0; k < 1+s.rng.IntN(2); k++ {
 		i := s.rng.IntN(len(cfgs))
-		switch s.rng.IntN(3) {
-		case 0:
-			cfgs[i].Resolution = stepKnob(videosim.Resolutions, cfgs[i].Resolution, s.rng)
-		case 1:
+		if s.rng.IntN(3) == 1 {
 			cfgs[i].FPS = stepKnob(videosim.FrameRates, cfgs[i].FPS, s.rng)
-		default:
-			if len(rois) > 1 {
-				cfgs[i].ROI = rois[s.rng.IntN(len(rois))]
-			} else {
-				cfgs[i].Resolution = stepKnob(videosim.Resolutions, cfgs[i].Resolution, s.rng)
-			}
+		} else {
+			cfgs[i].Resolution = stepKnob(videosim.Resolutions, cfgs[i].Resolution, s.rng)
 		}
 	}
 	return cfgs

@@ -39,8 +39,8 @@ func smallOpts(seed uint64) Options {
 }
 
 func TestEncodeCfgRange(t *testing.T) {
-	lo := encodeCfg(videosim.Config{Resolution: videosim.Resolutions[0], FPS: videosim.FrameRates[0]})
-	hi := encodeCfg(videosim.Config{
+	lo := EncodeConfig(videosim.Config{Resolution: videosim.Resolutions[0], FPS: videosim.FrameRates[0]})
+	hi := EncodeConfig(videosim.Config{
 		Resolution: videosim.Resolutions[len(videosim.Resolutions)-1],
 		FPS:        videosim.FrameRates[len(videosim.FrameRates)-1],
 	})
@@ -269,8 +269,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Batch: -1},
 		{Delta: -0.1},
 		{Acq: "nonsense"},
-		{ROIGrid: []float64{0}},
-		{ROIGrid: []float64{1.5}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -337,24 +335,6 @@ func TestRunFailsWhenNoFeasibleConfigExists(t *testing.T) {
 	_, err := New(sys, &pref.Oracle{Pref: objective.UniformPreference()}, smallOpts(3)).Run()
 	if err == nil {
 		t.Fatal("expected failure on an infeasible system")
-	}
-}
-
-func TestROIGridExpandsSearchSpace(t *testing.T) {
-	sys := testSys(4, 3, 44)
-	truth := objective.UniformPreference()
-	truth.W[objective.Energy] = 2
-	opt := smallOpts(5)
-	opt.TruePref = &truth
-	opt.ROIGrid = []float64{0.5, 1}
-	res, err := New(sys, nil, opt).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cfg := range res.Best.Decision.Configs {
-		if cfg.ROI != 0 && cfg.ROI != 0.5 && cfg.ROI != 1 {
-			t.Fatalf("ROI off grid: %v", cfg.ROI)
-		}
 	}
 }
 

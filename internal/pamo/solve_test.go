@@ -173,7 +173,7 @@ func TestRefitIncrementalMatchesFullFit(t *testing.T) {
 			Resolution: videosim.Resolutions[rng.IntN(len(videosim.Resolutions))],
 			FPS:        videosim.FrameRates[rng.IntN(len(videosim.FrameRates))],
 		}
-		x := encodeCfg(cfg)
+		x := EncodeConfig(cfg)
 		vi := inc.model.Predict(x, mi[:])
 		vf := full.model.Predict(x, mf[:])
 		for m := range mi {
@@ -247,7 +247,7 @@ func TestBatchRefitMatchesPerObservationRefit(t *testing.T) {
 			for _, r := range videosim.Resolutions {
 				for _, f := range videosim.FrameRates {
 					cfg := videosim.Config{Resolution: r, FPS: f}
-					x := encodeCfg(cfg)
+					x := EncodeConfig(cfg)
 					va, vb := a.model.Predict(x, ma[:]), b.model.Predict(x, mb[:])
 					if math.Float64bits(va) != math.Float64bits(vb) {
 						t.Fatalf("round %d clip %d %+v: variance %v vs %v", round, ci, cfg, va, vb)

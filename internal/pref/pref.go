@@ -83,20 +83,30 @@ var ErrPoolTooSmall = errors.New("pref: need at least two candidate outcome vect
 // Learn runs nPairs query rounds against the pool of candidate outcome
 // vectors (normalized), refitting the model after every answer as in
 // Algorithm 2's preference-modeling phase. Pool entries that coincide
-// exactly are one model point; a pair of them is never asked and does not
-// count against nPairs.
+// exactly are one model point and stay in the pool once, so no question is
+// asked twice and no point is compared with itself.
 func (l *Learner) Learn(pool []objective.Vector, nPairs int) error {
 	if len(pool) < 2 {
 		return ErrPoolTooSmall
 	}
-	pts := make([][]float64, len(pool))
-	idx := make([]int, len(pool))
-	for i, y := range pool {
-		pts[i] = y.Slice()
-		idx[i] = l.Model.AddPoint(pts[i])
+	var (
+		pts  [][]float64
+		idx  []int
+		uniq []objective.Vector
+		seen = make(map[int]bool, len(pool))
+	)
+	for _, y := range pool {
+		p := y.Slice()
+		id := l.Model.AddPoint(p)
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		pts, idx, uniq = append(pts, p), append(idx, id), append(uniq, y)
 	}
+	pool = uniq
 	asked := make(map[[2]int]bool)
-	for v := 0; v < nPairs; {
+	for v := 0; v < nPairs; v++ {
 		var i, j int
 		// Model exists only after the first (random) comparison.
 		eubo := l.UseEUBO && l.Model.NumComparisons() > 0
@@ -112,10 +122,6 @@ func (l *Learner) Learn(pool []objective.Vector, nPairs int) error {
 			break // pool exhausted
 		}
 		asked[[2]int{i, j}] = true
-		if idx[i] == idx[j] {
-			continue // a point compared with itself tells the model nothing
-		}
-		v++
 		if eubo {
 			l.EUBOQueries++
 		}

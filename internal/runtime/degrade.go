@@ -95,7 +95,7 @@ func (c *Controller) degrade(sys *objective.System, healthy []bool, base []video
 			if shed[i] || !lowerable(cfgs[i]) {
 				continue
 			}
-			u := sys.Clips[i].ProcTimeOf(cfgs[i]) * cfgs[i].FPS
+			u := sys.Clips[i].ProcTime(cfgs[i].Resolution) * cfgs[i].FPS
 			if pick == -1 || u > best {
 				pick, best = i, u
 			}

@@ -20,34 +20,12 @@ import (
 	"math/rand/v2"
 )
 
-// Config is a per-stream video configuration. Resolution and FPS are the
-// paper's two knobs; ROI is the adaptive-encoding/segmented-inference
-// extension its conclusion proposes — the fraction of each frame encoded
-// at full quality and run through the detector. ROI = 0 or 1 means the
-// whole frame (the paper's baseline behaviour).
+// Config is a per-stream video configuration: the paper's two knobs,
+// resolution and frame rate.
 type Config struct {
 	Resolution float64 // long-edge pixels, paper sweeps 500–2000
 	FPS        float64 // frame sampling rate, paper sweeps 5–30
-	ROI        float64 // region-of-interest fraction in (0, 1]; 0 = full frame
 }
-
-// roiFrac normalizes the ROI knob: unset (0) or out-of-range means full
-// frame.
-func roiFrac(roi float64) float64 {
-	if roi <= 0 || roi > 1 {
-		return 1
-	}
-	return roi
-}
-
-// ROI share factors: the background is still encoded (cheaply) and the
-// detector still scans a downsampled full frame, so costs do not vanish
-// as ROI → 0.
-func roiBitsFactor(roi float64) float64    { return 0.15 + 0.85*roiFrac(roi) }
-func roiComputeFactor(roi float64) float64 { return 0.20 + 0.80*roiFrac(roi) }
-
-// roiAccFactor models occasional objects outside the predicted region.
-func roiAccFactor(roi float64) float64 { return 1 - 0.18*(1-roiFrac(roi)) }
 
 // Standard knob grids used across experiments (7 resolutions × 6 rates,
 // chosen so that frame periods 1/fps have a rich divisibility structure for
@@ -126,7 +104,7 @@ func (c *Clip) Accuracy(cfg Config) float64 {
 	// Sigmoid-like saturation: ≈0.34 of peak at r=500, ≈0.89 at r=2000.
 	theta := c.AccBase * (r * r / (r*r + 700*700))
 	eps := 0.84 + 0.0055*cfg.FPS
-	acc := c.AccFactor * theta * eps * roiAccFactor(cfg.ROI)
+	acc := c.AccFactor * theta * eps
 	if acc > 0.95 {
 		acc = 0.95
 	}
@@ -149,22 +127,10 @@ func (c *Clip) BitsPerFrame(r float64) float64 {
 	return c.BitFac * 0.125 * r * r
 }
 
-// ProcTimeOf returns the per-frame GPU time for the full configuration,
-// including the segmented-inference saving of the ROI knob.
-func (c *Clip) ProcTimeOf(cfg Config) float64 {
-	return c.ProcTime(cfg.Resolution) * roiComputeFactor(cfg.ROI)
-}
-
-// BitsOf returns the encoded frame size for the full configuration,
-// including the adaptive-encoding saving of the ROI knob.
-func (c *Clip) BitsOf(cfg Config) float64 {
-	return c.BitsPerFrame(cfg.Resolution) * roiBitsFactor(cfg.ROI)
-}
-
 // Bandwidth returns the uplink bandwidth demand in bits/s (Eq. 3's f_net
 // contribution of this stream).
 func (c *Clip) Bandwidth(cfg Config) float64 {
-	return c.BitsOf(cfg) * cfg.FPS
+	return c.BitsPerFrame(cfg.Resolution) * cfg.FPS
 }
 
 // ComputePerFrame returns the DNN inference cost of one frame in TFLOP —
@@ -176,7 +142,7 @@ func (c *Clip) ComputePerFrame(r float64) float64 {
 // Compute returns the sustained computing-power demand in TFLOPS (Eq. 3's
 // f_com contribution).
 func (c *Clip) Compute(cfg Config) float64 {
-	return c.ComputePerFrame(cfg.Resolution) * roiComputeFactor(cfg.ROI) * cfg.FPS
+	return c.ComputePerFrame(cfg.Resolution) * cfg.FPS
 }
 
 // EnergyPerFrame returns the GPU energy of one frame inference in J —
@@ -188,8 +154,8 @@ func (c *Clip) EnergyPerFrame(r float64) float64 {
 // Power returns the total power draw in W for this stream (Eq. 4 divided
 // by 1 s): transmission energy γ·bits·fps plus compute energy per second.
 func (c *Clip) Power(cfg Config) float64 {
-	tx := GammaTxJPerBit * c.BitsOf(cfg) * cfg.FPS
-	comp := c.EnergyPerFrame(cfg.Resolution) * roiComputeFactor(cfg.ROI) * cfg.FPS
+	tx := GammaTxJPerBit * c.BitsPerFrame(cfg.Resolution) * cfg.FPS
+	comp := c.EnergyPerFrame(cfg.Resolution) * cfg.FPS
 	return tx + comp
 }
 
@@ -252,8 +218,8 @@ func (p *Profiler) Measure(c *Clip, cfg Config) Measurement {
 	p.Clock += 1.0 // each profiling run covers ~1 s of video
 	diff := c.ContentDifficulty(p.Clock)
 	noise := func() float64 { return 1 + p.NoiseStd*p.rng.NormFloat64() }
-	bits := c.BitsOf(cfg) * diff * noise()
-	proc := c.ProcTimeOf(cfg) * diff * noise()
+	bits := c.BitsPerFrame(cfg.Resolution) * diff * noise()
+	proc := c.ProcTime(cfg.Resolution) * diff * noise()
 	return Measurement{
 		Acc:       clamp01(c.Accuracy(cfg) / math.Sqrt(diff) * noise()),
 		ProcTime:  proc,

@@ -184,45 +184,6 @@ func TestContentDifficultyRange(t *testing.T) {
 	}
 }
 
-func TestROIKnobEffects(t *testing.T) {
-	c := refClip()
-	full := Config{Resolution: 1500, FPS: 15}          // ROI unset = full frame
-	roi := Config{Resolution: 1500, FPS: 15, ROI: 0.5} // half-frame ROI
-	one := Config{Resolution: 1500, FPS: 15, ROI: 1}   // explicit full frame
-
-	// ROI=1 and unset must behave identically.
-	if c.Accuracy(full) != c.Accuracy(one) || c.Bandwidth(full) != c.Bandwidth(one) ||
-		c.Power(full) != c.Power(one) || c.ProcTimeOf(full) != c.ProcTimeOf(one) {
-		t.Fatal("ROI=1 differs from unset ROI")
-	}
-	// Smaller ROI: cheaper everywhere, slightly less accurate.
-	if c.Bandwidth(roi) >= c.Bandwidth(full) {
-		t.Error("ROI did not reduce bandwidth")
-	}
-	if c.Compute(roi) >= c.Compute(full) {
-		t.Error("ROI did not reduce compute")
-	}
-	if c.Power(roi) >= c.Power(full) {
-		t.Error("ROI did not reduce power")
-	}
-	if c.ProcTimeOf(roi) >= c.ProcTimeOf(full) {
-		t.Error("ROI did not reduce per-frame processing time")
-	}
-	if c.Accuracy(roi) >= c.Accuracy(full) {
-		t.Error("ROI should cost some accuracy")
-	}
-	// Costs saturate: even ROI → 0 keeps background/encode overheads.
-	tiny := Config{Resolution: 1500, FPS: 15, ROI: 0.01}
-	if c.Bandwidth(tiny) < 0.1*c.Bandwidth(full) {
-		t.Error("ROI bandwidth saving implausibly large")
-	}
-	// Out-of-range ROI values are treated as full frame.
-	weird := Config{Resolution: 1500, FPS: 15, ROI: 7}
-	if c.Accuracy(weird) != c.Accuracy(full) {
-		t.Error("out-of-range ROI not normalized")
-	}
-}
-
 func TestDriftedClip(t *testing.T) {
 	c := NewClip("d", stats.NewRNG(9))
 	cfg := Config{Resolution: 1000, FPS: 10}
