@@ -17,16 +17,15 @@ import (
 // anyway, each with the reason. An entry whose function gains a caller (or
 // disappears) fails the test, so the list cannot go stale.
 var funcAllow = map[string]string{
-	"acq.QNEI":             "per-trial oracle: FuzzSharedVsPerTrial and pamo's solve_test hold the shared scorer to it",
-	"acq.QEI":              "per-trial oracle of FuzzSharedVsPerTrial",
-	"acq.QUCB":             "per-trial oracle of FuzzSharedVsPerTrial",
-	"mat.Chol":             "reference factorization the in-place, jittered and extended Cholesky tests compare against",
-	"mat.FromRows":         "test fixture: builds literal matrices in mat's tests",
-	"sched.Rat":            "cross-package test fixture: literal stream periods in check and runtime tests",
-	"shard.NewArbiter":     "test fixture: the arbiter's unit tests build a standalone one (the Planner embeds its own)",
-	"eva.AnalyticOutcomes": "closed-form DES oracle; ROADMAP item 14 decides it",
-	"stats.Quantile":       "no caller but its tests; FuzzQuantileBounds fuzzes it, so it stays with that fuzzer",
-	"stats.NormQuantile":   "no caller but its tests since EUBO's sentinel became -Inf; ROADMAP item 1 plans Const2 against mean + z·sd with it",
+	"acq.QNEI":           "per-trial oracle: FuzzSharedVsPerTrial and pamo's solve_test hold the shared scorer to it",
+	"acq.QEI":            "per-trial oracle of FuzzSharedVsPerTrial",
+	"acq.QUCB":           "per-trial oracle of FuzzSharedVsPerTrial",
+	"mat.Chol":           "reference factorization the in-place, jittered and extended Cholesky tests compare against",
+	"mat.FromRows":       "test fixture: builds literal matrices in mat's tests",
+	"sched.Rat":          "cross-package test fixture: literal stream periods in check and runtime tests",
+	"shard.NewArbiter":   "test fixture: the arbiter's unit tests build a standalone one (the Planner embeds its own)",
+	"stats.Quantile":     "no caller but its tests; FuzzQuantileBounds fuzzes it, so it stays with that fuzzer",
+	"stats.NormQuantile": "no caller but its tests since EUBO's sentinel became -Inf; ROADMAP item 1 plans Const2 against mean + z·sd with it",
 }
 
 // TestExportedFuncsHaveCallers is the exported-function census: every

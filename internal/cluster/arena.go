@@ -12,10 +12,20 @@ import (
 // Arena holds the reusable buffers of one server's discrete-event run: a
 // merge cursor per stream (its next frame's sequence number, capture
 // instant, transmission delay and service time), the merge ring that orders
-// the streams by their next arrival, and the per-stream summary slots. The
-// arena path keeps no frame log: frames are served and summarized in the
-// same pass that merges them, so a warm arena simulates without touching
-// the heap.
+// the streams by their next arrival, the per-stream summary slots and the
+// hyperperiod window's per-stream bookkeeping. The arena path keeps no
+// frame log: frames are served and summarized in the same pass that merges
+// them, so a warm arena simulates without touching the heap.
+//
+// The arena path also serves a periodic server for one hyperperiod rather
+// than for the whole horizon (see simulate and DESIGN.md §11): from the
+// first idle instant that has one hyperperiod of the periodic regime behind
+// it, every further hyperperiod repeats the one it simulated, so it adds
+// copies of that window's sums and counts and serves only the frames near
+// the horizon. Frame and completion counts stay exact; the latency sums,
+// extrema and utilization agree with the frame-log path up to rounding
+// (FuzzArenaVsOracle holds the tolerances). A server the rule does not
+// cover is served frame by frame, bit-identical to the frame-log path.
 //
 // Ownership rules (see DESIGN.md "Scaling"): an Arena is single-goroutine —
 // the fault-tolerant runtime keeps one per server worker. The Result
@@ -29,7 +39,9 @@ type Arena struct {
 	ring      []next // power-of-two length, at least one slot per stream
 	per       []StreamStats
 	completed []int
+	win       []window
 	sub       []StreamSpec // MeanLatency's per-server stream subset
+	simulated int          // frames the last simulate call actually served
 }
 
 // cursor is one stream's position in the k-way merge.
@@ -46,6 +58,27 @@ type next struct {
 	si     int
 }
 
+// window is one stream's share of the simulated hyperperiod: its period as
+// the reduced fraction num/den, its frames per hyperperiod, its cursor at
+// the window's start and the latency sum of the window's frames.
+type window struct {
+	num, den int64
+	frames   int
+	seq      int
+	lat      float64
+}
+
+// run is the state of one simulation that its phases hand on: the merge
+// ring's live run, the server's free instant, the busy time, the running
+// latency sum and the frames accounted for.
+type run struct {
+	head, n int
+	free    float64
+	busy    float64
+	latSum  float64
+	count   int
+}
+
 // NewArena returns an empty arena; buffers grow on first use.
 func NewArena() *Arena { return &Arena{} }
 
@@ -54,10 +87,12 @@ func (a *Arena) growStreams(n int) {
 		a.cur = make([]cursor, n)
 		a.per = make([]StreamStats, n)
 		a.completed = make([]int, n)
+		a.win = make([]window, n)
 	}
 	a.cur = a.cur[:n]
 	a.per = a.per[:n]
 	a.completed = a.completed[:n]
+	a.win = a.win[:n]
 	size := 1
 	if n > 1 {
 		size = 1 << bits.Len(uint(n-1))
@@ -72,17 +107,20 @@ func (a *Arena) growStreams(n int) {
 // package-level SimulateServer for the service model, and the ownership
 // rules on Arena for how long the result stays valid). It records no
 // frames; Result.LatSum and Result.FrameCount carry what callers used to
-// fold out of the log.
+// fold out of the log. A periodic server is served for one hyperperiod and
+// extrapolated (see Arena).
 func (a *Arena) SimulateServer(streams []StreamSpec, srv Server, horizon float64) Result {
 	return a.simulate(streams, srv, horizon, false, 0)
 }
 
 // MeanLatency simulates the cluster like SimulateCluster and returns the
-// frame-weighted mean end-to-end latency, bit-identical to
-// MeanLatency(SimulateCluster(streams, servers, assign, horizon)) but
-// without frame logs: one running latency sum is threaded through the
-// servers in index order, so every frame's latency is added in the order
-// the logs would fold it. A warm arena allocates nothing.
+// frame-weighted mean end-to-end latency of
+// MeanLatency(SimulateCluster(streams, servers, assign, horizon)) without
+// frame logs: one running latency sum is threaded through the servers in
+// index order, the order the logs would fold it. Each server runs the arena
+// path, so the mean agrees with the frame-log fold up to rounding, and bit
+// for bit when the hyperperiod rule leaves every server to the full run. A
+// warm arena allocates nothing.
 func (a *Arena) MeanLatency(streams []StreamSpec, servers []Server, assign Assignment, horizon float64) float64 {
 	checkAssignment(streams, servers, assign)
 	sum, n := 0.0, 0
@@ -105,7 +143,9 @@ func (a *Arena) MeanLatency(streams []StreamSpec, servers []Server, assign Assig
 // simulate is the FIFO simulator: one pass that merges the streams' frames
 // in arrival order, serves each one and folds it into the summary. With
 // record set it also logs every frame into a freshly allocated slice that
-// the result owns. The result's LatSum continues the running sum latSum.
+// the result owns. Without it, extrapolate may replace all but the first
+// and last few hyperperiods by copies of one. The result's LatSum
+// continues the running sum latSum.
 func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, record bool, latSum float64) Result {
 	if horizon <= 0 {
 		panic(fmt.Sprintf("cluster: non-positive horizon %v", horizon))
@@ -118,8 +158,7 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 	// index): arrival ties break toward the lower stream index, matching a
 	// deterministic NIC delivering interleaved packets. A stream whose next
 	// arrival is +Inf (past the horizon) or NaN leaves the ring for good.
-	ring, mask := a.ring, len(a.ring)-1
-	head, n := 0, 0
+	r := run{latSum: latSum}
 	// Service time scales with the server's speed class. At the
 	// homogeneous default (speed 1) the division is an exact identity, so
 	// golden traces are bit-identical.
@@ -135,7 +174,7 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 			c.tx = s.Bits / srv.Uplink
 		}
 		if t := a.aim(si, &streams[si], horizon); t < posInf() {
-			n = push(ring, mask, head, n, next{t, si})
+			r.n = push(a.ring, len(a.ring)-1, r.head, r.n, next{t, si})
 		}
 		a.per[si] = StreamStats{MinLat: math.Inf(1)}
 		a.completed[si] = 0
@@ -147,13 +186,40 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 		}
 	}
 	var frames []FrameRecord
+	a.simulated = 0
 	if record {
 		frames = make([]FrameRecord, 0, total)
+	} else {
+		a.extrapolate(&r, streams, horizon)
 	}
+	frames = a.serve(&r, streams, horizon, math.MaxInt, frames, record)
 
 	per := a.per
-	free, busy, count := 0.0, 0.0, 0
-	for n > 0 {
+	res := Result{Frames: frames, PerStream: per, LatSum: r.latSum, FrameCount: r.count}
+	for si := range per {
+		st := &per[si]
+		if st.Frames > 0 {
+			st.MeanLat /= float64(st.Frames)
+			st.Jitter = st.MaxLat - st.MinLat
+			st.Throughput = float64(a.completed[si]) / horizon
+		} else {
+			st.MinLat = 0
+		}
+		res.MaxJitter = math.Max(res.MaxJitter, st.Jitter)
+		res.MaxWait = math.Max(res.MaxWait, st.MaxWait)
+	}
+	res.Utilization = r.busy / horizon
+	return res
+}
+
+// serve serves up to budget frames off the front of the merge ring, in
+// FIFO order, folds each into the summary and, with record set, appends it
+// to frames.
+func (a *Arena) serve(r *run, streams []StreamSpec, horizon float64, budget int, frames []FrameRecord, record bool) []FrameRecord {
+	ring, mask, per := a.ring, len(a.ring)-1, a.per
+	head, n := r.head, r.n
+	free, busy, latSum, count := r.free, r.busy, r.latSum, r.count
+	for ; n > 0 && budget > 0; budget-- {
 		best, arr := ring[head].si, ring[head].arrive
 		head, n = (head+1)&mask, n-1
 		c := &a.cur[best]
@@ -183,22 +249,212 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 			n = push(ring, mask, head, n, next{t, best})
 		}
 	}
+	a.simulated += count - r.count
+	r.head, r.n = head, n
+	r.free, r.busy, r.latSum, r.count = free, busy, latSum, count
+	return frames
+}
 
-	res := Result{Frames: frames, PerStream: per, LatSum: latSum, FrameCount: count}
-	for si := range per {
-		st := &per[si]
-		if st.Frames > 0 {
-			st.MeanLat /= float64(st.Frames)
-			st.Jitter = st.MaxLat - st.MinLat
-			st.Throughput = float64(a.completed[si]) / horizon
-		} else {
-			st.MinLat = 0
-		}
-		res.MaxJitter = math.Max(res.MaxJitter, st.Jitter)
-		res.MaxWait = math.Max(res.MaxWait, st.MaxWait)
+// idleEps is the margin, in seconds, by which an arrival must find the
+// server idle to start a hyperperiod window, and under which two arrivals
+// of different streams count as a near-tie.
+const idleEps = 1e-9
+
+// extrapolate serves a periodic server up to the start of one hyperperiod
+// window, serves that window, and adds k further copies of it, leaving r
+// and the cursors where serving every frame would have left them after
+// those k copies; serve then runs the tail to the horizon. Wherever the rule
+// does not hold it stops, and the caller's serve continues the full run
+// from the state reached, so such a run is the frame-by-frame one.
+//
+// The rule: with L the hyperperiod, the arrivals after the last
+// stream's first arrival repeat every L. The window starts at an arrival ι
+// that finds the server idle by more than idleEps and lies at least one L
+// inside that periodic regime. Then [ι−L, ι) carries the same arrivals as
+// [ι, ι+L), and since the work left at the end of a window is monotone in
+// the work at its start, the work left at ι+L is at most that at ι, which
+// is zero; by induction every window from ι on starts idle and serves the
+// same frames at the same latencies. The simulated window must confirm it:
+// exactly L/Tᵢ frames of every stream, no two arrivals of different streams
+// within idleEps (rounding could order such a pair differently in another
+// window), and the next arrival within idleEps of ι+L, finding the server
+// idle. The copies stop three hyperperiods and one frame's transmission
+// and service short of the horizon, so every frame the horizon cuts goes
+// through serve's own tests and the counts stay exact.
+func (a *Arena) extrapolate(r *run, streams []StreamSpec, horizon float64) {
+	L, first, maxTP, ok := a.hyperperiod(streams, horizon)
+	if !ok {
+		return
 	}
-	res.Utilization = busy / horizon
-	return res
+	lo, hi := first+L, horizon-4*L-maxTP
+	if !(lo <= hi) {
+		return
+	}
+	for {
+		if r.n == 0 || a.ring[r.head].arrive > hi {
+			return
+		}
+		if arr := a.ring[r.head].arrive; arr >= lo && arr > r.free+idleEps {
+			break
+		}
+		a.serve(r, streams, horizon, 1, nil, false)
+	}
+	start, mask := a.ring[r.head].arrive, len(a.ring)-1
+	frames := 0
+	for si := range streams {
+		w := &a.win[si]
+		w.seq, w.lat = a.cur[si].seq, 0
+		frames += w.frames
+	}
+	busy, latSum := 0.0, 0.0
+	for ; frames > 0; frames-- {
+		if r.n == 0 || r.n > 1 && a.ring[(r.head+1)&mask].arrive-a.ring[r.head].arrive <= idleEps {
+			return
+		}
+		si := a.ring[r.head].si
+		c := &a.cur[si]
+		capture, proc := c.capture, c.proc
+		a.serve(r, streams, horizon, 1, nil, false)
+		l := r.free - capture
+		a.win[si].lat += l
+		latSum += l
+		busy += proc
+	}
+	if r.n == 0 {
+		return
+	}
+	if arr := a.ring[r.head].arrive; math.Abs(arr-(start+L)) > idleEps || !(arr > r.free+idleEps) ||
+		r.n > 1 && a.ring[(r.head+1)&mask].arrive-arr <= idleEps {
+		return
+	}
+	for si := range streams {
+		if w := &a.win[si]; a.cur[si].seq-w.seq != w.frames {
+			return
+		}
+	}
+	k := int(math.Floor((horizon-maxTP-start)/L)) - 3
+	if k < 1 {
+		return
+	}
+	kf := float64(k)
+	r.head, r.n = 0, 0
+	for si := range streams {
+		w, st := &a.win[si], &a.per[si]
+		st.Frames += k * w.frames
+		st.MeanLat += kf * w.lat
+		a.completed[si] += k * w.frames
+		r.count += k * w.frames
+		a.cur[si].seq += k * w.frames
+		if t := a.aim(si, &streams[si], horizon); t < posInf() {
+			r.n = push(a.ring, mask, r.head, r.n, next{t, si})
+		}
+	}
+	r.busy += kf * busy
+	r.latSum += kf * latSum
+}
+
+// hyperperiod returns the server's hyperperiod L, the lcm of its stream
+// periods, each recovered as a fraction by ratio; it fills every stream's
+// window num/den and frames = L/Tᵢ. It also returns the latest first
+// arrival and the largest transmission plus service time. ok is false, and
+// the server is served in full, when a period has no fraction within
+// rounding, L exceeds horizon/6, the utilization reaches 1, or an offset,
+// delay or service time is not a finite non-negative number (a negative
+// one breaks the monotone argument, and an infinite one periodicity).
+func (a *Arena) hyperperiod(streams []StreamSpec, horizon float64) (L, first, maxTP float64, ok bool) {
+	if len(streams) == 0 {
+		return 0, 0, 0, false
+	}
+	// A frame's capture Offset + seq·Period drifts from the fraction's by
+	// seq·|Period − num/den|; the tolerance keeps that drift, over the
+	// horizon, far below idleEps.
+	tol := math.Min(1e-12, idleEps/(16*horizon))
+	lcmNum, gcdDen := int64(1), int64(0)
+	util := 0.0
+	first = negInf()
+	for si := range streams {
+		s, c, w := &streams[si], &a.cur[si], &a.win[si]
+		if !(c.proc >= 0 && c.tx >= 0 && c.proc+c.tx < posInf() && math.Abs(s.Offset) < posInf()) {
+			return 0, 0, 0, false
+		}
+		if si > 0 && s.Period == streams[si-1].Period {
+			w.num, w.den = a.win[si-1].num, a.win[si-1].den
+		} else if w.num, w.den, ok = ratio(s.Period, tol); !ok {
+			return 0, 0, 0, false
+		}
+		g := gcd(lcmNum, w.num)
+		if lcmNum/g > maxLcm/w.num {
+			return 0, 0, 0, false
+		}
+		lcmNum = lcmNum / g * w.num
+		gcdDen = gcd(gcdDen, w.den)
+		util += c.proc / s.Period
+		first = math.Max(first, s.Offset+c.tx)
+		maxTP = math.Max(maxTP, c.tx+c.proc)
+	}
+	L = float64(lcmNum) / float64(gcdDen)
+	if !(util < 1) || L > horizon/6 {
+		return 0, 0, 0, false
+	}
+	for si := range streams {
+		w := &a.win[si]
+		w.frames = int(lcmNum / w.num * (w.den / gcdDen))
+	}
+	return L, first, maxTP, true
+}
+
+// maxRatio bounds the numerators and denominators ratio returns. Every
+// number has convergents within 1e-12 relative once denominators reach
+// about 1e6, so the bound is what tells a fraction of small terms (1/fps,
+// c/fps) from a float that merely has a close fraction. maxLcm bounds the
+// lcm of the numerators, so L/Tᵢ = lcm/num · den/gcd fits an int64.
+const (
+	maxRatio = 1 << 16
+	maxLcm   = 1 << 40
+)
+
+// ratio returns the reduced fraction num/den, both at most maxRatio, of the
+// first continued-fraction convergent of x that lies within tol·x of it.
+// Convergents are the best approximations of their size and their
+// denominators grow at least like the Fibonacci numbers, so the search
+// takes a few dozen steps at most; ok is false when no convergent within
+// the bound is close enough (x is not a fraction of small terms) or x is
+// not a positive finite number.
+func ratio(x, tol float64) (num, den int64, ok bool) {
+	if !(x > 0) {
+		return 0, 0, false
+	}
+	h0, h1 := int64(0), int64(1) // numerators of the convergents before
+	k0, k1 := int64(1), int64(0) // and their denominators
+	y := x
+	for {
+		t := math.Floor(y)
+		if t > maxRatio {
+			return 0, 0, false
+		}
+		q := int64(t)
+		h, k := q*h1+h0, q*k1+k0
+		if h > maxRatio || k > maxRatio {
+			return 0, 0, false
+		}
+		if math.Abs(float64(h)/float64(k)-x) <= tol*x {
+			return h, k, true
+		}
+		h0, h1, k0, k1 = h1, h, k1, k
+		if y -= t; y <= 0 {
+			return 0, 0, false
+		}
+		y = 1 / y
+	}
+}
+
+// gcd is the greatest common divisor of two non-negative integers, with
+// gcd(0, b) = b.
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // push inserts e into the run of n ring entries that starts at head, sorted

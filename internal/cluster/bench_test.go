@@ -3,17 +3,14 @@ package cluster
 import "testing"
 
 // BenchmarkArenaSimulateServer times one warm arena simulating one server
-// over a 30 s horizon (eva.EvalHorizon) and reports the cost per served
-// frame, at three shapes: the fleet-placement server (8 streams at 5 fps on
-// their zero-jitter slot train), a PaMO-day server (3 streams at mixed
-// frame rates) and a crowded one (64 streams at four frame rates).
+// over a 30 s horizon (eva.EvalHorizon) at three shapes: the
+// fleet-placement server (8 streams at 5 fps on their zero-jitter slot
+// train), a PaMO-day server (3 streams at mixed frame rates) and a crowded
+// one (64 streams at four frame rates, overloaded, so served in full). It
+// reports the cost per logical frame (every frame of the horizon, served
+// or extrapolated) and the frames actually served per call.
 func BenchmarkArenaSimulateServer(b *testing.B) {
-	equal := make([]StreamSpec, 8)
-	for i := range equal {
-		equal[i] = StreamSpec{Period: 0.2, Proc: 0.02, Bits: 2e5}
-	}
-	srv := Server{Uplink: 40e6}
-	ZeroJitterOffsetsInPlaceOn(equal, srv)
+	equal, srv := fleetServer()
 	mixed := []StreamSpec{
 		{Period: 1.0 / 30, Proc: 0.012, Bits: 3e5},
 		{Period: 1.0 / 15, Proc: 0.02, Bits: 2e5},
@@ -31,12 +28,14 @@ func BenchmarkArenaSimulateServer(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			a := NewArena()
 			frames := a.SimulateServer(bc.streams, srv, 30).FrameCount
+			served := a.simulated
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchResult = a.SimulateServer(bc.streams, srv, 30)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*frames), "ns/frame")
+			b.ReportMetric(float64(served), "served/op")
 		})
 	}
 }

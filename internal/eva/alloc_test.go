@@ -7,8 +7,9 @@ import "testing"
 // TestEvaluatorZeroAlloc pins the scheduler's per-observation evaluation to
 // zero heap allocations once its Evaluator has seen a decision that large:
 // the outcome vector is a value, and the simulator runs on the Evaluator's
-// arena without frame logs. (Skipped under -race, which instruments
-// allocation.)
+// arena without frame logs. The decisions mix servers the arena
+// extrapolates by the hyperperiod with overloaded ones it serves in full.
+// (Skipped under -race, which instruments allocation.)
 func TestEvaluatorZeroAlloc(t *testing.T) {
 	s := sys(5, 3)
 	var e Evaluator

@@ -168,7 +168,10 @@ type Evaluator struct {
 	specs []cluster.StreamSpec
 }
 
-// Evaluate is the package-level Evaluate, bit for bit.
+// Evaluate is the package-level Evaluate, bit for bit. Its latency is the
+// frame-log fold cluster.MeanLatency(Simulate(sys, d)) up to rounding: the
+// arena serves a periodic server for one hyperperiod and extrapolates the
+// rest (cluster.Arena).
 func (e *Evaluator) Evaluate(sys *objective.System, d Decision) objective.Vector {
 	if len(d.Streams) != len(d.Assign) {
 		panic(fmt.Sprintf("eva: %d streams vs %d assignments", len(d.Streams), len(d.Assign)))
@@ -179,7 +182,7 @@ func (e *Evaluator) Evaluate(sys *objective.System, d Decision) objective.Vector
 		e.specs = append(e.specs, d.Spec(i))
 	}
 	// The arena threads one running latency sum through the servers in
-	// index order, the fold cluster.MeanLatency makes over frame logs.
+	// index order, the order cluster.MeanLatency folds frame logs in.
 	v[objective.Latency] = e.arena.MeanLatency(e.specs, sys.Servers, cluster.Assignment(d.Assign), EvalHorizon)
 	return v
 }
@@ -198,26 +201,6 @@ func Simulate(sys *objective.System, d Decision) []cluster.Result {
 		specs[i] = d.Spec(i)
 	}
 	return cluster.SimulateCluster(specs, sys.Servers, cluster.Assignment(d.Assign), EvalHorizon)
-}
-
-// AnalyticOutcomes scores a decision with the purely analytic latency of
-// Eq. (5) (per-frame processing + transmission, no queueing), which is
-// what model-based planners reason with.
-func AnalyticOutcomes(sys *objective.System, d Decision) objective.Vector {
-	v := sys.ConfigOutcomes(d.Configs, nil)
-	var lat float64
-	for i, s := range d.Streams {
-		b := sys.Servers[d.Assign[i]].Uplink
-		tx := 0.0
-		if b > 0 {
-			tx = s.Bits / b
-		}
-		lat += s.Proc + tx
-	}
-	if len(d.Streams) > 0 {
-		v[objective.Latency] = lat / float64(len(d.Streams))
-	}
-	return v
 }
 
 // ConfigGrid enumerates the standard knob grid as (resolution, fps) pairs.

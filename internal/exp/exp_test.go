@@ -186,18 +186,26 @@ func TestFig10bRuns(t *testing.T) {
 	}
 }
 
+// TestAblationZeroJitterAdvantage asserts the ablation's claim on seeds
+// where First-Fit's random offsets provably make streams contend:
+// Algorithm 1's simulated jitter is round-off (at most 1 ns) and
+// First-Fit's exceeds 1 ms. The cells are parsed as numbers; on other
+// seeds (8, 21 and 23, for instance) First-Fit's jitter is round-off too,
+// and the two cells say nothing about each other.
 func TestAblationZeroJitterAdvantage(t *testing.T) {
-	tab := AblationZeroJitter(io.Discard, 8, 5, 21)
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if tab.Rows[0][1] == "infeasible" || tab.Rows[1][1] == "infeasible" {
-		t.Skip("instance infeasible for one policy")
-	}
-	// Algorithm 1's jitter must be (numerically) zero; first-fit's is not
-	// guaranteed to be, and on this seed it jitters.
-	if tab.Rows[0][1] >= tab.Rows[1][1] {
-		t.Fatalf("algorithm1 jitter %s not below first-fit %s", tab.Rows[0][1], tab.Rows[1][1])
+	for _, seed := range []uint64{1, 2, 3, 5, 13, 42, 2024} {
+		tab := AblationZeroJitter(io.Discard, 8, 5, seed)
+		if len(tab.Rows) != 2 || tab.Rows[0][0] != "algorithm1" || tab.Rows[1][0] != "first-fit" {
+			t.Fatalf("seed %d: rows = %v, want algorithm1 and first-fit", seed, tab.Rows)
+		}
+		alg1, err1 := strconv.ParseFloat(tab.Rows[0][1], 64)
+		ff, err2 := strconv.ParseFloat(tab.Rows[1][1], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("seed %d: unparsable jitters %v", seed, tab.Rows)
+		}
+		if alg1 > 1e-9 || ff <= 1e-3 {
+			t.Fatalf("seed %d: algorithm1 jitter %v s (want ≤ 1 ns), first-fit %v s (want > 1 ms)", seed, alg1, ff)
+		}
 	}
 }
 

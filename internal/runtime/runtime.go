@@ -936,9 +936,10 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 	v := sys.ConfigOutcomes(d.Configs, skipVideo)
 
 	// Fan out one simulation per healthy server. Each server owns a
-	// long-lived arena and spec buffer (index j is only ever touched by
-	// server j's goroutine, and wg.Wait barriers the epochs), so steady-state
-	// evaluation reuses the simulator's buffers instead of reallocating them.
+	// long-lived arena and spec buffer (the buffers are filled here, before
+	// the fan-out; index j is then only touched by server j's goroutine, and
+	// wg.Wait barriers the epochs), so steady-state evaluation reuses the
+	// simulator's buffers instead of reallocating them.
 	for len(c.arenas) < sys.N() {
 		c.arenas = append(c.arenas, cluster.NewArena())
 	}
@@ -946,6 +947,17 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 		bufs := make([][]cluster.StreamSpec, sys.N())
 		copy(bufs, c.specBufs)
 		c.specBufs = bufs
+	}
+	// Bucket the live streams by server in one pass, in stream order, so no
+	// worker scans the whole assignment.
+	for j := range sys.N() {
+		c.specBufs[j] = c.specBufs[j][:0]
+	}
+	for i, a := range d.Assign {
+		if a < 0 || a >= sys.N() || healthy != nil && !healthy[a] || skipVideo(d.Streams[i].Video) {
+			continue
+		}
+		c.specBufs[a] = append(c.specBufs[a], d.Spec(i))
 	}
 	type serverResult struct {
 		latSum float64
@@ -969,14 +981,7 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 				return
 			default:
 			}
-			specs := c.specBufs[j][:0]
-			for i, a := range d.Assign {
-				if a != j || skipVideo(d.Streams[i].Video) {
-					continue
-				}
-				specs = append(specs, d.Spec(i))
-			}
-			c.specBufs[j] = specs
+			specs := c.specBufs[j]
 			if live && c.Eval != nil {
 				// Remote evaluation: the agent owns the DES (or the real
 				// measurement); the controller only merges its numbers. The
