@@ -43,16 +43,14 @@ func (c *Checker) VerifyAssignmentServers(streams []sched.Stream, assign []int, 
 	return nil
 }
 
-// VerifyPlanServers checks a scheduling plan — serial or assembled by the
-// sharded arbiter from several cells' commits — for structural consistency
-// and the exact feasibility constraints. Structure: Groups and GroupServer
-// agree in shape, every stream sits in exactly one group, StreamServer
-// mirrors the grouping, and no stream lands on an unhealthy server (healthy
-// may be nil = all up). Feasibility: the exact speed-scaled Const1/Const2
-// checks of VerifyAssignmentServers over the MERGED per-server stream sets,
-// so a server shared by multiple cells is audited over the union of
-// everything committed onto it — the property the arbiter's exactness is
-// load-bearing for.
+// VerifyPlanServers checks a scheduling plan — serial or concatenated from
+// several shard cells' plans — for structural consistency and the exact
+// feasibility constraints. Structure: Groups and GroupServer agree in
+// shape, every stream sits in exactly one group, StreamServer mirrors the
+// grouping, and no stream lands on an unhealthy server (healthy may be nil
+// = all up). Feasibility: the exact speed-scaled Const1/Const2 checks of
+// VerifyAssignmentServers over the per-server stream sets of the whole
+// plan.
 func (c *Checker) VerifyPlanServers(streams []sched.Stream, plan sched.Plan, servers []cluster.Server, healthy []bool) error {
 	if c == nil {
 		return nil

@@ -19,11 +19,9 @@ import (
 //     scored on drifted clips vs the clips it was planned for.
 //   - FaultLoss: benefit lost to the fault plane — down servers, stalled
 //     cameras, degraded uplinks — i.e. drifted-healthy vs realized.
-//   - ConflictLoss / FallbackLoss: the sharded control plane's arbiter
-//     bounces and serial fallbacks. These protocol events cost latency,
-//     not benefit, so their buckets are exactly 0 by construction; the
-//     ledger still carries their counts (ConflictRetries, FellBack) so a
-//     nonzero retry storm is visible next to the losses it risks causing.
+//
+// A sharded solve's fallback to the serial path costs decide latency, not
+// benefit, so it has no bucket; FellBack flags it.
 //
 // The invariant the ledger guarantees — and Close enforces to exact float
 // equality — is
@@ -40,30 +38,24 @@ type EpochLedger struct {
 	Planned  float64 `json:"planned"`  // benefit the planner thought it bought
 	Realized float64 `json:"realized"` // benefit the epoch actually delivered
 
-	ShedLoss     float64 `json:"shed_loss"`
-	DriftLoss    float64 `json:"drift_loss"`
-	FaultLoss    float64 `json:"fault_loss"`
-	ConflictLoss float64 `json:"conflict_loss"`
-	FallbackLoss float64 `json:"fallback_loss"`
+	ShedLoss  float64 `json:"shed_loss"`
+	DriftLoss float64 `json:"drift_loss"`
+	FaultLoss float64 `json:"fault_loss"`
 
-	// Attribution detail: which streams/servers/cells the buckets point at.
-	ConflictRetries  int   `json:"conflict_retries,omitempty"` // arbiter bounces this epoch
-	FellBack         bool  `json:"fell_back,omitempty"`        // sharded solve fell back to serial
-	ReplanFailed     bool  `json:"replan_failed,omitempty"`    // scheduler errored, stale plan ran
+	// Attribution detail: which streams and servers the buckets point at.
+	FellBack         bool  `json:"fell_back,omitempty"`     // sharded solve fell back to serial
+	ReplanFailed     bool  `json:"replan_failed,omitempty"` // scheduler errored, stale plan ran
 	Degraded         bool  `json:"degraded,omitempty"`
 	ShedVideos       []int `json:"shed_videos,omitempty"`
 	DowngradedVideos []int `json:"downgraded_videos,omitempty"`
 	ServersDown      []int `json:"servers_down,omitempty"`
 	StalledCameras   []int `json:"stalled_cameras,omitempty"`
-	// CellRetries[c] counts how many times cell c's proposal bounced before
-	// committing (sharded decides only).
-	CellRetries []int `json:"cell_retries,omitempty"`
 }
 
 // SumBuckets returns the loss buckets summed in the canonical order the
-// exactness guarantee is stated over: ((((Shed+Drift)+Fault)+Conflict)+Fallback).
+// exactness guarantee is stated over: ((Shed+Drift)+Fault).
 func (l *EpochLedger) SumBuckets() float64 {
-	return l.ShedLoss + l.DriftLoss + l.FaultLoss + l.ConflictLoss + l.FallbackLoss
+	return l.ShedLoss + l.DriftLoss + l.FaultLoss
 }
 
 // Gap returns Planned − Realized, the quantity the buckets decompose.
@@ -124,16 +116,16 @@ func (r *Recorder) RecordLedger(ctx context.Context, l EpochLedger) {
 // WriteLedgerTable renders per-epoch ledgers as an aligned text table (the
 // pamo-trace -events-summary ledger output).
 func WriteLedgerTable(w io.Writer, ledgers []EpochLedger) {
-	fmt.Fprintf(w, "%5s %10s %10s %10s %10s %10s %8s %6s %5s\n",
-		"epoch", "planned", "realized", "shed", "drift", "fault", "retries", "shedN", "exact")
+	fmt.Fprintf(w, "%5s %10s %10s %10s %10s %10s %6s %5s\n",
+		"epoch", "planned", "realized", "shed", "drift", "fault", "shedN", "exact")
 	for i := range ledgers {
 		l := &ledgers[i]
 		exact := "ok"
 		if !l.CheckExact() {
 			exact = "FAIL"
 		}
-		fmt.Fprintf(w, "%5d %10.5f %10.5f %10.5f %10.5f %10.5f %8d %6d %5s\n",
+		fmt.Fprintf(w, "%5d %10.5f %10.5f %10.5f %10.5f %10.5f %6d %5s\n",
 			l.Epoch, l.Planned, l.Realized, l.ShedLoss, l.DriftLoss, l.FaultLoss,
-			l.ConflictRetries, len(l.ShedVideos), exact)
+			len(l.ShedVideos), exact)
 	}
 }

@@ -54,9 +54,8 @@ func TestRecordLedgerRoundTrip(t *testing.T) {
 	led := EpochLedger{
 		Epoch: 3, Planned: 0.9, Realized: 0.7,
 		ShedLoss: 0.15, FaultLoss: 0.05,
-		ConflictRetries: 2, FellBack: true,
+		FellBack:   true,
 		ShedVideos: []int{4, 7}, ServersDown: []int{1},
-		CellRetries: []int{0, 2},
 	}
 	led.Close()
 	rec.RecordLedger(ctx, led)
@@ -86,7 +85,7 @@ func TestRecordLedgerRoundTrip(t *testing.T) {
 	}
 	l := got.Ledger
 	if l == nil || l.Epoch != 3 || l.Planned != 0.9 || !l.FellBack ||
-		len(l.ShedVideos) != 2 || len(l.CellRetries) != 2 {
+		len(l.ShedVideos) != 2 {
 		t.Fatalf("ledger payload mangled: %+v", l)
 	}
 	if !l.CheckExact() {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/eva"
 	"repro/internal/objective"
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
 // Benefit attribution
@@ -21,10 +20,9 @@ import (
 //	B2  drifted content, healthy cluster, shed applied           → DriftLoss ≈ B1−B2
 //	B3  drifted content, faults applied (the epoch's real eval)  = Realized  → FaultLoss = B2−B3
 //
-// ConflictLoss and FallbackLoss are identically zero — the sharded
-// protocol's bounces and serial fallbacks cost decide latency, never
-// benefit (the committed plan is exact either way) — but their counts ride
-// along so a retry storm is visible next to the losses that matter.
+// A sharded solve that falls back to the serial path costs decide latency,
+// never benefit (the installed plan is exact either way), so it has no
+// bucket; the ledger flags it (FellBack) next to the losses that matter.
 // DriftLoss is the residual bucket obs.EpochLedger.Close nudges so the
 // bucket sum telescopes to Planned−Realized with exact float equality.
 //
@@ -42,7 +40,7 @@ type ledgerInput struct {
 	healthy      []bool
 	stalledCams  []int
 	realized     float64
-	stats        shard.Stats
+	fellBack     bool
 	replanFailed bool
 	degraded     bool
 	workers      int
@@ -76,15 +74,13 @@ func (c *Controller) buildLedger(ctx context.Context, in ledgerInput) obs.EpochL
 		ShedLoss:         b0 - b1,
 		DriftLoss:        b1 - b2,
 		FaultLoss:        b2 - in.realized,
-		ConflictRetries:  in.stats.Retries,
-		FellBack:         in.stats.FellBack,
+		FellBack:         in.fellBack,
 		ReplanFailed:     in.replanFailed,
 		Degraded:         in.degraded,
 		ShedVideos:       append([]int(nil), in.d.Shed...),
 		DowngradedVideos: append([]int(nil), in.d.Downgraded...),
 		ServersDown:      downServers(in.healthy),
 		StalledCameras:   append([]int(nil), in.stalledCams...),
-		CellRetries:      append([]int(nil), in.stats.CellRetries...),
 	}
 	led.Close()
 	return led
@@ -98,9 +94,6 @@ func recordLedgerMetrics(reg *obs.Registry, l *obs.EpochLedger) {
 	reg.Gauge("ledger_shed_loss").Set(l.ShedLoss)
 	reg.Gauge("ledger_drift_loss").Set(l.DriftLoss)
 	reg.Gauge("ledger_fault_loss").Set(l.FaultLoss)
-	if l.ConflictRetries > 0 {
-		reg.Counter("ledger_conflict_retries_total").Add(uint64(l.ConflictRetries))
-	}
 	if l.FellBack {
 		reg.Counter("ledger_fallbacks_total").Inc()
 	}

@@ -43,8 +43,8 @@ func (p *PaMOScheduler) DecideMasked(ctx context.Context, sys *objective.System,
 // sub-system holding only the cell's clips. Every pamo.New call owns its
 // state, so concurrent cells never share mutable optimizer scratch. The
 // optimizer's own placement is a feasibility witness for its configuration
-// choice; the sharded control plane re-places the combined workload through
-// the arbiter. The seed is derived from (base seed, epoch, first video of
+// choice; the sharded control plane re-places the combined workload with
+// shard.Plan. The seed is derived from (base seed, epoch, first video of
 // the cell), so results are reproducible and independent of goroutine
 // scheduling order.
 func (p *PaMOScheduler) DecideCell(ctx context.Context, sys *objective.System, videos []int, epoch int) ([]videosim.Config, error) {

@@ -196,9 +196,9 @@ type Options struct {
 	FullResolveEvery int
 	// Shards > 1 routes replans through the sharded control plane when the
 	// scheduler implements CellDecider: videos are partitioned into cells,
-	// each cell decides its configurations concurrently, and placement is
-	// solved by per-cell proposals committed through the shared-state
-	// arbiter (internal/shard). The default 1 keeps the serial decide path
+	// each cell decides its configurations concurrently, and each cell is
+	// placed by Algorithm 1 on its own slice of the servers
+	// (internal/shard). The default 1 keeps the serial decide path
 	// — and therefore every existing golden trace — byte-exact.
 	Shards int
 	// Check, when non-nil, audits the control loop: every installed
@@ -382,7 +382,7 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 		degraded := false
 		infeasible := false
 		attempts := 0
-		var sstats shard.Stats
+		fellBack := false
 		// install makes d the running decision. The incremental fast path,
 		// the scheduler and the degradation policy all install through it:
 		// the strict audit of the decision's planned costs, the loop state,
@@ -435,9 +435,9 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 					obs.F("epoch", float64(epoch)),
 					obs.F("healthy_servers", float64(nHealthy)),
 					obs.F("drift", drift))
-				d, tries, stats, err := c.decide(rctx, drifted, healthy, epoch, opt)
+				d, tries, fb, err := c.decide(rctx, drifted, healthy, epoch, opt)
 				attempts = tries
-				sstats = stats
+				fellBack = fb
 				sp.Field("failed", obs.Bool(err != nil))
 				sp.Field("attempts", float64(tries))
 				sp.End()
@@ -538,7 +538,7 @@ func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 			led := c.buildLedger(ectx, ledgerInput{
 				epoch: epoch, drifted: drifted, d: current,
 				healthy: healthy, stalledCams: stalledCams,
-				realized: benefit, stats: sstats,
+				realized: benefit, fellBack: fellBack,
 				replanFailed: replanFailed, degraded: degraded || current.IsDegraded(),
 				workers: opt.Workers,
 			})
@@ -576,16 +576,15 @@ const (
 // decide invokes the scheduler under the configured per-attempt deadline
 // with bounded, jittered retry, planning around down servers.
 // The returned decision is validated and always uses the full physical
-// server index space. It returns the number of attempts made plus the
-// sharded-solve stats aggregated across attempts (zero when the serial
-// path ran). Retrying stops early on infeasibility (deterministic — the
-// degradation policy is the answer, not another attempt) and on
-// parent-context cancellation.
-func (c *Controller) decide(ctx context.Context, sys *objective.System, healthy []bool, epoch int, opt Options) (eva.Decision, int, shard.Stats, error) {
+// server index space. It returns the number of attempts made and whether
+// a sharded solve of any attempt fell back to the serial path. Retrying
+// stops early on infeasibility (deterministic — the degradation policy is
+// the answer, not another attempt) and on parent-context cancellation.
+func (c *Controller) decide(ctx context.Context, sys *objective.System, healthy []bool, epoch int, opt Options) (eva.Decision, int, bool, error) {
 	retryCounter := c.Obs.Registry().Counter("runtime_decide_retries_total")
 
 	attempts := 0
-	var agg shard.Stats
+	fellBack := false
 	var lastErr error
 	for try := 0; try <= decideRetries; try++ {
 		if try > 0 {
@@ -593,7 +592,7 @@ func (c *Controller) decide(ctx context.Context, sys *objective.System, healthy 
 			select {
 			case <-time.After(backoffWithJitter(retryBackoff, opt.BackoffSeed, epoch, try)):
 			case <-ctx.Done():
-				return eva.Decision{}, attempts, agg, ctx.Err()
+				return eva.Decision{}, attempts, fellBack, ctx.Err()
 			}
 		}
 		attempts++
@@ -603,35 +602,16 @@ func (c *Controller) decide(ctx context.Context, sys *objective.System, healthy 
 		d, stats, err := c.decideOnce(actx, sys, healthy, epoch, opt)
 		asp.Field("failed", obs.Bool(err != nil))
 		asp.End()
-		mergeShardStats(&agg, stats)
+		fellBack = fellBack || stats.FellBack
 		if err == nil {
-			return d, attempts, agg, nil
+			return d, attempts, fellBack, nil
 		}
 		lastErr = err
 		if errors.Is(err, sched.ErrInfeasible) || ctx.Err() != nil {
 			break
 		}
 	}
-	return eva.Decision{}, attempts, agg, lastErr
-}
-
-// mergeShardStats accumulates a decide attempt's sharded-solve stats into
-// the per-epoch aggregate the ledger records: counts add up across retried
-// attempts, flags OR, and the per-cell retry vector of the latest solve
-// wins (it describes the attempt whose plan was installed).
-func mergeShardStats(agg *shard.Stats, s shard.Stats) {
-	if s.Shards == 0 {
-		return
-	}
-	agg.Shards = s.Shards
-	agg.Rounds += s.Rounds
-	agg.Conflicts += s.Conflicts
-	agg.Retries += s.Retries
-	agg.Commits += s.Commits
-	agg.FellBack = agg.FellBack || s.FellBack
-	if s.CellRetries != nil {
-		agg.CellRetries = s.CellRetries
-	}
+	return eva.Decision{}, attempts, fellBack, lastErr
 }
 
 // decideOnce runs a single scheduler invocation under the decide deadline.

@@ -17,10 +17,10 @@ import (
 // runs on: a scheduler that can choose configurations for one cell's videos
 // in isolation. With Options.Shards > 1 the controller partitions the
 // videos into cells, runs DecideCell for every cell concurrently, and hands
-// the combined workload to the shard planner — per-cell grouping, claim
-// proposals, and the arbiter's optimistic cross-cell commit — instead of
-// the scheduler's own placement. Schedulers without this extension fall
-// back to the serial decide path regardless of Shards.
+// the combined workload to shard.Plan — each cell placed by Algorithm 1 on
+// its own slice of the servers — instead of the scheduler's own placement.
+// Schedulers without this extension fall back to the serial decide path
+// regardless of Shards.
 type CellDecider interface {
 	Scheduler
 	// DecideCell returns one configuration per entry of videos (the cell's
@@ -32,9 +32,9 @@ type CellDecider interface {
 // decideSharded is the Shards>1 decide path: concurrent per-cell
 // configuration decisions, then one sharded placement solve against an
 // immutable snapshot of the (possibly fault-masked) cluster. The snapshot
-// version is the epoch, so telemetry ties conflicts back to control time.
-// The returned shard.Stats feed the epoch's benefit-attribution ledger
-// (conflict retries, fallbacks, per-cell bounce counts).
+// version is the epoch, so telemetry ties each solve back to control time.
+// The returned shard.Stats tell the epoch's benefit-attribution ledger
+// whether the solve fell back to the serial path.
 func (c *Controller) decideSharded(ctx context.Context, cd CellDecider, sys *objective.System, healthy []bool, epoch int, opt Options) (eva.Decision, shard.Stats, error) {
 	cells := shard.PartitionVideos(sys.M(), opt.Shards)
 	cfgs := make([]videosim.Config, sys.M())
@@ -77,12 +77,7 @@ func (c *Controller) decideSharded(ctx context.Context, cd CellDecider, sys *obj
 
 	streams := eva.BuildStreams(sys, cfgs)
 	snap := sched.NewSnapshot(uint64(epoch), sys.Servers, healthy)
-	// A fresh planner per invocation: decide attempts that outlive their
-	// deadline are abandoned, not cancelled, so cross-attempt scratch
-	// sharing would race. The steady-state reuse story lives in the bench,
-	// which owns its planner.
-	pl := shard.New(shard.Options{Shards: opt.Shards, Obs: c.Obs, Check: opt.Check})
-	plan, stats, err := pl.PlanCtx(ctx, streams, snap)
+	plan, stats, err := shard.Plan(ctx, streams, snap, shard.Options{Shards: opt.Shards, Obs: c.Obs, Check: opt.Check})
 	if err != nil {
 		return eva.Decision{}, stats, err
 	}

@@ -118,7 +118,7 @@ func (r Rational) String() string { return fmt.Sprintf("%d/%d", r.Num, r.Den) }
 // once the sum has grown. The zero value is the empty sum.
 //
 // A ProcSum owns the big.Int scratch its comparisons run in, so it belongs
-// to one goroutine; other sums are only read (Set, AddSum's argument).
+// to one goroutine; other sums are only read (Set's argument).
 type ProcSum struct {
 	num     big.Int
 	shift   uint
@@ -153,11 +153,6 @@ func (s *ProcSum) addMul(p float64, k *big.Int) bool {
 	}
 	s.addShifted(t, e)
 	return true
-}
-
-// AddSum accumulates another exact sum.
-func (s *ProcSum) AddSum(o *ProcSum) {
-	s.addShifted(s.a.Set(&o.num), -int(o.shift))
 }
 
 // addShifted adds t·2^e, rescaling whichever side has the coarser

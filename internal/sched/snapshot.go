@@ -8,12 +8,10 @@ import (
 
 // Snapshot is an immutable, versioned view of the cluster as one planning
 // decision sees it: the server capacities and the liveness mask, fixed at
-// capture time. It is the shared-state currency of the sharded control
-// plane — every per-cell scheduler proposes claims against one snapshot
-// version, the arbiter commits against the live successor state, and a
-// version mismatch is what makes a conflict detectable — but the serial
-// paths consume it too, so `sched`, `runtime`, and the Replanner all plan
-// off the same explicit state instead of loose (servers, healthy) pairs.
+// capture time. The sharded control plane plans every cell off one
+// snapshot, so all cells see the same servers and the same liveness mask,
+// and its version (the runtime uses the epoch) ties each solve's telemetry
+// back to control time.
 //
 // Construction deep-copies both slices; accessors hand back internal state
 // that callers must treat as read-only. A nil healthy mask means every
@@ -26,7 +24,7 @@ type Snapshot struct {
 
 // NewSnapshot captures the cluster state under the given version. The
 // version is owner-assigned and monotone per control loop (the runtime uses
-// the epoch); equality of versions is what optimistic consumers compare.
+// the epoch).
 func NewSnapshot(version uint64, servers []cluster.Server, healthy []bool) *Snapshot {
 	s := &Snapshot{
 		version: version,
@@ -53,23 +51,8 @@ func (s *Snapshot) Servers() []cluster.Server { return s.servers }
 // Healthy returns the liveness mask (nil = all up). Read-only.
 func (s *Snapshot) Healthy() []bool { return s.healthy }
 
-// NumHealthy counts the servers that are up.
-func (s *Snapshot) NumHealthy() int {
-	if s.healthy == nil {
-		return len(s.servers)
-	}
-	n := 0
-	for _, ok := range s.healthy {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
 // HealthyIndices appends the physical indices of the healthy servers, in
-// ascending order, to dst — the column order every masked solve uses, so
-// Hungarian tie-breaking is identical across the serial and sharded paths.
+// ascending order, to dst.
 func (s *Snapshot) HealthyIndices(dst []int) []int {
 	return healthyCols(dst, len(s.servers), s.healthy)
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -74,7 +75,7 @@ func TestMatchPathsAgree(t *testing.T) {
 				t.Fatalf("Replanner.Incremental ok=%v, ScheduleMasked feasible=%v (plan %+v)", ok, tc.feasible, inc)
 			}
 
-			sharded, _, perr := New(Options{Shards: 2}).Plan(tc.streams, sched.NewSnapshot(0, tc.servers, nil))
+			sharded, _, perr := Plan(context.Background(), tc.streams, sched.NewSnapshot(0, tc.servers, nil), Options{Shards: 2})
 			if (perr == nil) != tc.feasible || (perr != nil && !errors.Is(perr, sched.ErrInfeasible)) {
 				t.Fatalf("sharded planner: %v, want feasible=%v", perr, tc.feasible)
 			}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -19,11 +20,13 @@ import (
 //     scheduler behind the planner interface.
 //   - Shards=2..4 must place every stream on a healthy server and pass the
 //     exact Const1/Const2 verifiers wherever the serial solve is feasible
-//     (the serial fallback guarantees completeness), and the parallel and
-//     sequential execution modes must agree exactly — plans and stats.
-//   - With uniform uplinks the committed communication latency equals the
-//     serial scheduler's (it is placement-independent), so conflict-free
-//     partitions are decision-equivalent in the objective.
+//     (the serial fallback guarantees completeness), and two runs must
+//     agree exactly — plans and stats.
+//   - Unless the solve fell back, no server holds streams of two cells; a
+//     fallen-back plan IS the serial ScheduleMasked plan.
+//   - With uniform uplinks the plan's communication latency equals the
+//     serial scheduler's (it is placement-independent), so slice plans are
+//     decision-equivalent in the objective.
 //
 // Every server draws a SpeedFactor from {0, 0.5, 1, 2}, and non-uniform
 // uplinks are occasionally zero, so both planners' speed and uplink masks
@@ -88,7 +91,7 @@ func FuzzShardedVsSerial(f *testing.F) {
 			t.Fatalf("serial solve: non-infeasible error: %v", serialErr)
 		}
 
-		plan, st, err := New(Options{Shards: shards, Check: check.New(true, nil)}).Plan(streams, snap)
+		plan, st, err := Plan(context.Background(), streams, snap, Options{Shards: shards, Check: check.New(true, nil)})
 		if err != nil {
 			if !errors.Is(err, sched.ErrInfeasible) {
 				t.Fatalf("shards=%d: non-infeasible error: %v", shards, err)
@@ -99,7 +102,7 @@ func FuzzShardedVsSerial(f *testing.F) {
 			return
 		}
 		// The sharded plane may be feasible where the serial grouping is not
-		// (the arbiter merges groups across cells), so err==nil with
+		// (each cell groups only its own streams), so err==nil with
 		// serialErr!=nil is legitimate — feasibility is then proven below.
 
 		for i, j := range plan.StreamServer {
@@ -127,16 +130,19 @@ func FuzzShardedVsSerial(f *testing.F) {
 			return
 		}
 
-		seq, stSeq, err := New(Options{Shards: shards, Sequential: true}).Plan(streams, snap)
+		again, st2, err := Plan(context.Background(), streams, snap, Options{Shards: shards})
 		if err != nil {
-			t.Fatalf("sequential mode failed where parallel succeeded: %v", err)
+			t.Fatalf("shards=%d: second run failed where the first succeeded: %v", shards, err)
 		}
-		if !reflect.DeepEqual(plan, seq) {
-			t.Fatalf("shards=%d: parallel vs sequential plans diverge:\n%+v\n%+v", shards, plan, seq)
+		if !reflect.DeepEqual(plan, again) || st != st2 {
+			t.Fatalf("shards=%d: two runs diverge:\n%+v %+v\n%+v %+v", shards, plan, st, again, st2)
 		}
-		if st.Conflicts != stSeq.Conflicts || st.Commits != stSeq.Commits ||
-			st.Rounds != stSeq.Rounds || st.FellBack != stSeq.FellBack {
-			t.Fatalf("shards=%d: parallel stats %+v vs sequential %+v", shards, st, stSeq)
+		if st.FellBack {
+			if !reflect.DeepEqual(plan, serial) {
+				t.Fatalf("shards=%d: fallback diverged from serial:\n%+v\n%+v", shards, plan, serial)
+			}
+		} else if j := crossCellServer(streams, plan, shards); j >= 0 {
+			t.Fatalf("shards=%d: server %d holds streams of two cells", shards, j)
 		}
 
 		if uniform && serialErr == nil && !st.FellBack {

@@ -1,23 +1,6 @@
-// Package shard implements the sharded shared-state control plane: streams
-// are partitioned into cells, one scheduler proposes a placement per cell
-// concurrently, and a shared-state arbiter commits the cells' group→server
-// claims with optimistic conflict detection and bounded retry — the
-// lock-free optimistic concurrent scheduling architecture of arktos'
-// global scheduler, specialized to the exact zero-jitter admission
-// arithmetic (Const2) this system plans under.
-//
-// Determinism is a design invariant, not an accident: proposals are pure
-// functions of (cell workload, arbiter state at round start), rounds are
-// barriers, and commits run serially in cell-index order, so a plan is
-// bit-identical across runs, GOMAXPROCS settings, and the sequential
-// execution mode the differential fuzzer compares against.
 package shard
 
-import (
-	"slices"
-
-	"repro/internal/sched"
-)
+import "slices"
 
 // splitmix64 is the avalanche finalizer used to hash video ids onto cells:
 // deterministic, seed-free, and uncorrelated with the id's low bits (video
@@ -29,113 +12,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Partition splits the streams into at most `cells` cells: a static hash of
-// the video id (so a video's post-split sub-streams always land together and
-// membership is stable under drift), followed by a utilization-aware
-// rebalance that moves whole videos from overloaded cells to underloaded
-// ones until no single move can shrink the spread. The result is
-// deterministic: cell membership depends only on (video ids, utilizations,
-// cells). Cells are returned as stream-index lists in ascending order;
-// every stream appears in exactly one cell. With cells ≤ 1 the single cell
-// holds everything.
-func Partition(streams []sched.Stream, cells int) [][]int {
-	if cells < 1 {
-		cells = 1
-	}
-	out := make([][]int, cells)
-	if cells == 1 {
-		out[0] = make([]int, len(streams))
-		for i := range streams {
-			out[0][i] = i
-		}
-		return out
-	}
-
-	// Group stream indices by video, recording each video's compute
-	// utilization Σ p/T — the Const1 load the cell will have to place.
-	type video struct {
-		id      int
-		cell    int
-		util    float64
-		streams []int
-	}
-	byID := make(map[int]*video)
-	var vids []*video
-	for i, s := range streams {
-		v := byID[s.Video]
-		if v == nil {
-			v = &video{id: s.Video, cell: int(splitmix64(uint64(s.Video)) % uint64(cells))}
-			byID[s.Video] = v
-			vids = append(vids, v)
-		}
-		v.streams = append(v.streams, i)
-		if f := s.Period.Float(); f > 0 {
-			v.util += s.Proc / f
-		}
-	}
-	slices.SortFunc(vids, func(a, b *video) int { return a.id - b.id })
-
-	// Utilization-aware rebalance: repeatedly move one video from the
-	// heaviest cell to the lightest. A move happens only when it strictly
-	// shrinks the heavy–light spread, so the loop terminates (the spread is
-	// bounded below and strictly decreases); the bound is pure insurance.
-	load := make([]float64, cells)
-	for _, v := range vids {
-		load[v.cell] += v.util
-	}
-	for iter := 0; iter < len(vids); iter++ {
-		hi, lo := 0, 0
-		for c := 1; c < cells; c++ {
-			if load[c] > load[hi] {
-				hi = c
-			}
-			if load[c] < load[lo] {
-				lo = c
-			}
-		}
-		spread := load[hi] - load[lo]
-		if hi == lo || spread <= 0 {
-			break
-		}
-		// Best move: the video in the heavy cell whose transfer minimizes
-		// the new pairwise spread |spread − 2·util|; ties break on the
-		// lowest video id, keeping the result order-independent.
-		pick, best := -1, spread
-		for vi, v := range vids {
-			if v.cell != hi || v.util <= 0 {
-				continue
-			}
-			after := spread - 2*v.util
-			if after < 0 {
-				after = -after
-			}
-			if after < best {
-				pick, best = vi, after
-			}
-		}
-		if pick < 0 {
-			break
-		}
-		v := vids[pick]
-		load[hi] -= v.util
-		load[lo] += v.util
-		v.cell = lo
-	}
-
-	for _, v := range vids {
-		out[v.cell] = append(out[v.cell], v.streams...)
-	}
-	for c := range out {
-		slices.Sort(out[c])
-	}
-	return out
-}
-
-// PartitionVideos splits m video indices into at most `cells` cells by the
-// same static hash, balanced by video count — the coarse partition the
-// runtime's per-cell schedulers use before any configuration (and therefore
-// any utilization) is known. Deterministic; no cell is left empty while
-// another holds two or more videos.
+// PartitionVideos splits m video indices into at most `cells` cells by a
+// static hash of the video id, balanced by video count. These are the cells
+// of the sharded control plane: the runtime's per-cell schedulers decide
+// over them before any configuration (and therefore any utilization) is
+// known, and Plan places each one on its own slice of the servers.
+// Deterministic; no cell is left empty while another holds two or more
+// videos.
 func PartitionVideos(m, cells int) [][]int {
 	if cells < 1 {
 		cells = 1

@@ -1,439 +1,275 @@
+// Package shard is the sharded control plane. The streams are cut into
+// cells by video (the PartitionVideos cells the controller's per-cell
+// schedulers decide over), the healthy servers into one disjoint slice per
+// cell, and every cell runs Algorithm 1 (sched.ScheduleMasked) on its own
+// slice, all cells concurrently. The per-cell plans are concatenated into
+// one plan. When any cell cannot place on its slice, one serial
+// ScheduleMasked over the whole workload decides instead.
+//
+// # Why the concatenated plan is zero-jitter
+//
+// No server ever holds streams of two cells: the slices are disjoint, and a
+// cell's ScheduleMasked only places on its own slice. Each server therefore
+// runs exactly one Algorithm 1 group, and Theorem 1's per-group offset
+// argument applies as it does to the serial scheduler. There is no shared
+// state between cells, so nothing can conflict and there is nothing to
+// arbitrate.
+//
+// # Determinism
+//
+// The cells are a pure function of the video ids, the slices a pure
+// function of (cells, stream costs, healthy mask, uplinks), and each cell's
+// plan a pure function of its streams and its slice. Every cell writes only
+// its own result, and the merge runs in cell order after all cells are
+// done, so the plan does not depend on goroutine order.
 package shard
 
 import (
+	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"slices"
-	"time"
+	"sync"
 
 	"repro/internal/check"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
-// Why a server shared by several cells stays zero-jitter
-//
-// Algorithm 1 never co-locates two groups, so Theorem 1's per-group offset
-// argument suffices for the serial scheduler. The arbiter DOES co-locate:
-// distinct cells' groups may commit onto one server, provided the union
-// keeps Σ proc ≤ g where g = gcd of every committed period. That predicate
-// is exactly the one sched.ExactGroup packs under, and it is sufficient on
-// its own: every period is an integer multiple of g by definition of the
-// gcd, so lay the union's streams out back-to-back inside one g-window
-// (offset_k = Σ_{i<k} p_i < g). Whatever subset of streams releases a
-// frame in any particular window, each frame occupies its own disjoint
-// slice [offset_k, offset_k+p_k) of the window and is served on arrival —
-// zero queueing, zero jitter. Plan.Offsets lays Theorem 1 offsets out
-// over each MERGED group, so the committed plan inherits the
-// guarantee; internal/check audits it against the simulator.
-//
-// Determinism and termination
-//
-// Rounds are barriers. Every pending cell proposes in parallel against the
-// arbiter state frozen at round start (proposals are pure functions of
-// that state and the cell's workload), then commits are attempted serially
-// in ascending cell order against the live state. The first pending cell
-// of each round therefore validates against exactly the state it planned
-// on and must commit, so each round retires at least one cell and the
-// protocol terminates within Shards rounds; a bounced cell re-proposes
-// next round against the fresh state. Committed state only ever grows, so
-// a proposal that finds no feasible server cannot be saved by waiting —
-// the planner falls back to one serial full solve instead.
-
-// Options tunes a Planner.
+// Options configures a sharded solve.
 type Options struct {
-	// Shards is the number of cells streams are partitioned into. With
-	// Shards ≤ 1 the planner IS the serial scheduler (one
+	// Shards is the number of cells the streams are cut into. With
+	// Shards ≤ 1 the solve IS the serial scheduler (one
 	// sched.ScheduleMasked call), byte for byte.
 	Shards int
-	// Sequential runs the propose phase one cell at a time on the calling
-	// goroutine. Results are identical to the parallel mode by
-	// construction; the differential fuzzer holds the planner to that.
-	Sequential bool
-	// Obs receives shard_* metrics and a per-solve span. Nil disables
+	// Obs receives shard_* metrics and the solve's spans. Nil disables
 	// telemetry at zero cost.
 	Obs *obs.Recorder
-	// Check, when non-nil, audits every plan this planner returns —
-	// committed or fallen back — against the exact feasibility
-	// constraints; under a strict checker a violation aborts the solve.
+	// Check, when non-nil, audits every returned plan — concatenated or
+	// fallen back — against the exact feasibility constraints; under a
+	// strict checker a violation aborts the solve.
 	Check *check.Checker
 }
 
 // Stats reports how one sharded solve went.
 type Stats struct {
-	Shards    int
-	Rounds    int
-	Conflicts int // proposals bounced by the arbiter
-	Retries   int // re-propose attempts (= bounced proposals that re-ran)
-	Commits   int
-	// RetryHist[k] counts cells whose proposal committed after k bounces;
-	// the last bucket absorbs the tail.
-	RetryHist [retryBuckets]int
-	// FellBack marks a solve that abandoned the sharded protocol for one
-	// serial full solve (a cell could not group or place its streams).
-	FellBack       bool
-	ProposeSeconds float64
-	CommitSeconds  float64
-	// CellRetries[c] counts how many times cell c's proposal bounced off
-	// the arbiter before committing — the per-cell attribution the benefit
-	// ledger reports. Nil for serial (Shards ≤ 1) solves.
-	CellRetries []int
+	Shards int
+	// Commits counts the cells whose slice plan is in the returned plan
+	// (1 for a serial solve, 0 after a fallback).
+	Commits int
+	// FellBack marks a solve that some cell could not place on its slice,
+	// decided instead by one serial ScheduleMasked over the whole workload.
+	FellBack bool
 }
 
-// retryBuckets sizes the commit-retry histogram: buckets 0..6 and 7+.
-const retryBuckets = 8
-
-// colSlack bounds each cell's assignment problem: a proposal with g groups
-// considers the best g·colSlack candidate servers instead of all of them.
-// Candidates are ranked by occupancy then rotated index, and the proposal
-// retries against the full server set before declaring itself stuck, so the
-// cap costs quality never feasibility.
-const colSlack = 2
-
-// Planner runs the sharded control plane over one workload at a time. Its
-// scratch (arbiter, per-cell buffers) is reused across solves; a Planner
-// must not be shared by concurrent Plan calls.
-type Planner struct {
-	opt   Options
-	arb   Arbiter
-	cells []cellScratch
-}
-
-// cellScratch is the per-cell reusable state. Cell c is touched only by
-// cell c's propose goroutine within a round, and rounds are barriers, so
-// no scratch is ever shared across goroutines — the ownership discipline
-// the race matrix in CI pins down.
-type cellScratch struct {
-	idx     int   // the cell's index — the commit order key
-	global  []int // stream indices owned by the cell
-	local   []sched.Stream
-	trial   sched.ProcSum // exact-sum scratch of this cell's goroutine
-	prop    Proposal
-	retries int
-	pending bool
-	stuck   bool
-	match   sched.Matcher
-	cols    []int
-}
-
-// New returns a planner. Zero-value options mean: serial (Shards 1).
-func New(opt Options) *Planner {
-	if opt.Shards < 1 {
-		opt.Shards = 1
-	}
-	return &Planner{opt: opt}
-}
-
-// Plan schedules the streams against the snapshot through the sharded
-// protocol and returns the merged plan plus the solve's stats. The plan
-// satisfies the exact Const1/Const2 feasibility constraints on every
-// server — shared or not — or an error (wrapping sched.ErrInfeasible when
-// capacity is the reason) is returned.
-func (p *Planner) Plan(streams []sched.Stream, snap *sched.Snapshot) (sched.Plan, Stats, error) {
-	return p.PlanCtx(context.Background(), streams, snap)
-}
-
-// PlanCtx is Plan with trace-context propagation: the shard_plan span
-// parents under the span carried by ctx, each propose/commit round gets a
-// shard_round child span, and every cell's proposal a shard_cell span
-// under its round — the epoch → decide → shard round → cell chain the
-// trace exporters render.
-func (p *Planner) PlanCtx(ctx context.Context, streams []sched.Stream, snap *sched.Snapshot) (sched.Plan, Stats, error) {
-	st := Stats{Shards: p.opt.Shards}
-	reg := p.opt.Obs.Registry()
-	pctx, sp := p.opt.Obs.StartSpanCtx(ctx, "shard_plan",
-		obs.F("shards", float64(p.opt.Shards)),
+// Plan schedules the streams against the snapshot and returns the plan plus
+// the solve's stats. The plan satisfies the exact Const1/Const2
+// feasibility constraints on every server, or an error (wrapping
+// sched.ErrInfeasible when capacity is the reason) is returned. The
+// shard_plan span parents under the span carried by ctx; the concurrent
+// per-cell phase is one shard_round span with a shard_cell child per cell.
+func Plan(ctx context.Context, streams []sched.Stream, snap *sched.Snapshot, opt Options) (sched.Plan, Stats, error) {
+	st := Stats{Shards: max(opt.Shards, 1)}
+	reg := opt.Obs.Registry()
+	pctx, sp := opt.Obs.StartSpanCtx(ctx, "shard_plan",
+		obs.F("shards", float64(st.Shards)),
 		obs.F("streams", float64(len(streams))),
 		obs.F("version", float64(snap.Version())))
 	defer func() {
-		sp.Field("rounds", float64(st.Rounds))
-		sp.Field("conflicts", float64(st.Conflicts))
 		sp.Field("fellback", obs.Bool(st.FellBack))
 		sp.End()
 	}()
 	reg.Counter("shard_plans_total").Inc()
 
-	if p.opt.Shards <= 1 {
-		plan, err := sched.ScheduleMasked(streams, snap.Servers(), snap.Healthy())
-		if err != nil {
-			return sched.Plan{}, st, err
+	var cells [][]int
+	if st.Shards > 1 {
+		cells = cellsOf(streams, st.Shards)
+	}
+	if len(cells) > 1 {
+		if plan, ok := placeCells(pctx, streams, cells, snap, opt.Obs); ok {
+			st.Commits = len(cells)
+			reg.Counter("shard_commits_total").Add(uint64(len(cells)))
+			return plan, st, opt.Check.VerifyPlanServers(streams, plan, snap.Servers(), snap.Healthy())
 		}
+		st.FellBack = true
+		reg.Counter("shard_fallbacks_total").Inc()
+	}
+	plan, err := sched.ScheduleMasked(streams, snap.Servers(), snap.Healthy())
+	if err != nil {
+		return sched.Plan{}, st, err
+	}
+	if !st.FellBack {
 		st.Commits = 1
-		st.RetryHist[0] = 1
-		return plan, st, p.audit(streams, plan, snap)
 	}
-
-	parts := Partition(streams, p.opt.Shards)
-	if cap(p.cells) < len(parts) {
-		p.cells = make([]cellScratch, len(parts))
-	}
-	p.cells = p.cells[:len(parts)]
-	p.arb.Reset(snap)
-	nPending := 0
-	for c := range p.cells {
-		cell := &p.cells[c]
-		cell.idx = c
-		cell.global = parts[c]
-		cell.retries = 0
-		cell.pending = len(parts[c]) > 0
-		cell.stuck = false
-		if cell.pending {
-			nPending++
-		}
-	}
-
-	for st.Rounds = 0; nPending > 0; st.Rounds++ {
-		if st.Rounds >= 2*p.opt.Shards {
-			// Unreachable by the termination argument above (Shards rounds
-			// suffice); fail loudly rather than spin if it is ever broken.
-			return sched.Plan{}, st, fmt.Errorf("shard: no progress after %d rounds", st.Rounds)
-		}
-		rctx, rsp := p.opt.Obs.StartSpanCtx(pctx, "shard_round",
-			obs.F("round", float64(st.Rounds)),
-			obs.F("pending", float64(nPending)))
-		t0 := time.Now()
-		p.proposeRound(rctx, streams, snap, st.Rounds)
-		st.ProposeSeconds += time.Since(t0).Seconds()
-
-		t0 = time.Now()
-		for c := range p.cells {
-			cell := &p.cells[c]
-			if !cell.pending {
-				continue
-			}
-			if cell.stuck {
-				// No feasible grouping or placement exists for this cell
-				// even against the current state; committed state only
-				// grows, so retrying cannot help. One serial full solve
-				// decides feasibility for the whole workload instead.
-				reg.Counter("shard_fallbacks_total").Inc()
-				st.FellBack = true
-				st.CommitSeconds += time.Since(t0).Seconds()
-				p.fillCellRetries(&st)
-				rsp.Field("fellback", 1)
-				rsp.End()
-				plan, err := sched.ScheduleMasked(streams, snap.Servers(), snap.Healthy())
-				if err != nil {
-					return sched.Plan{}, st, err
-				}
-				return plan, st, p.audit(streams, plan, snap)
-			}
-			ok, _ := p.arb.Commit(&cell.prop)
-			if !ok {
-				st.Conflicts++
-				st.Retries++
-				cell.retries++
-				reg.Counter("shard_conflicts_total").Inc()
-				reg.Counter("shard_retries_total").Inc()
-				p.opt.Obs.EventCtx(rctx, "shard_conflict",
-					obs.F("cell", float64(cell.idx)),
-					obs.F("retries", float64(cell.retries)))
-				continue
-			}
-			st.Commits++
-			reg.Counter("shard_commits_total").Inc()
-			b := cell.retries
-			if b >= retryBuckets {
-				b = retryBuckets - 1
-			}
-			st.RetryHist[b]++
-			cell.pending = false
-			nPending--
-			p.opt.Obs.EventCtx(rctx, "shard_commit",
-				obs.F("cell", float64(cell.idx)),
-				obs.F("retries", float64(cell.retries)),
-				obs.F("groups", float64(len(cell.prop.Claims))))
-		}
-		st.CommitSeconds += time.Since(t0).Seconds()
-		rsp.Field("committed", float64(st.Commits))
-		rsp.End()
-	}
-	reg.Gauge("shard_rounds").Set(float64(st.Rounds))
-	reg.Histogram("shard_commit_seconds", obs.DefBuckets).Observe(st.CommitSeconds)
-
-	p.fillCellRetries(&st)
-	plan := p.arb.Plan(len(streams))
-	return plan, st, p.audit(streams, plan, snap)
+	return plan, st, opt.Check.VerifyPlanServers(streams, plan, snap.Servers(), snap.Healthy())
 }
 
-// fillCellRetries copies the per-cell bounce counts into the stats — the
-// ledger's per-cell conflict attribution.
-func (p *Planner) fillCellRetries(st *Stats) {
-	st.CellRetries = make([]int, len(p.cells))
-	for c := range p.cells {
-		st.CellRetries[c] = p.cells[c].retries
+// cellsOf cuts the streams into the PartitionVideos cells of their videos:
+// stream-index lists, ascending, one per cell. A split stream's sub-streams
+// share their video and so their cell. Every video has streams in a
+// workload eva.BuildStreams built, so m is the video count and these are
+// the cells the controller's DecideCell calls decided over.
+func cellsOf(streams []sched.Stream, shards int) [][]int {
+	m := 0
+	for _, s := range streams {
+		m = max(m, s.Video+1)
 	}
+	videoCell := make([]int, m)
+	parts := PartitionVideos(m, shards)
+	for c, videos := range parts {
+		for _, v := range videos {
+			videoCell[v] = c
+		}
+	}
+	cells := make([][]int, len(parts))
+	for i, s := range streams {
+		c := videoCell[s.Video]
+		cells[c] = append(cells[c], i)
+	}
+	return cells
 }
 
-// proposeRound computes a fresh proposal for every pending cell against the
-// arbiter state frozen at round start — in parallel unless Sequential. Each
-// cell's work is recorded as a shard_cell span under the round's span, and
-// the propose goroutines carry a phase=shard_propose pprof label so CPU
-// profiles attribute grouping/assignment time to the sharded plane.
-func (p *Planner) proposeRound(ctx context.Context, streams []sched.Stream, snap *sched.Snapshot, round int) {
-	proposeCell := func(ctx context.Context, c int) {
-		_, csp := p.opt.Obs.StartSpanCtx(ctx, "shard_cell",
-			obs.F("cell", float64(c)),
-			obs.F("round", float64(round)),
-			obs.F("streams", float64(len(p.cells[c].global))))
-		p.propose(&p.cells[c], streams, snap)
-		csp.Field("stuck", obs.Bool(p.cells[c].stuck))
-		csp.Field("groups", float64(len(p.cells[c].prop.Claims)))
-		csp.End()
-	}
-	if p.opt.Sequential {
-		for c := range p.cells {
-			if p.cells[c].pending {
-				proposeCell(ctx, c)
-			}
-		}
-		return
-	}
-	done := make(chan int, len(p.cells))
-	n := 0
-	for c := range p.cells {
-		if !p.cells[c].pending {
-			continue
-		}
-		n++
+// placeCells runs ScheduleMasked for every cell on its own slice,
+// concurrently, and concatenates the cell plans in cell order. It reports
+// false when some cell could not place on its slice.
+func placeCells(ctx context.Context, streams []sched.Stream, cells [][]int, snap *sched.Snapshot, rec *obs.Recorder) (sched.Plan, bool) {
+	slice := cut(streams, cells, snap)
+	rctx, rsp := rec.StartSpanCtx(ctx, "shard_round", obs.F("cells", float64(len(cells))))
+	plans := make([]sched.Plan, len(cells))
+	placed := make([]bool, len(cells))
+	var wg sync.WaitGroup
+	for c := range cells {
+		wg.Add(1)
 		go func(c int) {
-			p.opt.Obs.Do(ctx, "shard_propose", func(ctx context.Context) {
-				proposeCell(ctx, c)
+			defer wg.Done()
+			rec.Do(rctx, "shard_cell", func(ctx context.Context) {
+				_, csp := rec.StartSpanCtx(ctx, "shard_cell",
+					obs.F("cell", float64(c)),
+					obs.F("streams", float64(len(cells[c]))),
+					obs.F("servers", float64(len(slice[c]))))
+				plans[c], placed[c] = placeCell(streams, cells[c], slice[c], snap)
+				csp.Field("placed", obs.Bool(placed[c]))
+				csp.End()
 			})
-			done <- c
 		}(c)
 	}
-	for ; n > 0; n-- {
-		<-done
+	wg.Wait()
+	rsp.End()
+	if slices.Contains(placed, false) {
+		return sched.Plan{}, false
 	}
+
+	plan := sched.Plan{StreamServer: make([]int, len(streams))}
+	for c, cp := range plans {
+		for g, members := range cp.Groups {
+			for k, li := range members {
+				members[k] = cells[c][li]
+			}
+			plan.Groups = append(plan.Groups, members)
+			plan.GroupServer = append(plan.GroupServer, cp.GroupServer[g])
+		}
+		for li, j := range cp.StreamServer {
+			plan.StreamServer[cells[c][li]] = j
+		}
+		plan.CommLatency += cp.CommLatency
+	}
+	return plan, true
 }
 
-// propose builds cell's claim set against the current (frozen) arbiter
-// state: group the cell's streams with Algorithm 1's grouping, rank
-// candidate servers utilization-aware, and solve the group→server
-// assignment minimizing transmission latency over residual-feasible pairs.
-// On failure the cell is marked stuck and the planner falls back.
-func (p *Planner) propose(cell *cellScratch, streams []sched.Stream, snap *sched.Snapshot) {
-	cell.local = cell.local[:0]
-	for _, si := range cell.global {
-		cell.local = append(cell.local, streams[si])
+// placeCell is one cell's Algorithm 1 on its slice. The plan's members are
+// cell-local stream indices; its servers are physical indices. An empty
+// slice is a mask with no healthy server, which ScheduleMasked declines.
+func placeCell(streams []sched.Stream, cell, slice []int, snap *sched.Snapshot) (sched.Plan, bool) {
+	local := make([]sched.Stream, len(cell))
+	for k, si := range cell {
+		local[k] = streams[si]
 	}
-	nHealthy := snap.NumHealthy()
-	if nHealthy == 0 {
-		cell.stuck = true
-		return
+	mask := make([]bool, snap.NumServers())
+	for _, j := range slice {
+		mask[j] = true
 	}
-	groups, err := sched.GroupStreams(cell.local, nHealthy)
-	if err != nil {
-		cell.stuck = true
-		return
+	plan, err := sched.ScheduleMasked(local, snap.Servers(), mask)
+	return plan, err == nil
+}
+
+// cut deals the healthy servers into one disjoint slice per cell. A slice's
+// size follows its cell's share of the compute load Σ p/T (the share of
+// streams when the load is not a positive finite number), rounded by
+// largest remainder after every cell with streams has been given one
+// server — when there are at least as many healthy servers as such cells.
+// The servers, sorted by (uplink descending, index), are dealt in snake
+// order — cells 0..C−1, then C−1..0, skipping full slices — so every slice
+// gets a similar mix of fast and slow links.
+func cut(streams []sched.Stream, cells [][]int, snap *sched.Snapshot) [][]int {
+	out := make([][]int, len(cells))
+	weight := make([]float64, len(cells))
+	var total float64
+	live := 0
+	for c, cell := range cells {
+		if len(cell) > 0 {
+			live++
+		}
+		for _, si := range cell {
+			if u := streams[si].Proc / streams[si].Period.Float(); u > 0 {
+				weight[c] += u
+			}
+		}
+		total += weight[c]
+	}
+	if !(total > 0) || math.IsInf(total, 1) {
+		total = 0
+		for c, cell := range cells {
+			weight[c] = float64(len(cell))
+			total += weight[c]
+		}
 	}
 
-	// Claims skeleton: per non-empty group, exact gcd / Σ proc / bits.
-	cell.prop.Cell = cell.idx
-	cell.prop.Version = p.arb.Version()
-	cell.prop.Claims = cell.prop.Claims[:0]
-	for _, members := range groups {
-		if len(members) == 0 {
+	order := snap.HealthyIndices(nil)
+	servers := snap.Servers()
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(servers[b].Uplink, servers[a].Uplink) })
+
+	size := make([]int, len(cells))
+	rest := len(order)
+	if rest >= live {
+		for c, cell := range cells {
+			if len(cell) > 0 {
+				size[c] = 1
+			}
+		}
+		rest -= live
+	}
+	type remainder struct {
+		cell int
+		frac float64
+	}
+	var rems []remainder
+	left := rest
+	for c, cell := range cells {
+		if len(cell) == 0 {
 			continue
 		}
-		var cl Claim
-		cl.Members = make([]int, len(members))
-		cell.trial.Reset()
-		for k, li := range members {
-			cl.Members[k] = cell.global[li]
-			s := &cell.local[li]
-			cl.GCD = sched.RatGCD(cl.GCD, s.Period)
-			if !cell.trial.Add(s.Proc) {
-				cell.stuck = true
-				return
+		q := float64(rest) * weight[c] / total
+		whole := int(q)
+		size[c] += whole
+		left -= whole
+		rems = append(rems, remainder{c, q - float64(whole)})
+	}
+	slices.SortStableFunc(rems, func(a, b remainder) int { return cmp.Compare(b.frac, a.frac) })
+	for k := 0; k < left; k++ {
+		size[rems[k].cell]++
+	}
+
+	for next, fwd := 0, true; next < len(order); fwd = !fwd {
+		for t := range cells {
+			c := t
+			if !fwd {
+				c = len(cells) - 1 - t
 			}
-			cl.Bits += s.Bits
-		}
-		cl.Sum.Set(&cell.trial)
-		cell.prop.Claims = append(cell.prop.Claims, cl)
-	}
-	if len(cell.prop.Claims) == 0 {
-		cell.stuck = true // pending cell with no placeable groups
-		return
-	}
-
-	// Candidate columns, utilization-aware and decorrelated: fewest
-	// committed claims first (spread load over the cluster), ties broken by
-	// physical index ROTATED by the cell's slice of the server space. The
-	// rotation is what makes optimism pay: with identical orderings every
-	// cell would stake the same least-claimed servers and all but the first
-	// committer would bounce every round; rotated, cells prefer disjoint
-	// ranges and conflicts only happen where ranges genuinely overlap.
-	// Deterministic — the key depends only on (cell index, round state).
-	cell.cols = snap.HealthyIndices(cell.cols[:0])
-	rot := 0
-	if p.opt.Shards > 0 {
-		rot = cell.idx * len(cell.cols) / p.opt.Shards
-	}
-	slices.SortStableFunc(cell.cols, func(a, b int) int {
-		ca, cb := p.arb.states[a].claims, p.arb.states[b].claims
-		if ca != cb {
-			return ca - cb
-		}
-		n := len(cell.cols)
-		return (a+n-rot)%n - (b+n-rot)%n
-	})
-	rows := len(cell.prop.Claims)
-	if limit := rows * colSlack; limit < len(cell.cols) {
-		if p.assign(cell, cell.cols[:limit], snap) {
-			return
-		}
-		// The capped candidate set had no feasible assignment; give the
-		// proposal every healthy server before declaring the cell stuck.
-	}
-	if !p.assign(cell, cell.cols, snap) {
-		cell.stuck = true
-	}
-}
-
-// assign solves the cell's group→candidate-server assignment over the given
-// columns. It fills each claim's Server and returns true, or returns false
-// when no finite-cost perfect assignment of the real rows exists.
-func (p *Planner) assign(cell *cellScratch, cols []int, snap *sched.Snapshot) bool {
-	rows := len(cell.prop.Claims)
-	if rows > len(cols) {
-		return false
-	}
-	servers := snap.Servers()
-	cost := cell.match.Build(rows, func(r int) float64 { return cell.prop.Claims[r].Bits }, cols, servers)
-	for r := range cell.prop.Claims {
-		cl := &cell.prop.Claims[r]
-		for c, j := range cols {
-			// Empty full-speed servers are feasible without the exact
-			// check: a GroupStreams group satisfies Σ proc ≤ min period =
-			// its own gcd by construction, and commit re-validates exactly
-			// anyway, so a propose-side shortcut can cost at most a bounce.
-			// Slow servers (speed < 1) shrink the budget below that
-			// construction guarantee, so they always take the exact check —
-			// a shortcut there could propose a claim that can NEVER commit,
-			// breaking the termination argument.
-			occupied := p.arb.states[j].claims > 0 || servers[j].Speed() < 1
-			if occupied && !p.arb.fits(j, cl.GCD, &cl.Sum, &cell.trial) {
-				cost[r][c] = math.Inf(1)
+			if next < len(order) && len(out[c]) < size[c] {
+				out[c] = append(out[c], order[next])
+				next++
 			}
 		}
 	}
-	assign, _, ok := cell.match.Solve()
-	if !ok {
-		return false
-	}
-	for r := 0; r < rows; r++ {
-		cell.prop.Claims[r].Server = cols[assign[r]]
-	}
-	return true
-}
-
-// audit runs the committed (or fallen-back) plan through the configured
-// checker: structural consistency plus the exact Const1/Const2 verifiers on
-// the merged per-server stream sets — the load-bearing guarantee that no
-// multi-cell commit ever violates feasibility on a shared server.
-func (p *Planner) audit(streams []sched.Stream, plan sched.Plan, snap *sched.Snapshot) error {
-	return p.opt.Check.VerifyPlanServers(streams, plan, snap.Servers(), snap.Healthy())
+	return out
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -49,36 +50,6 @@ func mkServers(seed uint64, n int, uniform bool) []cluster.Server {
 	return servers
 }
 
-func TestPartitionCoverageAndDeterminism(t *testing.T) {
-	streams := mkStreams(7, 40, 0.3)
-	for _, cells := range []int{1, 2, 3, 4, 7} {
-		parts := Partition(streams, cells)
-		if len(parts) != cells {
-			t.Fatalf("cells=%d: got %d parts", cells, len(parts))
-		}
-		seen := make([]int, len(streams))
-		videoCell := map[int]int{}
-		for c, part := range parts {
-			for _, i := range part {
-				seen[i]++
-				v := streams[i].Video
-				if prev, ok := videoCell[v]; ok && prev != c {
-					t.Fatalf("cells=%d: video %d split across cells %d and %d", cells, v, prev, c)
-				}
-				videoCell[v] = c
-			}
-		}
-		for i, n := range seen {
-			if n != 1 {
-				t.Fatalf("cells=%d: stream %d appears %d times", cells, i, n)
-			}
-		}
-		if again := Partition(streams, cells); !reflect.DeepEqual(parts, again) {
-			t.Fatalf("cells=%d: partition is not deterministic", cells)
-		}
-	}
-}
-
 func TestPartitionVideosBalance(t *testing.T) {
 	for _, tc := range []struct{ m, cells int }{{1, 4}, {5, 2}, {16, 4}, {100, 7}} {
 		parts := PartitionVideos(tc.m, tc.cells)
@@ -109,104 +80,6 @@ func TestPartitionVideosBalance(t *testing.T) {
 	}
 }
 
-// claimOf builds a claim over the given streams for tests.
-func claimOf(t *testing.T, streams []sched.Stream, members []int, server int) Claim {
-	t.Helper()
-	var cl Claim
-	cl.Server = server
-	for _, i := range members {
-		cl.Members = append(cl.Members, i)
-		cl.GCD = sched.RatGCD(cl.GCD, streams[i].Period)
-		if !cl.Sum.Add(streams[i].Proc) {
-			t.Fatalf("stream %d: non-finite proc", i)
-		}
-		cl.Bits += streams[i].Bits
-	}
-	return cl
-}
-
-func TestArbiterCommitAndConflict(t *testing.T) {
-	// Two streams at 10 fps with proc 0.06 each: one fits a 0.1 s gcd
-	// budget, two exactly fill 0.12 > 0.1 and must conflict.
-	p := sched.RatFromFPS(10)
-	streams := []sched.Stream{
-		{Video: 0, Period: p, Proc: 0.06, Bits: 1e6},
-		{Video: 1, Period: p, Proc: 0.06, Bits: 2e6},
-	}
-	a := NewArbiter(sched.NewSnapshot(100, []cluster.Server{{Uplink: 10e6}, {Uplink: 10e6}}, nil))
-
-	first := Proposal{Cell: 0, Version: a.Version(), Claims: []Claim{claimOf(t, streams, []int{0}, 0)}}
-	if ok, _ := a.Commit(&first); !ok {
-		t.Fatal("first commit rejected")
-	}
-	if a.Version() != 101 || a.Commits() != 1 {
-		t.Fatalf("version %d commits %d after one commit", a.Version(), a.Commits())
-	}
-
-	conflicting := Proposal{Cell: 1, Version: 100, Claims: []Claim{claimOf(t, streams, []int{1}, 0)}}
-	ok, conflict := a.Commit(&conflicting)
-	if ok || conflict != 0 {
-		t.Fatalf("overfull commit: ok=%v conflict=%d, want rejection on server 0", ok, conflict)
-	}
-	if a.Version() != 101 {
-		t.Fatal("rejected commit must not bump the version")
-	}
-
-	// The loser retries on the free server and commits.
-	retry := Proposal{Cell: 1, Version: a.Version(), Claims: []Claim{claimOf(t, streams, []int{1}, 1)}}
-	if ok, _ := a.Commit(&retry); !ok {
-		t.Fatal("retry on a free server rejected")
-	}
-	// Accumulate the expectation the way the arbiter does (claim by claim)
-	// so float associativity cannot fail the comparison.
-	wantComm := 1e6 / 10e6
-	wantComm += 2e6 / 10e6
-	if a.CommLatency() != wantComm {
-		t.Fatalf("comm latency %v, want %v", a.CommLatency(), wantComm)
-	}
-
-	// Duplicate servers within one proposal are a protocol violation.
-	dup := Proposal{Cell: 2, Version: a.Version(), Claims: []Claim{
-		claimOf(t, streams, []int{0}, 1), claimOf(t, streams, []int{1}, 1),
-	}}
-	if ok, _ := a.Commit(&dup); ok {
-		t.Fatal("duplicate-server proposal committed")
-	}
-}
-
-// TestArbiterMergesAcrossCells commits two different cells' groups onto one
-// server and checks the merged plan keeps the exact union constraint.
-func TestArbiterMergesAcrossCells(t *testing.T) {
-	p30, p15 := sched.RatFromFPS(30), sched.RatFromFPS(15)
-	streams := []sched.Stream{
-		{Video: 0, Period: p30, Proc: 0.012},
-		{Video: 1, Period: p15, Proc: 0.014},
-	}
-	a := NewArbiter(sched.NewSnapshot(0, []cluster.Server{{Uplink: 10e6}}, nil))
-	for cell := range streams {
-		prop := Proposal{Cell: cell, Version: a.Version(), Claims: []Claim{claimOf(t, streams, []int{cell}, 0)}}
-		if ok, _ := a.Commit(&prop); !ok {
-			t.Fatalf("cell %d commit rejected", cell)
-		}
-	}
-	plan := a.Plan(len(streams))
-	if len(plan.Groups) != 1 || len(plan.Groups[0]) != 2 {
-		t.Fatalf("expected one merged group of 2, got %+v", plan.Groups)
-	}
-	if !sched.CheckConst2Servers(streams, plan.StreamServer, make([]cluster.Server, 1)) {
-		t.Fatal("merged placement violates exact Const2")
-	}
-	// 0.012+0.014 = 0.026 < gcd(1/30, 1/15) = 1/30 ≈ 0.0333: genuinely shared.
-}
-
-// clearTiming zeroes a Stats' wall-clock fields so deterministic solves can
-// be compared with DeepEqual (the timings legitimately differ per run).
-func clearTiming(st Stats) Stats {
-	st.ProposeSeconds = 0
-	st.CommitSeconds = 0
-	return st
-}
-
 func TestPlannerShards1IsSerial(t *testing.T) {
 	streams := mkStreams(11, 24, 0.1)
 	servers := mkServers(3, 6, false)
@@ -214,8 +87,7 @@ func TestPlannerShards1IsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial solve failed: %v", err)
 	}
-	pl := New(Options{Shards: 1, Check: check.New(true, nil)})
-	got, st, err := pl.Plan(streams, sched.NewSnapshot(0, servers, nil))
+	got, st, err := Plan(context.Background(), streams, sched.NewSnapshot(0, servers, nil), Options{Shards: 1, Check: check.New(true, nil)})
 	if err != nil {
 		t.Fatalf("planner failed: %v", err)
 	}
@@ -227,14 +99,15 @@ func TestPlannerShards1IsSerial(t *testing.T) {
 	}
 }
 
-func TestPlannerShardedFeasibleDeterministicSequentialEqual(t *testing.T) {
+// TestPlannerShardedFeasibleDeterministic: at every shard count the plan
+// places every stream, passes the exact verifiers, keeps each server to one
+// cell unless the solve fell back, and is the same on a second run.
+func TestPlannerShardedFeasibleDeterministic(t *testing.T) {
 	streams := mkStreams(3, 48, 0.08)
 	servers := mkServers(9, 12, false)
 	snap := sched.NewSnapshot(5, servers, nil)
 	for _, shards := range []int{2, 3, 4} {
-		chk := check.New(true, nil)
-		pl := New(Options{Shards: shards, Check: chk})
-		plan, st, err := pl.Plan(streams, snap)
+		plan, st, err := Plan(context.Background(), streams, snap, Options{Shards: shards, Check: check.New(true, nil)})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -245,29 +118,20 @@ func TestPlannerShardedFeasibleDeterministicSequentialEqual(t *testing.T) {
 		}
 		if !sched.CheckConst1Servers(streams, plan.StreamServer, servers) ||
 			!sched.CheckConst2Servers(streams, plan.StreamServer, servers) {
-			t.Fatalf("shards=%d: committed plan violates exact feasibility", shards)
+			t.Fatalf("shards=%d: plan violates exact feasibility", shards)
 		}
-		if !st.FellBack && st.Commits == 0 {
-			t.Fatalf("shards=%d: no commits and no fallback: %+v", shards, st)
+		if !st.FellBack {
+			if j := crossCellServer(streams, plan, shards); j >= 0 {
+				t.Fatalf("shards=%d: server %d holds streams of two cells", shards, j)
+			}
 		}
 
-		again, st2, err := New(Options{Shards: shards}).Plan(streams, snap)
+		again, st2, err := Plan(context.Background(), streams, snap, Options{Shards: shards})
 		if err != nil {
 			t.Fatalf("shards=%d second run: %v", shards, err)
 		}
-		if !reflect.DeepEqual(plan, again) || !reflect.DeepEqual(clearTiming(st), clearTiming(st2)) {
+		if !reflect.DeepEqual(plan, again) || st != st2 {
 			t.Fatalf("shards=%d: plan not deterministic across runs", shards)
-		}
-
-		seq, stSeq, err := New(Options{Shards: shards, Sequential: true}).Plan(streams, snap)
-		if err != nil {
-			t.Fatalf("shards=%d sequential: %v", shards, err)
-		}
-		if !reflect.DeepEqual(plan, seq) {
-			t.Fatalf("shards=%d: parallel and sequential plans diverge:\n%+v\n%+v", shards, plan, seq)
-		}
-		if st.Conflicts != stSeq.Conflicts || st.Commits != stSeq.Commits || st.Rounds != stSeq.Rounds {
-			t.Fatalf("shards=%d: parallel stats %+v vs sequential %+v", shards, st, stSeq)
 		}
 	}
 }
@@ -282,12 +146,12 @@ func TestPlannerUniformUplinkCommInvariant(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	plan, _, err := New(Options{Shards: 4}).Plan(streams, sched.NewSnapshot(0, servers, nil))
+	plan, _, err := Plan(context.Background(), streams, sched.NewSnapshot(0, servers, nil), Options{Shards: 4})
 	if err != nil {
 		t.Fatalf("sharded: %v", err)
 	}
 	// Equal as exact sums; float accumulation order differs between the
-	// serial solve and per-claim commits, so compare to re-association
+	// serial solve and the per-cell sums, so compare to re-association
 	// tolerance rather than bit equality.
 	if d := math.Abs(plan.CommLatency - serial.CommLatency); d > 1e-9*math.Abs(serial.CommLatency) {
 		t.Fatalf("uniform-uplink comm latency %v, serial %v", plan.CommLatency, serial.CommLatency)
@@ -298,8 +162,8 @@ func TestPlannerRespectsMask(t *testing.T) {
 	streams := mkStreams(9, 20, 0.2)
 	servers := mkServers(2, 6, false)
 	healthy := []bool{true, false, true, true, false, true}
-	plan, _, err := New(Options{Shards: 3, Check: check.New(true, nil)}).
-		Plan(streams, sched.NewSnapshot(1, servers, healthy))
+	plan, _, err := Plan(context.Background(), streams, sched.NewSnapshot(1, servers, healthy),
+		Options{Shards: 3, Check: check.New(true, nil)})
 	if err != nil {
 		t.Fatalf("masked sharded solve: %v", err)
 	}
@@ -318,7 +182,7 @@ func TestPlannerInfeasiblePropagates(t *testing.T) {
 		streams = append(streams, sched.Stream{Video: i, Period: p, Proc: 0.03, Bits: 1e6})
 	}
 	servers := mkServers(1, 1, true)
-	_, st, err := New(Options{Shards: 2}).Plan(streams, sched.NewSnapshot(0, servers, nil))
+	_, st, err := Plan(context.Background(), streams, sched.NewSnapshot(0, servers, nil), Options{Shards: 2})
 	if err == nil {
 		t.Fatal("overloaded cluster must be infeasible")
 	}
@@ -352,37 +216,120 @@ func TestVerifyPlanCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestPlannerReuseAcrossSolves solves three workloads in a row on two
+// clusters. On the tight one (36 streams, 10 servers, 3 cells) a slice
+// cannot hold its cell, so every solve falls back and returns exactly the
+// serial plan. On the roomy one every cell places on its own slice.
+// Either way a solve depends on its inputs only.
 func TestPlannerReuseAcrossSolves(t *testing.T) {
-	pl := New(Options{Shards: 3})
-	servers := mkServers(5, 10, false)
-	var prev sched.Plan
-	for round := 0; round < 3; round++ {
-		streams := mkStreams(uint64(100+round), 36, 0.25)
-		plan, st, err := pl.Plan(streams, sched.NewSnapshot(uint64(round), servers, nil))
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
+	for _, tc := range []struct {
+		name     string
+		servers  []cluster.Server
+		fellBack bool
+	}{
+		{"tight", mkServers(5, 10, false), true},
+		{"roomy", mkServers(5, 24, false), false},
+	} {
+		for round := 0; round < 3; round++ {
+			streams := mkStreams(uint64(100+round), 36, 0.25)
+			snap := sched.NewSnapshot(uint64(round), tc.servers, nil)
+			plan, st, err := Plan(context.Background(), streams, snap, Options{Shards: 3})
+			if err != nil {
+				t.Fatalf("%s round %d: %v", tc.name, round, err)
+			}
+			if st.FellBack != tc.fellBack {
+				t.Fatalf("%s round %d: fell back %v, want %v", tc.name, round, st.FellBack, tc.fellBack)
+			}
+			if st.FellBack {
+				serial, err := sched.ScheduleMasked(streams, tc.servers, nil)
+				if err != nil {
+					t.Fatalf("%s round %d serial: %v", tc.name, round, err)
+				}
+				if st.Commits != 0 || !reflect.DeepEqual(plan, serial) {
+					t.Fatalf("%s round %d: fallback is not the serial plan (commits %d)", tc.name, round, st.Commits)
+				}
+			} else if st.Commits != 3 {
+				t.Fatalf("%s round %d: commits = %d, want one per cell", tc.name, round, st.Commits)
+			}
+			again, _, err := Plan(context.Background(), streams, snap, Options{Shards: 3})
+			if err != nil || !reflect.DeepEqual(plan, again) {
+				t.Fatalf("%s round %d: second solve diverged (%v)", tc.name, round, err)
+			}
 		}
-		// Every solve of a feasible workload commits one plan per cell
-		// without the serial fallback, and every commit lands in exactly
-		// one retry bucket.
-		if st.FellBack || st.Commits != 3 {
-			t.Fatalf("round %d: commits = %d (fell back: %v), want one per cell", round, st.Commits, st.FellBack)
-		}
-		mass := 0
-		for _, n := range st.RetryHist {
-			mass += n
-		}
-		if mass != st.Commits {
-			t.Fatalf("round %d: retry histogram mass %d != commits %d", round, mass, st.Commits)
-		}
-		fresh, _, err := New(Options{Shards: 3}).Plan(streams, sched.NewSnapshot(uint64(round), servers, nil))
-		if err != nil {
-			t.Fatalf("round %d fresh: %v", round, err)
-		}
-		if !reflect.DeepEqual(plan, fresh) {
-			t.Fatalf("round %d: reused planner diverged from fresh planner", round)
-		}
-		prev = plan
 	}
-	_ = prev
+}
+
+// TestCutSlices: the slices are disjoint, cover exactly the healthy
+// servers, and give every cell with streams at least one server whenever
+// there are at least as many healthy servers as cells.
+func TestCutSlices(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		rng := lcg(seed)
+		streams := mkStreams(seed, 1+rng.next(40), 0.05+0.5*float64(rng.next(100))/100)
+		n := 1 + rng.next(16)
+		var healthy []bool
+		if rng.next(2) == 0 {
+			healthy = make([]bool, n)
+			for j := range healthy {
+				healthy[j] = rng.next(4) != 0
+			}
+		}
+		snap := sched.NewSnapshot(0, mkServers(seed, n, false), healthy)
+		shards := 2 + rng.next(4)
+		cells := cellsOf(streams, shards)
+		sl := cut(streams, cells, snap)
+		if len(sl) != len(cells) {
+			t.Fatalf("seed %d: %d slices for %d cells", seed, len(sl), len(cells))
+		}
+		owner := make([]int, n)
+		for j := range owner {
+			owner[j] = -1
+		}
+		for c, slice := range sl {
+			if len(cells[c]) > 0 && len(slice) == 0 && len(snap.HealthyIndices(nil)) >= len(cells) {
+				t.Fatalf("seed %d: cell %d has streams but no servers", seed, c)
+			}
+			for _, j := range slice {
+				if healthy != nil && !healthy[j] {
+					t.Fatalf("seed %d: down server %d in cell %d's slice", seed, j, c)
+				}
+				if owner[j] >= 0 {
+					t.Fatalf("seed %d: server %d in the slices of cells %d and %d", seed, j, owner[j], c)
+				}
+				owner[j] = c
+			}
+		}
+		for j, c := range owner {
+			if c < 0 && (healthy == nil || healthy[j]) {
+				t.Fatalf("seed %d: healthy server %d in no slice", seed, j)
+			}
+		}
+		if again := cut(streams, cells, snap); !reflect.DeepEqual(sl, again) {
+			t.Fatalf("seed %d: cut is not deterministic", seed)
+		}
+	}
+}
+
+// crossCellServer returns a server holding streams of two PartitionVideos
+// cells under the plan, or -1.
+func crossCellServer(streams []sched.Stream, plan sched.Plan, shards int) int {
+	m := 0
+	for _, s := range streams {
+		m = max(m, s.Video+1)
+	}
+	videoCell := make([]int, m)
+	for c, videos := range PartitionVideos(m, shards) {
+		for _, v := range videos {
+			videoCell[v] = c
+		}
+	}
+	owner := map[int]int{}
+	for i, j := range plan.StreamServer {
+		c := videoCell[streams[i].Video]
+		if prev, ok := owner[j]; ok && prev != c {
+			return j
+		}
+		owner[j] = c
+	}
+	return -1
 }

@@ -27,7 +27,6 @@ var optionOwners = []string{
 var optionAllow = map[string]string{
 	"pamo.Workers":             "determinism oracle: TestParallelSamplingDeterministicAcrossWorkerCounts pins results equal across worker counts",
 	"runtime.Workers":          "determinism oracle: TestIncrementalDeterministic pins traces at one evaluator worker",
-	"shard.Sequential":         "differential oracle: FuzzShardedVsSerial holds parallel ≡ sequential",
 	"runtime.FullResolveEvery": "fast path awaiting its bench verdict; TestChurnScenario selects it",
 	"ctlplane.OnEpoch":         "selected through Controller.OnEpoch, which pamo-controller and bench call",
 }
