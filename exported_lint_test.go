@@ -120,7 +120,6 @@ func TestExportedFuncsHaveCallers(t *testing.T) {
 // (or disappears) fails the test.
 var methodAllow = map[string]string{
 	"check.Checker.Violations":          "cross-package test accessor: check's and runtime's tests assert the violation total through it",
-	"mat.Cholesky.Solve":                "allocating matrix form of SolveColsTo; TestCholeskySolveDimMismatchPanics pins its dimension check",
 	"mat.Matrix.Mul":                    "allocating form of MulTo; mat's, gp's and prefgp's tests build fixtures and oracles with it",
 	"mat.Matrix.MulVec":                 "allocating form of MulVecTo; mat's tests and prefgp's seed oracle use it",
 	"mat.Matrix.T":                      "transpose for test fixtures (B·Bᵀ SPD matrices) in mat's and gp's tests",

@@ -15,8 +15,9 @@
 //
 //   - Const1/Const2 (Eqs. 6/7) are exact: every float64 is a dyadic
 //     rational, so Σpᵢ vs the period gcd and Σpᵢ·sᵢ vs 1 are summed in an
-//     exact sched.ProcSum (num/2^shift, no GCD normalisation) and compared
-//     by integer cross-multiplication with NO epsilon. Anything over the bound,
+//     exact sched.ProcSum (num/2^shift, no GCD normalisation: machine words,
+//     promoted to big.Int only when a sum leaves them) and compared by
+//     integer cross-multiplication with NO epsilon. Anything over the bound,
 //     however marginal, is a violation.
 //   - Finiteness is exact: NaN or ±Inf anywhere is a violation.
 //   - Positive semi-definiteness is decided by a jittered Cholesky

@@ -120,26 +120,6 @@ func (c *Cholesky) SolveVec(b Vector) Vector {
 	return BackSolveTrans(c.L, y)
 }
 
-// Solve solves A·X = B column-by-column, returning a new matrix.
-func (c *Cholesky) Solve(b *Matrix) *Matrix {
-	n := c.L.Rows
-	if b.Rows != n {
-		panic(fmt.Sprintf("mat: Cholesky Solve dims %d vs %d", n, b.Rows))
-	}
-	out := NewMatrix(n, b.Cols)
-	col := NewVector(n)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < n; i++ {
-			col[i] = b.Data[i*b.Cols+j]
-		}
-		c.SolveVecTo(col, col)
-		for i, x := range col {
-			out.Data[i*out.Cols+j] = x
-		}
-	}
-	return out
-}
-
 // LogDet returns log det(A) = 2·Σ log L[i][i].
 func (c *Cholesky) LogDet() float64 {
 	var s float64

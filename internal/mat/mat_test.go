@@ -339,19 +339,6 @@ func TestDimensionPanics(t *testing.T) {
 	}
 }
 
-func TestCholeskySolveDimMismatchPanics(t *testing.T) {
-	c, err := Chol(Identity(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.Solve(NewMatrix(3, 1))
-}
-
 func TestCholJitterFailsOnIndefinite(t *testing.T) {
 	// A strongly indefinite matrix cannot be rescued by the bounded jitter.
 	a := FromRows([][]float64{{1, 100}, {100, 1}})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"slices"
 
 	"repro/internal/cluster"
@@ -29,7 +30,7 @@ func (s Stream) FPS() float64 { return 1 / s.Period.Float() }
 // split by periodic sampling into c = ⌈s·p⌉ sub-streams of period c·T, so
 // that each sub-stream alone never self-queues on a server.
 func SplitHighRate(streams []Stream) []Stream {
-	var out []Stream
+	out := make([]Stream, 0, len(streams))
 	for _, s := range streams {
 		c := splitFactor(s)
 		if c <= 1 {
@@ -54,32 +55,51 @@ func SplitHighRate(streams []Stream) []Stream {
 // unsatisfiable for it on any server. The exact ceiling guarantees
 // p ≤ c·T, and therefore s'·p ≤ 1, exactly. Non-finite or non-positive
 // processing times never split.
+//
+// It runs in two 64-bit words. With Proc = m·2^e the quotient is
+// m·Den·2^e/Num: bits.Mul64 forms m·Den, bits.Div64 divides it by Num, and
+// for e < 0 the floor is shifted right by −e; the ceiling adds one when
+// either step left a remainder. A quotient past int64 saturates at
+// MaxInt64 rather than truncating.
 func splitFactor(s Stream) int64 {
 	if !(s.Proc > 0) || math.IsInf(s.Proc, 1) {
 		return 1
 	}
-	// Proc/Period = m·2^e·Den/Num = a/b over integers.
 	m, e := dyadic(s.Proc)
-	var a, b, q, r big.Int
-	a.Mul(q.SetInt64(m), r.SetInt64(s.Period.Den))
-	b.SetInt64(s.Period.Num)
-	if e >= 0 {
-		a.Lsh(&a, uint(e))
-	} else {
-		b.Lsh(&b, uint(-e))
+	var x [3]uint64 // m·Den·2^max(e, 0) < 2^128, little-endian
+	x[1], x[0] = bits.Mul64(uint64(m), uint64(s.Period.Den))
+	if e > 0 {
+		if len3(&x)+e > 128 {
+			return math.MaxInt64 // the quotient is at least 2^128/Num > 2^65
+		}
+		shl3(&x, uint(e))
 	}
-	if a.Cmp(&b) <= 0 {
-		return 1
+	num := uint64(s.Period.Num)
+	hi, r := x[1]/num, x[1]%num
+	lo, r := bits.Div64(r, x[0], num)
+	inexact := r != 0
+	if e < 0 {
+		// ⌊⌊x/Num⌋/2^d⌋ = ⌊x/(Num·2^d)⌋, with a remainder iff either
+		// division has one.
+		switch d := uint(-e); {
+		case d >= 128:
+			inexact = inexact || hi|lo != 0
+			hi, lo = 0, 0
+		case d >= 64:
+			inexact = inexact || lo != 0 || hi<<(128-d) != 0
+			hi, lo = 0, hi>>(d-64)
+		default:
+			inexact = inexact || lo<<(64-d) != 0
+			hi, lo = hi>>d, lo>>d|hi<<(64-d)
+		}
 	}
-	if q.QuoRem(&a, &b, &r); r.Sign() > 0 {
-		q.Add(&q, r.SetInt64(1))
-	}
-	if !q.IsInt64() {
-		// Degenerate inputs (absurdly large Proc): saturate rather than
-		// silently truncate big.Int bits.
+	if hi != 0 || lo >= math.MaxInt64 {
 		return math.MaxInt64
 	}
-	return q.Int64()
+	if inexact {
+		lo++
+	}
+	return int64(lo)
 }
 
 // ErrInfeasible is returned when Algorithm 1 cannot group the streams into
@@ -112,14 +132,32 @@ func GroupStreams(streams []Stream, n int) ([][]int, error) {
 		return streams[a].Period.Cmp(streams[b].Period)
 	})
 	// Line 2: priority I_i = #{j < i : T_i mod T_j = 0} over the
-	// period-sorted sequence.
+	// period-sorted sequence, one run of identical periods at a time: a run
+	// counts the members of every earlier run whose period divides its own,
+	// and each member also counts the members before it in its run. That is
+	// O(n + D²) for D runs, with the pairwise loop's IsMultipleOf verdicts.
 	prio := make([]int, len(order))
-	for i := range order {
-		ti := streams[order[i]].Period
-		for j := 0; j < i; j++ {
-			if ti.IsMultipleOf(streams[order[j]].Period) {
-				prio[i]++
+	var runBuf [16]int
+	runs := runBuf[:0] // the start of every run so far, in order
+	for i := 0; i < len(order); {
+		t := streams[order[i]].Period
+		base := 0
+		for r, a := range runs {
+			end := i
+			if r+1 < len(runs) {
+				end = runs[r+1]
 			}
+			if t.IsMultipleOf(streams[order[a]].Period) {
+				base += end - a
+			}
+		}
+		self := 0
+		if t.IsMultipleOf(t) {
+			self = 1
+		}
+		runs = append(runs, i)
+		for k := 0; i < len(order) && streams[order[i]].Period == t; i, k = i+1, k+1 {
+			prio[i] = base + k*self
 		}
 	}
 	// Line 3: re-sort ascending by priority (stable, so the period order
@@ -279,45 +317,89 @@ func (p Plan) Utilizations(streams []Stream, n int) []float64 {
 // Σ pᵢ·sᵢ ≤ speed_j (1 for a zero SpeedFactor). With L the lcm of the
 // period numerators on a server, every rate sᵢ = Denᵢ/Numᵢ is the integer
 // Denᵢ·(L/Numᵢ) over L, so the load is one exact ProcSum of pᵢ times an
-// integer (a big.Int: it cannot wrap) compared against speed_j·L — a load
-// of exactly the budget is accepted and any excess, however marginal, is
-// rejected. (The old float check admitted loads up to 1+1e-9, i.e.
-// genuinely overloaded servers.) Streams with non-finite processing times
-// or out-of-range assignments fail the check.
+// integer compared against speed_j·L — a load of exactly the budget is
+// accepted and any excess, however marginal, is rejected. (The old float
+// check admitted loads up to 1+1e-9, i.e. genuinely overloaded servers.)
+// L and the multipliers are built in 64-bit words with an overflow test; a
+// server whose lcm or multiplier leaves them is decided again in big.Int,
+// where nothing wraps. Streams with non-finite processing times or
+// out-of-range assignments fail the check.
 func CheckConst1Servers(streams []Stream, streamServer []int, servers []cluster.Server) bool {
 	order, start, ok := byServer(streams, streamServer, len(servers))
 	if !ok {
 		return false
 	}
 	var sum ProcSum
-	var lcm, q, k, t big.Int
 	for j := range servers {
 		on := order[start[j]:start[j+1]]
 		if len(on) == 0 {
 			continue
 		}
-		// L = lcm of the period numerators, so every sᵢ = Denᵢ/Numᵢ is the
-		// integer Denᵢ·(L/Numᵢ) over L: Σ pᵢ·Denᵢ·(L/Numᵢ) ≤ speed·L.
-		lcm.SetInt64(1)
-		for _, i := range on {
-			num := streams[i].Period.Num
-			if q.QuoRem(&lcm, k.SetInt64(num), &t); t.Sign() != 0 {
-				q.Mul(&lcm, k.SetInt64(num/gcd64(num, t.Int64())))
-				lcm.Set(&q)
-			}
+		fits, narrow := loadWithinWords(&sum, streams, on, servers[j].Speed())
+		if !narrow {
+			fits = loadWithinBig(&sum, streams, on, servers[j].Speed())
 		}
-		sum.Reset()
-		for _, i := range on {
-			q.Quo(&lcm, t.SetInt64(streams[i].Period.Num))
-			if !sum.addMul(streams[i].Proc, k.Mul(&q, t.SetInt64(streams[i].Period.Den))) {
-				return false
-			}
-		}
-		if !sum.within(&lcm, 1, servers[j].Speed()) {
+		if !fits {
 			return false
 		}
 	}
 	return true
+}
+
+// loadWithinWords is one server's Const1 in 64-bit words: L is the lcm of
+// the period numerators in int64 and each multiplier Denᵢ·(L/Numᵢ) a
+// uint64. It reports narrow = false when either would overflow.
+func loadWithinWords(sum *ProcSum, streams []Stream, on []int, speed float64) (fits, narrow bool) {
+	lcm := int64(1)
+	for _, i := range on {
+		if num := streams[i].Period.Num; num != 1 && lcm%num != 0 {
+			hi, lo := bits.Mul64(uint64(lcm/gcd64(lcm, num)), uint64(num))
+			if hi != 0 || lo > math.MaxInt64 {
+				return false, false
+			}
+			lcm = int64(lo)
+		}
+	}
+	sum.Reset()
+	for _, i := range on {
+		per, q := streams[i].Period, lcm
+		if per.Num != 1 {
+			q /= per.Num
+		}
+		hi, k := bits.Mul64(uint64(per.Den), uint64(q))
+		if hi != 0 {
+			return false, false
+		}
+		if !sum.addMul(streams[i].Proc, k) {
+			return false, true
+		}
+	}
+	return sum.within(uint64(lcm), 1, speed), true
+}
+
+// loadWithinBig is one server's Const1 in big.Int, where neither the lcm
+// nor a multiplier can wrap: the continuation of loadWithinWords past
+// int64.
+func loadWithinBig(sum *ProcSum, streams []Stream, on []int, speed float64) bool {
+	// L = lcm of the period numerators, so every sᵢ = Denᵢ/Numᵢ is the
+	// integer Denᵢ·(L/Numᵢ) over L: Σ pᵢ·Denᵢ·(L/Numᵢ) ≤ speed·L.
+	var lcm, q, k, t big.Int
+	lcm.SetInt64(1)
+	for _, i := range on {
+		num := streams[i].Period.Num
+		if q.QuoRem(&lcm, k.SetInt64(num), &t); t.Sign() != 0 {
+			q.Mul(&lcm, k.SetInt64(num/gcd64(num, t.Int64())))
+			lcm.Set(&q)
+		}
+	}
+	sum.Reset()
+	for _, i := range on {
+		q.Quo(&lcm, t.SetInt64(streams[i].Period.Num))
+		if !sum.addWide(streams[i].Proc, k.Mul(&q, t.SetInt64(streams[i].Period.Den))) {
+			return false
+		}
+	}
+	return sum.withinBig(&lcm, 1, speed)
 }
 
 // byServer buckets stream indices by assigned server, in stream order:
