@@ -1,5 +1,5 @@
 // Online control-loop demo: a controller re-plans the cluster as video
-// content drifts, evaluating each epoch with one goroutine per server.
+// content drifts, evaluating each epoch's servers on a pool of workers.
 // Compares periodic re-planning against a plan-once controller.
 //
 //	go run ./examples/online

@@ -18,14 +18,18 @@ import (
 // them, so a warm arena simulates without touching the heap.
 //
 // The arena path also serves a periodic server for one hyperperiod rather
-// than for the whole horizon (see simulate and DESIGN.md §11): from the
-// first idle instant that has one hyperperiod of the periodic regime behind
-// it, every further hyperperiod repeats the one it simulated, so it adds
-// copies of that window's sums and counts and serves only the frames near
-// the horizon. Frame and completion counts stay exact; the latency sums,
-// extrema and utilization agree with the frame-log path up to rounding
-// (FuzzArenaVsOracle holds the tolerances). A server the rule does not
-// cover is served frame by frame, bit-identical to the frame-log path.
+// than for the whole horizon (see extrapolate and DESIGN.md §11), in one of
+// two regimes. From the first idle instant that has one hyperperiod of the
+// periodic regime behind it, every further hyperperiod repeats the one it
+// simulated. On a saturated server (utilization at or above 1) that never
+// idles, every further hyperperiod serves the same frames back to back, so
+// each latency grows by the same W−L per hyperperiod (W the window's service
+// time, L the hyperperiod). Either way it adds copies of that window's sums
+// and counts in closed form and serves only the frames near the horizon.
+// Frame and completion counts stay exact; the latency sums, extrema and
+// utilization agree with the frame-log path up to rounding
+// (FuzzArenaVsOracle holds the tolerances). A server neither regime covers
+// is served frame by frame, bit-identical to the frame-log path.
 //
 // Ownership rules (see DESIGN.md "Scaling"): an Arena is single-goroutine —
 // the fault-tolerant runtime keeps one per server worker. The Result
@@ -42,6 +46,7 @@ type Arena struct {
 	win       []window
 	sub       []StreamSpec // MeanLatency's per-server stream subset
 	simulated int          // frames the last simulate call actually served
+	saturated bool         // the last simulate call copied a saturated window
 }
 
 // cursor is one stream's position in the k-way merge.
@@ -60,12 +65,27 @@ type next struct {
 
 // window is one stream's share of the simulated hyperperiod: its period as
 // the reduced fraction num/den, its frames per hyperperiod, its cursor at
-// the window's start and the latency sum of the window's frames.
+// the window's start, the latency sum, largest latency and largest wait of
+// the window's frames, how many of their copies finish by the horizon, and
+// how far a copy moves their latencies and waits.
 type window struct {
 	num, den int64
 	frames   int
 	seq      int
 	lat      float64
+	maxLat   float64
+	maxWait  float64
+	done     int
+	drift    float64
+}
+
+// span is what hyperperiod learns of a periodic server: the hyperperiod L,
+// the latest first arrival, the largest transmission plus service time, the
+// service time work = Σ frames·proc one hyperperiod brings, and whether the
+// utilization reaches 1.
+type span struct {
+	L, first, maxTP, work float64
+	saturated             bool
 }
 
 // run is the state of one simulation that its phases hand on: the merge
@@ -186,7 +206,7 @@ func (a *Arena) simulate(streams []StreamSpec, srv Server, horizon float64, reco
 		}
 	}
 	var frames []FrameRecord
-	a.simulated = 0
+	a.simulated, a.saturated = 0, false
 	if record {
 		frames = make([]FrameRecord, 0, total)
 	} else {
@@ -256,37 +276,64 @@ func (a *Arena) serve(r *run, streams []StreamSpec, horizon float64, budget int,
 }
 
 // idleEps is the margin, in seconds, by which an arrival must find the
-// server idle to start a hyperperiod window, and under which two arrivals
-// of different streams count as a near-tie.
+// server idle, or on a saturated server busy, to start a hyperperiod
+// window, and under which two arrivals of different streams count as a
+// near-tie.
 const idleEps = 1e-9
 
 // extrapolate serves a periodic server up to the start of one hyperperiod
-// window, serves that window, and adds k further copies of it, leaving r
-// and the cursors where serving every frame would have left them after
-// those k copies; serve then runs the tail to the horizon. Wherever the rule
-// does not hold it stops, and the caller's serve continues the full run
-// from the state reached, so such a run is the frame-by-frame one.
+// window, serves that window, and adds k further copies of it in closed
+// form, leaving r and the cursors where serving every frame would have left
+// them after those k copies; serve then runs the tail to the horizon.
+// Wherever a rule does not hold it stops, and the caller's serve continues
+// the full run from the state reached, so such a run is the frame-by-frame
+// one, bit for bit.
 //
-// The rule: with L the hyperperiod, the arrivals after the last
-// stream's first arrival repeat every L. The window starts at an arrival ι
-// that finds the server idle by more than idleEps and lies at least one L
-// inside that periodic regime. Then [ι−L, ι) carries the same arrivals as
-// [ι, ι+L), and since the work left at the end of a window is monotone in
-// the work at its start, the work left at ι+L is at most that at ι, which
-// is zero; by induction every window from ι on starts idle and serves the
-// same frames at the same latencies. The simulated window must confirm it:
-// exactly L/Tᵢ frames of every stream, no two arrivals of different streams
-// within idleEps (rounding could order such a pair differently in another
-// window), and the next arrival within idleEps of ι+L, finding the server
-// idle. The copies stop three hyperperiods and one frame's transmission
+// With L the hyperperiod, the arrivals after the last stream's first
+// arrival repeat every L. The window starts at an arrival ι that lies at
+// least one L inside that periodic regime and finds the server idle, or on
+// a saturated server busy, by more than idleEps; that picks the regime.
+//
+// Idle: [ι−L, ι) carries the same arrivals as [ι, ι+L), and since the work
+// left at the end of a window is monotone in the work at its start, the
+// work left at ι+L is at most that at ι, which is zero; by induction every
+// window from ι on starts idle and serves the same frames at the same
+// latencies. A copy moves every finish by L and no latency.
+//
+// Saturated: every arrival of the window finds the server busy, so the
+// window's frames are served back to back in arrival order, in its service
+// time W. The next window's arrivals come L later and find the server W
+// later, each busy by D = W−L more than in the window; by induction every
+// copy serves the same frames back to back, and moves every finish by W
+// and every latency and wait by D. A copy's latency sums are then
+// arithmetic series. (D is taken per stream, as W less the stream's
+// frames·Tᵢ, the amount a copy moves its captures, so a period that is its
+// fraction only within rounding drifts as the full run drifts.) The tail
+// is served back to back too. D < 0 leaves the server to the full run, but
+// no window that passes the busy test below has it: since the server's
+// last idle instant every margin has grown by D per hyperperiod, so a
+// margin above idleEps needs D > 0 (a server at utilization exactly 1
+// keeps meeting one arrival just free).
+//
+// The simulated window must confirm its regime: exactly L/Tᵢ frames of
+// every stream, no two arrivals of different streams within idleEps
+// (rounding could order such a pair differently in another window), every
+// arrival of a saturated window busy by more than idleEps plus the rounding
+// bound tol, and the next arrival within idleEps of ι+L, finding the server
+// as ι did. The copies stop three hyperperiods and one frame's transmission
 // and service short of the horizon, so every frame the horizon cuts goes
-// through serve's own tests and the counts stay exact.
+// through serve's own tests. Their completions are counted per window
+// frame (see copiesDone); a copy, or on a saturated server a tail frame,
+// that would finish within tol of the horizon, where rounding could decide
+// its completion either way, leaves the server to the full run, so the
+// counts stay exact.
 func (a *Arena) extrapolate(r *run, streams []StreamSpec, horizon float64) {
-	L, first, maxTP, ok := a.hyperperiod(streams, horizon)
+	sp, ok := a.hyperperiod(streams, horizon)
 	if !ok {
 		return
 	}
-	lo, hi := first+L, horizon-4*L-maxTP
+	L := sp.L
+	lo, hi := sp.first+L, horizon-4*L-sp.maxTP
 	if !(lo <= hi) {
 		return
 	}
@@ -294,55 +341,98 @@ func (a *Arena) extrapolate(r *run, streams []StreamSpec, horizon float64) {
 		if r.n == 0 || a.ring[r.head].arrive > hi {
 			return
 		}
-		if arr := a.ring[r.head].arrive; arr >= lo && arr > r.free+idleEps {
+		if arr := a.ring[r.head].arrive; arr >= lo && (arr > r.free+idleEps || sp.saturated && r.free > arr+idleEps) {
 			break
 		}
 		a.serve(r, streams, horizon, 1, nil, false)
 	}
 	start, mask := a.ring[r.head].arrive, len(a.ring)-1
+	k := int(math.Floor((horizon-sp.maxTP-start)/L)) - 3
+	if k < 1 {
+		return
+	}
+	// A copy moves finishes by step. On a saturated server the tail is
+	// served back to back as well, so its frames are copies too, up to the
+	// last one whose captures the horizon admits.
+	sat := !(start > r.free+idleEps)
+	step, last := L, k
+	if sat {
+		step, last = sp.work, int(math.Ceil((horizon+sp.maxTP-start)/L))
+	}
 	frames := 0
 	for si := range streams {
 		w := &a.win[si]
-		w.seq, w.lat = a.cur[si].seq, 0
+		w.seq, w.lat, w.done, w.drift = a.cur[si].seq, 0, 0, 0
+		w.maxLat, w.maxWait = negInf(), negInf()
 		frames += w.frames
 	}
+	// tol bounds how far a closed-form instant f + m·step strays from the
+	// instant that serving every frame reaches: one rounding of a finish
+	// instant per frame served in between, and step's own rounding per copy,
+	// each at most one ULP of reach, the largest instant involved.
+	reach := math.Abs(r.free) + math.Abs(start) + horizon + float64(last+1)*(step+L)
+	tol := float64(2*(last+1)*frames+8) * (math.Nextafter(reach, posInf()) - reach)
 	busy, latSum := 0.0, 0.0
 	for ; frames > 0; frames-- {
 		if r.n == 0 || r.n > 1 && a.ring[(r.head+1)&mask].arrive-a.ring[r.head].arrive <= idleEps {
 			return
 		}
-		si := a.ring[r.head].si
-		c := &a.cur[si]
+		e := a.ring[r.head]
+		gap := r.free - e.arrive // the busy margin, a saturated frame's wait
+		if sat && !(gap > idleEps+tol) {
+			return
+		}
+		c := &a.cur[e.si]
 		capture, proc := c.capture, c.proc
 		a.serve(r, streams, horizon, 1, nil, false)
+		done, ok := copiesDone(r.free, step, horizon, tol, k, last)
+		if !ok {
+			return
+		}
 		l := r.free - capture
-		a.win[si].lat += l
+		w := &a.win[e.si]
+		w.lat += l
+		w.maxLat, w.maxWait = fmax(w.maxLat, l), fmax(w.maxWait, gap)
+		w.done += done
 		latSum += l
 		busy += proc
 	}
 	if r.n == 0 {
 		return
 	}
-	if arr := a.ring[r.head].arrive; math.Abs(arr-(start+L)) > idleEps || !(arr > r.free+idleEps) ||
-		r.n > 1 && a.ring[(r.head+1)&mask].arrive-arr <= idleEps {
+	arr := a.ring[r.head].arrive
+	if math.Abs(arr-(start+L)) > idleEps || r.n > 1 && a.ring[(r.head+1)&mask].arrive-arr <= idleEps {
+		return
+	}
+	if sat && !(r.free-arr > idleEps+tol) || !sat && !(arr > r.free+idleEps) {
 		return
 	}
 	for si := range streams {
-		if w := &a.win[si]; a.cur[si].seq-w.seq != w.frames {
+		w := &a.win[si]
+		if a.cur[si].seq-w.seq != w.frames {
 			return
 		}
-	}
-	k := int(math.Floor((horizon-maxTP-start)/L)) - 3
-	if k < 1 {
-		return
+		if sat {
+			if w.drift = step - float64(w.frames)*streams[si].Period; w.drift < 0 {
+				return
+			}
+		}
 	}
 	kf := float64(k)
+	tri := kf * (kf + 1) / 2 // Σ m over copies 1…k
+	dsum := 0.0
 	r.head, r.n = 0, 0
 	for si := range streams {
 		w, st := &a.win[si], &a.per[si]
+		d := float64(w.frames) * w.drift
+		dsum += d
 		st.Frames += k * w.frames
-		st.MeanLat += kf * w.lat
-		a.completed[si] += k * w.frames
+		st.MeanLat += kf*w.lat + tri*d
+		if w.drift > 0 {
+			st.MaxLat = fmax(st.MaxLat, w.maxLat+kf*w.drift)
+			st.MaxWait = fmax(st.MaxWait, w.maxWait+kf*w.drift)
+		}
+		a.completed[si] += w.done
 		r.count += k * w.frames
 		a.cur[si].seq += k * w.frames
 		if t := a.aim(si, &streams[si], horizon); t < posInf() {
@@ -350,20 +440,47 @@ func (a *Arena) extrapolate(r *run, streams []StreamSpec, horizon float64) {
 		}
 	}
 	r.busy += kf * busy
-	r.latSum += kf * latSum
+	r.latSum += kf*latSum + tri*dsum
+	if sat {
+		r.free += kf * step
+		a.saturated = true
+	}
 }
 
-// hyperperiod returns the server's hyperperiod L, the lcm of its stream
-// periods, each recovered as a fraction by ratio; it fills every stream's
-// window num/den and frames = L/Tᵢ. It also returns the latest first
-// arrival and the largest transmission plus service time. ok is false, and
-// the server is served in full, when a period has no fraction within
-// rounding, L exceeds horizon/6, the utilization reaches 1, or an offset,
-// delay or service time is not a finite non-negative number (a negative
-// one breaks the monotone argument, and an infinite one periodicity).
-func (a *Arena) hyperperiod(streams []StreamSpec, horizon float64) (L, first, maxTP float64, ok bool) {
+// copiesDone returns how many of copies 1…k of a window frame that finished
+// at f finish by the horizon, where copy m finishes at f + m·step. ok is
+// false when one of copies 1…last would finish within tol of the horizon:
+// rounding could then count it either way. Finishes grow with m, so only
+// the last copy by the horizon and the first after it need the test.
+func copiesDone(f, step, horizon, tol float64, k, last int) (done int, ok bool) {
+	if f+float64(last)*step <= horizon-tol {
+		return k, true
+	}
+	q := int(math.Max(0, math.Min(math.Floor((horizon-f)/step), float64(last))))
+	for q < last && f+float64(q+1)*step <= horizon {
+		q++
+	}
+	for q > 0 && f+float64(q)*step > horizon {
+		q--
+	}
+	if q > 0 && !(f+float64(q)*step <= horizon-tol) || q < last && !(f+float64(q+1)*step > horizon+tol) {
+		return 0, false
+	}
+	return min(q, k), true
+}
+
+// hyperperiod returns the server's span: the hyperperiod L, the lcm of its
+// stream periods, each recovered as a fraction by ratio, the latest first
+// arrival, the largest transmission plus service time, the service time
+// one hyperperiod brings and whether the utilization reaches 1. It fills
+// every stream's window num/den and frames = L/Tᵢ. ok is false, and the
+// server is served in full, when a period has no fraction within rounding,
+// L exceeds horizon/6, or an offset, delay or service time is not a finite
+// non-negative number (a negative one breaks the monotone argument, and an
+// infinite one periodicity).
+func (a *Arena) hyperperiod(streams []StreamSpec, horizon float64) (sp span, ok bool) {
 	if len(streams) == 0 {
-		return 0, 0, 0, false
+		return span{}, false
 	}
 	// A frame's capture Offset + seq·Period drifts from the fraction's by
 	// seq·|Period − num/den|; the tolerance keeps that drift, over the
@@ -371,36 +488,38 @@ func (a *Arena) hyperperiod(streams []StreamSpec, horizon float64) (L, first, ma
 	tol := math.Min(1e-12, idleEps/(16*horizon))
 	lcmNum, gcdDen := int64(1), int64(0)
 	util := 0.0
-	first = negInf()
+	sp.first = negInf()
 	for si := range streams {
 		s, c, w := &streams[si], &a.cur[si], &a.win[si]
 		if !(c.proc >= 0 && c.tx >= 0 && c.proc+c.tx < posInf() && math.Abs(s.Offset) < posInf()) {
-			return 0, 0, 0, false
+			return span{}, false
 		}
 		if si > 0 && s.Period == streams[si-1].Period {
 			w.num, w.den = a.win[si-1].num, a.win[si-1].den
 		} else if w.num, w.den, ok = ratio(s.Period, tol); !ok {
-			return 0, 0, 0, false
+			return span{}, false
 		}
 		g := gcd(lcmNum, w.num)
 		if lcmNum/g > maxLcm/w.num {
-			return 0, 0, 0, false
+			return span{}, false
 		}
 		lcmNum = lcmNum / g * w.num
 		gcdDen = gcd(gcdDen, w.den)
 		util += c.proc / s.Period
-		first = math.Max(first, s.Offset+c.tx)
-		maxTP = math.Max(maxTP, c.tx+c.proc)
+		sp.first = math.Max(sp.first, s.Offset+c.tx)
+		sp.maxTP = math.Max(sp.maxTP, c.tx+c.proc)
 	}
-	L = float64(lcmNum) / float64(gcdDen)
-	if !(util < 1) || L > horizon/6 {
-		return 0, 0, 0, false
+	sp.L = float64(lcmNum) / float64(gcdDen)
+	if sp.L > horizon/6 {
+		return span{}, false
 	}
+	sp.saturated = !(util < 1)
 	for si := range streams {
 		w := &a.win[si]
 		w.frames = int(lcmNum / w.num * (w.den / gcdDen))
+		sp.work += float64(w.frames) * a.cur[si].proc
 	}
-	return L, first, maxTP, true
+	return sp, true
 }
 
 // maxRatio bounds the numerators and denominators ratio returns. Every

@@ -45,13 +45,14 @@ func TestArenaMatchesSimulateServer(t *testing.T) {
 	for ci, tc := range cases {
 		streams, _ := arenaWorkload(tc.n)
 		want := oracleSimulateServer(streams, tc.srv, tc.horizon)
-		closeResult(t, fmt.Sprintf("case %d reused arena", ci), want, a.SimulateServer(streams, tc.srv, tc.horizon))
+		got := a.SimulateServer(streams, tc.srv, tc.horizon)
+		closeResult(t, fmt.Sprintf("case %d reused arena", ci), want, got, resultLatTol(a, want))
 		sameResult(t, fmt.Sprintf("case %d fresh arena", ci), want, SimulateServer(streams, tc.srv, tc.horizon), true)
 	}
 }
 
 // The arena path's tolerances against the frame-log oracle. Counts are
-// exact. Extrapolated windows repeat the simulated window's latencies,
+// exact. Extrapolated idle windows repeat the simulated window's latencies,
 // which differ from the full run's by the rounding of instants up to the
 // horizon (a few ULPs of 30 s, ~1e-14 s), so latencies, waits and jitters
 // agree to latTol seconds; the sums and the utilization add k copies of a
@@ -64,10 +65,29 @@ const (
 	sumTol = 1e-9
 )
 
-// closeResult demands got agree with the oracle's want within latTol and
-// sumTol, with exact frame counts, completions (Throughput) and no frame
-// log.
-func closeResult(t *testing.T, what string, want, got Result) {
+// resultLatTol is the latency tolerance closeResult applies to the arena
+// run that produced got: latTol, unless the run copied a saturated window.
+// A saturated server never idles, so the oracle's finish instants are one
+// running sum: each frame's finish rounds once at the magnitude of the
+// largest finish instant, and a frame's latency carries the rounding of
+// every frame served before it. The closed form adds W per copy where the
+// oracle adds each service time, so the two latencies part by at most one
+// rounding per frame served: frames × one ULP of the largest finish instant.
+func resultLatTol(a *Arena, want Result) float64 {
+	if !a.saturated {
+		return latTol
+	}
+	last := 0.0
+	for _, f := range want.Frames {
+		last = math.Max(last, f.Finish)
+	}
+	return math.Max(latTol, float64(want.FrameCount)*(math.Nextafter(last, math.Inf(1))-last))
+}
+
+// closeResult demands got agree with the oracle's want within the latency
+// tolerance lat (latTol, or resultLatTol's) and sumTol, with exact frame
+// counts, completions (Throughput) and no frame log.
+func closeResult(t *testing.T, what string, want, got Result, lat float64) {
 	t.Helper()
 	if got.Frames != nil {
 		t.Fatalf("%s: arena path logged %d frames", what, len(got.Frames))
@@ -77,30 +97,30 @@ func closeResult(t *testing.T, what string, want, got Result) {
 	}
 	for si, w := range want.PerStream {
 		g := got.PerStream[si]
-		if g.Frames != w.Frames || !sameBits(g.Throughput, w.Throughput) || !closeSum(g.MeanLat, w.MeanLat, 1) ||
-			!closeLat(g.MinLat, w.MinLat) || !closeLat(g.MaxLat, w.MaxLat) || !closeLat(g.Jitter, w.Jitter) ||
-			!closeLat(g.MaxWait, w.MaxWait) {
+		if g.Frames != w.Frames || !sameBits(g.Throughput, w.Throughput) || !closeSum(g.MeanLat, w.MeanLat, 1, lat) ||
+			!closeLat(g.MinLat, w.MinLat, lat) || !closeLat(g.MaxLat, w.MaxLat, lat) || !closeLat(g.Jitter, w.Jitter, lat) ||
+			!closeLat(g.MaxWait, w.MaxWait, lat) {
 			t.Fatalf("%s: stream %d stats %+v, want %+v", what, si, g, w)
 		}
 	}
-	if got.FrameCount != want.FrameCount || !closeLat(got.MaxJitter, want.MaxJitter) || !closeLat(got.MaxWait, want.MaxWait) ||
-		!closeSum(got.Utilization, want.Utilization, 0) || !closeSum(got.LatSum, want.LatSum, want.FrameCount) {
+	if got.FrameCount != want.FrameCount || !closeLat(got.MaxJitter, want.MaxJitter, lat) || !closeLat(got.MaxWait, want.MaxWait, lat) ||
+		!closeSum(got.Utilization, want.Utilization, 0, lat) || !closeSum(got.LatSum, want.LatSum, want.FrameCount, lat) {
 		t.Fatalf("%s: aggregates (jitter %v wait %v util %v latsum %v frames %d), want (%v %v %v %v %d)", what,
 			got.MaxJitter, got.MaxWait, got.Utilization, got.LatSum, got.FrameCount,
 			want.MaxJitter, want.MaxWait, want.Utilization, want.LatSum, want.FrameCount)
 	}
 }
 
-// closeLat is agreement within latTol seconds; bit-equal values (the
+// closeLat is agreement within lat seconds; bit-equal values (the
 // infinities and NaNs of a fallback run among them) agree too.
-func closeLat(got, want float64) bool {
-	return sameBits(got, want) || math.Abs(got-want) <= latTol
+func closeLat(got, want, lat float64) bool {
+	return sameBits(got, want) || math.Abs(got-want) <= lat
 }
 
-// closeSum is agreement within sumTol relative, plus latTol for each of
+// closeSum is agreement within sumTol relative, plus lat for each of
 // frames frames.
-func closeSum(got, want float64, frames int) bool {
-	return sameBits(got, want) || math.Abs(got-want) <= sumTol*math.Abs(want)+latTol*float64(frames)
+func closeSum(got, want float64, frames int, lat float64) bool {
+	return sameBits(got, want) || math.Abs(got-want) <= sumTol*math.Abs(want)+lat*float64(frames)
 }
 
 // sameResult demands got equal the oracle's want bit for bit (signed zeros
@@ -293,8 +313,9 @@ func checkFmaxFmin(t *testing.T, x, y float64) {
 // FuzzArenaVsOracle drives the one-pass simulator against the three-pass
 // oracle above: the package-level path's summary, LatSum, FrameCount and
 // frame log bit for bit, and the arena path within closeResult's
-// tolerances with exact counts, and bit for bit whenever it served every
-// frame (a fallback of the hyperperiod rule). It also holds fmax/fmin to
+// tolerances (resultLatTol's where it copied a saturated window) with exact
+// counts, and bit for bit whenever it served every frame (a fallback of
+// the hyperperiod rule). It also holds fmax/fmin to
 // math.Max/math.Min on the raw fuzzed floats. Half the inputs are clean
 // periodic servers, the shape the hyperperiod rule extrapolates, and half
 // hostile ones. Inputs mix 0–64 streams, so
@@ -303,8 +324,8 @@ func checkFmaxFmin(t *testing.T, x, y float64) {
 // offsets, zero uplink) and near-ties (offsets a fraction of idleEps
 // apart); frame-rate-grid periods c/fps with split multiples c, mixed on
 // one server; offsets at, one ULP either side of, and beyond the horizon,
-// plus +Inf and NaN; overloaded servers; NaN, ±Inf and negative per-frame
-// costs and sizes from the fuzzer; non-unit speed factors; and horizons
+// plus +Inf and NaN; overloaded servers, saturated ones among them; NaN,
+// ±Inf and negative per-frame costs and sizes from the fuzzer; non-unit speed factors; and horizons
 // from 0.5 s to eva.EvalHorizon's 30 s, long enough for the hyperperiod
 // rule to extrapolate. With train set, every stream takes one period and
 // its offset on the server's zero-jitter slot train
@@ -325,6 +346,12 @@ func FuzzArenaVsOracle(f *testing.F) {
 	f.Add(uint64(9), uint8(64), 0.003, 8e4, 2.0, 25e6, 0.2, true)
 	f.Add(uint64(10), uint8(5), 0.004, 1e5, 1.0, 40e6, 1.0/15, false)
 	f.Add(uint64(11), uint8(3), 0.002, 3e5, 1.0, 20e6, 0.4, true)
+	// Saturated servers that the closed form copies: fleet trains at 5 and
+	// 30 fps, and crowded mixed-rate servers, one at a slow speed class.
+	f.Add(uint64(26), uint8(16), 0.02, 2e5, 1.0, 40e6, 0.2, true)
+	f.Add(uint64(18), uint8(64), 0.004, 8e4, 1.0, 40e6, 1.0/30, true)
+	f.Add(uint64(24), uint8(40), 0.01, 1e5, 1.0, 40e6, 0.1, false)
+	f.Add(uint64(75), uint8(64), 0.005, 1e5, 0.75, 25e6, 0.2, false)
 	a := NewArena()
 	f.Fuzz(func(t *testing.T, seed uint64, n uint8, proc, bits, speed, uplink, period float64, train bool) {
 		raw := []float64{proc, bits, speed, uplink, period}
@@ -404,7 +431,7 @@ func FuzzArenaVsOracle(f *testing.F) {
 			if a.simulated == got.FrameCount {
 				sameResult(t, fmt.Sprintf("%d streams, reused arena, every frame served", k), want, got, false)
 			} else {
-				closeResult(t, fmt.Sprintf("%d streams, reused arena, %d of %d frames served", k, a.simulated, got.FrameCount), want, got)
+				closeResult(t, fmt.Sprintf("%d streams, reused arena, %d of %d frames served", k, a.simulated, got.FrameCount), want, got, resultLatTol(a, want))
 			}
 			sameResult(t, fmt.Sprintf("%d streams, package level", k), want, SimulateServer(sub, srv, horizon), true)
 			if k == 0 {
@@ -480,7 +507,7 @@ func TestArenaMeanLatencyMatchesFrameLogs(t *testing.T) {
 		}
 		horizon := []float64{0.5, 1, 3.3, 30}[rng.IntN(4)]
 		want := MeanLatency(SimulateCluster(streams, servers, assign, horizon))
-		if got := a.MeanLatency(streams, servers, assign, horizon); !closeSum(got, want, 1) {
+		if got := a.MeanLatency(streams, servers, assign, horizon); !closeSum(got, want, 1, latTol) {
 			t.Fatalf("trial %d: arena mean latency %v, frame logs %v", trial, got, want)
 		}
 	}

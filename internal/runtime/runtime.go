@@ -19,7 +19,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	goruntime "runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/check"
@@ -165,7 +167,7 @@ func (t *Trace) MeanBenefit() float64 {
 // Options tunes the controller.
 type Options struct {
 	ReplanEvery int // re-run the scheduler every k epochs (default 5)
-	Workers     int // parallel per-server evaluators (default N)
+	Workers     int // parallel per-server evaluators (default N; local simulation caps it at GOMAXPROCS)
 	// DecideTimeout bounds every individual scheduler invocation
 	// (0 = unbounded). When the deadline fires the attempt is abandoned —
 	// the call's goroutine is left to finish on its own and its result is
@@ -245,13 +247,26 @@ type Controller struct {
 	// recorder's registry. Nil disables telemetry at zero cost.
 	Obs *obs.Recorder
 
-	// Reusable per-server evaluation state: one simulation arena and one
-	// spec buffer per physical server, grown lazily by evaluate.
-	// Index j is touched only by server j's goroutine within an epoch and
-	// epochs are fan-in barriers, so no extra synchronization is needed.
+	// Reusable per-server evaluation state: one simulation arena, one spec
+	// buffer and one result slot per physical server, grown lazily by
+	// evaluate. Index j is touched only by the worker that took server j
+	// within an epoch and epochs are fan-in barriers, so no extra
+	// synchronization is needed. The relaxed audit's live streams and
+	// assignment are reused the same way (the checker keeps no reference).
 	arenas      []*cluster.Arena
 	specBufs    [][]cluster.StreamSpec
+	results     []serverResult
 	evalStreams []sched.Stream
+	liveStreams []sched.Stream
+	liveAssign  []int
+}
+
+// serverResult is what one server's evaluation contributes to the epoch's
+// outcome: its latency sum and frame count, and its largest jitter.
+type serverResult struct {
+	latSum float64
+	frames int
+	jitter float64
 }
 
 // ErrNoDecision is returned when the first scheduling attempt fails — the
@@ -259,10 +274,10 @@ type Controller struct {
 var ErrNoDecision = errors.New("runtime: scheduler produced no initial decision")
 
 // Run executes the control loop for the given number of epochs. Each epoch
-// the running decision is evaluated against content-drifted clips with one
-// goroutine per healthy server (fan-out/fan-in); on replan epochs the
-// scheduler sees the drifted, fault-masked system. Cancelling ctx stops
-// the loop early and returns the partial trace.
+// the running decision is evaluated against content-drifted clips on a
+// pool of per-server workers (fan-out/fan-in, see evaluate); on replan
+// epochs the scheduler sees the drifted, fault-masked system. Cancelling
+// ctx stops the loop early and returns the partial trace.
 func (c *Controller) Run(ctx context.Context, epochs int) (*Trace, error) {
 	opt := c.Opt
 	if opt.ReplanEvery <= 0 {
@@ -866,10 +881,15 @@ func (c *Controller) driftedSystem(epoch int) *objective.System {
 }
 
 // evaluate measures the decision's outcomes on the drifted system,
-// simulating each healthy server in its own goroutine and merging the
-// results. Shed videos and stalled cameras contribute nothing; a cancelled
-// ctx makes remaining workers return without simulating, so a mid-epoch
-// cancellation does not wait out every server.
+// evaluating every healthy server and merging the results in server order.
+// A local simulation is CPU-bound, so min(workers, GOMAXPROCS) goroutines
+// share the servers, each taking the next server index from an atomic
+// counter; a remote c.Eval blocks on the wire, so it keeps workers
+// goroutines. Each server's result depends only on its own arena and
+// inputs, so the outcome is bitwise the same for any worker count. Shed
+// videos and stalled cameras contribute nothing; a cancelled ctx makes the
+// workers stop taking servers, so a mid-epoch cancellation does not wait
+// out every server.
 //
 // live marks the real per-epoch evaluation: it emits DES telemetry, audits
 // the deployed decision through the relaxed checker, and delegates to
@@ -901,25 +921,24 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 	// exact-constraint violation here is model error (content drifted under a
 	// running plan), recorded as check_* metrics but never an error.
 	if chk := c.Opt.Check; chk != nil && live {
-		var liveStreams []sched.Stream
-		var liveAssign []int
+		c.liveStreams, c.liveAssign = c.liveStreams[:0], c.liveAssign[:0]
 		for i, s := range d.Streams {
 			if skipVideo(s.Video) {
 				continue
 			}
-			liveStreams = append(liveStreams, s)
-			liveAssign = append(liveAssign, d.Assign[i])
+			c.liveStreams = append(c.liveStreams, s)
+			c.liveAssign = append(c.liveAssign, d.Assign[i])
 		}
-		_ = chk.Relaxed().VerifyAssignmentServers(liveStreams, liveAssign, sys.Servers)
+		_ = chk.Relaxed().VerifyAssignmentServers(c.liveStreams, c.liveAssign, sys.Servers)
 	}
 
 	v := sys.ConfigOutcomes(d.Configs, skipVideo)
 
-	// Fan out one simulation per healthy server. Each server owns a
-	// long-lived arena and spec buffer (the buffers are filled here, before
-	// the fan-out; index j is then only touched by server j's goroutine, and
-	// wg.Wait barriers the epochs), so steady-state evaluation reuses the
-	// simulator's buffers instead of reallocating them.
+	// Fan the healthy servers out over the workers. Each server owns a
+	// long-lived arena, spec buffer and result slot (the buffers are filled
+	// here, before the fan-out; index j is then only touched by the worker
+	// that took server j, and wg.Wait barriers the epochs), so steady-state
+	// evaluation reuses the simulator's buffers instead of reallocating them.
 	for len(c.arenas) < sys.N() {
 		c.arenas = append(c.arenas, cluster.NewArena())
 	}
@@ -939,68 +958,32 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 		}
 		c.specBufs[a] = append(c.specBufs[a], d.Spec(i))
 	}
-	type serverResult struct {
-		latSum float64
-		frames int
-		jitter float64
+	if cap(c.results) < sys.N() {
+		c.results = make([]serverResult, sys.N())
 	}
-	results := make([]serverResult, sys.N())
-	sem := make(chan struct{}, workers)
+	results := c.results[:sys.N()]
+	clear(results)
+	remote := live && c.Eval != nil
+	if !remote {
+		workers = min(workers, goruntime.GOMAXPROCS(0))
+	}
+	var nextServer atomic.Int64
 	var wg sync.WaitGroup
-	for j := range sys.Servers {
-		if healthy != nil && !healthy[j] {
-			continue // down servers process nothing
-		}
+	for range max(1, min(workers, sys.N())) {
 		wg.Add(1)
-		go func(j int) {
+		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			select {
-			case <-ctx.Done():
-				return
-			default:
-			}
-			specs := c.specBufs[j]
-			if live && c.Eval != nil {
-				// Remote evaluation: the agent owns the DES (or the real
-				// measurement); the controller only merges its numbers. The
-				// specs slice aliases c.specBufs[j] — the evaluator contract
-				// requires implementations that retain it to copy.
-				r, err := c.Eval.EvaluateServer(ctx, epoch, j, specs, sys.Servers[j], eva.EvalHorizon)
-				if err != nil {
-					if c.Obs != nil {
-						c.Obs.Registry().Counter("runtime_eval_failures_total").Inc()
-						c.Obs.EventCtx(ctx, "eval_failed",
-							obs.F("epoch", float64(epoch)),
-							obs.F("server", float64(j)))
-					}
+			for {
+				j := int(nextServer.Add(1) - 1)
+				if j >= sys.N() || ctx.Err() != nil {
 					return
 				}
-				results[j].latSum = r.LatSum
-				results[j].frames = r.Frames
-				results[j].jitter = r.MaxJitter
-				return
+				if healthy != nil && !healthy[j] {
+					continue // down servers process nothing
+				}
+				results[j] = c.evaluateServer(ctx, sys, j, epoch, live)
 			}
-			var res cluster.Result
-			if !live || c.Obs == nil {
-				// Counterfactual / disabled-telemetry path: plain simulation,
-				// no spans, no events, no added allocations.
-				res = c.arenas[j].SimulateServer(specs, sys.Servers[j], eva.EvalHorizon)
-			} else {
-				c.Obs.Do(ctx, "des", func(ctx context.Context) {
-					sctx, sp := c.Obs.StartSpanCtx(ctx, "des",
-						obs.F("server", float64(j)),
-						obs.F("streams", float64(len(specs))))
-					res = c.arenas[j].SimulateServerRecordedCtx(sctx, specs, sys.Servers[j], eva.EvalHorizon, c.Obs, j)
-					sp.Field("frames", float64(res.FrameCount))
-					sp.End()
-				})
-			}
-			results[j].latSum = res.LatSum
-			results[j].frames = res.FrameCount
-			results[j].jitter = res.MaxJitter
-		}(j)
+		}()
 	}
 	wg.Wait()
 
@@ -1018,4 +1001,44 @@ func (c *Controller) evaluate(ctx context.Context, sys *objective.System, d eva.
 		v[objective.Latency] = latSum / float64(frames)
 	}
 	return v, jitter
+}
+
+// evaluateServer evaluates server j's bucket of streams: remotely through
+// c.Eval on a live evaluation that has one, else on the server's own arena.
+// An evaluator error scores the server as contributing nothing.
+func (c *Controller) evaluateServer(ctx context.Context, sys *objective.System, j, epoch int, live bool) serverResult {
+	specs := c.specBufs[j]
+	if live && c.Eval != nil {
+		// Remote evaluation: the agent owns the DES (or the real
+		// measurement); the controller only merges its numbers. The specs
+		// slice aliases c.specBufs[j] — the evaluator contract requires
+		// implementations that retain it to copy.
+		r, err := c.Eval.EvaluateServer(ctx, epoch, j, specs, sys.Servers[j], eva.EvalHorizon)
+		if err != nil {
+			if c.Obs != nil {
+				c.Obs.Registry().Counter("runtime_eval_failures_total").Inc()
+				c.Obs.EventCtx(ctx, "eval_failed",
+					obs.F("epoch", float64(epoch)),
+					obs.F("server", float64(j)))
+			}
+			return serverResult{}
+		}
+		return serverResult{latSum: r.LatSum, frames: r.Frames, jitter: r.MaxJitter}
+	}
+	var res cluster.Result
+	if !live || c.Obs == nil {
+		// Counterfactual / disabled-telemetry path: plain simulation, no
+		// spans, no events, no added allocations.
+		res = c.arenas[j].SimulateServer(specs, sys.Servers[j], eva.EvalHorizon)
+	} else {
+		c.Obs.Do(ctx, "des", func(ctx context.Context) {
+			sctx, sp := c.Obs.StartSpanCtx(ctx, "des",
+				obs.F("server", float64(j)),
+				obs.F("streams", float64(len(specs))))
+			res = c.arenas[j].SimulateServerRecordedCtx(sctx, specs, sys.Servers[j], eva.EvalHorizon, c.Obs, j)
+			sp.Field("frames", float64(res.FrameCount))
+			sp.End()
+		})
+	}
+	return serverResult{latSum: res.LatSum, frames: res.FrameCount, jitter: res.MaxJitter}
 }

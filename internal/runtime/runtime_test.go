@@ -3,12 +3,15 @@ package runtime
 import (
 	"context"
 	"errors"
+	"reflect"
+	goruntime "runtime"
 	"testing"
 	"time"
 
 	"repro/internal/baselines"
 	"repro/internal/cluster"
 	"repro/internal/eva"
+	"repro/internal/fault"
 	"repro/internal/objective"
 	"repro/internal/pamo"
 	"repro/internal/pref"
@@ -243,5 +246,36 @@ func TestParallelEvaluationDeterministic(t *testing.T) {
 		if a.Reports[i].Outcome != b.Reports[i].Outcome {
 			t.Fatalf("nondeterministic outcome at epoch %d:\n%v\n%v", i, a.Reports[i].Outcome, b.Reports[i].Outcome)
 		}
+	}
+}
+
+// TestEvaluationWorkersBitExact runs one fleet-shaped day (32 videos on 8
+// servers in 2 shards, a server crash and recovery mid-run) under
+// GOMAXPROCS 1 and 4. The local evaluation pool runs min(Workers,
+// GOMAXPROCS) workers, so the two runs split the servers over 1 and 4
+// goroutines in different orders; each server's result depends only on its
+// own arena, so the traces must be identical.
+func TestEvaluationWorkersBitExact(t *testing.T) {
+	run := func(procs int) *Trace {
+		defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(procs))
+		sys := testSys(32, 8)
+		inj, err := fault.NewInjector(&fault.Scenario{Events: []fault.Event{
+			{Epoch: 3, Action: fault.ServerDown, Target: 5},
+			{Epoch: 6, Action: fault.ServerUp, Target: 5},
+		}}, sys.N(), sys.M())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := controller(sys, zeroJitterScheduler(), 3)
+		c.Opt.Shards = 2
+		c.Faults = inj
+		tr, err := c.Run(context.Background(), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	if a, b := run(1), run(4); !reflect.DeepEqual(a, b) {
+		t.Fatal("traces differ between GOMAXPROCS 1 and 4")
 	}
 }

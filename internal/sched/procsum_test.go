@@ -20,7 +20,13 @@ import (
 
 func ratFromFloat(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
 
-func ratOf(r Rational) *big.Rat { return big.NewRat(r.Num, r.Den) }
+// ratOf is r as a *big.Rat; the zero Rational, the empty budget, is 0.
+func ratOf(r Rational) *big.Rat {
+	if r.Num == 0 {
+		return new(big.Rat)
+	}
+	return big.NewRat(r.Num, r.Den)
+}
 
 // ratSum is Σ procs as an exact rational; nil when any is non-finite.
 func ratSum(procs []float64) *big.Rat {
@@ -35,16 +41,30 @@ func ratSum(procs []float64) *big.Rat {
 	return sum
 }
 
-// ratWithin is Σ ≤ budget·speed over rationals, mirroring ProcSum.Within.
-func ratWithin(sum *big.Rat, budget Rational, speed float64) bool {
-	if budget.Num == 0 {
+// ratWithin is Σ ≤ budget·speed over rationals, mirroring ProcSum.Within;
+// a nil or zero budget is the empty one.
+func ratWithin(sum *big.Rat, budget *big.Rat, speed float64) bool {
+	if budget == nil || budget.Sign() == 0 {
 		return sum.Sign() <= 0
 	}
 	spd := ratFromFloat(speed)
 	if spd == nil || spd.Sign() <= 0 {
 		return false
 	}
-	return sum.Cmp(new(big.Rat).Mul(ratOf(budget), spd)) <= 0
+	return sum.Cmp(new(big.Rat).Mul(budget, spd)) <= 0
+}
+
+// ratGCD is the greatest common divisor of two non-negative rationals in
+// big.Int, independent of RatGCD: gcd(a/b, c/d) = gcd(a·d, c·b)/(b·d), with
+// a nil g the empty gcd.
+func ratGCD(g *big.Rat, r Rational) *big.Rat {
+	x := ratOf(r)
+	if g == nil || g.Sign() == 0 {
+		return x
+	}
+	num := new(big.Int).Mul(g.Num(), x.Denom())
+	num.GCD(nil, nil, num, new(big.Int).Mul(x.Num(), g.Denom()))
+	return new(big.Rat).SetFrac(num, new(big.Int).Mul(g.Denom(), x.Denom()))
 }
 
 func ratSplitFactor(s Stream) int64 {
@@ -159,7 +179,7 @@ func ratCheckConst1Servers(streams []Stream, streamServer []int, servers []clust
 
 func ratCheckConst2Servers(streams []Stream, streamServer []int, servers []cluster.Server) bool {
 	procSum := make([]*big.Rat, len(servers))
-	gcds := make([]Rational, len(servers))
+	gcds := make([]*big.Rat, len(servers))
 	for i, s := range streams {
 		j := streamServer[i]
 		if j < 0 || j >= len(servers) {
@@ -174,10 +194,10 @@ func ratCheckConst2Servers(streams []Stream, streamServer []int, servers []clust
 		} else {
 			procSum[j].Add(procSum[j], p)
 		}
-		gcds[j] = RatGCD(gcds[j], s.Period)
+		gcds[j] = ratGCD(gcds[j], s.Period)
 	}
 	for j := range servers {
-		if gcds[j].Num != 0 && !ratWithin(procSum[j], gcds[j], servers[j].Speed()) {
+		if gcds[j] != nil && !ratWithin(procSum[j], gcds[j], servers[j].Speed()) {
 			return false
 		}
 	}
@@ -190,10 +210,10 @@ func ratMask(groups [][]int, streams []Stream, servers []cluster.Server) [][]boo
 	for g, members := range groups {
 		out[g] = make([]bool, len(servers))
 		procs := make([]float64, 0, len(members))
-		var gcd Rational
+		var gcd *big.Rat
 		for _, si := range members {
 			procs = append(procs, streams[si].Proc)
-			gcd = RatGCD(gcd, streams[si].Period)
+			gcd = ratGCD(gcd, streams[si].Period)
 		}
 		sum := ratSum(procs)
 		if len(members) == 0 || sum == nil {
@@ -251,6 +271,10 @@ func FuzzExactVsRat(f *testing.F) {
 	f.Add(uint64(11), uint8(6), uint8(3), 0x1p+80, 0x1.8p+62, 2.0)
 	f.Add(uint64(12), uint8(2), uint8(1), 0x1p+128, 0x1p+127, 1.0) // m·Den·2^e of 129 and 128 bits over T = 3
 	f.Add(uint64(13), uint8(4), uint8(2), -0.5, 0x1p-200, 1.0)     // −1 over 2^1 moved up 199 bits
+	// Two streams of period widePrimes[0]/wideDen on one server, whose
+	// processing times exceed the period: RatGCD's cross products leave
+	// int64 there, and a wrapped gcd once let CheckConst2Servers accept it.
+	f.Add(uint64(239), uint8(122), uint8(25), 268.33333333333337, 108.7375, -120.85714285714286)
 	f.Fuzz(func(t *testing.T, seed uint64, m, n uint8, a, b, speed float64) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		pool := []float64{0, 5e-324, 3 * 5e-324, 0x1p-1022, math.MaxFloat64, -math.MaxFloat64,
@@ -314,7 +338,7 @@ func FuzzExactVsRat(f *testing.F) {
 			for _, bud := range budgets {
 				for _, srv := range servers {
 					for _, spd := range []float64{srv.Speed(), speed} {
-						if got, want := sum.Within(bud, spd), ratWithin(ref, bud, spd); got != want {
+						if got, want := sum.Within(bud, spd), ratWithin(ref, ratOf(bud), spd); got != want {
 							t.Fatalf("Within(%v, %v) = %v, oracle %v (Σ = %v)", bud, spd, got, want, ref.FloatString(20))
 						}
 					}
@@ -348,7 +372,7 @@ func FuzzExactVsRat(f *testing.F) {
 				t.Fatalf("Σ %v = %v, oracle %v", seq[:k+1], got.FloatString(20), ref.FloatString(20))
 			}
 			for _, bud := range []Rational{Rat(1, 1), Rat(1, 30)} {
-				if got, want := ops.Within(bud, speed), ratWithin(ref, bud, speed); got != want {
+				if got, want := ops.Within(bud, speed), ratWithin(ref, ratOf(bud), speed); got != want {
 					t.Fatalf("Σ %v: Within(%v, %v) = %v, oracle %v", seq[:k+1], bud, speed, got, want)
 				}
 			}
@@ -417,6 +441,44 @@ func FuzzExactVsRat(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRationalPastInt64 pins the Rational operations whose cross products
+// leave int64 on periods of large terms: RatGCD(p, p) is p, not a wrapped
+// value; IsMultipleOf and Cmp decide exactly; Const2 rejects two streams
+// of period p whose processing times sum past p; and Mul and ratLCM panic
+// rather than wrap when their result leaves int64.
+func TestRationalPastInt64(t *testing.T) {
+	p, q := Rat(widePrimes[0], wideDen), Rat(widePrimes[1], wideDen)
+	if g := RatGCD(p, p); g != p {
+		t.Fatalf("RatGCD(%v, %v) = %v", p, p, g)
+	}
+	if g := RatGCD(p, q); g != Rat(1, wideDen) {
+		t.Fatalf("RatGCD(%v, %v) = %v, want 1/%d", p, q, g, int64(wideDen))
+	}
+	if !p.Mul(3).IsMultipleOf(p) || p.IsMultipleOf(q) || !p.IsMultipleOf(Rat(1, wideDen)) {
+		t.Fatal("IsMultipleOf past int64")
+	}
+	if p.Cmp(q) != 1 || q.Cmp(p) != -1 || p.Cmp(p) != 0 || p.Cmp(Rat(1, 30)) != -1 {
+		t.Fatal("Cmp past int64")
+	}
+	half := p.Float() / 2
+	streams := []Stream{{Period: p, Proc: math.Nextafter(half, 1)}, {Period: p, Proc: half}}
+	servers := []cluster.Server{{}}
+	if got, want := CheckConst2Servers(streams, []int{0, 0}, servers), ratCheckConst2Servers(streams, []int{0, 0}, servers); got || want {
+		t.Fatalf("CheckConst2Servers = %v, oracle %v; want both false", got, want)
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("Mul", func() { p.Mul(1 << 40) })
+	mustPanic("ratLCM", func() { ratLCM(Rat(1, wideDen), Rat(1, wideDen+2)) })
 }
 
 // widePrimes are period numerators whose lcm over three streams exceeds
@@ -491,7 +553,7 @@ func TestProcSumTiers(t *testing.T) {
 		}
 		for _, bud := range []Rational{{}, Rat(1, 1), Rat(1, 30), Rat(7, 3)} {
 			for _, spd := range []float64{1, 0.3, 1.1, 2, 0x1p-1074, math.MaxFloat64} {
-				if got, want := s.Within(bud, spd), ratWithin(ref, bud, spd); got != want {
+				if got, want := s.Within(bud, spd), ratWithin(ref, ratOf(bud), spd); got != want {
 					t.Fatalf("%s: Within(%v, %v) = %v, oracle %v", step, bud, spd, got, want)
 				}
 			}

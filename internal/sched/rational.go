@@ -55,27 +55,49 @@ func gcd64(a, b int64) int64 {
 	return a
 }
 
-func lcm64(a, b int64) int64 { return a / gcd64(a, b) * b }
+// lcm64 is the least common multiple of two positive integers. It panics
+// when the lcm leaves int64.
+func lcm64(a, b int64) int64 {
+	l, ok := mul64(a/gcd64(a, b), b)
+	if !ok {
+		panic(fmt.Sprintf("sched: lcm of %d and %d leaves int64", a, b))
+	}
+	return l
+}
+
+// mul64 returns a·b for non-negative a and b, with ok false when the
+// product leaves int64.
+func mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	return int64(lo), hi == 0 && lo <= math.MaxInt64
+}
 
 // Float returns the rational as a float64.
 func (r Rational) Float() float64 { return float64(r.Num) / float64(r.Den) }
 
-// Mul returns r scaled by the positive integer k.
+// Mul returns r scaled by the positive integer k. It panics when the
+// reduced product's numerator leaves int64.
 func (r Rational) Mul(k int64) Rational {
 	if k <= 0 {
 		panic(fmt.Sprintf("sched: non-positive multiplier %d", k))
 	}
-	return Rational{r.Num * k, r.Den}.reduce()
+	g := gcd64(k, r.Den)
+	num, ok := mul64(r.Num, k/g)
+	if !ok {
+		panic(fmt.Sprintf("sched: %v·%d leaves int64", r, k))
+	}
+	return Rational{num, r.Den / g}.reduce()
 }
 
-// Cmp returns -1, 0, or 1 as r <, ==, > s.
+// Cmp returns -1, 0, or 1 as r <, ==, > s, comparing the cross products
+// r.Num·s.Den and s.Num·r.Den in 128 bits.
 func (r Rational) Cmp(s Rational) int {
-	l := r.Num * s.Den
-	m := s.Num * r.Den
+	lh, ll := bits.Mul64(uint64(r.Num), uint64(s.Den))
+	mh, ml := bits.Mul64(uint64(s.Num), uint64(r.Den))
 	switch {
-	case l < m:
+	case lh < mh || lh == mh && ll < ml:
 		return -1
-	case l > m:
+	case lh > mh || lh == mh && ll > ml:
 		return 1
 	default:
 		return 0
@@ -83,7 +105,10 @@ func (r Rational) Cmp(s Rational) int {
 }
 
 // RatGCD returns the exact greatest common divisor of two rationals:
-// gcd(a/b, c/d) = gcd(a·d, c·b)/(b·d).
+// gcd(a/b, c/d) = gcd(a·d, c·b)/(b·d), reduced. When a product leaves
+// int64 it is formed from the reduced operands instead, as
+// gcd(a, c)/lcm(b, d), which needs no product but the lcm; it panics when
+// that lcm, the gcd's denominator, leaves int64.
 func RatGCD(a, b Rational) Rational {
 	if a.Num == 0 {
 		return b.reduce()
@@ -91,19 +116,32 @@ func RatGCD(a, b Rational) Rational {
 	if b.Num == 0 {
 		return a.reduce()
 	}
-	num := gcd64(a.Num*b.Den, b.Num*a.Den)
-	return Rational{num, a.Den * b.Den}.reduce()
+	x, okx := mul64(a.Num, b.Den)
+	y, oky := mul64(b.Num, a.Den)
+	den, okd := mul64(a.Den, b.Den)
+	if okx && oky && okd {
+		return Rational{gcd64(x, y), den}.reduce()
+	}
+	a, b = a.reduce(), b.reduce()
+	return Rational{gcd64(a.Num, b.Num), lcm64(a.Den, b.Den)}
 }
 
-// IsMultipleOf reports whether r = t·s for some positive integer t.
+// IsMultipleOf reports whether r = t·s for some positive integer t: r/s =
+// (r.Num·s.Den)/(r.Den·s.Num) must be a positive integer. When a product
+// leaves int64 it decides on the reduced operands instead, where the
+// quotient is an integer exactly when s.Num divides r.Num and r.Den divides
+// s.Den.
 func (r Rational) IsMultipleOf(s Rational) bool {
-	if s.Num == 0 {
+	if s.Num == 0 || r.Num <= 0 {
 		return false
 	}
-	// r/s = (r.Num·s.Den)/(r.Den·s.Num) must be a positive integer.
-	num := r.Num * s.Den
-	den := r.Den * s.Num
-	return num > 0 && num%den == 0
+	num, okn := mul64(r.Num, s.Den)
+	den, okd := mul64(r.Den, s.Num)
+	if okn && okd {
+		return num%den == 0
+	}
+	r, s = r.reduce(), s.reduce()
+	return r.Num%s.Num == 0 && s.Den%r.Den == 0
 }
 
 // String renders the rational for diagnostics.

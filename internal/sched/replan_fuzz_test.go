@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"math/big"
 	"reflect"
 	"testing"
 
@@ -159,11 +160,11 @@ func FuzzReplanVsSchedule(f *testing.F) {
 			}
 			var bits float64
 			var procs []float64
-			var gcd Rational
+			var gcd *big.Rat
 			for _, si := range rows[r] {
 				bits += streams[si].Bits
 				procs = append(procs, streams[si].Proc)
-				gcd = RatGCD(gcd, streams[si].Period)
+				gcd = ratGCD(gcd, streams[si].Period)
 			}
 			sum := ratSum(procs)
 			for c, j := range cols {

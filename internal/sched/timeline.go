@@ -56,10 +56,16 @@ func (p Plan) Timelines(streams []Stream) []Timeline {
 }
 
 // ratLCM returns the least common multiple of two positive rationals:
-// lcm(a/b, c/d) = lcm(a·d, c·b)/(b·d).
+// lcm(a/b, c/d) = lcm(a·d, c·b)/(b·d). It panics when a product leaves
+// int64.
 func ratLCM(x, y Rational) Rational {
-	num := lcm64(x.Num*y.Den, y.Num*x.Den)
-	return Rational{num, x.Den * y.Den}.reduce()
+	xd, ok1 := mul64(x.Num, y.Den)
+	yd, ok2 := mul64(y.Num, x.Den)
+	den, ok3 := mul64(x.Den, y.Den)
+	if !ok1 || !ok2 || !ok3 {
+		panic(fmt.Sprintf("sched: lcm of %v and %v leaves int64", x, y))
+	}
+	return Rational{lcm64(xd, yd), den}.reduce()
 }
 
 // Overlap returns the first pair of overlapping slots, or nil when the
